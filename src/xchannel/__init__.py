@@ -21,13 +21,11 @@ from .channel import (
     NoiseModel,
     generate_channels,
     generate_messages,
-    received_signal,
 )
 from .receive import (
     CONDITION_LIMIT,
     DecodeResult,
     LinearSystem,
-    Observation,
     ObservationKind,
     ObservationLog,
     assemble_system,
@@ -61,8 +59,6 @@ from .transmit import (
     TransmitPlan,
     audit_csit_trace,
     build_transmit_plan,
-    phase1_signal,
-    phase2_precode,
 )
 
 __version__ = "0.1.0"

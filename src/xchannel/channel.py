@@ -1,4 +1,4 @@
-"""Block-fading physical layer: channel tensor, messages, noise, received signal.
+"""Block-fading physical layer: channel tensor, messages and noise.
 
 Coefficients h[i, j, t] connect transmitter j to receiver i in slot t and are
 drawn i.i.d. CN(0, 1), with exact zeros resampled so that phase-2 precoders
@@ -18,7 +18,6 @@ __all__ = [
     "NoiseModel",
     "generate_channels",
     "generate_messages",
-    "received_signal",
 ]
 
 
@@ -67,9 +66,8 @@ class MessageSet:
 class NoiseModel:
     """Additive receiver noise configuration.
 
-    When enabled, the sample at (receiver i, slot t) is a deterministic
-    function of (seed, N, T, i, t), so repeated queries agree with the grid
-    drawn by sample_grid. Disabled models contribute exactly zero.
+    When enabled, sample_grid draws the (N, T) grid deterministically from
+    the seed. Disabled models contribute exactly zero.
     """
 
     enabled: bool
@@ -116,27 +114,3 @@ def generate_messages(M: int, N: int, k: int, seed: int) -> MessageSet:
     w.setflags(write=False)
     return MessageSet(M=M, N=N, k=k, w=w, seed=seed)
 
-
-def received_signal(
-    channels: ChannelRealization,
-    x: np.ndarray,
-    t: int,
-    i: int,
-    noise: NoiseModel | None = None,
-) -> complex:
-    """Observation of receiver i in slot t for the transmit vector x.
-
-    Returns sum_j h[i, j, t] * x[j] plus the (i, t) noise sample when a noise
-    model is enabled.
-    """
-    if not 0 <= t < channels.T:
-        raise ValueError(f"slot index {t} outside 0..{channels.T - 1}")
-    if not 0 <= i < channels.N:
-        raise ValueError(f"receiver index {i} outside 0..{channels.N - 1}")
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (channels.M,):
-        raise ValueError(f"transmit vector must have shape ({channels.M},), got {x.shape}")
-    y = complex(channels.h[i, :, t] @ x)
-    if noise is not None and noise.enabled:
-        y += complex(noise.sample_grid(channels.N, channels.T)[i, t])
-    return y

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
-from .analysis import dof_report, dof_slope, sum_rate, sweep_rates, verify_suite
+from .analysis import dof_report, dof_slope, sweep_rates, verify_suite
 from .schedule import (
     UnsupportedConfigurationError,
     build_csit_table,
@@ -90,24 +91,59 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _require_dims(cfg: dict) -> tuple[int, int]:
-    for field in ("M", "N"):
-        if field not in cfg:
-            raise ConfigError(f"--{field} is required for this mode")
-        if not isinstance(cfg[field], int) or cfg[field] < 1:
-            raise ConfigError(f"--{field} must be a positive integer, got {cfg[field]!r}")
-    return cfg["M"], cfg["N"]
+def _is_int(value, minimum: int) -> bool:
+    # bool is an int subclass, but True is no count
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+_POSITIVE = (lambda v: _is_int(v, 1), "a positive integer")
+_DIMS = {"M": _POSITIVE, "N": _POSITIVE}
+_SWITCH = (lambda v: isinstance(v, bool) or (isinstance(v, str) and v in _ON_OFF), "on or off")
+# Per mode, every field it reads: (test, description). Absent fields take
+# their defaults, except M and N, which the modes that have them require.
+_FIELDS = {
+    "schedule": _DIMS,
+    "csit-table": _DIMS,
+    "simulate": {
+        **_DIMS,
+        "seeds": (
+            lambda v: isinstance(v, list) and v and all(_is_int(s, 0) for s in v),
+            "one or more non-negative integers",
+        ),
+        "noise": _SWITCH,
+        "normalize": _SWITCH,
+    },
+    "sweep": {
+        **_DIMS,
+        "snr": (
+            lambda v: isinstance(v, list) and all(_is_finite_number(x) for x in v),
+            "a list of finite numbers (dB)",
+        ),
+        "draws": _POSITIVE,
+        "seed": (lambda v: _is_int(v, 0), "a non-negative integer"),
+        "normalize": _SWITCH,
+    },
+    "verify": {"grid": (lambda v: _is_int(v, 2), "an integer >= 2"), "seeds": _POSITIVE},
+}
+
+
+def _validate(mode: str, cfg: dict) -> None:
+    """Reject a missing, mistyped or out-of-range field before any numeric work."""
+    for name, (ok, what) in _FIELDS[mode].items():
+        if name not in cfg:
+            if name in _DIMS:
+                raise ConfigError(f"--{name} is required for this mode")
+        elif not ok(cfg[name]):
+            raise ConfigError(f"--{name} must be {what}, got {cfg[name]!r}")
 
 
 def _flag(cfg: dict, name: str, default: bool) -> bool:
-    raw = cfg.get(name)
-    if raw is None:
-        return default
-    if isinstance(raw, bool):
-        return raw
-    if raw in _ON_OFF:
-        return _ON_OFF[raw]
-    raise ConfigError(f"--{name} must be on or off, got {raw!r}")
+    raw = cfg.get(name, default)
+    return _ON_OFF.get(raw, raw)
 
 
 class _Output:
@@ -130,7 +166,7 @@ class _Output:
 
 
 def _mode_schedule(cfg: dict, out: _Output) -> int:
-    M, N = _require_dims(cfg)
+    M, N = cfg["M"], cfg["N"]
     schedule = build_schedule(M, N)
     report = dof_report(schedule)
     if cfg.get("format", "text") == "json":
@@ -146,7 +182,7 @@ def _mode_schedule(cfg: dict, out: _Output) -> int:
 
 
 def _mode_csit_table(cfg: dict, out: _Output) -> int:
-    M, N = _require_dims(cfg)
+    M, N = cfg["M"], cfg["N"]
     schedule = build_schedule(M, N)
     table = build_csit_table(schedule)
     if cfg.get("format", "text") == "json":
@@ -158,10 +194,8 @@ def _mode_csit_table(cfg: dict, out: _Output) -> int:
 
 
 def _mode_simulate(cfg: dict, out: _Output) -> int:
-    M, N = _require_dims(cfg)
+    M, N = cfg["M"], cfg["N"]
     seeds = cfg.get("seeds", [0])
-    if not isinstance(seeds, list) or not seeds or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError(f"--seeds must be one or more integers, got {seeds!r}")
     noise = _flag(cfg, "noise", False)
     normalize = _flag(cfg, "normalize", False)
     runs = []
@@ -185,14 +219,10 @@ def _mode_simulate(cfg: dict, out: _Output) -> int:
 
 
 def _mode_sweep(cfg: dict, out: _Output) -> int:
-    M, N = _require_dims(cfg)
+    M, N = cfg["M"], cfg["N"]
     snrs = cfg.get("snr") or [40.0, 50.0, 60.0, 70.0, 80.0]
     draws = cfg.get("draws", 200)
     seed = cfg.get("seed", 0)
-    if not isinstance(draws, int) or draws < 1:
-        raise ConfigError(f"--draws must be a positive integer, got {draws!r}")
-    if not isinstance(seed, int):
-        raise ConfigError(f"--seed must be an integer, got {seed!r}")
     normalize = _flag(cfg, "normalize", True)
     points = sweep_rates(M, N, snrs, draws=draws, seed=seed, normalize=normalize)
     fit = dof_slope(points)
@@ -239,13 +269,7 @@ def _mode_sweep(cfg: dict, out: _Output) -> int:
 
 
 def _mode_verify(cfg: dict, out: _Output) -> int:
-    grid = cfg.get("grid", 8)
-    seeds = cfg.get("seeds", 5)
-    if not isinstance(grid, int) or grid < 2:
-        raise ConfigError(f"--grid must be an integer >= 2, got {grid!r}")
-    if not isinstance(seeds, int) or seeds < 1:
-        raise ConfigError(f"--seeds must be a positive integer, got {seeds!r}")
-    checks = verify_suite(grid=grid, oracle_seeds=seeds)
+    checks = verify_suite(grid=cfg.get("grid", 8), oracle_seeds=cfg.get("seeds", 5))
     lines = []
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -272,6 +296,7 @@ def main(argv=None) -> int:
     out = _Output(getattr(args, "out", None))
     try:
         cfg = _merge_config(args)
+        _validate(args.mode, cfg)
         return _MODES[args.mode](cfg, out)
     except (ConfigError, UnsupportedConfigurationError, ValueError) as exc:
         out.discard()

@@ -12,7 +12,7 @@ receivers that track all fading coefficients.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -23,10 +23,7 @@ from .transmit import TransmitPlan
 __all__ = [
     "CONDITION_LIMIT",
     "ObservationKind",
-    "Observation",
     "ObservationLog",
-    "SubtractionRow",
-    "RowInfo",
     "LinearSystem",
     "DecodeResult",
     "observe_all",
@@ -38,56 +35,28 @@ __all__ = [
 CONDITION_LIMIT = 1e12
 
 
-class ObservationKind(Enum):
-    DESIRED_PHASE1 = "DESIRED_PHASE1"
-    INTERFERENCE_PHASE1 = "INTERFERENCE_PHASE1"
-    COMBINED_PHASE2 = "COMBINED_PHASE2"
-    DISCARDED = "DISCARDED"
+class ObservationKind(IntEnum):
+    """Role of one (receiver, slot) observation, stored as an int8 code."""
 
-
-@dataclass(frozen=True)
-class Observation:
-    """One received value and its role for a particular receiver."""
-
-    slot: int
-    value: complex
-    kind: ObservationKind
-    copy: int | None = None
-    linked_slot: int | None = None
-    partner: tuple[int, int] | None = None
+    DESIRED_PHASE1 = 0
+    INTERFERENCE_PHASE1 = 1
+    COMBINED_PHASE2 = 2
+    DISCARDED = 3
 
 
 @dataclass(frozen=True)
 class ObservationLog:
-    """All N x T received values plus the context needed to use them."""
+    """All N x T received values plus the context needed to use them.
+
+    entries[i, t] is the ObservationKind code of receiver i's value in slot t.
+    """
 
     schedule: Schedule
     channels: ChannelRealization
     values: np.ndarray
-    entries: tuple[tuple[Observation, ...], ...]
+    entries: np.ndarray
     slot_scale: np.ndarray
     noise_variance: float
-
-
-@dataclass(frozen=True)
-class SubtractionRow:
-    """A combined observation minus its scaled stored replay."""
-
-    row: np.ndarray
-    value: complex
-    slot: int
-    linked_slot: int
-    copy: int
-    scale: float
-
-
-@dataclass(frozen=True)
-class RowInfo:
-    kind: str  # "direct" or "subtraction"
-    copy: int
-    slot: int
-    linked_slot: int | None
-    scale: float
 
 
 @dataclass(frozen=True)
@@ -95,9 +64,10 @@ class LinearSystem:
     """Square decoding system G w = y for one receiver.
 
     Unknowns are ordered copy-major: index c*M + j holds message w[i, j, c].
-    sigma is the noise covariance of y in noise-variance units times the model
-    variance (all zero for noiseless runs); noise_map is the (kM, T) matrix B
-    with y_noise = B @ n[i, :], so sigma = variance * B B^T.
+    Rows follow schedule.decode_rows[receiver]. sigma is the noise covariance
+    of y in noise-variance units times the model variance (all zero for
+    noiseless runs); noise_map is the (kM, T) matrix B with
+    y_noise = B @ n[i, :], so sigma = variance * B B^T.
     """
 
     receiver: int
@@ -105,7 +75,6 @@ class LinearSystem:
     y: np.ndarray
     sigma: np.ndarray
     noise_map: np.ndarray
-    rows: tuple[RowInfo, ...]
     T: int
     M: int
     k: int
@@ -118,221 +87,122 @@ class DecodeResult:
     estimates: np.ndarray | None
     rank: int
     condition: float
-    residual: float
 
     def to_record(self) -> dict:
-        def _num(v):
-            return float(v) if np.isfinite(v) else None
-
         return {
             "receiver": self.receiver,
             "success": self.success,
             "rank": int(self.rank),
-            "condition": _num(self.condition),
-            "residual": _num(self.residual),
+            "condition": float(self.condition) if np.isfinite(self.condition) else None,
         }
 
 
 def observe_all(
     plan: TransmitPlan, channels: ChannelRealization, noise: NoiseModel
 ) -> ObservationLog:
-    """Compute and classify every receiver's observation for all T slots."""
+    """Compute every receiver's observation for all T slots and classify it.
+
+    In phase 1 the served receiver sees its desired group and everyone else
+    stores interference; in phase 2 the two members see a combined value and
+    everyone else discards theirs.
+    """
     s = plan.schedule
     X = plan.signal_matrix()
     values = np.einsum("ijt,jt->it", channels.h, X) + noise.sample_grid(s.N, s.T)
     values.setflags(write=False)
-
-    roles: list = [None] * s.T
-    for p in s.phase1:
-        roles[p.slot] = p
-    for p in s.phase2:
-        roles[p.slot] = p
-
-    entries = []
-    for i in range(s.N):
-        per_rx = []
-        for t in range(s.T):
-            role = roles[t]
-            value = complex(values[i, t])
-            if hasattr(role, "receiver"):  # phase 1
-                if role.receiver == i:
-                    obs = Observation(
-                        slot=t,
-                        value=value,
-                        kind=ObservationKind.DESIRED_PHASE1,
-                        copy=role.copy,
-                    )
-                else:
-                    obs = Observation(
-                        slot=t, value=value, kind=ObservationKind.INTERFERENCE_PHASE1
-                    )
-            else:  # phase 2
-                (a, ca), (b, cb) = role.pair
-                if i == a or i == b:
-                    own_copy, partner = (ca, (b, cb)) if i == a else (cb, (a, ca))
-                    obs = Observation(
-                        slot=t,
-                        value=value,
-                        kind=ObservationKind.COMBINED_PHASE2,
-                        copy=own_copy,
-                        linked_slot=s.phase1_slot_of(*partner),
-                        partner=partner,
-                    )
-                else:
-                    obs = Observation(slot=t, value=value, kind=ObservationKind.DISCARDED)
-            per_rx.append(obs)
-        entries.append(tuple(per_rx))
-
+    served = (s.members[:, :, 0] == np.arange(s.N)[:, None, None]).any(axis=2)
+    kind = ObservationKind
+    entries = np.where(
+        np.arange(s.T) < len(s.phase1),
+        np.where(served, kind.DESIRED_PHASE1.value, kind.INTERFERENCE_PHASE1.value),
+        np.where(served, kind.COMBINED_PHASE2.value, kind.DISCARDED.value),
+    ).astype(np.int8)
+    entries.setflags(write=False)
     return ObservationLog(
         schedule=s,
         channels=channels,
         values=values,
-        entries=tuple(entries),
+        entries=entries,
         slot_scale=plan.slot_scale,
         noise_variance=noise.variance if noise.enabled else 0.0,
     )
 
 
-def cancel_interference(log: ObservationLog, receiver: int) -> list[SubtractionRow]:
+def cancel_interference(log: ObservationLog, receiver: int) -> tuple[np.ndarray, np.ndarray]:
     """Subtract stored replays from every combined observation of one receiver.
 
-    Returns one row per combined observation, in slot order. Noiselessly each
-    row satisfies row . w_flat == value for the receiver's copy-major message
-    vector.
+    Returns (rows, values) for the pair rows of schedule.decode_rows[receiver],
+    in that order. rows[r] holds the coefficients on the messages of the
+    row's copy; noiselessly rows[r] @ w[receiver, :, copy] == values[r].
     """
     s = log.schedule
     h = log.channels.h
-    M, k = s.M, s.k
-    rows = []
-    for obs in log.entries[receiver]:
-        if obs.kind is not ObservationKind.COMBINED_PHASE2:
-            continue
-        stored = log.entries[receiver][obs.linked_slot]
-        if stored.kind is not ObservationKind.INTERFERENCE_PHASE1:
-            raise SchemeConstructionError(
-                f"receiver {receiver} slot {obs.slot} links to slot "
-                f"{obs.linked_slot} which is {stored.kind.value}, not stored interference"
-            )
-        t = obs.slot
-        g = float(log.slot_scale[t])
-        p, _ = obs.partner
-        t_own = s.phase1_slot_of(receiver, obs.copy)
-        coef = g * h[receiver, :, t] * h[p, :, t_own] / h[p, :, t]
-        row = np.zeros(k * M, dtype=complex)
-        row[obs.copy * M : (obs.copy + 1) * M] = coef
-        rows.append(
-            SubtractionRow(
-                row=row,
-                value=obs.value - g * stored.value,
-                slot=t,
-                linked_slot=obs.linked_slot,
-                copy=obs.copy,
-                scale=g,
-            )
+    pairs = s.decode_rows[receiver].reshape(s.k, s.M, 4)[:, 1:]  # skip each direct row
+    copy, slot, partner, linked = pairs.reshape(-1, 4).T
+    stored = log.entries[receiver][linked].tolist()
+    if any(kind != ObservationKind.INTERFERENCE_PHASE1 for kind in stored):
+        raise SchemeConstructionError(
+            f"receiver {receiver} pair slots {slot.tolist()} replay slots {linked.tolist()}, "
+            f"not all of which hold stored interference: {stored}"
         )
-    return rows
+    g = log.slot_scale[slot]
+    own = s.phase1_slots[receiver, copy]
+    rows = g[:, None] * h[receiver, :, slot] * h[partner, :, own] / h[partner, :, slot]
+    observed = log.values[receiver]
+    values = observed[slot] - g * observed[linked]
+    return rows, values
 
 
 def assemble_system(log: ObservationLog, receiver: int) -> LinearSystem:
     """Stack direct and subtraction rows into the receiver's kM x kM system.
 
-    Rows are grouped by copy: the copy's phase-1 direct observation first,
-    then its M-1 subtraction rows in slot order.
+    Row r is schedule.decode_rows[receiver, r]: per copy the phase-1 direct
+    observation first, then the copy's M-1 subtraction rows in slot order.
+    Each copy's M rows involve only its own M unknowns, so G is block
+    diagonal. Arrays are built per copy, as (k, M, ...), then flattened.
     """
     s = log.schedule
     M, k, T = s.M, s.k, s.T
-    n = k * M
-    subs = cancel_interference(log, receiver)
+    table = s.decode_rows[receiver].reshape(k, M, 4)
+    slot, linked = table[:, :, 1], table[:, 1:, 3]
+    rows, values = cancel_interference(log, receiver)
 
-    G = np.zeros((n, n), dtype=complex)
-    y = np.zeros(n, dtype=complex)
-    B = np.zeros((n, T))
-    infos = []
-    r = 0
+    blocks = log.channels.h[receiver, :, slot]  # direct rows are channel rows
+    blocks[:, 1:] = rows.reshape(k, M - 1, M)
+    G = np.zeros((k * M, k * M), dtype=complex)
     for c in range(k):
-        t_dir = s.phase1_slot_of(receiver, c)
-        G[r, c * M : (c + 1) * M] = log.channels.h[receiver, :, t_dir]
-        y[r] = log.values[receiver, t_dir]
-        B[r, t_dir] = 1.0
-        infos.append(RowInfo(kind="direct", copy=c, slot=t_dir, linked_slot=None, scale=1.0))
-        r += 1
-        for sub in subs:
-            if sub.copy != c:
-                continue
-            G[r] = sub.row
-            y[r] = sub.value
-            B[r, sub.slot] = 1.0
-            B[r, sub.linked_slot] = -sub.scale
-            infos.append(
-                RowInfo(
-                    kind="subtraction",
-                    copy=c,
-                    slot=sub.slot,
-                    linked_slot=sub.linked_slot,
-                    scale=sub.scale,
-                )
-            )
-            r += 1
-    if r != n:
-        raise SchemeConstructionError(
-            f"receiver {receiver} assembled {r} rows, expected {n}; "
-            "phase-2 balance is broken"
-        )
+        G[c * M : (c + 1) * M, c * M : (c + 1) * M] = blocks[c]
+    y = log.values[receiver][slot]
+    y[:, 1:] = values.reshape(k, M - 1)
+    # B: +1 at each row's own slot, minus the slot scale at the replayed slot
+    B = np.zeros((k, M, T))
+    copies, positions = np.arange(k)[:, None], np.arange(M)
+    B[copies, positions, slot] = 1.0
+    B[copies, positions[1:], linked] = -log.slot_scale[slot[:, 1:]]
+    B, y = B.reshape(k * M, T), y.reshape(k * M)
     sigma = log.noise_variance * (B @ B.T)
     for arr in (G, y, B, sigma):
         arr.setflags(write=False)
     return LinearSystem(
-        receiver=receiver,
-        G=G,
-        y=y,
-        sigma=sigma,
-        noise_map=B,
-        rows=tuple(infos),
-        T=T,
-        M=M,
-        k=k,
+        receiver=receiver, G=G, y=y, sigma=sigma, noise_map=B, T=T, M=M, k=k
     )
 
 
 def decode(system: LinearSystem) -> DecodeResult:
     """Solve the receiver's system, or report failure for a degenerate one.
 
-    Noiseless systems use a direct solve plus one iterative-refinement step;
-    noisy ones whiten with the Cholesky factor of sigma first (for a square
-    nonsingular G the estimate coincides; the whitened residual is reported).
+    A direct solve plus one iterative-refinement step. For a square
+    nonsingular G this is also the generalized least-squares estimate under
+    any noise covariance, so noisy and noiseless systems share the path.
     A condition number beyond CONDITION_LIMIT yields a failure result instead
     of an exception.
     """
     G, y = system.G, system.y
-    condition = float(np.linalg.cond(G))
-    if not np.isfinite(condition) or condition > CONDITION_LIMIT:
-        return DecodeResult(
-            receiver=system.receiver,
-            success=False,
-            estimates=None,
-            rank=int(np.linalg.matrix_rank(G)),
-            condition=condition,
-            residual=float("nan"),
-        )
-    noiseless = not system.sigma.any()
-    if noiseless:
-        est = np.linalg.solve(G, y)
-        est += np.linalg.solve(G, y - G @ est)
-        resid_num = float(np.linalg.norm(G @ est - y))
-        resid_den = float(np.linalg.norm(y))
-    else:
-        L = np.linalg.cholesky(system.sigma)
-        Gw = np.linalg.solve(L, G)
-        yw = np.linalg.solve(L, y)
-        est = np.linalg.lstsq(Gw, yw, rcond=None)[0]
-        resid_num = float(np.linalg.norm(Gw @ est - yw))
-        resid_den = float(np.linalg.norm(yw))
-    residual = resid_num / max(resid_den, np.finfo(float).tiny)
-    return DecodeResult(
-        receiver=system.receiver,
-        success=True,
-        estimates=est,
-        rank=G.shape[0],
-        condition=condition,
-        residual=residual,
-    )
+    sv = np.linalg.svd(G, compute_uv=False)  # the 2-norm condition, as np.linalg.cond
+    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    if condition > CONDITION_LIMIT:
+        rank = int(np.linalg.matrix_rank(G))
+        return DecodeResult(system.receiver, False, None, rank=rank, condition=condition)
+    est = np.linalg.solve(G, y)
+    est += np.linalg.solve(G, y - G @ est)
+    return DecodeResult(system.receiver, True, est, rank=G.shape[0], condition=condition)

@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
+import numpy as np
+
 __all__ = [
     "SchemeCase",
     "UnsupportedConfigurationError",
@@ -97,12 +99,56 @@ class Schedule:
     T: int
 
     @cached_property
-    def _phase1_index(self) -> dict[tuple[int, int], int]:
-        return {(p.receiver, p.copy): p.slot for p in self.phase1}
+    def phase1_slots(self) -> np.ndarray:
+        """(N, k) index table: phase1_slots[i, c] is the slot that broadcast group (i, c)."""
+        slots = np.full((self.N, self.k), -1, dtype=np.intp)
+        for p in self.phase1:
+            slots[p.receiver, p.copy] = p.slot
+        slots.setflags(write=False)
+        return slots
 
-    def phase1_slot_of(self, receiver: int, copy: int = 0) -> int:
-        """Slot in which the (receiver, copy) message group was broadcast."""
-        return self._phase1_index[(receiver, copy)]
+    @cached_property
+    def members(self) -> np.ndarray:
+        """(T, 2, 2) index table: the two (receiver, copy) members each slot serves.
+
+        A phase-1 slot serves a single group, which it lists twice.
+        """
+        members = np.empty((self.T, 2, 2), dtype=np.intp)
+        for p in self.phase1:
+            members[p.slot] = (p.receiver, p.copy)
+        for p in self.phase2:
+            members[p.slot] = p.pair
+        members.setflags(write=False)
+        return members
+
+    @cached_property
+    def decode_rows(self) -> np.ndarray:
+        """(N, kM, 4) index table of each receiver's decoding rows.
+
+        A row is (copy, slot, partner, linked). Each copy has M rows: the
+        direct row first, at the copy's phase-1 slot with partner and linked
+        slot -1; then one row per pair slot in slot order, whose linked slot is
+        the partner's phase-1 broadcast that the receiver stored as
+        interference.
+        """
+        rows = [
+            [[(c, self.phase1_slots[i, c], -1, -1)] for c in range(self.k)]
+            for i in range(self.N)
+        ]
+        for p in self.phase2:
+            for (i, c), (q, cq) in (p.pair, p.pair[::-1]):
+                rows[i][c].append((c, p.slot, q, self.phase1_slots[q, cq]))
+        counts = [[len(per) for per in per_copy] for per_copy in rows]
+        if counts != [[self.M] * self.k] * self.N:
+            raise SchemeConstructionError(
+                f"decoding rows per (receiver, copy) are {counts}, expected {self.M} each; "
+                "phase-2 balance is broken"
+            )
+        table = np.array(
+            [[row for per in per_copy for row in per] for per_copy in rows], dtype=np.intp
+        )
+        table.setflags(write=False)
+        return table
 
     @property
     def message_count(self) -> int:

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import NoiseModel, generate_channels, generate_messages
+from .channel import ChannelRealization, MessageSet, NoiseModel, generate_channels, generate_messages
 from .receive import DecodeResult, LinearSystem, ObservationLog, assemble_system, decode, observe_all
-from .schedule import Schedule, build_csit_table, build_schedule
+from .schedule import CsitTable, Schedule, build_csit_table, build_schedule
 from .transmit import TransmitPlan, build_transmit_plan
 
 __all__ = ["SimulationResult", "run_simulation"]
@@ -19,9 +19,9 @@ class SimulationResult:
     """Everything one seeded run produced, from schedule to decode diagnostics."""
 
     schedule: Schedule
-    channels: object
-    messages: object
-    table: object
+    channels: ChannelRealization
+    messages: MessageSet
+    table: CsitTable
     plan: TransmitPlan
     log: ObservationLog
     systems: tuple[LinearSystem, ...]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelRealization, MessageSet
-from .schedule import CsitTable, Phase1Slot, Phase2Slot, Schedule
+from .schedule import CsitTable, Schedule
 
 __all__ = [
     "CsitAccessError",
@@ -22,8 +22,6 @@ __all__ = [
     "TransmitPlan",
     "audit_csit_trace",
     "build_transmit_plan",
-    "phase1_signal",
-    "phase2_precode",
 ]
 
 
@@ -50,6 +48,14 @@ class CsitRead:
     at_slot: int
 
 
+def _granted(read: CsitRead, table: CsitTable) -> bool:
+    """The CSIT contract: perfect state for the current slot, delayed state for earlier ones."""
+    state = table.state(read.receiver, read.slot)
+    return (read.slot == read.at_slot and state == "P") or (
+        read.slot < read.at_slot and state == "D"
+    )
+
+
 class CsitView:
     """Access-controlled window onto the channel tensor.
 
@@ -67,77 +73,33 @@ class CsitView:
         self.violations: list[CsitRead] = []
 
     def read_row(self, receiver: int, slot: int) -> np.ndarray:
-        state = self._table.state(receiver, slot)
-        current_ok = slot == self.now and self._table.state(receiver, self.now) == "P"
-        delayed_ok = slot < self.now and state == "D"
         record = CsitRead(receiver=receiver, slot=slot, at_slot=self.now)
-        if not (current_ok or delayed_ok):
+        if not _granted(record, self._table):
             self.violations.append(record)
-            raise CsitAccessError(receiver, slot, self.now, state)
+            raise CsitAccessError(receiver, slot, self.now, self._table.state(receiver, slot))
         self.reads.append(record)
         return self._h[receiver, :, slot].copy()
 
 
 def audit_csit_trace(reads, table: CsitTable) -> list[CsitRead]:
     """Re-check a read trace against the state table; returns the offenders."""
-    bad = []
-    for r in reads:
-        current_ok = r.slot == r.at_slot and table.state(r.receiver, r.slot) == "P"
-        delayed_ok = r.slot < r.at_slot and table.state(r.receiver, r.slot) == "D"
-        if not (current_ok or delayed_ok):
-            bad.append(r)
-    return bad
-
-
-def phase1_signal(slot: Phase1Slot, messages: MessageSet) -> np.ndarray:
-    """Transmit vector of a phase-1 slot: transmitter j sends w[i, j, c] as is."""
-    if not isinstance(slot, Phase1Slot):
-        raise ValueError(f"expected a phase-1 slot, got {type(slot).__name__}")
-    return messages.w[slot.receiver, :, slot.copy].copy()
-
-
-def _phase2_coefficients(slot: Phase2Slot, csit: CsitView, schedule: Schedule):
-    """Per-transmitter coefficients on each pair member's messages.
-
-    Member (a, ca) paired with (b, cb) at slot t gets coefficient
-    h[b,j,t]^-1 * h[b,j,t_a] on w[a,j,ca]: through receiver b's current
-    fading this collapses to h[b,j,t_a], reproducing the observation b stored
-    when (a, ca) was broadcast, so b can subtract it.
-    """
-    (a, ca), (b, cb) = slot.pair
-    csit.now = slot.slot
-    h_a_now = csit.read_row(a, slot.slot)
-    h_b_now = csit.read_row(b, slot.slot)
-    h_b_then = csit.read_row(b, schedule.phase1_slot_of(a, ca))
-    h_a_then = csit.read_row(a, schedule.phase1_slot_of(b, cb))
-    assert np.all(h_a_now != 0) and np.all(h_b_now != 0)
-    return h_b_then / h_b_now, h_a_then / h_a_now
-
-
-def phase2_precode(
-    slot: Phase2Slot, messages: MessageSet, csit: CsitView, schedule: Schedule
-) -> np.ndarray:
-    """Unnormalized transmit vector of a phase-2 pair slot."""
-    if not isinstance(slot, Phase2Slot):
-        raise ValueError(f"expected a phase-2 slot, got {type(slot).__name__}")
-    coef_a, coef_b = _phase2_coefficients(slot, csit, schedule)
-    (a, ca), (b, cb) = slot.pair
-    return coef_a * messages.w[a, :, ca] + coef_b * messages.w[b, :, cb]
+    return [r for r in reads if not _granted(r, table)]
 
 
 @dataclass
 class TransmitPlan:
-    """Sparse linear forms for all T slots plus the audit trail that built them.
+    """Precoding coefficients for all T slots plus the audit trail that built them.
 
-    slot_terms[t][j] lists ((receiver, transmitter, copy), coefficient) pairs
-    that make up transmitter j's signal in slot t; slot_scale[t] is the common
-    scalar applied to every transmitter of slot t (1.0 unless normalization is
+    coefficients[t, m, j] is transmitter j's coefficient in slot t on the
+    message of member m = schedule.members[t, m]; a phase-1 slot sends its
+    group as is (coefficients 1 and 0). slot_scale[t] is the common scalar
+    already folded into slot t's coefficients (1.0 unless normalization is
     on), which receivers also apply to stored observations when subtracting.
     """
 
     schedule: Schedule
     messages: MessageSet
-    slot_terms: tuple
+    coefficients: np.ndarray
     slot_scale: np.ndarray
     normalized: bool
     csit_reads: tuple[CsitRead, ...]
@@ -147,46 +109,12 @@ class TransmitPlan:
     def signal_matrix(self) -> np.ndarray:
         """All transmit vectors as an (M, T) matrix, computed once and cached."""
         if self._signals is None:
-            s = self.schedule
-            w = self.messages.w
-            X = np.zeros((s.M, s.T), dtype=complex)
-            for t, per_tx in enumerate(self.slot_terms):
-                for j, terms in enumerate(per_tx):
-                    X[j, t] = sum(coef * w[i, j, c] for (i, j2, c), coef in terms)
+            members = self.schedule.members
+            w = self.messages.w[members[..., 0], :, members[..., 1]]  # (T, 2, M)
+            X = np.ascontiguousarray(np.einsum("tmj,tmj->jt", self.coefficients, w))
             X.setflags(write=False)
             self._signals = X
         return self._signals
-
-    def to_dict(self) -> dict:
-        s = self.schedule
-        slots = []
-        for t, per_tx in enumerate(self.slot_terms):
-            slots.append(
-                {
-                    "slot": t,
-                    "scale": float(self.slot_scale[t]),
-                    "transmitters": [
-                        [
-                            {
-                                "receiver": i,
-                                "transmitter": j,
-                                "copy": c,
-                                "coef": [float(coef.real), float(coef.imag)],
-                            }
-                            for (i, j, c), coef in terms
-                        ]
-                        for terms in per_tx
-                    ],
-                }
-            )
-        return {
-            "M": s.M,
-            "N": s.N,
-            "k": s.k,
-            "T": s.T,
-            "normalized": self.normalized,
-            "slots": slots,
-        }
 
 
 def build_transmit_plan(
@@ -196,7 +124,12 @@ def build_transmit_plan(
     csit: CsitTable,
     normalize: bool = False,
 ) -> TransmitPlan:
-    """Assemble the linear forms for every slot under CSIT access control.
+    """Compute every slot's coefficients under CSIT access control.
+
+    Member (a, ca) paired with (b, cb) at slot t gets coefficient
+    h[b,j,t]^-1 * h[b,j,t_a] on w[a,j,ca]: through receiver b's current
+    fading this collapses to h[b,j,t_a], reproducing the observation b stored
+    when (a, ca) was broadcast at t_a, so b can subtract it.
 
     With normalize=True each phase-2 slot is scaled by one common factor
     1 / max_j ||coefficients of transmitter j||, so every transmitter meets a
@@ -204,29 +137,32 @@ def build_transmit_plan(
     per-transmitter ones) keeps the stored-observation subtraction exact.
     """
     view = CsitView(channels, csit)
-    terms: list = [None] * schedule.T
+    first = len(schedule.phase1)
+    pairs = schedule.members[first:]
+    then = schedule.phase1_slots[pairs[..., 0], pairs[..., 1]]
+    rows = []  # per pair slot: h_b(t), h_a(t), h_b(t_a), h_a(t_b)
+    for t, ((a, _), (b, _)), (t_a, t_b) in zip(
+        range(first, schedule.T), pairs.tolist(), then.tolist()
+    ):
+        view.now = t
+        rows.append(
+            (view.read_row(b, t), view.read_row(a, t), view.read_row(b, t_a), view.read_row(a, t_b))
+        )
+    rows = np.array(rows).reshape(len(pairs), 4, schedule.M)
+    coefficients = np.zeros((schedule.T, 2, schedule.M), dtype=complex)
+    coefficients[:first, 0] = 1.0
+    coefficients[first:] = rows[:, 2:] / rows[:, :2]
     scale = np.ones(schedule.T)
-    for p in schedule.phase1:
-        terms[p.slot] = tuple(
-            (((p.receiver, j, p.copy), 1.0 + 0.0j),) for j in range(schedule.M)
-        )
-    for p in schedule.phase2:
-        coef_a, coef_b = _phase2_coefficients(p, view, schedule)
-        (a, ca), (b, cb) = p.pair
-        g = 1.0
-        if normalize:
-            norms = np.sqrt(np.abs(coef_a) ** 2 + np.abs(coef_b) ** 2)
-            g = 1.0 / float(norms.max())
-            scale[p.slot] = g
-        terms[p.slot] = tuple(
-            (((a, j, ca), g * coef_a[j]), ((b, j, cb), g * coef_b[j]))
-            for j in range(schedule.M)
-        )
-    scale.setflags(write=False)
+    if normalize:
+        norms = np.sqrt(np.abs(coefficients[first:, 0]) ** 2 + np.abs(coefficients[first:, 1]) ** 2)
+        scale[first:] = 1.0 / norms.max(axis=1)
+        coefficients[first:] *= scale[first:, None, None]
+    for arr in (coefficients, scale):
+        arr.setflags(write=False)
     return TransmitPlan(
         schedule=schedule,
         messages=messages,
-        slot_terms=tuple(terms),
+        coefficients=coefficients,
         slot_scale=scale,
         normalized=normalize,
         csit_reads=tuple(view.reads),

@@ -17,7 +17,7 @@ from xchannel.analysis import (
     sweep_rates,
     verify_suite,
 )
-from xchannel.receive import LinearSystem, RowInfo
+from xchannel.receive import LinearSystem
 from xchannel.schedule import build_csit_table, build_schedule
 from xchannel.simulate import run_simulation
 
@@ -82,13 +82,9 @@ class TestCsitFractions:
 def toy_system(G, sigma, T=1):
     G = np.asarray(G, dtype=complex)
     m = G.shape[0]
-    rows = tuple(
-        RowInfo(kind="direct", copy=0, slot=r, linked_slot=None, scale=1.0)
-        for r in range(m)
-    )
     return LinearSystem(
         receiver=0, G=G, y=G @ np.ones(m), sigma=np.asarray(sigma, dtype=float),
-        noise_map=np.zeros((m, T)), rows=rows, T=T, M=m, k=1,
+        noise_map=np.zeros((m, T)), T=T, M=m, k=1,
     )
 
 
@@ -206,12 +202,9 @@ class TestOracle:
         ch = generate_channels(3, 3, s.T, seed=0)
         ms = generate_messages(3, 3, 1, seed=1)
         plan = build_transmit_plan(s, ms, ch, build_csit_table(s))
-        terms = [list(per_tx) for per_tx in plan.slot_terms]
-        (key0, _), other = terms[3][0]
-        terms[3][0] = ((key0, ch.h[1, 0, 0]), other)
-        tampered = dataclasses.replace(
-            plan, slot_terms=tuple(tuple(per) for per in terms), _signals=None
-        )
+        coefficients = plan.coefficients.copy()
+        coefficients[3, 0, 0] = ch.h[1, 0, 0]  # member (0, 0), transmitter 0
+        tampered = dataclasses.replace(plan, coefficients=coefficients, _signals=None)
         report = oracle_verify_3user(seed=0, plan=tampered)
         assert not report.passed
         assert report.first_failure == "transmit-slot-4"

@@ -10,8 +10,10 @@ from xchannel.channel import (
     NoiseModel,
     generate_channels,
     generate_messages,
-    received_signal,
 )
+from xchannel.receive import observe_all
+from xchannel.schedule import build_csit_table, build_schedule
+from xchannel.transmit import build_transmit_plan
 
 
 class TestGenerateChannels:
@@ -106,46 +108,42 @@ class TestNoiseModel:
 
 
 class TestReceivedSignal:
-    def _setup(self, M=3, N=3, T=6, seed=0):
-        ch = generate_channels(M, N, T, seed=seed)
-        rng = np.random.default_rng(seed + 100)
-        x = rng.standard_normal((M, T)) + 1j * rng.standard_normal((M, T))
-        return ch, x
+    """Observations y[i, t] = sum_j h[i, j, t] x[j, t] + n[i, t], as observe_all forms them."""
+
+    def _setup(self, M=3, N=3, seed=0, w=None, noise=None):
+        s = build_schedule(M, N)
+        ch = generate_channels(M, N, s.T, seed=seed)
+        if w is None:
+            w = generate_messages(M, N, s.k, seed=seed + 100).w
+        ms = MessageSet(M=M, N=N, k=s.k, w=w, seed=seed + 100)
+        plan = build_transmit_plan(s, ms, ch, build_csit_table(s))
+        log = observe_all(plan, ch, noise or NoiseModel(enabled=False))
+        return ch, plan.signal_matrix(), log.values
 
     def test_matches_plain_dot(self):
-        ch, x = self._setup()
+        ch, x, y = self._setup()
         for t in range(ch.T):
             for i in range(ch.N):
                 expect = sum(ch.h[i, j, t] * x[j, t] for j in range(ch.M))
-                got = received_signal(ch, x[:, t], t, i)
-                assert abs(got - expect) <= 1e-12 * max(1.0, abs(expect))
+                assert abs(y[i, t] - expect) <= 1e-12 * max(1.0, abs(expect))
 
     def test_zero_input(self):
-        ch, x = self._setup()
-        assert received_signal(ch, np.zeros(ch.M), 2, 1) == 0
+        _, _, y = self._setup(w=np.zeros((3, 3, 1), dtype=complex))
+        assert np.all(y == 0)
 
     def test_single_transmitter_recovers_coefficient(self):
-        ch, _ = self._setup()
-        x1 = np.zeros(ch.M, dtype=complex)
-        x1[2] = 1.0
-        assert received_signal(ch, x1, 4, 0) == ch.h[0, 2, 4]
+        # only transmitter 2 has a nonzero symbol, for receiver 0, broadcast in slot 0
+        w = np.zeros((3, 3, 1), dtype=complex)
+        w[0, 2, 0] = 1.0
+        ch, _, y = self._setup(w=w)
+        assert np.all(y[:, 0] == ch.h[:, 2, 0])
 
     def test_noise_added(self):
-        ch, x = self._setup()
         nm = NoiseModel(enabled=True, variance=1.0, seed=11)
-        clean = received_signal(ch, x[:, 1], 1, 2)
-        noisy = received_signal(ch, x[:, 1], 1, 2, noise=nm)
-        sample = nm.sample_grid(ch.N, ch.T)[2, 1]
-        assert abs((noisy - clean) - sample) <= 1e-12
-
-    def test_bounds_checked(self):
-        ch, x = self._setup()
-        with pytest.raises(ValueError):
-            received_signal(ch, x[:, 0], ch.T, 0)
-        with pytest.raises(ValueError):
-            received_signal(ch, x[:, 0], 0, ch.N)
-        with pytest.raises(ValueError):
-            received_signal(ch, x[:-1, 0], 0, 0)
+        ch, _, clean = self._setup()
+        _, _, noisy = self._setup(noise=nm)
+        sample = nm.sample_grid(ch.N, ch.T)
+        assert np.all(np.abs((noisy - clean) - sample) <= 1e-12)
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -154,14 +152,15 @@ class TestReceivedSignal:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_linearity(self, a, b, seed):
-        ch, x = self._setup(seed=seed % 97)
-        _, y = self._setup(seed=(seed % 97) + 1)
-        mix = a * x[:, 3] + b * y[:, 3]
-        lhs = received_signal(ch, mix, 3, 1)
-        rhs = a * received_signal(ch, x[:, 3], 3, 1) + b * received_signal(
-            ch, y[:, 3], 3, 1
-        )
-        assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
+        # precoding depends on the channel only, so observations are linear in
+        # the messages
+        u = generate_messages(3, 3, 1, seed=seed % 97).w
+        v = generate_messages(3, 3, 1, seed=(seed % 97) + 1).w
+        _, _, lhs = self._setup(seed=seed % 89, w=a * u + b * v)
+        _, _, yu = self._setup(seed=seed % 89, w=u)
+        _, _, yv = self._setup(seed=seed % 89, w=v)
+        rhs = a * yu + b * yv
+        assert np.all(np.abs(lhs - rhs) <= 1e-9 * np.maximum(1.0, np.abs(rhs)))
 
 
 def test_realization_records_seed():

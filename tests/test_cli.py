@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from xchannel import cli
 from xchannel.cli import main
 from xchannel.schedule import CsitTable, Schedule, build_csit_table, build_schedule
 
@@ -154,6 +155,50 @@ class TestErrorPaths:
                      "--out", str(target)]) == 0
         assert json.loads(target.read_text())["dof"]["equal"] is True
         assert capsys.readouterr().out == ""
+
+
+class TestInputValidation:
+    """Bad input exits 2 with xchannel's own message before any numeric work."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("numeric work started on invalid input")
+
+        for name in ("run_simulation", "sweep_rates", "build_schedule"):
+            monkeypatch.setattr(cli, name, fail)
+
+    def test_bool_rejected_where_int_expected(self, tmp_path, capsys, no_work):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": True, "N": 3}))
+        assert main(["schedule", "--config", str(cfg)]) == 2
+        assert "--M must be a positive integer, got True" in capsys.readouterr().err
+
+    def test_non_numeric_snr_in_config(self, tmp_path, capsys, no_work):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 2, "N": 2, "snr": ["x", 40, 80]}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert "--snr must be a list of finite numbers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_snr_flag(self, value, capsys, no_work):
+        assert main(["sweep", "--M", "2", "--N", "2", "--snr", "40", "--snr", value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --snr must be a list of finite numbers")
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["simulate", "--M", "2", "--N", "2", "--seeds", "0", "-1"], "--seeds"),
+            (["sweep", "--M", "2", "--N", "2", "--seed", "-5"], "--seed"),
+        ],
+    )
+    def test_negative_seed(self, argv, field, capsys, no_work):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be")
+        assert "non-negative integer" in err and "expected" not in err
 
 
 def test_console_script_installed():
