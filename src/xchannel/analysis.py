@@ -45,6 +45,7 @@ __all__ = [
     "csit_fractions",
     "sum_rate",
     "sweep_rates",
+    "check_snr_grid",
     "dof_slope",
     "oracle_verify_3user",
     "verify_suite",
@@ -124,34 +125,33 @@ class RatePoint:
     per_receiver: tuple[float, ...]
 
 
-def sum_rate(systems: list[LinearSystem], snr_db: float, allocation: str = "equal") -> RatePoint:
-    """Achievable sum rate (bits per channel use) at one operating point.
+def sum_rate(systems: list[LinearSystem], snr_dbs, allocation: str = "equal") -> list[RatePoint]:
+    """Achievable sum rate (bits per channel use), one RatePoint per SNR in `snr_dbs`.
 
     The total budget 10^(snr_db/10) is split equally over the M transmitters,
     giving per-message symbol power P_s; each receiver contributes
-    (1/T) log2 det(I + P_s G^H Sigma^-1 G). Requires noisy systems (positive
-    definite Sigma).
+    (1/T) log2 det(I + P_s G^H Sigma^-1 G) = (1/T) sum log2(1 + P_s s^2) over the
+    singular values s of L^-1 G, Sigma = L L^H, so one stacked Cholesky and SVD
+    serve every SNR. Requires the noisy systems (positive definite Sigma) of one run.
     """
     if allocation != "equal":
         raise ValueError(f"unknown power allocation {allocation!r}")
     if not systems:
         raise ValueError("need at least one receiver system")
-    p_s = 10.0 ** (snr_db / 10.0) / systems[0].M
-    rates = []
-    for sys in systems:
-        try:
-            L = np.linalg.cholesky(sys.sigma)
-        except np.linalg.LinAlgError as exc:
-            raise RuntimeError(
-                "noise covariance is singular; rate evaluation needs a noisy run"
-            ) from exc
-        Gw = np.linalg.solve(L, sys.G)
-        A = Gw.conj().T @ Gw
-        sign, logdet = np.linalg.slogdet(np.eye(A.shape[0]) + p_s * A)
-        if sign.real <= 0:
-            raise RuntimeError("rate determinant lost positivity")
-        rates.append(float(logdet / math.log(2) / sys.T))
-    return RatePoint(snr_db=float(snr_db), sum_rate=float(sum(rates)), per_receiver=tuple(rates))
+    try:
+        L = np.linalg.cholesky(np.stack([sys.sigma for sys in systems]))
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(
+            "noise covariance is singular; rate evaluation needs a noisy run"
+        ) from exc
+    Gw = np.linalg.solve(L, np.stack([sys.G for sys in systems]))
+    s2 = np.linalg.svd(Gw, compute_uv=False) ** 2  # (N, kM)
+    p_s = 10.0 ** (np.asarray(snr_dbs, dtype=float) / 10.0) / systems[0].M
+    rates = np.log1p(p_s[:, None, None] * s2).sum(axis=2) / (math.log(2) * systems[0].T)
+    return [
+        RatePoint(snr_db=float(snr), sum_rate=float(sum(r)), per_receiver=tuple(r))
+        for snr, r in zip(snr_dbs, rates.tolist())
+    ]
 
 
 def sweep_rates(
@@ -166,7 +166,7 @@ def sweep_rates(
 
     The same realizations are reused at every SNR point, which keeps the
     fitted slope estimate stable; all draws share one schedule and so its
-    index tables.
+    index tables, and each draw's factorizations serve every SNR.
     """
     if draws < 1:
         raise ValueError(f"need at least one draw, got {draws}")
@@ -179,8 +179,7 @@ def sweep_rates(
             M, N, seed=seed + 10 * d, noise_enabled=True, normalize=normalize,
             schedule=schedule,
         )
-        for s, snr in enumerate(snr_dbs):
-            pt = sum_rate(list(sim.systems), snr)
+        for s, pt in enumerate(sum_rate(list(sim.systems), snr_dbs)):
             sums[s] += pt.sum_rate
             per[s] += np.asarray(pt.per_receiver)
     return [
@@ -188,6 +187,14 @@ def sweep_rates(
                   per_receiver=tuple(per[s] / draws))
         for s, snr in enumerate(snr_dbs)
     ]
+
+
+def check_snr_grid(snr_dbs) -> None:
+    """Raise ValueError unless the SNRs can fit a slope: at least 3 spanning 20 dB."""
+    if len(snr_dbs) < 3:
+        raise ValueError(f"need at least 3 rate points, got {len(snr_dbs)}")
+    if max(snr_dbs) - min(snr_dbs) < 20.0:
+        raise ValueError("rate points must span at least 20 dB")
 
 
 @dataclass(frozen=True)
@@ -204,11 +211,8 @@ def dof_slope(points: list[RatePoint]) -> SlopeFit:
     Needs at least three points spanning at least 20 dB; the slope is the
     empirical pre-log factor and should match the rational DoF.
     """
-    if len(points) < 3:
-        raise ValueError(f"need at least 3 rate points, got {len(points)}")
     snrs = np.array([p.snr_db for p in points], dtype=float)
-    if snrs.max() - snrs.min() < 20.0:
-        raise ValueError("rate points must span at least 20 dB")
+    check_snr_grid(snrs)
     xs = snrs * (math.log2(10.0) / 10.0)
     ys = np.array([p.sum_rate for p in points], dtype=float)
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -8,7 +8,7 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import dof_report, dof_slope, sweep_rates, verify_suite
+from .analysis import check_snr_grid, dof_report, dof_slope, sweep_rates, verify_suite
 from .schedule import (
     UnsupportedConfigurationError,
     build_csit_table,
@@ -139,6 +139,8 @@ def _validate(mode: str, cfg: dict) -> None:
                 raise ConfigError(f"--{name} is required for this mode")
         elif not ok(cfg[name]):
             raise ConfigError(f"--{name} must be {what}, got {cfg[name]!r}")
+    if mode == "sweep" and cfg.get("snr"):
+        check_snr_grid(cfg["snr"])  # the slope fit's own rule, checked up front
 
 
 def _flag(cfg: dict, name: str, default: bool) -> bool:

@@ -150,6 +150,19 @@ class Schedule:
         table.setflags(write=False)
         return table
 
+    @cached_property
+    def pair_reads(self) -> np.ndarray:
+        """(4P, 3) index table of the P pair slots' CSIT reads, (receiver, slot, at_slot) in
+        read order: pair slot t serving members a and b, broadcast at t_a and t_b, reads
+        h_b(t), h_a(t), h_b(t_a), h_a(t_b)."""
+        first = len(self.phase1)
+        (a, ca), (b, cb) = self.members[first:].transpose(1, 2, 0)
+        t_a, t_b, t = self.phase1_slots[a, ca], self.phase1_slots[b, cb], np.arange(first, self.T)
+        reads = np.array([(b, t, t), (a, t, t), (b, t_a, t), (a, t_b, t)])
+        reads = reads.transpose(2, 0, 1).reshape(-1, 3)
+        reads.setflags(write=False)
+        return reads
+
     @property
     def message_count(self) -> int:
         return self.k * self.M * self.N
@@ -217,6 +230,11 @@ class CsitTable:
     @property
     def T(self) -> int:
         return len(self.states[0]) if self.states else 0
+
+    @cached_property
+    def grid(self) -> np.ndarray:
+        """Read-only (N, T) uint8 array of the state characters' codes, e.g. ord("P")."""
+        return np.frombuffer("".join(self.states).encode(), dtype=np.uint8).reshape(self.N, self.T)
 
     def state(self, receiver: int, slot: int) -> str:
         return self.states[receiver][slot]

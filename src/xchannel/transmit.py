@@ -48,42 +48,47 @@ class CsitRead:
     at_slot: int
 
 
-def _granted(read: CsitRead, table: CsitTable) -> bool:
-    """The CSIT contract: perfect state for the current slot, delayed state for earlier ones."""
-    state = table.state(read.receiver, read.slot)
-    return (read.slot == read.at_slot and state == "P") or (
-        read.slot < read.at_slot and state == "D"
-    )
+def _granted(reads: np.ndarray, table: CsitTable) -> np.ndarray:
+    """The CSIT contract on (K, 3) (receiver, slot, at_slot) reads: perfect state
+    for the current slot, delayed state for earlier ones."""
+    receiver, slot, at_slot = reads.T
+    state = table.grid[receiver, slot]
+    return ((slot == at_slot) & (state == ord("P"))) | ((slot < at_slot) & (state == ord("D")))
 
 
 class CsitView:
     """Access-controlled window onto the channel tensor.
 
-    A read of receiver i's coefficient row at slot t' is granted only when
-    the state table marks (i, now) as "P" with t' == now, or (i, t') as "D"
-    with t' strictly earlier than now. Granted reads accumulate in `reads`;
-    an illegal read is recorded in `violations` and raised.
+    A read of receiver i's coefficient row at slot t', issued at slot now, is
+    granted only when the state table marks (i, now) as "P" with t' == now,
+    or (i, t') as "D" with t' strictly earlier than now. Granted reads
+    accumulate in `reads`; an illegal read is recorded in `violations` and raised.
     """
 
     def __init__(self, channels: ChannelRealization, table: CsitTable):
         self._h = channels.h
         self._table = table
-        self.now = 0
         self.reads: list[CsitRead] = []
         self.violations: list[CsitRead] = []
 
-    def read_row(self, receiver: int, slot: int) -> np.ndarray:
-        record = CsitRead(receiver=receiver, slot=slot, at_slot=self.now)
-        if not _granted(record, self._table):
-            self.violations.append(record)
-            raise CsitAccessError(receiver, slot, self.now, self._table.state(receiver, slot))
-        self.reads.append(record)
-        return self._h[receiver, :, slot].copy()
+    def read(self, reads) -> np.ndarray:
+        """(K, M) copy of rows h[receiver, :, slot] for (K, 3) (receiver, slot, at_slot) reads,
+        checked in order: reads before the first denied one are recorded, then it is raised."""
+        reads = np.asarray(reads, dtype=np.intp).reshape(-1, 3)
+        denied = np.flatnonzero(~_granted(reads, self._table))
+        stop = denied[0] if denied.size else len(reads)
+        self.reads.extend(map(CsitRead, *reads[:stop].T.tolist()))
+        if denied.size:
+            receiver, slot, at_slot = reads[stop].tolist()
+            self.violations.append(CsitRead(receiver, slot, at_slot))
+            raise CsitAccessError(receiver, slot, at_slot, self._table.state(receiver, slot))
+        return self._h[reads[:, 0], :, reads[:, 1]]
 
 
 def audit_csit_trace(reads, table: CsitTable) -> list[CsitRead]:
-    """Re-check a read trace against the state table; returns the offenders."""
-    return [r for r in reads if not _granted(r, table)]
+    """Re-check a sequence of CsitRead against the state table; returns the offenders."""
+    index = np.array([(r.receiver, r.slot, r.at_slot) for r in reads], dtype=np.intp).reshape(-1, 3)
+    return [r for r, ok in zip(reads, _granted(index, table).tolist()) if not ok]
 
 
 @dataclass
@@ -138,17 +143,7 @@ def build_transmit_plan(
     """
     view = CsitView(channels, csit)
     first = len(schedule.phase1)
-    pairs = schedule.members[first:]
-    then = schedule.phase1_slots[pairs[..., 0], pairs[..., 1]]
-    rows = []  # per pair slot: h_b(t), h_a(t), h_b(t_a), h_a(t_b)
-    for t, ((a, _), (b, _)), (t_a, t_b) in zip(
-        range(first, schedule.T), pairs.tolist(), then.tolist()
-    ):
-        view.now = t
-        rows.append(
-            (view.read_row(b, t), view.read_row(a, t), view.read_row(b, t_a), view.read_row(a, t_b))
-        )
-    rows = np.array(rows).reshape(len(pairs), 4, schedule.M)
+    rows = view.read(schedule.pair_reads).reshape(-1, 4, schedule.M)
     coefficients = np.zeros((schedule.T, 2, schedule.M), dtype=complex)
     coefficients[:first, 0] = 1.0
     coefficients[first:] = rows[:, 2:] / rows[:, :2]

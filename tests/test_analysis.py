@@ -91,45 +91,47 @@ def toy_system(G, sigma, T=1):
 class TestSumRate:
     def test_scalar_closed_form(self):
         sys1 = toy_system([[1.0]], [[1.0]])
-        for snr in [0.0, 10.0, 30.0]:
-            pt = sum_rate([sys1], snr)
+        snrs = [0.0, 10.0, 30.0]
+        pts = sum_rate([sys1], snrs)
+        assert [p.snr_db for p in pts] == snrs
+        for snr, pt in zip(snrs, pts):
             want = math.log2(1.0 + 10.0 ** (snr / 10.0))
             assert pt.sum_rate == pytest.approx(want, rel=1e-12)
 
     def test_power_split_across_transmitters(self):
         # M = 2 halves the per-message power of each unknown
         sysa = toy_system(np.eye(2), np.eye(2))
-        pt = sum_rate([sysa], 20.0)
+        (pt,) = sum_rate([sysa], [20.0])
         want = 2 * math.log2(1.0 + 100.0 / 2.0)
         assert pt.sum_rate == pytest.approx(want, rel=1e-12)
 
     def test_slot_normalization(self):
         sys1 = toy_system([[1.0]], [[1.0]], T=4)
-        pt = sum_rate([sys1], 10.0)
+        (pt,) = sum_rate([sys1], [10.0])
         assert pt.sum_rate == pytest.approx(math.log2(11.0) / 4.0, rel=1e-12)
 
     def test_per_receiver_adds_up(self):
         sim = run_simulation(3, 3, seed=0, noise_enabled=True, normalize=True)
-        pt = sum_rate(list(sim.systems), 30.0)
+        (pt,) = sum_rate(list(sim.systems), [30.0])
         assert len(pt.per_receiver) == 3
         assert pt.sum_rate == pytest.approx(sum(pt.per_receiver), rel=1e-12)
 
     def test_monotone_in_snr(self):
         sim = run_simulation(3, 3, seed=1, noise_enabled=True, normalize=True)
-        rates = [sum_rate(list(sim.systems), snr).sum_rate for snr in (0, 10, 20, 30)]
+        rates = [p.sum_rate for p in sum_rate(list(sim.systems), (0, 10, 20, 30))]
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
     def test_noiseless_rejected(self):
         sim = run_simulation(3, 3, seed=0)
-        with pytest.raises(RuntimeError):
-            sum_rate(list(sim.systems), 20.0)
+        with pytest.raises(RuntimeError, match="noise covariance is singular"):
+            sum_rate(list(sim.systems), [20.0])
 
     def test_bad_allocation_rejected(self):
         sys1 = toy_system([[1.0]], [[1.0]])
         with pytest.raises(ValueError):
-            sum_rate([sys1], 10.0, allocation="waterfill")
+            sum_rate([sys1], [10.0], allocation="waterfill")
         with pytest.raises(ValueError):
-            sum_rate([], 10.0)
+            sum_rate([], [10.0])
 
 
 class TestSweepAndSlope:

@@ -200,6 +200,16 @@ class TestInputValidation:
         assert err.startswith(f"error: {field} must be")
         assert "non-negative integer" in err and "expected" not in err
 
+    def test_too_few_snrs(self, capsys, no_work):
+        assert main(["sweep", "--M", "8", "--N", "8", "--snr", "40", "--snr", "50"]) == 2
+        assert capsys.readouterr().err == "error: need at least 3 rate points, got 2\n"
+
+    def test_snr_span_below_20_db(self, tmp_path, capsys, no_work):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 8, "N": 8, "snr": [40, 45, 50]}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: rate points must span at least 20 dB\n"
+
 
 def test_console_script_installed():
     proc = subprocess.run(

@@ -1,10 +1,12 @@
-"""Invariants of the scheme checked as properties over 1 <= M <= 12, 2 <= N <= 12 and seeds."""
+"""Invariants of the scheme and its rates, checked as properties over (M, N) and seeds."""
 
+import math
 from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from xchannel.analysis import sum_rate
 from xchannel.receive import CONDITION_LIMIT, ObservationKind as K
 from xchannel.schedule import build_schedule
 from xchannel.simulate import run_simulation
@@ -69,3 +71,37 @@ def test_run_invariants(case, variance, normalize):
         assert not used[entries[i] == K.DISCARDED].any()
         assert used[np.isin(entries[i], (K.DESIRED_PHASE1, K.COMBINED_PHASE2))].all()
         np.testing.assert_allclose(system.sigma, variance * B @ B.T, rtol=1e-12, atol=0)
+
+
+@PROPERTY
+@given(
+    st.tuples(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ),
+    st.lists(st.integers(min_value=0, max_value=800), min_size=1, max_size=6, unique=True),
+    st.booleans(),
+)
+def test_rates_match_log_det_reference(case, tenths_db, normalize):
+    M, N, seed = case
+    snrs = sorted(t / 10 for t in tenths_db)
+    sim = run_simulation(M, N, seed=seed, noise_enabled=True, normalize=normalize)
+    points = sum_rate(list(sim.systems), snrs)
+    assert [p.snr_db for p in points] == snrs
+
+    for snr, point in zip(snrs, points):
+        assert point.sum_rate == sum(point.per_receiver)
+        p_s = 10.0 ** (snr / 10.0) / M
+        for system, rate in zip(sim.systems, point.per_receiver):
+            G = system.G
+            A = G.conj().T @ np.linalg.solve(system.sigma, G)
+            sign, logdet = np.linalg.slogdet(np.eye(len(A)) + p_s * A)
+            assert abs(sign - 1) < 1e-9
+            want = logdet / (system.T * math.log(2))
+            assert abs(rate - want) <= 1e-10 * abs(want)
+
+    # strictly rising in SNR, per receiver and in sum
+    for lo, hi in zip(points, points[1:]):
+        assert hi.sum_rate > lo.sum_rate
+        assert all(b > a for a, b in zip(lo.per_receiver, hi.per_receiver))

@@ -9,9 +9,11 @@ from xchannel.channel import (
     generate_channels,
     generate_messages,
 )
-from xchannel.schedule import build_csit_table, build_schedule
+from xchannel import transmit
+from xchannel.schedule import CsitTable, build_csit_table, build_schedule
 from xchannel.transmit import (
     CsitAccessError,
+    CsitRead,
     CsitView,
     audit_csit_trace,
     build_transmit_plan,
@@ -126,33 +128,62 @@ class TestCsitAccessControl:
 
     def test_no_csit_state_denied(self):
         _, table, ch, _, view, _ = make_instance(3, 3)
-        view.now = 3
         with pytest.raises(CsitAccessError) as exc:
-            view.read_row(2, 3)  # row 3 of receiver 3 is hidden in slot 4
+            view.read([(2, 3, 3)])  # row 3 of receiver 3 is hidden in slot 4
         assert (exc.value.receiver, exc.value.slot, exc.value.at_slot) == (2, 3, 3)
         assert len(view.violations) == 1
 
     def test_delayed_state_denied_at_its_own_slot(self):
         _, _, _, _, view, _ = make_instance(3, 3)
-        view.now = 0
         with pytest.raises(CsitAccessError):
-            view.read_row(1, 0)  # delayed rows only become readable later
+            view.read([(1, 0, 0)])  # delayed rows only become readable later
 
     def test_perfect_state_denied_after_its_slot(self):
         _, _, _, _, view, _ = make_instance(3, 3)
-        view.now = 4
         with pytest.raises(CsitAccessError):
-            view.read_row(0, 3)  # perfect knowledge does not persist
+            view.read([(0, 3, 4)])  # perfect knowledge does not persist
 
     def test_delayed_read_granted_later(self):
         _, _, ch, _, view, _ = make_instance(3, 3)
-        view.now = 4
-        np.testing.assert_array_equal(view.read_row(1, 0), ch.h[1, :, 0])
+        rows = view.read([(1, 0, 4), (0, 4, 4)])
+        np.testing.assert_array_equal(rows, [ch.h[1, :, 0], ch.h[0, :, 4]])
+        assert view.reads == [CsitRead(1, 0, 4), CsitRead(0, 4, 4)]
         assert view.violations == []
 
-    def test_audit_flags_fabricated_read(self):
-        from xchannel.transmit import CsitRead
+    def test_denied_read_stops_the_gather(self):
+        _, _, _, _, view, _ = make_instance(3, 3)
+        with pytest.raises(CsitAccessError):
+            view.read([(1, 0, 4), (0, 3, 4), (0, 4, 4)])
+        assert view.reads == [CsitRead(1, 0, 4)]
+        assert view.violations == [CsitRead(0, 3, 4)]
 
+    def test_plan_raises_at_first_denied_pair_read(self, monkeypatch):
+        # flip one pair-slot "P" cell to "N": the plan's gather must stop there
+        s, table, ch, ms, _, _ = make_instance(4, 3)
+        views = []
+
+        class RecordingView(CsitView):
+            def __init__(self, *args):
+                super().__init__(*args)
+                views.append(self)
+
+        monkeypatch.setattr(transmit, "CsitView", RecordingView)
+        reads = s.pair_reads.tolist()
+        at = 4 * (len(reads) // 8) + 1  # h_a(t) of a middle pair slot
+        receiver, slot, at_slot = reads[at]
+        assert slot == at_slot and table.state(receiver, slot) == "P"
+        states = [list(row) for row in table.states]
+        states[receiver][slot] = "N"
+        broken = CsitTable(states=tuple("".join(row) for row in states))
+        with pytest.raises(CsitAccessError) as exc:
+            build_transmit_plan(s, ms, ch, broken)
+        assert (exc.value.receiver, exc.value.slot, exc.value.at_slot) == (receiver, slot, at_slot)
+        assert exc.value.state == "N"
+        (view,) = views
+        assert view.violations == [CsitRead(receiver, slot, at_slot)]
+        assert view.reads == [CsitRead(*r) for r in reads[:at]]
+
+    def test_audit_flags_fabricated_read(self):
         _, table, _, _, _, plan = make_instance(3, 3)
         fake = CsitRead(receiver=0, slot=5, at_slot=3)
         bad = audit_csit_trace(list(plan.csit_reads) + [fake], table)
