@@ -21,6 +21,7 @@ from .channel import (
     NoiseModel,
     generate_channels,
     generate_messages,
+    stack_draws,
 )
 from .receive import (
     CONDITION_LIMIT,

@@ -125,33 +125,42 @@ class RatePoint:
     per_receiver: tuple[float, ...]
 
 
-def sum_rate(systems: list[LinearSystem], snr_dbs, allocation: str = "equal") -> list[RatePoint]:
+def sum_rate(systems, snr_dbs, allocation: str = "equal") -> list[RatePoint]:
     """Achievable sum rate (bits per channel use), one RatePoint per SNR in `snr_dbs`.
 
     The total budget 10^(snr_db/10) is split equally over the M transmitters,
     giving per-message symbol power P_s; each receiver contributes
     (1/T) log2 det(I + P_s G^H Sigma^-1 G) = (1/T) sum log2(1 + P_s s^2) over the
     singular values s of L^-1 G, Sigma = L L^H, so one stacked Cholesky and SVD
-    serve every SNR. Requires the noisy systems (positive definite Sigma) of one run.
+    serve every SNR. Requires the noisy systems (positive definite Sigma) of one
+    run, as a sequence or a stacked LinearSystem; draw axes are averaged over.
     """
     if allocation != "equal":
         raise ValueError(f"unknown power allocation {allocation!r}")
     if not systems:
         raise ValueError("need at least one receiver system")
+    if not isinstance(systems, LinearSystem):
+        sigma, G = (np.stack([getattr(sys, name) for sys in systems]) for name in ("sigma", "G"))
+    else:
+        sigma, G = systems.sigma, systems.G
     try:
-        L = np.linalg.cholesky(np.stack([sys.sigma for sys in systems]))
+        L = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             "noise covariance is singular; rate evaluation needs a noisy run"
         ) from exc
-    Gw = np.linalg.solve(L, np.stack([sys.G for sys in systems]))
-    s2 = np.linalg.svd(Gw, compute_uv=False) ** 2  # (N, kM)
-    p_s = 10.0 ** (np.asarray(snr_dbs, dtype=float) / 10.0) / systems[0].M
-    rates = np.log1p(p_s[:, None, None] * s2).sum(axis=2) / (math.log(2) * systems[0].T)
+    s2 = np.linalg.svd(np.linalg.solve(L, G), compute_uv=False) ** 2  # (..., N, kM)
+    first = next(iter(systems))  # a stack is not indexable
+    p_s = 10.0 ** (np.asarray(snr_dbs, dtype=float) / 10.0) / first.M
+    rates = np.log1p(p_s.reshape((-1,) + (1,) * s2.ndim) * s2).sum(axis=-1) / (math.log(2) * first.T)
+    rates = rates.reshape(len(p_s), -1, s2.shape[-2]).mean(axis=1)  # over draws
     return [
         RatePoint(snr_db=float(snr), sum_rate=float(sum(r)), per_receiver=tuple(r))
         for snr, r in zip(snr_dbs, rates.tolist())
     ]
+
+
+DRAW_CHUNK_ELEMENTS = 1 << 16  # budget on D*N*M*T, the channel elements of a sweep chunk
 
 
 def sweep_rates(
@@ -165,27 +174,26 @@ def sweep_rates(
     """Ergodic rate curve: average sum_rate over `draws` channel realizations.
 
     The same realizations are reused at every SNR point, which keeps the
-    fitted slope estimate stable; all draws share one schedule and so its
-    index tables, and each draw's factorizations serve every SNR.
+    fitted slope estimate stable. Draw d uses seed + 10*d; each chunk of draws
+    within DRAW_CHUNK_ELEMENTS (at least one) is one stacked run and one sum_rate.
     """
     if draws < 1:
         raise ValueError(f"need at least one draw, got {draws}")
     snr_dbs = list(snr_dbs)
     schedule = build_schedule(M, N)
-    sums = np.zeros(len(snr_dbs))
+    chunk = max(1, DRAW_CHUNK_ELEMENTS // (N * M * schedule.T))
     per = np.zeros((len(snr_dbs), N))
-    for d in range(draws):
+    for start in range(0, draws, chunk):
+        seeds = [seed + 10 * d for d in range(start, min(start + chunk, draws))]
         sim = run_simulation(
-            M, N, seed=seed + 10 * d, noise_enabled=True, normalize=normalize,
-            schedule=schedule,
+            M, N, seed=seeds, noise_enabled=True, normalize=normalize, schedule=schedule
         )
-        for s, pt in enumerate(sum_rate(list(sim.systems), snr_dbs)):
-            sums[s] += pt.sum_rate
-            per[s] += np.asarray(pt.per_receiver)
+        points = sum_rate(sim.systems, snr_dbs)
+        per += len(seeds) / draws * np.array([pt.per_receiver for pt in points])
+        del sim  # free this chunk's arrays before the next chunk draws
     return [
-        RatePoint(snr_db=float(snr), sum_rate=float(sums[s] / draws),
-                  per_receiver=tuple(per[s] / draws))
-        for s, snr in enumerate(snr_dbs)
+        RatePoint(snr_db=float(snr), sum_rate=float(sum(r)), per_receiver=tuple(r))
+        for snr, r in zip(snr_dbs, per.tolist())
     ]
 
 
@@ -352,14 +360,19 @@ def oracle_verify_3user(
     )
 
     recovered = True
-    for i in range(3):
-        d = decode(assemble_system(log, i))
+    for i, system in enumerate(assemble_system(log, np.arange(3))):
+        d = decode(system)
         truth = messages.w[i].T.reshape(-1)
         if not d.success or not _rel_close(d.estimates, truth, 1e-8):
             recovered = False
     checks.append(CheckResult(name="decode-recovery", passed=recovered))
 
     return OracleReport(seed=seed, passed=all(c.passed for c in checks), checks=tuple(checks))
+
+
+def _check(name: str, bad: list, failure: str, success: str) -> CheckResult:
+    """A check that passes when `bad` is empty, with the detail that fits the outcome."""
+    return CheckResult(name=name, passed=not bad, detail=failure if bad else success)
 
 
 def verify_suite(
@@ -378,13 +391,8 @@ def verify_suite(
     )
 
     failed = [s for s in range(oracle_seeds) if not oracle_verify_3user(seed=s).passed]
-    checks.append(
-        CheckResult(
-            name=f"oracle-3x3-{oracle_seeds}-seeds",
-            passed=not failed,
-            detail=f"failing seeds {failed}" if failed else f"{oracle_seeds} seeds",
-        )
-    )
+    checks.append(_check(f"oracle-3x3-{oracle_seeds}-seeds", failed,
+                         f"failing seeds {failed}", f"{oracle_seeds} seeds"))
 
     bad_dof = []
     bad_counts = []
@@ -403,20 +411,10 @@ def verify_suite(
                 }
                 if c != expect:
                     bad_counts.append((M, N, i))
-    checks.append(
-        CheckResult(
-            name=f"dof-grid-to-{grid}",
-            passed=not bad_dof,
-            detail=f"mismatches {bad_dof}" if bad_dof else f"{grid - 1} x {grid} configs",
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="csit-state-counts",
-            passed=not bad_counts,
-            detail=f"mismatches {bad_counts[:5]}" if bad_counts else "per-receiver P/D/N counts",
-        )
-    )
+    checks.append(_check(f"dof-grid-to-{grid}", bad_dof,
+                         f"mismatches {bad_dof}", f"{grid - 1} x {grid} configs"))
+    checks.append(_check("csit-state-counts", bad_counts,
+                         f"mismatches {bad_counts[:5]}", "per-receiver P/D/N counts"))
 
     audit_bad = []
     decode_bad = []
@@ -426,28 +424,13 @@ def verify_suite(
             audit_bad.append((M, N))
         if not sim.all_recovered():
             decode_bad.append((M, N))
-    checks.append(
-        CheckResult(
-            name="csit-audit",
-            passed=not audit_bad,
-            detail=f"violations at {audit_bad}" if audit_bad else "all reads within contract",
-        )
-    )
-    checks.append(
-        CheckResult(
-            name="noiseless-decode",
-            passed=not decode_bad,
-            detail=f"failures at {decode_bad}" if decode_bad else "exact recovery",
-        )
-    )
+    checks.append(_check("csit-audit", audit_bad,
+                         f"violations at {audit_bad}", "all reads within contract"))
+    checks.append(_check("noiseless-decode", decode_bad,
+                         f"failures at {decode_bad}", "exact recovery"))
 
-    checks.append(
-        CheckResult(
-            name="variant-count-3x3",
-            passed=count_csit_variants(3, 3) == 36,
-            detail=str(count_csit_variants(3, 3)),
-        )
-    )
+    variants = count_csit_variants(3, 3)
+    checks.append(CheckResult(name="variant-count-3x3", passed=variants == 36, detail=str(variants)))
 
     rng = np.random.default_rng(seed)
     perm_bad = []
@@ -459,12 +442,7 @@ def verify_suite(
             permuted = permute_schedule(base, p1, p2)
             if not run_simulation(M, N, seed=seed, schedule=permuted).all_recovered():
                 perm_bad.append((M, N, list(p1), list(p2)))
-    checks.append(
-        CheckResult(
-            name="permutation-decode",
-            passed=not perm_bad,
-            detail=f"failures {perm_bad[:2]}" if perm_bad else f"{2 * perm_trials} permutations",
-        )
-    )
+    checks.append(_check("permutation-decode", perm_bad,
+                         f"failures {perm_bad[:2]}", f"{2 * perm_trials} permutations"))
 
     return checks

@@ -8,7 +8,7 @@ construction and safe to share across simulation workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,6 +18,7 @@ __all__ = [
     "NoiseModel",
     "generate_channels",
     "generate_messages",
+    "stack_draws",
 ]
 
 
@@ -34,10 +35,11 @@ class ChannelRealization:
     Attributes
     ----------
     h : ndarray
-        Complex array of shape (N, M, T); h[i, j, t] is the coefficient from
-        transmitter j to receiver i in slot t. Every entry has magnitude > 0.
-    seed : int
-        Seed that reproduces the tensor bit-exactly via generate_channels.
+        Complex array of shape (..., N, M, T); h[..., i, j, t] is the coefficient
+        from transmitter j to receiver i in slot t, after any draw axes (see
+        stack_draws). Every entry has magnitude > 0.
+    seed : int or tuple of int
+        Seed (one per draw) that reproduces the tensor bit-exactly via generate_channels.
     """
 
     M: int
@@ -58,8 +60,8 @@ class MessageSet:
     M: int
     N: int
     k: int
-    w: np.ndarray  # complex, shape (N, M, k)
-    seed: int
+    w: np.ndarray  # complex, shape (..., N, M, k)
+    seed: int | tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -67,20 +69,23 @@ class NoiseModel:
     """Additive receiver noise configuration.
 
     When enabled, sample_grid draws the (N, T) grid deterministically from
-    the seed. Disabled models contribute exactly zero.
+    the seed, or a (D, N, T) stack from D seeds. Disabled models contribute
+    exactly zero.
     """
 
     enabled: bool
     variance: float = 1.0
-    seed: int = 0
+    seed: int | tuple[int, ...] = 0
 
     def sample_grid(self, N: int, T: int) -> np.ndarray:
+        lead = np.shape(self.seed)
         if not self.enabled:
-            return np.zeros((N, T), dtype=complex)
+            return np.zeros(lead + (N, T), dtype=complex)
         if self.variance <= 0:
             raise ValueError(f"noise variance must be positive, got {self.variance}")
-        rng = np.random.default_rng(self.seed)
-        return _complex_normal(rng, (N, T), self.variance)
+        seeds = self.seed if lead else [self.seed]
+        grids = [_complex_normal(np.random.default_rng(s), (N, T), self.variance) for s in seeds]
+        return np.reshape(grids, lead + (N, T))
 
 
 def generate_channels(M: int, N: int, T: int, seed: int) -> ChannelRealization:
@@ -94,7 +99,9 @@ def generate_channels(M: int, N: int, T: int, seed: int) -> ChannelRealization:
     if M < 1 or N < 1 or T < 1:
         raise ValueError(f"dimensions must be at least 1, got M={M} N={N} T={T}")
     rng = np.random.default_rng(seed)
-    h = _complex_normal(rng, (N, M, T))
+    h, part = np.empty((N, M, T), dtype=complex), np.empty((N, M, T))
+    for out in (h.real, h.imag):  # in place, bit for bit sqrt(1/2) * (a + 1j*b): all a, then all b
+        np.multiply(rng.standard_normal(out=part), np.sqrt(0.5), out=out)
     zero = h == 0
     while zero.any():
         h[zero] = _complex_normal(rng, int(zero.sum()))
@@ -114,3 +121,12 @@ def generate_messages(M: int, N: int, k: int, seed: int) -> MessageSet:
     w.setflags(write=False)
     return MessageSet(M=M, N=N, k=k, w=w, seed=seed)
 
+
+def stack_draws(draws):
+    """One ChannelRealization or MessageSet whose array gains a leading draw axis
+    and whose seed is the tuple of the draws' seeds; one draw is not copied."""
+    name = "h" if isinstance(draws[0], ChannelRealization) else "w"
+    arrays = [getattr(d, name) for d in draws]
+    stacked = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+    stacked.setflags(write=False)
+    return replace(draws[0], **{name: stacked, "seed": tuple(d.seed for d in draws)})

@@ -139,7 +139,7 @@ def _validate(mode: str, cfg: dict) -> None:
                 raise ConfigError(f"--{name} is required for this mode")
         elif not ok(cfg[name]):
             raise ConfigError(f"--{name} must be {what}, got {cfg[name]!r}")
-    if mode == "sweep" and cfg.get("snr"):
+    if mode == "sweep" and "snr" in cfg:
         check_snr_grid(cfg["snr"])  # the slope fit's own rule, checked up front
 
 
@@ -222,7 +222,7 @@ def _mode_simulate(cfg: dict, out: _Output) -> int:
 
 def _mode_sweep(cfg: dict, out: _Output) -> int:
     M, N = cfg["M"], cfg["N"]
-    snrs = cfg.get("snr") or [40.0, 50.0, 60.0, 70.0, 80.0]
+    snrs = cfg.get("snr", [40.0, 50.0, 60.0, 70.0, 80.0])
     draws = cfg.get("draws", 200)
     seed = cfg.get("seed", 0)
     normalize = _flag(cfg, "normalize", True)

@@ -11,6 +11,7 @@ receivers that track all fading coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -48,7 +49,8 @@ class ObservationKind(IntEnum):
 class ObservationLog:
     """All N x T received values plus the context needed to use them.
 
-    entries[i, t] is the ObservationKind code of receiver i's value in slot t.
+    values[..., i, t] carries the plan's draw axes in front; entries[i, t],
+    the ObservationKind code of receiver i's value in slot t, is per schedule.
     """
 
     schedule: Schedule
@@ -61,16 +63,19 @@ class ObservationLog:
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Square decoding system G w = y for one receiver.
+    """Square decoding system G w = y for one receiver, or a stack of them.
 
     Unknowns are ordered copy-major: index c*M + j holds message w[i, j, c].
     Rows follow schedule.decode_rows[receiver]. sigma is the noise covariance
     of y in noise-variance units times the model variance (all zero for
     noiseless runs); noise_map is the (kM, T) matrix B with
     y_noise = B @ n[i, :], so sigma = variance * B B^T.
+
+    A stack has leading axes (draws, then receivers) on every array and an
+    int array of receivers; len() counts its systems and iteration yields them.
     """
 
-    receiver: int
+    receiver: int | np.ndarray
     G: np.ndarray
     y: np.ndarray
     sigma: np.ndarray
@@ -78,6 +83,16 @@ class LinearSystem:
     T: int
     M: int
     k: int
+
+    def __len__(self) -> int:
+        return math.prod(self.G.shape[:-2])
+
+    def __iter__(self):
+        batch = self.G.shape[:-2]
+        receivers = np.broadcast_to(self.receiver, batch).ravel().tolist()
+        flat = [a.reshape(-1, *a.shape[len(batch):]) for a in (self.G, self.y, self.sigma, self.noise_map)]
+        for receiver, *arrays in zip(receivers, *flat):
+            yield LinearSystem(receiver, *arrays, T=self.T, M=self.M, k=self.k)
 
 
 @dataclass(frozen=True)
@@ -108,7 +123,7 @@ def observe_all(
     """
     s = plan.schedule
     X = plan.signal_matrix()
-    values = np.einsum("ijt,jt->it", channels.h, X) + noise.sample_grid(s.N, s.T)
+    values = np.einsum("...ijt,...jt->...it", channels.h, X) + noise.sample_grid(s.N, s.T)
     values.setflags(write=False)
     served = (s.members[:, :, 0] == np.arange(s.N)[:, None, None]).any(axis=2)
     kind = ObservationKind
@@ -128,63 +143,70 @@ def observe_all(
     )
 
 
-def cancel_interference(log: ObservationLog, receiver: int) -> tuple[np.ndarray, np.ndarray]:
+def cancel_interference(log: ObservationLog, receiver) -> tuple[np.ndarray, np.ndarray]:
     """Subtract stored replays from every combined observation of one receiver.
 
     Returns (rows, values) for the pair rows of schedule.decode_rows[receiver],
     in that order. rows[r] holds the coefficients on the messages of the
     row's copy; noiselessly rows[r] @ w[receiver, :, copy] == values[r].
+    An index array of R receivers does all of them in one pass: the arrays
+    gain an R axis after the log's draw axes.
     """
     s = log.schedule
-    h = log.channels.h
-    pairs = s.decode_rows[receiver].reshape(s.k, s.M, 4)[:, 1:]  # skip each direct row
-    copy, slot, partner, linked = pairs.reshape(-1, 4).T
-    stored = log.entries[receiver][linked].tolist()
-    if any(kind != ObservationKind.INTERFERENCE_PHASE1 for kind in stored):
+    receiver = np.asarray(receiver)
+    pairs = s.decode_rows[receiver].reshape(receiver.shape + (s.k, s.M, 4))[..., 1:, :]  # skip each direct row
+    copy, slot, partner, linked = (pairs[..., f].reshape(receiver.shape + (-1,)) for f in range(4))
+    own_row = receiver[..., None]
+    stored = log.entries[own_row, linked]
+    if (stored != ObservationKind.INTERFERENCE_PHASE1.value).any():
         raise SchemeConstructionError(
-            f"receiver {receiver} pair slots {slot.tolist()} replay slots {linked.tolist()}, "
-            f"not all of which hold stored interference: {stored}"
+            f"receiver {receiver.tolist()} pair slots {slot.tolist()} replay slots "
+            f"{linked.tolist()}, not all of which hold stored interference: {stored.tolist()}"
         )
-    g = log.slot_scale[slot]
-    own = s.phase1_slots[receiver, copy]
-    rows = g[:, None] * h[receiver, :, slot] * h[partner, :, own] / h[partner, :, slot]
-    observed = log.values[receiver]
-    values = observed[slot] - g * observed[linked]
+    g = log.slot_scale[..., slot]
+    own = s.phase1_slots[own_row, copy]
+    h = np.swapaxes(log.channels.h, -1, -2)  # (..., N, T, M)
+    rows = g[..., None] * h[..., own_row, slot, :] * h[..., partner, own, :] / h[..., partner, slot, :]
+    values = log.values[..., own_row, slot] - g * log.values[..., own_row, linked]
     return rows, values
 
 
-def assemble_system(log: ObservationLog, receiver: int) -> LinearSystem:
+def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
     """Stack direct and subtraction rows into the receiver's kM x kM system.
 
     Row r is schedule.decode_rows[receiver, r]: per copy the phase-1 direct
     observation first, then the copy's M-1 subtraction rows in slot order.
     Each copy's M rows involve only its own M unknowns, so G is block
     diagonal. Arrays are built per copy, as (k, M, ...), then flattened.
+    An index array of receivers assembles all of them into one stack.
     """
     s = log.schedule
     M, k, T = s.M, s.k, s.T
-    table = s.decode_rows[receiver].reshape(k, M, 4)
-    slot, linked = table[:, :, 1], table[:, 1:, 3]
+    receiver = np.asarray(receiver)
+    table = s.decode_rows[receiver].reshape(receiver.shape + (k, M, 4))
+    slot, linked = table[..., 1], table[..., 1:, 3]
     rows, values = cancel_interference(log, receiver)
-
-    blocks = log.channels.h[receiver, :, slot]  # direct rows are channel rows
-    blocks[:, 1:] = rows.reshape(k, M - 1, M)
-    G = np.zeros((k * M, k * M), dtype=complex)
+    lead = log.values.shape[:-2] + receiver.shape
+    own_row = receiver[..., None, None]
+    blocks = np.swapaxes(log.channels.h, -1, -2)[..., own_row, slot, :]  # direct rows are channel rows
+    blocks[..., 1:, :] = rows.reshape(lead + (k, M - 1, M))
+    G = np.zeros(lead + (k * M, k * M), dtype=complex)
     for c in range(k):
-        G[c * M : (c + 1) * M, c * M : (c + 1) * M] = blocks[c]
-    y = log.values[receiver][slot]
-    y[:, 1:] = values.reshape(k, M - 1)
+        G[..., c * M : (c + 1) * M, c * M : (c + 1) * M] = blocks[..., c, :, :]
+    y = log.values[..., own_row, slot]
+    y[..., 1:] = values.reshape(lead + (k, M - 1))
     # B: +1 at each row's own slot, minus the slot scale at the replayed slot
-    B = np.zeros((k, M, T))
-    copies, positions = np.arange(k)[:, None], np.arange(M)
-    B[copies, positions, slot] = 1.0
-    B[copies, positions[1:], linked] = -log.slot_scale[slot[:, 1:]]
-    B, y = B.reshape(k * M, T), y.reshape(k * M)
-    sigma = log.noise_variance * (B @ B.T)
+    B = np.zeros(lead + (k, M, T))
+    *cells, positions = np.indices(receiver.shape + (k, M), sparse=True)
+    B[(..., *cells, positions, slot)] = 1.0
+    B[(..., *cells, positions[..., 1:], linked)] = -log.slot_scale[..., slot[..., 1:]]
+    B, y = B.reshape(lead + (k * M, T)), y.reshape(lead + (k * M,))
+    sigma = log.noise_variance * (B @ np.swapaxes(B, -1, -2))
     for arr in (G, y, B, sigma):
         arr.setflags(write=False)
     return LinearSystem(
-        receiver=receiver, G=G, y=y, sigma=sigma, noise_map=B, T=T, M=M, k=k
+        receiver=np.broadcast_to(receiver, lead) if lead else int(receiver),
+        G=G, y=y, sigma=sigma, noise_map=B, T=T, M=M, k=k,
     )
 
 

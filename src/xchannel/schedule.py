@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -474,15 +474,7 @@ def permute_schedule(schedule: Schedule, phase1_perm, phase2_perm) -> Schedule:
         Phase2Slot(slot=dst.slot, pair=src.pair)
         for dst, src in zip(schedule.phase2, (schedule.phase2[i] for i in p2))
     )
-    return Schedule(
-        M=schedule.M,
-        N=schedule.N,
-        case=schedule.case,
-        k=schedule.k,
-        phase1=phase1,
-        phase2=phase2,
-        T=schedule.T,
-    )
+    return replace(schedule, phase1=phase1, phase2=phase2)
 
 
 def count_csit_variants(M: int, N: int) -> int:

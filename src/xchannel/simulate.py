@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, MessageSet, NoiseModel, generate_channels, generate_messages
+from .channel import (ChannelRealization, MessageSet, NoiseModel, generate_channels,
+                      generate_messages, stack_draws)
 from .receive import DecodeResult, LinearSystem, ObservationLog, assemble_system, decode, observe_all
 from .schedule import CsitTable, Schedule, build_csit_table, build_schedule
 from .transmit import TransmitPlan, build_transmit_plan
@@ -24,21 +25,21 @@ class SimulationResult:
     table: CsitTable
     plan: TransmitPlan
     log: ObservationLog
-    systems: tuple[LinearSystem, ...]
-    decodes: tuple[DecodeResult, ...]
+    systems: LinearSystem  # stacked over (draws..., receivers)
+    decodes: tuple[DecodeResult, ...]  # in the order of systems
 
     def truth(self, receiver: int) -> np.ndarray:
-        """Copy-major flat message vector the receiver should recover."""
+        """Copy-major flat message vector the receiver should recover (single runs)."""
         return self.messages.w[receiver].T.reshape(-1)
 
     def relative_errors(self) -> list[float]:
-        """Per-receiver relative recovery error; NaN where decoding failed."""
+        """Relative recovery error per decode; NaN where decoding failed."""
+        truths = np.swapaxes(self.messages.w, -1, -2).reshape(len(self.decodes), -1)
         errs = []
-        for d in self.decodes:
+        for d, truth in zip(self.decodes, truths):
             if not d.success:
                 errs.append(float("nan"))
                 continue
-            truth = self.truth(d.receiver)
             errs.append(
                 float(np.linalg.norm(d.estimates - truth) / np.linalg.norm(truth))
             )
@@ -52,7 +53,7 @@ class SimulationResult:
 def run_simulation(
     M: int,
     N: int,
-    seed: int = 0,
+    seed: int | list[int] = 0,
     *,
     noise_enabled: bool = False,
     noise_variance: float = 1.0,
@@ -62,6 +63,8 @@ def run_simulation(
     """Run one seeded end-to-end transmission.
 
     Channels, messages and noise derive their seeds as seed, seed+1, seed+2.
+    A list of seeds runs one draw per seed in a single stacked pass, with a
+    leading draw axis on every array; each draw equals its own single run.
     Passing an explicit schedule (e.g. a permuted one) overrides the canonical
     construction; dimensions must match.
     """
@@ -71,14 +74,18 @@ def run_simulation(
         raise ValueError(
             f"schedule is for M={schedule.M} N={schedule.N}, requested M={M} N={N}"
         )
-    channels = generate_channels(M, N, schedule.T, seed)
-    messages = generate_messages(M, N, schedule.k, seed + 1)
+    stacked = np.ndim(seed) > 0
+    seeds = list(seed) if stacked else [seed]
+    combine = stack_draws if stacked else (lambda draws: draws[0])
+    channels = combine([generate_channels(M, N, schedule.T, s) for s in seeds])
+    messages = combine([generate_messages(M, N, schedule.k, s + 1) for s in seeds])
     table = build_csit_table(schedule)
     plan = build_transmit_plan(schedule, messages, channels, table, normalize=normalize)
-    noise = NoiseModel(enabled=noise_enabled, variance=noise_variance, seed=seed + 2)
+    noise_seed = tuple(s + 2 for s in seeds) if stacked else seed + 2
+    noise = NoiseModel(enabled=noise_enabled, variance=noise_variance, seed=noise_seed)
     log = observe_all(plan, channels, noise)
-    systems = tuple(assemble_system(log, i) for i in range(N))
-    decodes = tuple(decode(s) for s in systems)
+    systems = assemble_system(log, np.arange(N))
+    decodes = tuple(map(decode, systems))
     return SimulationResult(
         schedule=schedule,
         channels=channels,

@@ -18,6 +18,7 @@ from .schedule import CsitTable, Schedule
 __all__ = [
     "CsitAccessError",
     "CsitRead",
+    "CsitTrace",
     "CsitView",
     "TransmitPlan",
     "audit_csit_trace",
@@ -48,6 +49,24 @@ class CsitRead:
     at_slot: int
 
 
+class CsitTrace:
+    """Read-only sequence of CsitRead kept as the rows of a (K, 3) int array
+    (receiver, slot, at_slot); records are built only when iterated."""
+
+    def __init__(self, rows=()):
+        self.rows = np.array(rows, dtype=np.intp).reshape(-1, 3)
+        self.rows.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(CsitRead, *self.rows.T.tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, (CsitTrace, list, tuple)) and list(self) == list(other)
+
+
 def _granted(reads: np.ndarray, table: CsitTable) -> np.ndarray:
     """The CSIT contract on (K, 3) (receiver, slot, at_slot) reads: perfect state
     for the current slot, delayed state for earlier ones."""
@@ -68,36 +87,38 @@ class CsitView:
     def __init__(self, channels: ChannelRealization, table: CsitTable):
         self._h = channels.h
         self._table = table
-        self.reads: list[CsitRead] = []
-        self.violations: list[CsitRead] = []
+        self.reads = CsitTrace()
+        self.violations = CsitTrace()
 
     def read(self, reads) -> np.ndarray:
-        """(K, M) copy of rows h[receiver, :, slot] for (K, 3) (receiver, slot, at_slot) reads,
-        checked in order: reads before the first denied one are recorded, then it is raised."""
+        """(..., K, M) copy of rows h[..., receiver, :, slot] for (K, 3) (receiver, slot,
+        at_slot) reads, checked in order: reads before the first denied one are
+        recorded, then it is raised."""
         reads = np.asarray(reads, dtype=np.intp).reshape(-1, 3)
         denied = np.flatnonzero(~_granted(reads, self._table))
         stop = denied[0] if denied.size else len(reads)
-        self.reads.extend(map(CsitRead, *reads[:stop].T.tolist()))
+        self.reads = CsitTrace(np.concatenate([self.reads.rows, reads[:stop]]))
         if denied.size:
             receiver, slot, at_slot = reads[stop].tolist()
-            self.violations.append(CsitRead(receiver, slot, at_slot))
+            self.violations = CsitTrace(np.concatenate([self.violations.rows, reads[stop:stop + 1]]))
             raise CsitAccessError(receiver, slot, at_slot, self._table.state(receiver, slot))
-        return self._h[reads[:, 0], :, reads[:, 1]]
+        return np.swapaxes(self._h, -1, -2)[..., reads[:, 0], reads[:, 1], :]
 
 
 def audit_csit_trace(reads, table: CsitTable) -> list[CsitRead]:
-    """Re-check a sequence of CsitRead against the state table; returns the offenders."""
-    index = np.array([(r.receiver, r.slot, r.at_slot) for r in reads], dtype=np.intp).reshape(-1, 3)
-    return [r for r, ok in zip(reads, _granted(index, table).tolist()) if not ok]
+    """Re-check a CsitTrace or a sequence of CsitRead against the state table; returns the offenders."""
+    if not isinstance(reads, CsitTrace):
+        reads = CsitTrace([(r.receiver, r.slot, r.at_slot) for r in reads])
+    return list(CsitTrace(reads.rows[~_granted(reads.rows, table)]))
 
 
 @dataclass
 class TransmitPlan:
     """Precoding coefficients for all T slots plus the audit trail that built them.
 
-    coefficients[t, m, j] is transmitter j's coefficient in slot t on the
+    coefficients[..., t, m, j] is transmitter j's coefficient in slot t on the
     message of member m = schedule.members[t, m]; a phase-1 slot sends its
-    group as is (coefficients 1 and 0). slot_scale[t] is the common scalar
+    group as is (coefficients 1 and 0). slot_scale[..., t] is the common scalar
     already folded into slot t's coefficients (1.0 unless normalization is
     on), which receivers also apply to stored observations when subtracting.
     """
@@ -107,16 +128,16 @@ class TransmitPlan:
     coefficients: np.ndarray
     slot_scale: np.ndarray
     normalized: bool
-    csit_reads: tuple[CsitRead, ...]
-    csit_violations: tuple[CsitRead, ...]
+    csit_reads: CsitTrace
+    csit_violations: CsitTrace
     _signals: np.ndarray | None = field(default=None, repr=False)
 
     def signal_matrix(self) -> np.ndarray:
-        """All transmit vectors as an (M, T) matrix, computed once and cached."""
+        """All transmit vectors as an (..., M, T) matrix, computed once and cached."""
         if self._signals is None:
             members = self.schedule.members
-            w = self.messages.w[members[..., 0], :, members[..., 1]]  # (T, 2, M)
-            X = np.ascontiguousarray(np.einsum("tmj,tmj->jt", self.coefficients, w))
+            w = np.swapaxes(self.messages.w, -1, -2)[..., members[..., 0], members[..., 1], :]
+            X = np.ascontiguousarray(np.einsum("...tmj,...tmj->...jt", self.coefficients, w))
             X.setflags(write=False)
             self._signals = X
         return self._signals
@@ -140,18 +161,21 @@ def build_transmit_plan(
     1 / max_j ||coefficients of transmitter j||, so every transmitter meets a
     unit power budget with unit-power messages. A common factor (rather than
     per-transmitter ones) keeps the stored-observation subtraction exact.
+    Channels and messages with draw axes (stack_draws) give a plan with those
+    axes, whose one CSIT audit covers every draw's gather.
     """
     view = CsitView(channels, csit)
-    first = len(schedule.phase1)
-    rows = view.read(schedule.pair_reads).reshape(-1, 4, schedule.M)
-    coefficients = np.zeros((schedule.T, 2, schedule.M), dtype=complex)
-    coefficients[:first, 0] = 1.0
-    coefficients[first:] = rows[:, 2:] / rows[:, :2]
-    scale = np.ones(schedule.T)
+    first, draws = len(schedule.phase1), channels.h.shape[:-3]
+    rows = view.read(schedule.pair_reads).reshape(draws + (-1, 4, schedule.M))
+    coefficients = np.zeros(draws + (schedule.T, 2, schedule.M), dtype=complex)
+    coefficients[..., :first, 0, :] = 1.0
+    pair = coefficients[..., first:, :, :]
+    pair[...] = rows[..., 2:, :] / rows[..., :2, :]
+    scale = np.ones(draws + (schedule.T,))
     if normalize:
-        norms = np.sqrt(np.abs(coefficients[first:, 0]) ** 2 + np.abs(coefficients[first:, 1]) ** 2)
-        scale[first:] = 1.0 / norms.max(axis=1)
-        coefficients[first:] *= scale[first:, None, None]
+        norms = np.sqrt(np.abs(pair[..., 0, :]) ** 2 + np.abs(pair[..., 1, :]) ** 2)
+        scale[..., first:] = 1.0 / norms.max(axis=-1)
+        pair *= scale[..., first:, None, None]
     for arr in (coefficients, scale):
         arr.setflags(write=False)
     return TransmitPlan(
@@ -160,6 +184,6 @@ def build_transmit_plan(
         coefficients=coefficients,
         slot_scale=scale,
         normalized=normalize,
-        csit_reads=tuple(view.reads),
-        csit_violations=tuple(view.violations),
+        csit_reads=view.reads,
+        csit_violations=view.violations,
     )

@@ -28,6 +28,15 @@ class TestGenerateChannels:
         b = generate_channels(3, 3, 6, seed=42)
         np.testing.assert_array_equal(a.h, b.h)
 
+    @pytest.mark.parametrize("M,N,T", [(3, 3, 6), (8, 4, 36), (32, 32, 528)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_identical_to_reference_expression(self, M, N, T, seed):
+        # the in-place fill keeps the stream order of this plain expression
+        rng = np.random.default_rng(seed)
+        shape = (N, M, T)
+        want = np.sqrt(1.0 / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert generate_channels(M, N, T, seed).h.tobytes() == want.tobytes()
+
     def test_seeds_differ(self):
         a = generate_channels(3, 3, 6, seed=1)
         b = generate_channels(3, 3, 6, seed=2)

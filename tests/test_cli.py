@@ -204,6 +204,12 @@ class TestInputValidation:
         assert main(["sweep", "--M", "8", "--N", "8", "--snr", "40", "--snr", "50"]) == 2
         assert capsys.readouterr().err == "error: need at least 3 rate points, got 2\n"
 
+    def test_empty_snr_list_in_config(self, tmp_path, capsys, no_work):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 2, "N": 2, "snr": []}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: need at least 3 rate points, got 0\n"
+
     def test_snr_span_below_20_db(self, tmp_path, capsys, no_work):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"M": 8, "N": 8, "snr": [40, 45, 50]}))

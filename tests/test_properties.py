@@ -2,15 +2,19 @@
 
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from xchannel.analysis import sum_rate
+from xchannel import analysis
+from xchannel.analysis import sum_rate, sweep_rates
+from xchannel.channel import generate_channels, generate_messages, stack_draws
 from xchannel.receive import CONDITION_LIMIT, ObservationKind as K
-from xchannel.schedule import build_schedule
+from xchannel.schedule import CsitTable, build_csit_table, build_schedule
 from xchannel.simulate import run_simulation
-from xchannel.transmit import audit_csit_trace
+from xchannel.transmit import CsitAccessError, audit_csit_trace, build_transmit_plan
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 dims = st.tuples(
@@ -61,10 +65,10 @@ def test_run_invariants(case, variance, normalize):
         M, N, seed=seed, noise_enabled=True, noise_variance=variance, normalize=normalize
     )
     noise = noisy.log.values - sim.log.values
-    for i, system in enumerate(noisy.systems):
+    for i, (system, clean) in enumerate(zip(noisy.systems, sim.systems)):
         B = system.noise_map
         # B maps the receiver's noise onto the right-hand side of its system
-        shift = system.y - sim.systems[i].y
+        shift = system.y - clean.y
         assert np.abs(shift - B @ noise[i]).max() <= 1e-9 * max(1.0, np.abs(shift).max())
         # discarded observations never enter the system; desired and combined ones do
         used = np.any(B != 0, axis=0)
@@ -105,3 +109,81 @@ def test_rates_match_log_det_reference(case, tenths_db, normalize):
     for lo, hi in zip(points, points[1:]):
         assert hi.sum_rate > lo.sum_rate
         assert all(b > a for a, b in zip(lo.per_receiver, hi.per_receiver))
+
+
+stacks = st.tuples(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=2, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+@PROPERTY
+@given(stacks, st.booleans())
+def test_draw_stack_equals_single_runs(case, normalize):
+    M, N, D, seed = case
+    seeds = [seed + 10 * d for d in range(D)]
+    stack = run_simulation(M, N, seed=seeds, noise_enabled=True, normalize=normalize)
+    assert len(stack.systems) == len(stack.decodes) == D * N
+    assert stack.systems.receiver.tolist() == [list(range(N))] * D
+    for d, s in enumerate(seeds):
+        single = run_simulation(M, N, seed=s, noise_enabled=True, normalize=normalize)
+        for name in ("G", "y", "sigma", "noise_map"):
+            assert np.array_equal(getattr(stack.systems, name)[d], getattr(single.systems, name))
+        for got, want in zip(stack.decodes[d * N:(d + 1) * N], single.decodes):
+            assert got.receiver == want.receiver
+            assert np.array_equal(got.estimates, want.estimates)
+
+
+@PROPERTY
+@given(stacks, st.booleans())
+def test_sweep_is_mean_of_draws_in_any_chunking(case, normalize):
+    M, N, D, seed = case
+    snrs = [40.0, 60.0, 80.0]
+    per_draw = [
+        sum_rate(list(run_simulation(M, N, seed=seed + 10 * d, noise_enabled=True,
+                                     normalize=normalize).systems), snrs)
+        for d in range(D)
+    ]
+    whole = sweep_rates(M, N, snrs, draws=D, seed=seed, normalize=normalize)
+    with mock.patch.object(analysis, "DRAW_CHUNK_ELEMENTS", 1):  # one draw per chunk
+        split = sweep_rates(M, N, snrs, draws=D, seed=seed, normalize=normalize)
+    for k, (a, b) in enumerate(zip(whole, split)):
+        want = np.mean([points[k].per_receiver for points in per_draw], axis=0)
+        for point in (a, b):
+            np.testing.assert_allclose(point.per_receiver, want, rtol=1e-12, atol=0)
+            assert point.sum_rate == pytest.approx(
+                np.mean([points[k].sum_rate for points in per_draw]), rel=1e-12
+            )
+
+
+@PROPERTY
+@given(
+    st.tuples(
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ),
+    st.integers(min_value=0),
+)
+def test_stacked_plan_raises_at_the_flipped_read(case, pick):
+    M, N, D, seed = case
+    s = build_schedule(M, N)
+    table = build_csit_table(s)
+    current = [tuple(r) for r in s.pair_reads.tolist() if r[1] == r[2]]  # the "P" reads
+    receiver, slot, at_slot = current[pick % len(current)]
+    states = [list(row) for row in table.states]
+    states[receiver][slot] = "N"
+    broken = CsitTable(states=tuple("".join(row) for row in states))
+    seeds = [seed + 10 * d for d in range(D)]
+    channels = stack_draws([generate_channels(M, N, s.T, x) for x in seeds])
+    messages = stack_draws([generate_messages(M, N, s.k, x + 1) for x in seeds])
+    assert audit_csit_trace(build_transmit_plan(s, messages, channels, table).csit_reads,
+                            table) == []
+    with pytest.raises(CsitAccessError) as exc:
+        build_transmit_plan(s, messages, channels, broken)
+    assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (
+        receiver, slot, at_slot, "N"
+    )

@@ -183,6 +183,12 @@ class TestCsitAccessControl:
         assert view.violations == [CsitRead(receiver, slot, at_slot)]
         assert view.reads == [CsitRead(*r) for r in reads[:at]]
 
+    def test_trace_is_read_only_rows_of_pair_reads(self):
+        s, _, _, _, _, plan = make_instance(4, 3)
+        rows = plan.csit_reads.rows
+        assert np.array_equal(rows, s.pair_reads) and not rows.flags.writeable
+        assert list(plan.csit_reads) == [CsitRead(*r) for r in s.pair_reads.tolist()]
+
     def test_audit_flags_fabricated_read(self):
         _, table, _, _, _, plan = make_instance(3, 3)
         fake = CsitRead(receiver=0, slot=5, at_slot=3)
