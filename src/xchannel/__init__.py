@@ -2,12 +2,10 @@
 
 from .analysis import (
     CheckResult,
-    CsitFractions,
     DofReport,
     OracleReport,
     RatePoint,
     SlopeFit,
-    csit_fractions,
     dof_report,
     dof_slope,
     oracle_verify_3user,

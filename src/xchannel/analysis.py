@@ -24,7 +24,6 @@ from .receive import (
     observe_all,
 )
 from .schedule import (
-    CsitTable,
     Schedule,
     build_csit_table,
     build_schedule,
@@ -36,13 +35,11 @@ from .transmit import TransmitPlan, audit_csit_trace, build_transmit_plan
 
 __all__ = [
     "DofReport",
-    "CsitFractions",
     "RatePoint",
     "SlopeFit",
     "OracleReport",
     "CheckResult",
     "dof_report",
-    "csit_fractions",
     "sum_rate",
     "sweep_rates",
     "check_snr_grid",
@@ -95,27 +92,6 @@ def dof_report(schedule: Schedule) -> DofReport:
         closed_form=closed,
         equal=achieved == closed,
     )
-
-
-@dataclass(frozen=True)
-class CsitFractions:
-    """Per-receiver and aggregate fractions of P/D/N slots, exact."""
-
-    per_receiver: tuple[dict[str, Fraction], ...]
-    aggregate: dict[str, Fraction]
-
-
-def csit_fractions(table: CsitTable) -> CsitFractions:
-    T = table.T
-    per = []
-    totals = {s: 0 for s in "PDN"}
-    for i in range(table.N):
-        counts = table.counts(i)
-        per.append({s: Fraction(counts[s], T) for s in "PDN"})
-        for s in "PDN":
-            totals[s] += counts[s]
-    agg = {s: Fraction(totals[s], table.N * T) for s in "PDN"}
-    return CsitFractions(per_receiver=tuple(per), aggregate=agg)
 
 
 @dataclass(frozen=True)
@@ -437,8 +413,8 @@ def verify_suite(
     for M, N in [(3, 3), (2, 4)]:
         base = build_schedule(M, N)
         for _ in range(perm_trials):
-            p1 = rng.permutation(len(base.phase1))
-            p2 = rng.permutation(len(base.phase2))
+            p1 = rng.permutation(base.phase1_len)
+            p2 = rng.permutation(base.T - base.phase1_len)
             permuted = permute_schedule(base, p1, p2)
             if not run_simulation(M, N, seed=seed, schedule=permuted).all_recovered():
                 perm_bad.append((M, N, list(p1), list(p2)))

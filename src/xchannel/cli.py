@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -19,6 +20,12 @@ from .schedule import (
 from .simulate import run_simulation
 
 _ON_OFF = {"on": True, "off": False}
+_FORMATS = {
+    "schedule": ["json", "text"],
+    "csit-table": ["json", "text"],
+    "simulate": ["json"],
+    "sweep": ["json", "csv", "text"],
+}
 
 
 class ConfigError(ValueError):
@@ -29,6 +36,7 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xchannel",
@@ -36,27 +44,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    def common(p, fmt_choices):
+    def common(mode, help):
+        p = sub.add_parser(mode, help=help)
         p.add_argument("--M", type=int, default=None, help="number of transmitters")
         p.add_argument("--N", type=int, default=None, help="number of receivers")
         p.add_argument("--config", type=str, default=None, help="JSON config file; flags override it")
         p.add_argument("--out", type=str, default=None, help="write output to this path instead of stdout")
-        p.add_argument("--format", choices=fmt_choices, default=None)
+        p.add_argument("--format", choices=_FORMATS[mode], default=None)
+        return p
 
-    p = sub.add_parser("schedule", help="print the slot schedule and DoF report")
-    common(p, ["json", "text"])
+    common("schedule", "print the slot schedule and DoF report")
+    common("csit-table", "print the per-slot CSIT state table")
 
-    p = sub.add_parser("csit-table", help="print the per-slot CSIT state table")
-    common(p, ["json", "text"])
-
-    p = sub.add_parser("simulate", help="run seeded end-to-end transmissions")
-    common(p, ["json"])
+    p = common("simulate", "run seeded end-to-end transmissions")
     p.add_argument("--seeds", type=int, nargs="+", default=None)
     p.add_argument("--noise", choices=["on", "off"], default=None)
     p.add_argument("--normalize", choices=["on", "off"], default=None)
 
-    p = sub.add_parser("sweep", help="rate-vs-SNR sweep with slope fit")
-    common(p, ["json", "csv", "text"])
+    p = common("sweep", "rate-vs-SNR sweep with slope fit")
     p.add_argument("--snr", type=float, action="append", default=None, help="SNR in dB, repeatable")
     p.add_argument("--draws", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -85,7 +90,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError("config file must hold a JSON object")
         merged.update(loaded)
     for key, value in vars(args).items():
-        if key == "config" or value is None:
+        if key in ("config", "mode") or value is None:
             continue
         merged[key] = value
     return merged
@@ -101,15 +106,24 @@ def _is_finite_number(value) -> bool:
 
 
 _POSITIVE = (lambda v: _is_int(v, 1), "a positive integer")
-_DIMS = {"M": _POSITIVE, "N": _POSITIVE}
+_OUT = (lambda v: isinstance(v, str), "a file path")
 _SWITCH = (lambda v: isinstance(v, bool) or (isinstance(v, str) and v in _ON_OFF), "on or off")
-# Per mode, every field it reads: (test, description). Absent fields take
+
+
+def _common(mode: str) -> dict:
+    """Fields of the modes with --M and --N; --format takes the mode's own choices."""
+    choices = _FORMATS[mode]
+    fmt = (lambda v: isinstance(v, str) and v in choices, "one of " + ", ".join(choices))
+    return {"M": _POSITIVE, "N": _POSITIVE, "out": _OUT, "format": fmt}
+
+
+# Per mode, every field it accepts: (test, description). Absent fields take
 # their defaults, except M and N, which the modes that have them require.
 _FIELDS = {
-    "schedule": _DIMS,
-    "csit-table": _DIMS,
+    "schedule": _common("schedule"),
+    "csit-table": _common("csit-table"),
     "simulate": {
-        **_DIMS,
+        **_common("simulate"),
         "seeds": (
             lambda v: isinstance(v, list) and v and all(_is_int(s, 0) for s in v),
             "one or more non-negative integers",
@@ -118,7 +132,7 @@ _FIELDS = {
         "normalize": _SWITCH,
     },
     "sweep": {
-        **_DIMS,
+        **_common("sweep"),
         "snr": (
             lambda v: isinstance(v, list) and all(_is_finite_number(x) for x in v),
             "a list of finite numbers (dB)",
@@ -127,15 +141,22 @@ _FIELDS = {
         "seed": (lambda v: _is_int(v, 0), "a non-negative integer"),
         "normalize": _SWITCH,
     },
-    "verify": {"grid": (lambda v: _is_int(v, 2), "an integer >= 2"), "seeds": _POSITIVE},
+    "verify": {
+        "out": _OUT,
+        "grid": (lambda v: _is_int(v, 2), "an integer >= 2"),
+        "seeds": _POSITIVE,
+    },
 }
 
 
 def _validate(mode: str, cfg: dict) -> None:
-    """Reject a missing, mistyped or out-of-range field before any numeric work."""
+    """Reject an unknown, missing, mistyped or out-of-range field before any numeric work."""
+    unknown = sorted(set(cfg) - set(_FIELDS[mode]))
+    if unknown:
+        raise ConfigError(f"unknown config keys for {mode}: {', '.join(unknown)}")
     for name, (ok, what) in _FIELDS[mode].items():
         if name not in cfg:
-            if name in _DIMS:
+            if name in ("M", "N"):
                 raise ConfigError(f"--{name} is required for this mode")
         elif not ok(cfg[name]):
             raise ConfigError(f"--{name} must be {what}, got {cfg[name]!r}")
@@ -191,7 +212,7 @@ def _mode_csit_table(cfg: dict, out: _Output) -> int:
         out.emit(_json_dumps(table.to_dict()))
     else:
         head = f"M={M} N={N} case={schedule.case.value} k={schedule.k} T={schedule.T}"
-        out.emit(head + "\n" + format_csit_table(table, len(schedule.phase1)) + "\n")
+        out.emit(head + "\n" + format_csit_table(table, schedule.phase1_len) + "\n")
     return 0
 
 
@@ -293,12 +314,12 @@ _MODES = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = _Output(getattr(args, "out", None))
+    args = build_parser().parse_args(argv)
+    out = _Output(None)
     try:
         cfg = _merge_config(args)
         _validate(args.mode, cfg)
+        out = _Output(cfg.get("out"))
         return _MODES[args.mode](cfg, out)
     except (ConfigError, UnsupportedConfigurationError, ValueError) as exc:
         out.discard()

@@ -128,7 +128,7 @@ def observe_all(
     served = (s.members[:, :, 0] == np.arange(s.N)[:, None, None]).any(axis=2)
     kind = ObservationKind
     entries = np.where(
-        np.arange(s.T) < len(s.phase1),
+        np.arange(s.T) < s.phase1_len,
         np.where(served, kind.DESIRED_PHASE1.value, kind.INTERFERENCE_PHASE1.value),
         np.where(served, kind.COMBINED_PHASE2.value, kind.DISCARDED.value),
     ).astype(np.int8)

@@ -16,7 +16,6 @@ later slot), "N" for none.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -77,49 +76,56 @@ class Phase2Slot:
     slot: int
     pair: tuple[tuple[int, int], tuple[int, int]]
 
-    @property
-    def receivers(self) -> tuple[int, int]:
-        return (self.pair[0][0], self.pair[1][0])
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Schedule:
     """Complete slot plan for one run: kN phase-1 slots then the pair slots.
 
-    Slot indices are 0-based and global: phase 1 occupies 0..k*N-1 in copy-major
-    order (all copy-0 groups, then copy-1), phase 2 occupies the remainder.
+    `members` is the one stored form: a read-only (T, 2, 2) index table of the
+    two (receiver, copy) members each slot serves, a phase-1 slot listing its
+    single group twice. Slot indices are 0-based and global: phase 1 occupies
+    0..k*N-1 (copy-major in the canonical schedule), phase 2 the remainder.
+    Every other table and the slot records are views derived from it; compare
+    schedules by their `members`.
     """
 
     M: int
     N: int
     case: SchemeCase
     k: int
-    phase1: tuple[Phase1Slot, ...]
-    phase2: tuple[Phase2Slot, ...]
-    T: int
+    members: np.ndarray
+
+    def __post_init__(self):
+        self.members.setflags(write=False)
+
+    @property
+    def T(self) -> int:
+        return len(self.members)
+
+    @property
+    def phase1_len(self) -> int:
+        return self.k * self.N
+
+    @cached_property
+    def phase1(self) -> tuple[Phase1Slot, ...]:
+        groups = self.members[: self.phase1_len, 0].tolist()
+        return tuple(Phase1Slot(t, i, c) for t, (i, c) in enumerate(groups))
+
+    @cached_property
+    def phase2(self) -> tuple[Phase2Slot, ...]:
+        pairs = self.members[self.phase1_len :].tolist()
+        return tuple(
+            Phase2Slot(t, (tuple(a), tuple(b))) for t, (a, b) in enumerate(pairs, self.phase1_len)
+        )
 
     @cached_property
     def phase1_slots(self) -> np.ndarray:
         """(N, k) index table: phase1_slots[i, c] is the slot that broadcast group (i, c)."""
+        first = self.phase1_len
         slots = np.full((self.N, self.k), -1, dtype=np.intp)
-        for p in self.phase1:
-            slots[p.receiver, p.copy] = p.slot
+        slots[self.members[:first, 0, 0], self.members[:first, 0, 1]] = np.arange(first)
         slots.setflags(write=False)
         return slots
-
-    @cached_property
-    def members(self) -> np.ndarray:
-        """(T, 2, 2) index table: the two (receiver, copy) members each slot serves.
-
-        A phase-1 slot serves a single group, which it lists twice.
-        """
-        members = np.empty((self.T, 2, 2), dtype=np.intp)
-        for p in self.phase1:
-            members[p.slot] = (p.receiver, p.copy)
-        for p in self.phase2:
-            members[p.slot] = p.pair
-        members.setflags(write=False)
-        return members
 
     @cached_property
     def decode_rows(self) -> np.ndarray:
@@ -131,13 +137,11 @@ class Schedule:
         the partner's phase-1 broadcast that the receiver stored as
         interference.
         """
-        rows = [
-            [[(c, self.phase1_slots[i, c], -1, -1)] for c in range(self.k)]
-            for i in range(self.N)
-        ]
-        for p in self.phase2:
-            for (i, c), (q, cq) in (p.pair, p.pair[::-1]):
-                rows[i][c].append((c, p.slot, q, self.phase1_slots[q, cq]))
+        first, t1 = self.phase1_len, self.phase1_slots.tolist()
+        rows = [[[(c, t1[i][c], -1, -1)] for c in range(self.k)] for i in range(self.N)]
+        for t, ((a, ca), (b, cb)) in enumerate(self.members[first:].tolist(), first):
+            rows[a][ca].append((ca, t, b, t1[b][cb]))
+            rows[b][cb].append((cb, t, a, t1[a][ca]))
         counts = [[len(per) for per in per_copy] for per_copy in rows]
         if counts != [[self.M] * self.k] * self.N:
             raise SchemeConstructionError(
@@ -155,7 +159,7 @@ class Schedule:
         """(4P, 3) index table of the P pair slots' CSIT reads, (receiver, slot, at_slot) in
         read order: pair slot t serving members a and b, broadcast at t_a and t_b, reads
         h_b(t), h_a(t), h_b(t_a), h_a(t_b)."""
-        first = len(self.phase1)
+        first = self.phase1_len
         (a, ca), (b, cb) = self.members[first:].transpose(1, 2, 0)
         t_a, t_b, t = self.phase1_slots[a, ca], self.phase1_slots[b, cb], np.arange(first, self.T)
         reads = np.array([(b, t, t), (a, t, t), (b, t_a, t), (a, t_b, t)])
@@ -168,6 +172,7 @@ class Schedule:
         return self.k * self.M * self.N
 
     def to_dict(self) -> dict:
+        first, members = self.phase1_len, self.members.tolist()
         return {
             "M": self.M,
             "N": self.N,
@@ -175,69 +180,35 @@ class Schedule:
             "k": self.k,
             "T": self.T,
             "phase1": [
-                {"slot": p.slot, "receiver": p.receiver, "copy": p.copy} for p in self.phase1
+                {"slot": t, "receiver": i, "copy": c}
+                for t, ((i, c), _) in enumerate(members[:first])
             ],
             "phase2": [
                 {
-                    "slot": p.slot,
-                    "pair": [
-                        {"receiver": a, "copy": ca},
-                        {"receiver": b, "copy": cb},
-                    ],
+                    "slot": t,
+                    "pair": [{"receiver": a, "copy": ca}, {"receiver": b, "copy": cb}],
                 }
-                for p in self.phase2
-                for (a, ca), (b, cb) in [p.pair]
+                for t, ((a, ca), (b, cb)) in enumerate(members[first:], first)
             ],
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "Schedule":
-        phase1 = tuple(
-            Phase1Slot(slot=e["slot"], receiver=e["receiver"], copy=e["copy"])
-            for e in data["phase1"]
-        )
-        phase2 = tuple(
-            Phase2Slot(
-                slot=e["slot"],
-                pair=(
-                    (e["pair"][0]["receiver"], e["pair"][0]["copy"]),
-                    (e["pair"][1]["receiver"], e["pair"][1]["copy"]),
-                ),
-            )
-            for e in data["phase2"]
-        )
-        return Schedule(
-            M=data["M"],
-            N=data["N"],
-            case=SchemeCase(data["case"]),
-            k=data["k"],
-            phase1=phase1,
-            phase2=phase2,
-            T=data["T"],
-        )
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CsitTable:
-    """Per-receiver CSIT state strings, one character per slot."""
+    """Per-slot CSIT states as a read-only (N, T) uint8 grid of state codes, e.g. ord("P")."""
 
-    states: tuple[str, ...]
+    grid: np.ndarray
 
-    @property
-    def N(self) -> int:
-        return len(self.states)
-
-    @property
-    def T(self) -> int:
-        return len(self.states[0]) if self.states else 0
+    def __post_init__(self):
+        self.grid.setflags(write=False)
 
     @cached_property
-    def grid(self) -> np.ndarray:
-        """Read-only (N, T) uint8 array of the state characters' codes, e.g. ord("P")."""
-        return np.frombuffer("".join(self.states).encode(), dtype=np.uint8).reshape(self.N, self.T)
+    def states(self) -> tuple[str, ...]:
+        """Per-receiver state strings, one character per slot."""
+        return tuple(row.tobytes().decode() for row in self.grid)
 
     def state(self, receiver: int, slot: int) -> str:
-        return self.states[receiver][slot]
+        return chr(self.grid[receiver, slot])
 
     def counts(self, receiver: int) -> dict[str, int]:
         row = self.states[receiver]
@@ -245,10 +216,6 @@ class CsitTable:
 
     def to_dict(self) -> dict:
         return {"states": [list(row) for row in self.states]}
-
-    @staticmethod
-    def from_dict(data: dict) -> "CsitTable":
-        return CsitTable(states=tuple("".join(row) for row in data["states"]))
 
 
 def classify_case(M: int, N: int) -> SchemeCase:
@@ -372,7 +339,9 @@ def _phase2_pairs(M: int, N: int, case: SchemeCase, k: int):
     return base * (M - 1)
 
 
-def _check_balance(M: int, N: int, k: int, pairs) -> None:
+def _check_balance(M: int, N: int, k: int, pairs: np.ndarray) -> None:
+    """Check a (P, 2, 2) pair table: P = kN(M-1)/2, two receivers per slot, and
+    every (receiver, copy) in exactly M-1 pair slots."""
     expected_slots, rem = divmod(k * N * (M - 1), 2)
     if rem:
         raise SchemeConstructionError(
@@ -382,19 +351,16 @@ def _check_balance(M: int, N: int, k: int, pairs) -> None:
         raise SchemeConstructionError(
             f"phase 2 has {len(pairs)} slots, expected {expected_slots}"
         )
-    counts: Counter = Counter()
-    for (a, ca), (b, cb) in pairs:
-        if a == b:
-            raise SchemeConstructionError(f"pair slot reuses receiver {a}")
-        counts[(a, ca)] += 1
-        counts[(b, cb)] += 1
-    for c in range(k):
-        for i in range(N):
-            got = counts.get((i, c), 0)
-            if got != M - 1:
-                raise SchemeConstructionError(
-                    f"receiver {i} copy {c} appears in {got} pair slots, expected {M - 1}"
-                )
+    reused = np.flatnonzero(pairs[:, 0, 0] == pairs[:, 1, 0])
+    if reused.size:
+        raise SchemeConstructionError(f"pair slot reuses receiver {pairs[reused[0], 0, 0]}")
+    counts = np.bincount((pairs[..., 1] * N + pairs[..., 0]).ravel(), minlength=k * N)
+    bad = np.flatnonzero(counts != M - 1)
+    if bad.size:
+        c, i = divmod(int(bad[0]), N)
+        raise SchemeConstructionError(
+            f"receiver {i} copy {c} appears in {counts[bad[0]]} pair slots, expected {M - 1}"
+        )
 
 
 def build_schedule(M: int, N: int) -> Schedule:
@@ -413,23 +379,16 @@ def build_schedule(M: int, N: int) -> Schedule:
             f"need at least 2 receivers to form phase-2 pairs, got N={N}"
         )
     k = replication_factor(case)
-    phase1 = tuple(
-        Phase1Slot(slot=c * N + i, receiver=i, copy=c)
-        for c in range(k)
-        for i in range(N)
-    )
-    pairs = _phase2_pairs(M, N, case, k)
+    pairs = np.array(_phase2_pairs(M, N, case, k), dtype=np.intp).reshape(-1, 2, 2)
     _check_balance(M, N, k, pairs)
-    offset = k * N
-    phase2 = tuple(
-        Phase2Slot(slot=offset + s, pair=(pa, pb)) for s, (pa, pb) in enumerate(pairs)
-    )
-    T = offset + len(phase2)
-    if 2 * T != k * N * (M + 1):
+    copy, receiver = np.divmod(np.arange(k * N), N)
+    groups = np.stack([receiver, copy], axis=-1)[:, None, :]
+    members = np.concatenate([np.repeat(groups, 2, axis=1), pairs])
+    if 2 * len(members) != k * N * (M + 1):
         raise SchemeConstructionError(
-            f"total slot count {T} disagrees with k*N*(M+1)/2 for M={M} N={N}"
+            f"total slot count {len(members)} disagrees with k*N*(M+1)/2 for M={M} N={N}"
         )
-    return Schedule(M=M, N=N, case=case, k=k, phase1=phase1, phase2=phase2, T=T)
+    return Schedule(M=M, N=N, case=case, k=k, members=members)
 
 
 def build_csit_table(schedule: Schedule) -> CsitTable:
@@ -439,22 +398,19 @@ def build_csit_table(schedule: Schedule) -> CsitTable:
     knowledge; phase-2 slots give the two paired receivers perfect current
     knowledge and everyone else nothing.
     """
-    rows = [["N"] * schedule.T for _ in range(schedule.N)]
-    for p in schedule.phase1:
-        for i in range(schedule.N):
-            if i != p.receiver:
-                rows[i][p.slot] = "D"
-    for p in schedule.phase2:
-        for i in p.receivers:
-            rows[i][p.slot] = "P"
-    return CsitTable(states=tuple("".join(r) for r in rows))
+    s, first = schedule, schedule.phase1_len
+    grid = np.full((s.N, s.T), ord("N"), dtype=np.uint8)
+    grid[:, :first] = ord("D")
+    grid[s.members[:first, 0, 0], np.arange(first)] = ord("N")
+    grid[s.members[first:, :, 0], np.arange(first, s.T)[:, None]] = ord("P")
+    return CsitTable(grid)
 
 
-def _check_permutation(perm, length: int, label: str) -> list[int]:
+def _check_permutation(perm, length: int, label: str) -> np.ndarray:
     perm = list(perm)
     if sorted(perm) != list(range(length)):
         raise ValueError(f"{label} must be a permutation of 0..{length - 1}, got {perm}")
-    return perm
+    return np.asarray(perm, dtype=np.intp)
 
 
 def permute_schedule(schedule: Schedule, phase1_perm, phase2_perm) -> Schedule:
@@ -464,17 +420,10 @@ def permute_schedule(schedule: Schedule, phase1_perm, phase2_perm) -> Schedule:
     the input. Per-receiver appearance counts are untouched; the within-round
     disjointness of the N >= M regimes may be lost, which decoding tolerates.
     """
-    p1 = _check_permutation(phase1_perm, len(schedule.phase1), "phase-1 permutation")
-    p2 = _check_permutation(phase2_perm, len(schedule.phase2), "phase-2 permutation")
-    phase1 = tuple(
-        Phase1Slot(slot=dst.slot, receiver=src.receiver, copy=src.copy)
-        for dst, src in zip(schedule.phase1, (schedule.phase1[i] for i in p1))
-    )
-    phase2 = tuple(
-        Phase2Slot(slot=dst.slot, pair=src.pair)
-        for dst, src in zip(schedule.phase2, (schedule.phase2[i] for i in p2))
-    )
-    return replace(schedule, phase1=phase1, phase2=phase2)
+    first = schedule.phase1_len
+    p1 = _check_permutation(phase1_perm, first, "phase-1 permutation")
+    p2 = _check_permutation(phase2_perm, schedule.T - first, "phase-2 permutation")
+    return replace(schedule, members=schedule.members[np.concatenate([p1, p2 + first])])
 
 
 def count_csit_variants(M: int, N: int) -> int:
@@ -483,14 +432,8 @@ def count_csit_variants(M: int, N: int) -> int:
     Equals (kN)! * (kN(M-1)/2)! because any phase-1 order and any phase-2
     order yields a working schedule with identical slot budgets.
     """
-    case = classify_case(M, N)
-    if N < 2:
-        raise UnsupportedConfigurationError(f"need N >= 2, got N={N}")
-    k = replication_factor(case)
-    pair_slots, rem = divmod(k * N * (M - 1), 2)
-    if rem:
-        raise SchemeConstructionError(f"fractional phase-2 length for M={M} N={N}")
-    return math.factorial(k * N) * math.factorial(pair_slots)
+    s = build_schedule(M, N)
+    return math.factorial(s.phase1_len) * math.factorial(s.T - s.phase1_len)
 
 
 def _phase_split_table(name_cells: list[str], body: list[list[str]], split: int) -> str:
@@ -527,23 +470,19 @@ def _group_label(receiver: int, copy: int, k: int) -> str:
 def format_schedule(schedule: Schedule) -> str:
     """Plain-text slot table: which message groups occupy each slot."""
     head = ["Time"] + [str(t + 1) for t in range(schedule.T)]
-    row = ["Tx"]
-    for p in schedule.phase1:
-        row.append(_group_label(p.receiver, p.copy, schedule.k))
-    for p in schedule.phase2:
-        (a, ca), (b, cb) = p.pair
-        row.append(
-            _group_label(a, ca, schedule.k) + "," + _group_label(b, cb, schedule.k)
-        )
+    first, k = schedule.phase1_len, schedule.k
+    members = schedule.members.tolist()
+    row = ["Tx"] + [_group_label(*group, k) for group, _ in members[:first]]
+    row += [_group_label(*a, k) + "," + _group_label(*b, k) for a, b in members[first:]]
     summary = (
         f"M={schedule.M} N={schedule.N} case={schedule.case.value} "
         f"k={schedule.k} T={schedule.T} messages={schedule.message_count}"
     )
-    return summary + "\n" + _phase_split_table(head, [row], len(schedule.phase1))
+    return summary + "\n" + _phase_split_table(head, [row], first)
 
 
 def format_csit_table(table: CsitTable, phase1_len: int) -> str:
     """Plain-text state table with receivers as rows and slots as columns."""
-    head = ["Time"] + [str(t + 1) for t in range(table.T)]
-    body = [[f"R{i + 1}"] + list(table.states[i]) for i in range(table.N)]
+    head = ["Time"] + [str(t + 1) for t in range(table.grid.shape[1])]
+    body = [[f"R{i + 1}"] + list(row) for i, row in enumerate(table.states)]
     return _phase_split_table(head, body, phase1_len)

@@ -165,7 +165,7 @@ def build_transmit_plan(
     axes, whose one CSIT audit covers every draw's gather.
     """
     view = CsitView(channels, csit)
-    first, draws = len(schedule.phase1), channels.h.shape[:-3]
+    first, draws = schedule.phase1_len, channels.h.shape[:-3]
     rows = view.read(schedule.pair_reads).reshape(draws + (-1, 4, schedule.M))
     coefficients = np.zeros(draws + (schedule.T, 2, schedule.M), dtype=complex)
     coefficients[..., :first, 0, :] = 1.0

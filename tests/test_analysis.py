@@ -9,7 +9,6 @@ import pytest
 
 from xchannel.analysis import (
     RatePoint,
-    csit_fractions,
     dof_report,
     dof_slope,
     oracle_verify_3user,
@@ -56,27 +55,6 @@ class TestDofReport:
         assert d["closed_form"] == "3/2"
         assert d["equal"] is True
         assert (d["T"], d["messages"]) == (6, 9)
-
-
-class TestCsitFractions:
-    def test_3x3_thirds(self):
-        fr = csit_fractions(build_csit_table(build_schedule(3, 3)))
-        third = Fraction(1, 3)
-        for per in fr.per_receiver:
-            assert per == {"P": third, "D": third, "N": third}
-        assert fr.aggregate == {"P": third, "D": third, "N": third}
-
-    def test_1x4_has_no_perfect_slots(self):
-        fr = csit_fractions(build_csit_table(build_schedule(1, 4)))
-        assert fr.aggregate["P"] == 0
-        assert fr.aggregate["D"] == Fraction(3, 4)
-
-    def test_fractions_sum_to_one(self):
-        for M, N in [(3, 3), (4, 3), (2, 4), (5, 4), (2, 3), (7, 5)]:
-            fr = csit_fractions(build_csit_table(build_schedule(M, N)))
-            for per in fr.per_receiver:
-                assert sum(per.values()) == 1
-            assert sum(fr.aggregate.values()) == 1
 
 
 def toy_system(G, sigma, T=1):

@@ -8,14 +8,17 @@ import pytest
 
 from xchannel import cli
 from xchannel.cli import main
-from xchannel.schedule import CsitTable, Schedule, build_csit_table, build_schedule
+from xchannel.schedule import build_csit_table, build_schedule
 
 
 class TestScheduleMode:
     def test_json_round_trips(self, capsys):
         assert main(["schedule", "--M", "3", "--N", "3", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert Schedule.from_dict(payload["schedule"]) == build_schedule(3, 3)
+        phase1, phase2 = payload["schedule"]["phase1"], payload["schedule"]["phase2"]
+        members = [[[e["receiver"], e["copy"]]] * 2 for e in phase1]
+        members += [[[m["receiver"], m["copy"]] for m in e["pair"]] for e in phase2]
+        assert members == build_schedule(3, 3).members.tolist()
         assert payload["dof"] == {
             "M": 3, "N": 3, "case": "M_GE_N_GENERAL", "k": 1, "T": 6,
             "messages": 9, "achieved": "3/2", "closed_form": "3/2", "equal": True,
@@ -40,7 +43,8 @@ class TestCsitTableMode:
     def test_json_round_trips(self, capsys):
         assert main(["csit-table", "--M", "2", "--N", "4", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert CsitTable.from_dict(payload) == build_csit_table(build_schedule(2, 4))
+        states = tuple("".join(row) for row in payload["states"])
+        assert states == build_csit_table(build_schedule(2, 4)).states
 
 
 class TestSimulateMode:
@@ -215,6 +219,39 @@ class TestInputValidation:
         cfg.write_text(json.dumps({"M": 8, "N": 8, "snr": [40, 45, 50]}))
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: rate points must span at least 20 dB\n"
+
+    def test_unknown_config_keys(self, tmp_path, capsys, no_work):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 3, "N": 3, "drawz": 5, "snrs": [10]}))
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: unknown config keys for sweep: drawz, snrs\n"
+
+    @pytest.mark.parametrize(
+        "mode, fmt, choices",
+        [("schedule", "xml", "json, text"), ("simulate", "csv", "json")],
+    )
+    def test_config_format_outside_mode_choices(self, mode, fmt, choices, tmp_path, capsys,
+                                                no_work):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 3, "N": 3, "format": fmt}))
+        assert main([mode, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --format must be one of {choices}, got {fmt!r}\n"
+        )
+
+    def test_out_in_config_must_be_a_path(self, tmp_path, capsys, no_work):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 3, "N": 3, "out": 5}))
+        assert main(["schedule", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: --out must be a file path, got 5\n"
+
+    def test_out_in_config_is_honoured(self, tmp_path, capsys):
+        target = tmp_path / "out.json"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"M": 3, "N": 3, "format": "json", "out": str(target)}))
+        assert main(["schedule", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(target.read_text())["dof"]["equal"] is True
 
 
 def test_console_script_installed():

@@ -1,5 +1,6 @@
 """Invariants of the scheme and its rates, checked as properties over (M, N) and seeds."""
 
+import dataclasses
 import math
 from collections import Counter
 from unittest import mock
@@ -10,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from xchannel import analysis
 from xchannel.analysis import sum_rate, sweep_rates
-from xchannel.channel import generate_channels, generate_messages, stack_draws
-from xchannel.receive import CONDITION_LIMIT, ObservationKind as K
+from xchannel.channel import NoiseModel, generate_channels, generate_messages, stack_draws
+from xchannel.receive import CONDITION_LIMIT, ObservationKind as K, assemble_system, observe_all
 from xchannel.schedule import CsitTable, build_csit_table, build_schedule
 from xchannel.simulate import run_simulation
 from xchannel.transmit import CsitAccessError, audit_csit_trace, build_transmit_plan
@@ -29,7 +30,7 @@ dims = st.tuples(
 def test_run_invariants(case, variance, normalize):
     M, N, seed = case
     s = build_schedule(M, N)
-    first = len(s.phase1)
+    first = s.phase1_len
 
     # phase-2 balance: every (receiver, copy) unit serves in exactly M-1 pair slots
     units = Counter(map(tuple, s.members[first:].reshape(-1, 2).tolist()))
@@ -174,9 +175,9 @@ def test_stacked_plan_raises_at_the_flipped_read(case, pick):
     table = build_csit_table(s)
     current = [tuple(r) for r in s.pair_reads.tolist() if r[1] == r[2]]  # the "P" reads
     receiver, slot, at_slot = current[pick % len(current)]
-    states = [list(row) for row in table.states]
-    states[receiver][slot] = "N"
-    broken = CsitTable(states=tuple("".join(row) for row in states))
+    grid = table.grid.copy()
+    grid[receiver, slot] = ord("N")
+    broken = CsitTable(grid)
     seeds = [seed + 10 * d for d in range(D)]
     channels = stack_draws([generate_channels(M, N, s.T, x) for x in seeds])
     messages = stack_draws([generate_messages(M, N, s.k, x + 1) for x in seeds])
@@ -187,3 +188,43 @@ def test_stacked_plan_raises_at_the_flipped_read(case, pick):
     assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (
         receiver, slot, at_slot, "N"
     )
+
+
+@PROPERTY
+@given(
+    st.tuples(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ),
+    st.booleans(),
+)
+def test_discarded_cells_are_never_read(case, normalize):
+    # NaN in the channel row of every cell whose observation is discarded changes
+    # nothing downstream: no stage reads those cells
+    M, N, seed = case
+    s = build_schedule(M, N)
+    table = build_csit_table(s)
+    messages = generate_messages(M, N, s.k, seed + 1)
+    noise = NoiseModel(enabled=True, seed=seed + 2)
+
+    def run(channels):
+        plan = build_transmit_plan(s, messages, channels, table, normalize=normalize)
+        log = observe_all(plan, channels, noise)
+        systems = assemble_system(log, np.arange(N))
+        return plan.signal_matrix(), log, systems, sum_rate(systems, [40.0, 80.0])
+
+    clean = generate_channels(M, N, s.T, seed)
+    X, log, systems, rates = run(clean)
+    discarded = log.entries == K.DISCARDED
+    h = clean.h.copy()
+    receiver, slot = np.nonzero(discarded)
+    h[receiver, :, slot] = np.nan
+    assert np.isnan(h).any() == discarded.any()
+    X2, log2, systems2, rates2 = run(dataclasses.replace(clean, h=h))
+
+    assert np.array_equal(X2, X)
+    assert np.array_equal(log2.values[~discarded], log.values[~discarded])
+    for name in ("G", "y", "sigma", "noise_map"):
+        assert np.array_equal(getattr(systems2, name), getattr(systems, name))
+    assert rates2 == rates

@@ -5,14 +5,15 @@ from collections import Counter
 from itertools import combinations
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from xchannel.schedule import (
-    CsitTable,
-    Schedule,
     SchemeCase,
+    SchemeConstructionError,
     UnsupportedConfigurationError,
+    _check_balance,
     build_csit_table,
     build_schedule,
     classify_case,
@@ -185,6 +186,32 @@ class TestBalanceInvariants:
             seen = sorted(m for p in chunk for m in p.pair)
             assert seen == sorted((i, c) for i in range(N) for c in range(2))
 
+    @pytest.mark.parametrize(
+        "M,N,pairs,message",
+        [
+            (2, 3, [], "phase-2 slot count k*N*(M-1)/2 is fractional for M=2 N=3 k=1"),
+            (3, 3, [[0, 1], [0, 2]], "phase 2 has 2 slots, expected 3"),
+            (3, 3, [[0, 0], [1, 2], [1, 2]], "pair slot reuses receiver 0"),
+            (3, 3, [[0, 1], [0, 1], [1, 2]],
+             "receiver 1 copy 0 appears in 3 pair slots, expected 2"),
+        ],
+    )
+    def test_broken_pair_table_rejected(self, M, N, pairs, message):
+        table = np.zeros((len(pairs), 2, 2), dtype=np.intp)  # copy 0 throughout
+        table[..., 0] = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        with pytest.raises(SchemeConstructionError) as exc:
+            _check_balance(M, N, 1, table)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("M,N", [(3, 3), (4, 3), (1, 3)])
+    def test_slot_records_are_views_of_members(self, M, N):
+        s = build_schedule(M, N)
+        assert s.members.shape == (s.T, 2, 2) and not s.members.flags.writeable
+        rows = [[(p.receiver, p.copy)] * 2 for p in s.phase1] + [list(p.pair) for p in s.phase2]
+        assert np.array_equal(np.array(rows, dtype=np.intp).reshape(-1, 2, 2), s.members)
+        assert [p.slot for p in s.phase1 + s.phase2] == list(range(s.T))
+        assert all(type(v) is int for p in s.phase2 for m in p.pair for v in m)
+
     def test_n_below_two_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
             build_schedule(3, 1)
@@ -241,6 +268,14 @@ class TestCsitTable:
             assert c["D"] == k * (N - 1)
             assert c["N"] == s.T - c["P"] - c["D"]
 
+    def test_views_read_the_grid(self):
+        s = build_schedule(4, 3)
+        table = build_csit_table(s)
+        assert table.grid.dtype == np.uint8 and not table.grid.flags.writeable
+        assert np.array_equal(np.array([list(row.encode()) for row in table.states]), table.grid)
+        cells = [[table.state(i, t) for t in range(s.T)] for i in range(s.N)]
+        assert cells == [list(row) for row in table.states]
+
     def test_phase1_columns_have_one_n_state(self):
         s = build_schedule(3, 4)
         table = build_csit_table(s)
@@ -264,7 +299,8 @@ class TestPermutations:
     def test_identity(self):
         s = build_schedule(3, 3)
         t = permute_schedule(s, list(range(3)), list(range(3)))
-        assert t == s
+        assert np.array_equal(t.members, s.members)
+        assert (t.M, t.N, t.case, t.k) == (s.M, s.N, s.case, s.k)
 
     def test_swap_golden(self):
         s = build_schedule(3, 3)
@@ -319,17 +355,39 @@ class TestPermutations:
             assert count_csit_variants(M, N) == want
 
 
+GOLDEN_3X3 = {
+    "M": 3, "N": 3, "case": "M_GE_N_GENERAL", "k": 1, "T": 6,
+    "phase1": [
+        {"slot": 0, "receiver": 0, "copy": 0},
+        {"slot": 1, "receiver": 1, "copy": 0},
+        {"slot": 2, "receiver": 2, "copy": 0},
+    ],
+    "phase2": [
+        {"slot": 3, "pair": [{"receiver": 0, "copy": 0}, {"receiver": 1, "copy": 0}]},
+        {"slot": 4, "pair": [{"receiver": 0, "copy": 0}, {"receiver": 2, "copy": 0}]},
+        {"slot": 5, "pair": [{"receiver": 1, "copy": 0}, {"receiver": 2, "copy": 0}]},
+    ],
+}
+
+
 class TestSerialization:
     @pytest.mark.parametrize("M,N", [(3, 3), (4, 3), (2, 4), (2, 3), (5, 4)])
     def test_schedule_round_trip(self, M, N):
+        # the JSON lists every slot of `members` once, in slot order
         s = build_schedule(M, N)
         d = json.loads(json.dumps(s.to_dict()))
-        assert Schedule.from_dict(d) == s
+        if (M, N) == (3, 3):
+            assert d == GOLDEN_3X3
+        assert [e["slot"] for e in d["phase1"] + d["phase2"]] == list(range(s.T))
+        members = [[(e["receiver"], e["copy"])] * 2 for e in d["phase1"]]
+        members += [[(m["receiver"], m["copy"]) for m in e["pair"]] for e in d["phase2"]]
+        assert np.array_equal(np.array(members), s.members)
+        assert (d["M"], d["N"], d["case"], d["k"], d["T"]) == (M, N, s.case.value, s.k, s.T)
 
     def test_csit_round_trip(self):
         table = build_csit_table(build_schedule(3, 3))
         d = json.loads(json.dumps(table.to_dict()))
-        assert CsitTable.from_dict(d) == table
+        assert d == {"states": [list("NDDPPN"), list("DNDPNP"), list("DDNNPP")]}
 
     def test_format_schedule_labels(self):
         text = format_schedule(build_schedule(3, 3))

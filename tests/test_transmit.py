@@ -172,9 +172,9 @@ class TestCsitAccessControl:
         at = 4 * (len(reads) // 8) + 1  # h_a(t) of a middle pair slot
         receiver, slot, at_slot = reads[at]
         assert slot == at_slot and table.state(receiver, slot) == "P"
-        states = [list(row) for row in table.states]
-        states[receiver][slot] = "N"
-        broken = CsitTable(states=tuple("".join(row) for row in states))
+        grid = table.grid.copy()
+        grid[receiver, slot] = ord("N")
+        broken = CsitTable(grid)
         with pytest.raises(CsitAccessError) as exc:
             build_transmit_plan(s, ms, ch, broken)
         assert (exc.value.receiver, exc.value.slot, exc.value.at_slot) == (receiver, slot, at_slot)
