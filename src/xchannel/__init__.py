@@ -19,7 +19,7 @@ from .channel import (
     NoiseModel,
     generate_channels,
     generate_messages,
-    stack_draws,
+    run_streams,
 )
 from .receive import (
     CONDITION_LIMIT,

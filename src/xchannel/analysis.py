@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import NoiseModel, generate_channels, generate_messages
+from .channel import NoiseModel, generate_channels, generate_messages, run_streams
 from .receive import (
     LinearSystem,
     ObservationKind,
@@ -136,7 +136,7 @@ def sum_rate(systems, snr_dbs, allocation: str = "equal") -> list[RatePoint]:
     ]
 
 
-DRAW_CHUNK_ELEMENTS = 1 << 16  # budget on D*N*M*T, the channel elements of a sweep chunk
+DRAW_CHUNK_ELEMENTS = 1 << 16  # budget on D*N*M*T, the channel elements a sweep chunk stores
 
 
 def sweep_rates(
@@ -150,8 +150,8 @@ def sweep_rates(
     """Ergodic rate curve: average sum_rate over `draws` channel realizations.
 
     The same realizations are reused at every SNR point, which keeps the
-    fitted slope estimate stable. Draw d uses seed + 10*d; each chunk of draws
-    within DRAW_CHUNK_ELEMENTS (at least one) is one stacked run and one sum_rate.
+    fitted slope estimate stable. Draw d runs on SeedSequence(seed, spawn_key=(d,)); each chunk
+    of draws within DRAW_CHUNK_ELEMENTS (at least one) is one stacked run and one sum_rate.
     """
     if draws < 1:
         raise ValueError(f"need at least one draw, got {draws}")
@@ -160,7 +160,7 @@ def sweep_rates(
     chunk = max(1, DRAW_CHUNK_ELEMENTS // (N * M * schedule.T))
     per = np.zeros((len(snr_dbs), N))
     for start in range(0, draws, chunk):
-        seeds = [seed + 10 * d for d in range(start, min(start + chunk, draws))]
+        seeds = [np.random.SeedSequence(seed, spawn_key=(d,)) for d in range(start, min(start + chunk, draws))]
         sim = run_simulation(
             M, N, seed=seeds, noise_enabled=True, normalize=normalize, schedule=schedule
         )
@@ -242,16 +242,18 @@ def oracle_verify_3user(
 ) -> OracleReport:
     """Check the full (3, 3) pipeline against hand-written per-slot formulas.
 
-    Every transmitted signal, every received value, all six stored-replay
-    subtractions, the discarded-observation pattern, and final recovery are
-    re-derived independently (plain loops, explicit index arithmetic) and
+    The draws are those of run_simulation(3, 3, seed). Every transmitted
+    signal, every used received value, all six stored-replay subtractions,
+    the discarded-observation pattern (NaN, never drawn), and final recovery
+    are re-derived independently (plain loops, explicit index arithmetic) and
     compared at relative tolerance `tol`. Passing a tampered plan makes the
     first divergent transmit check fail, which is how the oracle itself is
     exercised.
     """
     schedule = build_schedule(3, 3)
-    channels = generate_channels(3, 3, schedule.T, seed)
-    messages = generate_messages(3, 3, schedule.k, seed + 1)
+    channel_seed, message_seed, _ = run_streams(seed)
+    channels = generate_channels(3, 3, schedule.T, channel_seed, mask=schedule.used)
+    messages = generate_messages(3, 3, schedule.k, message_seed)
     if plan is None:
         plan = build_transmit_plan(
             schedule, messages, channels, build_csit_table(schedule)
@@ -281,13 +283,15 @@ def oracle_verify_3user(
             )
         )
 
+    discarded_expected = {(2, 3), (1, 4), (0, 5)}  # each pair slot's third receiver
     log = observe_all(plan, channels, NoiseModel(enabled=False))
     Y_hand = np.zeros((3, 6), dtype=complex)
     for i in range(3):
         for t in range(6):
             Y_hand[i, t] = sum(h[i, j, t] * X_hand[j, t] for j in range(3))
     for t in range(6):
-        ok = _rel_close(log.values[:, t], Y_hand[:, t], tol)
+        used = [i for i in range(3) if (i, t) not in discarded_expected]
+        ok = _rel_close(log.values[used, t], Y_hand[used, t], tol)
         checks.append(
             CheckResult(
                 name=f"receive-slot-{t + 1}",
@@ -320,18 +324,18 @@ def oracle_verify_3user(
             )
         )
 
-    discarded_expected = {(2, 3), (1, 4), (0, 5)}
     discarded_got = {
         (i, t)
         for i in range(3)
         for t in range(6)
         if log.entries[i][t] == ObservationKind.DISCARDED
     }
+    never_drawn = {(i, t) for i, t in discarded_got if np.isnan(h[i, :, t]).all() and np.isnan(log.values[i, t])}
     checks.append(
         CheckResult(
             name="discarded-pattern",
-            passed=discarded_got == discarded_expected,
-            detail=f"{sorted(discarded_got)}",
+            passed=discarded_got == discarded_expected == never_drawn,
+            detail=f"{sorted(discarded_got)}, NaN at {sorted(never_drawn)}",
         )
     )
 

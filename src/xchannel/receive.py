@@ -119,19 +119,16 @@ def observe_all(
 
     In phase 1 the served receiver sees its desired group and everyone else
     stores interference; in phase 2 the two members see a combined value and
-    everyone else discards theirs.
+    everyone else discards theirs (not schedule.used; NaN if never drawn).
     """
     s = plan.schedule
     X = plan.signal_matrix()
     values = np.einsum("...ijt,...jt->...it", channels.h, X) + noise.sample_grid(s.N, s.T)
     values.setflags(write=False)
-    served = (s.members[:, :, 0] == np.arange(s.N)[:, None, None]).any(axis=2)
     kind = ObservationKind
-    entries = np.where(
-        np.arange(s.T) < s.phase1_len,
-        np.where(served, kind.DESIRED_PHASE1.value, kind.INTERFERENCE_PHASE1.value),
-        np.where(served, kind.COMBINED_PHASE2.value, kind.DISCARDED.value),
-    ).astype(np.int8)
+    entries = np.where(s.used, kind.COMBINED_PHASE2.value, kind.DISCARDED.value).astype(np.int8)
+    entries[:, : s.phase1_len] = kind.INTERFERENCE_PHASE1.value
+    entries[np.arange(s.N)[:, None], s.phase1_slots] = kind.DESIRED_PHASE1.value
     entries.setflags(write=False)
     return ObservationLog(
         schedule=s,

@@ -155,6 +155,15 @@ class Schedule:
         return table
 
     @cached_property
+    def used(self) -> np.ndarray:
+        """(N, T) bool table of the observations receivers use: all of phase 1, and their pair slots."""
+        used = np.zeros((self.N, self.T), dtype=bool)
+        used[:, : self.phase1_len] = True
+        used[self.members[:, :, 0].T, np.arange(self.T)] = True  # each slot's members
+        used.setflags(write=False)
+        return used
+
+    @cached_property
     def pair_reads(self) -> np.ndarray:
         """(4P, 3) index table of the P pair slots' CSIT reads, (receiver, slot, at_slot) in
         read order: pair slot t serving members a and b, broadcast at t_a and t_b, reads

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (ChannelRealization, MessageSet, NoiseModel, generate_channels,
-                      generate_messages, stack_draws)
+                      generate_messages, run_streams)
 from .receive import DecodeResult, LinearSystem, ObservationLog, assemble_system, decode, observe_all
 from .schedule import CsitTable, Schedule, build_csit_table, build_schedule
 from .transmit import TransmitPlan, build_transmit_plan
@@ -23,6 +23,7 @@ class SimulationResult:
     channels: ChannelRealization
     messages: MessageSet
     table: CsitTable
+    noise: NoiseModel
     plan: TransmitPlan
     log: ObservationLog
     systems: LinearSystem  # stacked over (draws..., receivers)
@@ -53,7 +54,7 @@ class SimulationResult:
 def run_simulation(
     M: int,
     N: int,
-    seed: int | list[int] = 0,
+    seed: int | np.random.SeedSequence | list = 0,
     *,
     noise_enabled: bool = False,
     noise_variance: float = 1.0,
@@ -62,11 +63,12 @@ def run_simulation(
 ) -> SimulationResult:
     """Run one seeded end-to-end transmission.
 
-    Channels, messages and noise derive their seeds as seed, seed+1, seed+2.
-    A list of seeds runs one draw per seed in a single stacked pass, with a
-    leading draw axis on every array; each draw equals its own single run.
-    Passing an explicit schedule (e.g. a permuted one) overrides the canonical
-    construction; dimensions must match.
+    The seed (an int or a SeedSequence) roots the channel, message and noise streams
+    (run_streams), so no two seeds share a random number. Channels are drawn only where
+    schedule.used and are NaN elsewhere. A list of seeds runs one draw per seed in a
+    single stacked pass, with a leading draw axis on every array; each draw equals its
+    own single run. Passing an explicit schedule (e.g. a permuted one) overrides the
+    canonical construction; dimensions must match.
     """
     if schedule is None:
         schedule = build_schedule(M, N)
@@ -74,14 +76,11 @@ def run_simulation(
         raise ValueError(
             f"schedule is for M={schedule.M} N={schedule.N}, requested M={M} N={N}"
         )
-    stacked = np.ndim(seed) > 0
-    seeds = list(seed) if stacked else [seed]
-    combine = stack_draws if stacked else (lambda draws: draws[0])
-    channels = combine([generate_channels(M, N, schedule.T, s) for s in seeds])
-    messages = combine([generate_messages(M, N, schedule.k, s + 1) for s in seeds])
+    ch_seed, msg_seed, noise_seed = zip(*map(run_streams, seed)) if np.ndim(seed) else run_streams(seed)
+    channels = generate_channels(M, N, schedule.T, ch_seed, mask=schedule.used)
+    messages = generate_messages(M, N, schedule.k, msg_seed)
     table = build_csit_table(schedule)
     plan = build_transmit_plan(schedule, messages, channels, table, normalize=normalize)
-    noise_seed = tuple(s + 2 for s in seeds) if stacked else seed + 2
     noise = NoiseModel(enabled=noise_enabled, variance=noise_variance, seed=noise_seed)
     log = observe_all(plan, channels, noise)
     systems = assemble_system(log, np.arange(N))
@@ -91,6 +90,7 @@ def run_simulation(
         channels=channels,
         messages=messages,
         table=table,
+        noise=noise,
         plan=plan,
         log=log,
         systems=systems,

@@ -161,8 +161,8 @@ def build_transmit_plan(
     1 / max_j ||coefficients of transmitter j||, so every transmitter meets a
     unit power budget with unit-power messages. A common factor (rather than
     per-transmitter ones) keeps the stored-observation subtraction exact.
-    Channels and messages with draw axes (stack_draws) give a plan with those
-    axes, whose one CSIT audit covers every draw's gather.
+    Channels and messages with draw axes (drawn from a tuple of seeds) give a
+    plan with those axes, whose one CSIT audit covers every draw's gather.
     """
     view = CsitView(channels, csit)
     first, draws = schedule.phase1_len, channels.h.shape[:-3]

@@ -175,13 +175,15 @@ class TestOracle:
     def test_tampered_plan_caught(self):
         # drop the inverse from one precoding coefficient: the slot-4 transmit
         # check must be the first to diverge
-        from xchannel.channel import generate_channels, generate_messages
+        from xchannel.channel import generate_channels, generate_messages, run_streams
         from xchannel.transmit import build_transmit_plan
 
         s = build_schedule(3, 3)
-        ch = generate_channels(3, 3, s.T, seed=0)
-        ms = generate_messages(3, 3, 1, seed=1)
+        channel_seed, message_seed, _ = run_streams(0)  # the oracle's own draws
+        ch = generate_channels(3, 3, s.T, channel_seed, mask=s.used)
+        ms = generate_messages(3, 3, 1, message_seed)
         plan = build_transmit_plan(s, ms, ch, build_csit_table(s))
+        assert oracle_verify_3user(seed=0, plan=plan).passed
         coefficients = plan.coefficients.copy()
         coefficients[3, 0, 0] = ch.h[1, 0, 0]  # member (0, 0), transmitter 0
         tampered = dataclasses.replace(plan, coefficients=coefficients, _signals=None)

@@ -10,6 +10,7 @@ from xchannel.channel import (
     NoiseModel,
     generate_channels,
     generate_messages,
+    run_streams,
 )
 from xchannel.receive import observe_all
 from xchannel.schedule import build_csit_table, build_schedule
@@ -36,6 +37,34 @@ class TestGenerateChannels:
         shape = (N, M, T)
         want = np.sqrt(1.0 / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         assert generate_channels(M, N, T, seed).h.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("M,N", [(2, 2), (3, 3), (4, 8)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_masked_draw_matches_reference_expression(self, M, N, seed):
+        # only the used cells are drawn, in C order of (N, M, T), all real parts
+        # then all imaginary parts; an all-True mask is the unmasked draw
+        s = build_schedule(M, N)
+        cells = np.broadcast_to(s.used[:, None, :], (N, M, s.T))
+        n = int(cells.sum())
+        rng = np.random.default_rng(seed)
+        want = np.full((N, M, s.T), complex(np.nan, np.nan))
+        want[cells] = np.sqrt(1.0 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        assert generate_channels(M, N, s.T, seed, mask=s.used).h.tobytes() == want.tobytes()
+        everywhere = generate_channels(M, N, s.T, seed, mask=np.ones((N, s.T), dtype=bool))
+        assert everywhere.h.tobytes() == generate_channels(M, N, s.T, seed).h.tobytes()
+
+    def test_seed_tuple_stacks_single_draws(self):
+        s = build_schedule(4, 3)
+        seeds = (5, np.random.SeedSequence(1, spawn_key=(2,)))
+        stack = generate_channels(4, 3, s.T, seeds, mask=s.used)
+        assert stack.h.shape == (2, 3, 4, s.T) and stack.seed == seeds
+        messages = generate_messages(4, 3, s.k, seeds)
+        grid = NoiseModel(enabled=True, seed=seeds).sample_grid(3, s.T)
+        for d, seed in enumerate(seeds):
+            single = generate_channels(4, 3, s.T, seed, mask=s.used).h
+            assert stack.h[d].tobytes() == single.tobytes()
+            assert np.array_equal(messages.w[d], generate_messages(4, 3, s.k, seed).w)
+            assert np.array_equal(grid[d], NoiseModel(enabled=True, seed=seed).sample_grid(3, s.T))
 
     def test_seeds_differ(self):
         a = generate_channels(3, 3, 6, seed=1)
@@ -179,3 +208,13 @@ def test_realization_records_seed():
     ms = generate_messages(2, 2, 1, seed=45)
     assert isinstance(ms, MessageSet)
     assert ms.seed == 45
+
+
+def test_run_streams_are_a_fresh_spawn():
+    want = [c.generate_state(4).tolist() for c in np.random.SeedSequence(7).spawn(3)]
+    assert [c.generate_state(4).tolist() for c in run_streams(7)] == want
+    root = np.random.SeedSequence(7)
+    root.spawn(5)  # spawn's counter does not move the streams
+    assert [c.generate_state(4).tolist() for c in run_streams(root)] == want
+    draw = np.random.SeedSequence(7, spawn_key=(1,))
+    assert [c.spawn_key for c in run_streams(draw)] == [(1, 0), (1, 1), (1, 2)]

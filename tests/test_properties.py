@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from xchannel import analysis
 from xchannel.analysis import sum_rate, sweep_rates
-from xchannel.channel import NoiseModel, generate_channels, generate_messages, stack_draws
+from xchannel.channel import NoiseModel, generate_channels, generate_messages
 from xchannel.receive import CONDITION_LIMIT, ObservationKind as K, assemble_system, observe_all
 from xchannel.schedule import CsitTable, build_csit_table, build_schedule
 from xchannel.simulate import run_simulation
@@ -68,11 +68,12 @@ def test_run_invariants(case, variance, normalize):
     noise = noisy.log.values - sim.log.values
     for i, (system, clean) in enumerate(zip(noisy.systems, sim.systems)):
         B = system.noise_map
-        # B maps the receiver's noise onto the right-hand side of its system
-        shift = system.y - clean.y
-        assert np.abs(shift - B @ noise[i]).max() <= 1e-9 * max(1.0, np.abs(shift).max())
-        # discarded observations never enter the system; desired and combined ones do
         used = np.any(B != 0, axis=0)
+        # B maps the receiver's noise onto the right-hand side of its system; the
+        # observations of cells whose channel was never drawn are NaN, and B is zero there
+        shift = system.y - clean.y
+        assert np.abs(shift - B[:, used] @ noise[i, used]).max() <= 1e-9 * max(1.0, np.abs(shift).max())
+        # discarded observations never enter the system; desired and combined ones do
         assert not used[entries[i] == K.DISCARDED].any()
         assert used[np.isin(entries[i], (K.DESIRED_PHASE1, K.COMBINED_PHASE2))].all()
         np.testing.assert_allclose(system.sigma, variance * B @ B.T, rtol=1e-12, atol=0)
@@ -143,8 +144,8 @@ def test_sweep_is_mean_of_draws_in_any_chunking(case, normalize):
     M, N, D, seed = case
     snrs = [40.0, 60.0, 80.0]
     per_draw = [
-        sum_rate(list(run_simulation(M, N, seed=seed + 10 * d, noise_enabled=True,
-                                     normalize=normalize).systems), snrs)
+        sum_rate(list(run_simulation(M, N, seed=np.random.SeedSequence(seed, spawn_key=(d,)),
+                                     noise_enabled=True, normalize=normalize).systems), snrs)
         for d in range(D)
     ]
     whole = sweep_rates(M, N, snrs, draws=D, seed=seed, normalize=normalize)
@@ -178,9 +179,9 @@ def test_stacked_plan_raises_at_the_flipped_read(case, pick):
     grid = table.grid.copy()
     grid[receiver, slot] = ord("N")
     broken = CsitTable(grid)
-    seeds = [seed + 10 * d for d in range(D)]
-    channels = stack_draws([generate_channels(M, N, s.T, x) for x in seeds])
-    messages = stack_draws([generate_messages(M, N, s.k, x + 1) for x in seeds])
+    seeds = tuple(seed + 10 * d for d in range(D))
+    channels = generate_channels(M, N, s.T, seeds)
+    messages = generate_messages(M, N, s.k, tuple(x + 1 for x in seeds))
     assert audit_csit_trace(build_transmit_plan(s, messages, channels, table).csit_reads,
                             table) == []
     with pytest.raises(CsitAccessError) as exc:
@@ -228,3 +229,53 @@ def test_discarded_cells_are_never_read(case, normalize):
     for name in ("G", "y", "sigma", "noise_map"):
         assert np.array_equal(getattr(systems2, name), getattr(systems, name))
     assert rates2 == rates
+
+
+@PROPERTY
+@given(stacks, st.booleans())
+def test_channels_are_nan_exactly_on_discarded_cells(case, stacked):
+    # only used observations get channel normals: a discarded (receiver, slot)
+    # cell is NaN for every transmitter, and every other cell is finite and nonzero
+    M, N, D, seed = case
+    sim = run_simulation(M, N, seed=[seed + d for d in range(D)] if stacked else seed)
+    discarded = sim.log.entries == K.DISCARDED
+    h = sim.channels.h
+    assert h.shape == ((D,) if stacked else ()) + (N, M, sim.schedule.T)
+    cells = np.broadcast_to(discarded[:, None, :], h.shape)
+    assert np.array_equal(np.isnan(h.real), cells) and np.array_equal(np.isnan(h.imag), cells)
+    assert np.all(np.abs(h[~cells]) > 0)
+    assert np.array_equal(np.isnan(sim.log.values), np.broadcast_to(discarded, sim.log.values.shape))
+
+
+def _normals(a):
+    """The real and imaginary parts of an array's drawn values, NaN cells left out."""
+    parts = np.concatenate([a.real.ravel(), a.imag.ravel()])
+    return parts[np.isfinite(parts)]
+
+
+def test_consecutive_seeds_share_no_normals():
+    # seeds s, s+1, s+2 per run once drew run 0's messages from run 1's channel seed
+    assert np.intersect1d(_normals(run_simulation(3, 3, seed=0).messages.w),
+                          _normals(run_simulation(3, 3, seed=1).channels.h)).size == 0
+
+
+@pytest.mark.parametrize("M,N", [(3, 3), (2, 4)])
+def test_no_two_runs_or_draws_share_a_normal(M, N):
+    sources = {}
+    for seed in range(5):
+        sim = run_simulation(M, N, seed=seed, noise_enabled=True)
+        grid = sim.noise.sample_grid(N, sim.schedule.T)
+        sources.update({("run", seed, "channels"): sim.channels.h,
+                        ("run", seed, "messages"): sim.messages.w, ("run", seed, "noise"): grid})
+    # the draws of sweep_rates(M, N, ..., draws=4, seed=0), as it runs them
+    seeds = [np.random.SeedSequence(0, spawn_key=(d,)) for d in range(4)]
+    stack = run_simulation(M, N, seed=seeds, noise_enabled=True)
+    grids = stack.noise.sample_grid(N, stack.schedule.T)
+    for d in range(4):
+        sources.update({("draw", d, "channels"): stack.channels.h[d],
+                        ("draw", d, "messages"): stack.messages.w[d], ("draw", d, "noise"): grids[d]})
+    values = {key: _normals(a) for key, a in sources.items()}
+    keys = list(values)
+    shared = [(a, b) for i, a in enumerate(keys) for b in keys[i + 1:]
+              if np.intersect1d(values[a], values[b]).size]
+    assert shared == []
