@@ -97,11 +97,31 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class DecodeResult:
-    receiver: int
+    """Decode of one system, or of a stack of them.
+
+    receiver, decoded, rank and condition have the stack's shape (plain
+    scalars for one system); estimates adds a trailing kM axis. success is a
+    plain bool: every system decoded. A failed system has a NaN row of
+    estimates in a stack, and estimates None on its own.
+    """
+
+    receiver: int | np.ndarray
     success: bool
     estimates: np.ndarray | None
-    rank: int
-    condition: float
+    rank: int | np.ndarray
+    condition: float | np.ndarray
+    decoded: bool | np.ndarray
+
+    def unstack(self) -> tuple[DecodeResult, ...]:
+        """One result per system of a stack, in flat C order."""
+        rows = zip(
+            *(np.ravel(a).tolist() for a in (self.receiver, self.decoded, self.rank, self.condition)),
+            self.estimates.reshape(-1, self.estimates.shape[-1]),
+        )
+        return tuple(
+            DecodeResult(receiver, ok, est if ok else None, rank, condition, ok)
+            for receiver, ok, rank, condition, est in rows
+        )
 
     def to_record(self) -> dict:
         return {
@@ -198,7 +218,10 @@ def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
     B[(..., *cells, positions, slot)] = 1.0
     B[(..., *cells, positions[..., 1:], linked)] = -log.slot_scale[..., slot[..., 1:]]
     B, y = B.reshape(lead + (k * M, T)), y.reshape(lead + (k * M,))
-    sigma = log.noise_variance * (B @ np.swapaxes(B, -1, -2))
+    if log.noise_variance:
+        sigma = log.noise_variance * (B @ np.swapaxes(B, -1, -2))
+    else:  # noiseless: sigma is 0 * B B^T, so skip the product
+        sigma = np.zeros(lead + (k * M, k * M))
     for arr in (G, y, B, sigma):
         arr.setflags(write=False)
     return LinearSystem(
@@ -208,20 +231,35 @@ def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
 
 
 def decode(system: LinearSystem) -> DecodeResult:
-    """Solve the receiver's system, or report failure for a degenerate one.
+    """Solve every system of the stack, or report failure for a degenerate one.
 
-    A direct solve plus one iterative-refinement step. For a square
-    nonsingular G this is also the generalized least-squares estimate under
-    any noise covariance, so noisy and noiseless systems share the path.
-    A condition number beyond CONDITION_LIMIT yields a failure result instead
-    of an exception.
+    One stacked SVD gives the 2-norm conditions (as np.linalg.cond); the
+    systems within CONDITION_LIMIT get one stacked direct solve plus one
+    iterative-refinement step, and only the others get a matrix_rank. For a
+    square nonsingular G this is also the generalized least-squares estimate
+    under any noise covariance, so noisy and noiseless systems share the
+    path. A single system is the stack with no leading axes. A condition
+    number beyond CONDITION_LIMIT yields a failure instead of an exception.
     """
-    G, y = system.G, system.y
-    sv = np.linalg.svd(G, compute_uv=False)  # the 2-norm condition, as np.linalg.cond
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    if condition > CONDITION_LIMIT:
-        rank = int(np.linalg.matrix_rank(G))
-        return DecodeResult(system.receiver, False, None, rank=rank, condition=condition)
-    est = np.linalg.solve(G, y)
-    est += np.linalg.solve(G, y - G @ est)
-    return DecodeResult(system.receiver, True, est, rank=G.shape[0], condition=condition)
+    G, y = system.G, system.y[..., None]
+    sv = np.linalg.svd(G, compute_uv=False)
+    smallest = sv[..., -1]
+    condition = np.full(np.shape(smallest), np.inf)
+    np.divide(sv[..., 0], smallest, out=condition, where=smallest > 0)
+    decoded = condition <= CONDITION_LIMIT  # an svd of non-finite entries raises, so never NaN
+    success = bool(decoded.all())
+    Gs, ys = (G, y) if success else (G[decoded], y[decoded])  # no masked copies when all decode
+    est = np.linalg.solve(Gs, ys)
+    est += np.linalg.solve(Gs, ys - Gs @ est)
+    rank = np.full(decoded.shape, G.shape[-1])
+    if success:
+        estimates = est[..., 0]
+    else:
+        estimates = np.full(system.y.shape, np.nan, dtype=complex)
+        estimates[decoded] = est[..., 0]
+        rank[~decoded] = np.linalg.matrix_rank(G[~decoded])
+    if decoded.ndim:
+        return DecodeResult(system.receiver, success, estimates, rank, condition, decoded)
+    return DecodeResult(
+        system.receiver, success, estimates if success else None, int(rank), float(condition), success
+    )

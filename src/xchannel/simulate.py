@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,28 +28,35 @@ class SimulationResult:
     plan: TransmitPlan
     log: ObservationLog
     systems: LinearSystem  # stacked over (draws..., receivers)
-    decodes: tuple[DecodeResult, ...]  # in the order of systems
+    decoding: DecodeResult  # one stacked decode of systems
 
-    def truth(self, receiver: int) -> np.ndarray:
-        """Copy-major flat message vector the receiver should recover (single runs)."""
-        return self.messages.w[receiver].T.reshape(-1)
+    @functools.cached_property
+    def decodes(self) -> tuple[DecodeResult, ...]:
+        """Per-system view of decoding, in the flat order of systems."""
+        return self.decoding.unstack()
+
+    @functools.cached_property
+    def _truths(self) -> np.ndarray:
+        return np.swapaxes(self.messages.w, -1, -2).reshape(len(self.systems), -1)
+
+    def truth(self, i: int) -> np.ndarray:
+        """Copy-major flat message vector system i should recover, in the flat order of decodes."""
+        return self._truths[i]
+
+    @functools.cached_property
+    def _errors(self) -> tuple[float, ...]:
+        estimates = self.decoding.estimates.reshape(self._truths.shape)
+        return tuple(
+            float(np.linalg.norm(est - truth) / np.linalg.norm(truth))  # NaN for a failed row
+            for est, truth in zip(estimates, self._truths)
+        )
 
     def relative_errors(self) -> list[float]:
         """Relative recovery error per decode; NaN where decoding failed."""
-        truths = np.swapaxes(self.messages.w, -1, -2).reshape(len(self.decodes), -1)
-        errs = []
-        for d, truth in zip(self.decodes, truths):
-            if not d.success:
-                errs.append(float("nan"))
-                continue
-            errs.append(
-                float(np.linalg.norm(d.estimates - truth) / np.linalg.norm(truth))
-            )
-        return errs
+        return list(self._errors)
 
     def all_recovered(self, tol: float = 1e-8) -> bool:
-        errs = self.relative_errors()
-        return all(np.isfinite(e) and e <= tol for e in errs)
+        return all(e <= tol for e in self._errors)  # False for NaN
 
 
 def run_simulation(
@@ -84,7 +92,6 @@ def run_simulation(
     noise = NoiseModel(enabled=noise_enabled, variance=noise_variance, seed=noise_seed)
     log = observe_all(plan, channels, noise)
     systems = assemble_system(log, np.arange(N))
-    decodes = tuple(map(decode, systems))
     return SimulationResult(
         schedule=schedule,
         channels=channels,
@@ -94,5 +101,5 @@ def run_simulation(
         plan=plan,
         log=log,
         systems=systems,
-        decodes=decodes,
+        decoding=decode(systems),
     )

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from xchannel import analysis
 from xchannel.analysis import sum_rate, sweep_rates
 from xchannel.channel import NoiseModel, generate_channels, generate_messages
-from xchannel.receive import CONDITION_LIMIT, ObservationKind as K, assemble_system, observe_all
+from xchannel.receive import (CONDITION_LIMIT, LinearSystem, ObservationKind as K, assemble_system,
+                              decode, observe_all)
 from xchannel.schedule import CsitTable, build_csit_table, build_schedule
 from xchannel.simulate import run_simulation
 from xchannel.transmit import CsitAccessError, audit_csit_trace, build_transmit_plan
@@ -279,3 +280,74 @@ def test_no_two_runs_or_draws_share_a_normal(M, N):
     shared = [(a, b) for i, a in enumerate(keys) for b in keys[i + 1:]
               if np.intersect1d(values[a], values[b]).size]
     assert shared == []
+
+
+def _reference_decode(G, y):
+    """Per-system decode as a plain reference: (decoded, estimates, rank, condition)."""
+    sv = np.linalg.svd(G, compute_uv=False)
+    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
+    if condition > CONDITION_LIMIT:
+        return False, None, int(np.linalg.matrix_rank(G)), condition
+    est = np.linalg.solve(G, y)
+    est += np.linalg.solve(G, y - G @ est)
+    return True, est, G.shape[0], condition
+
+
+def _degenerate(kind, G, rng):
+    """G made singular, ill-conditioned (condition near 1e14) or all zero."""
+    m = G.shape[0]
+    if kind == "zero" or m == 1:
+        return np.zeros_like(G)
+    if kind == "singular":
+        G = G.copy()
+        G[-1] = rng.standard_normal(m - 1) @ G[:-1]
+        return G
+    q1, _ = np.linalg.qr(G)
+    q2, _ = np.linalg.qr(G.conj().T)
+    return (q1 * np.r_[np.ones(m - 1), 1e-14]) @ q2
+
+
+@PROPERTY
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.data(),
+)
+def test_stacked_decode_equals_per_system_reference(m, lead, seed, data):
+    # singular, ill-conditioned and all-zero systems injected at random positions
+    rng = np.random.default_rng(seed)
+    shape = tuple(lead) + (m,)
+    G = rng.standard_normal(shape + (m,)) + 1j * rng.standard_normal(shape + (m,))
+    y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    size = math.prod(lead)
+    kinds = data.draw(st.lists(st.sampled_from(["ok", "ok", "singular", "ill", "zero"]),
+                               min_size=size, max_size=size))
+    flat = G.reshape(size, m, m)
+    for n, kind in enumerate(kinds):
+        if kind != "ok":
+            flat[n] = _degenerate(kind, flat[n], rng)
+    system = LinearSystem(receiver=np.zeros(tuple(lead), dtype=int) if lead else 0, G=G, y=y,
+                          sigma=np.zeros(shape + (m,)), noise_map=np.zeros(shape + (m,)), T=m, M=m, k=1)
+
+    res = decode(system)
+    refs = [_reference_decode(g, b) for g, b in zip(flat, y.reshape(size, m))]
+    mask = np.array([r[0] for r in refs]).reshape(tuple(lead))
+    assert all(not ok for ok, kind in zip(mask.ravel(), kinds) if kind != "ok")
+    assert type(res.success) is bool and res.success == mask.all()
+    assert np.array_equal(res.decoded, mask)
+    assert np.array_equal(res.rank, np.reshape([r[2] for r in refs], tuple(lead)))
+    assert np.array_equal(res.condition, np.reshape([r[3] for r in refs], tuple(lead)))
+    if not lead:  # one system: plain scalars, estimates None on failure
+        assert (type(res.rank), type(res.condition)) == (int, float)
+        assert res.estimates is None if not mask else np.array_equal(res.estimates, refs[0][1])
+        return
+    estimates = res.estimates.reshape(size, m)
+    assert np.array_equal(np.isnan(estimates).all(axis=1), ~mask.ravel())
+    assert not np.isnan(estimates[mask.ravel()]).any()
+    for got, single, (ok, want, rank, condition) in zip(estimates, res.unstack(), refs):
+        assert (single.success, single.rank, single.condition) == (ok, rank, condition)
+        if ok:
+            assert np.array_equal(got, want) and np.array_equal(single.estimates, want)
+        else:
+            assert single.estimates is None

@@ -1,10 +1,12 @@
 """Tests for observation bookkeeping, interference subtraction, and decoding."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from xchannel.analysis import sum_rate
 from xchannel.channel import ChannelRealization, NoiseModel, generate_channels, generate_messages
 from xchannel.receive import (
     CONDITION_LIMIT,
@@ -323,6 +325,76 @@ class TestDecode:
             for c in range(2):
                 for j in range(4):
                     assert abs(dec.estimates[c * 4 + j] - res.messages.w[i, j, c]) < 1e-8
+
+
+class TestStackedDecode:
+    def _stack(self, G):
+        G = np.asarray(G, dtype=complex)
+        lead, m = G.shape[:-2], G.shape[-1]
+        return LinearSystem(receiver=np.zeros(lead, dtype=int) if lead else 0, G=G,
+                            y=np.ones(lead + (m,), dtype=complex), sigma=np.zeros(G.shape),
+                            noise_map=np.zeros(G.shape), T=m, M=m, k=1)
+
+    def test_all_failed_stack(self):
+        res = decode(self._stack(np.zeros((2, 3, 4, 4))))
+        assert res.success is False
+        assert not res.decoded.any() and res.decoded.shape == (2, 3)
+        assert res.estimates.shape == (2, 3, 4) and np.isnan(res.estimates).all()
+        assert np.array_equal(res.rank, np.zeros((2, 3))) and np.isinf(res.condition).all()
+        assert all(d.estimates is None and not d.success for d in res.unstack())
+
+    def test_single_system_is_a_row_of_the_stack(self):
+        rng = np.random.default_rng(3)
+        G = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+        G[1, 4] = G[1, 0]  # singular
+        stacked = decode(self._stack(G))
+        assert stacked.success is False and stacked.decoded.tolist() == [True, False, True]
+        for i, row in enumerate(stacked.unstack()):
+            single = decode(self._stack(G[i]))
+            assert (single.success, single.rank, single.condition) == (row.success, row.rank, row.condition)
+            assert type(single.success) is bool and type(single.rank) is int
+            if single.success:
+                assert np.array_equal(single.estimates, stacked.estimates[i])
+            else:
+                assert single.estimates is None and np.isnan(stacked.estimates[i]).all()
+
+    def test_run_decodes_its_stack_in_one_call(self):
+        res = run_simulation(3, 3, seed=[4, 5])
+        assert res.decoding.estimates.shape == (2, 3, 3) and res.decoding.success is True
+        assert [d.receiver for d in res.decodes] == [0, 1, 2, 0, 1, 2]
+        for i, dec in enumerate(res.decodes):
+            assert np.array_equal(dec.estimates, res.decoding.estimates.reshape(6, 3)[i])
+
+    def test_truth_follows_the_flat_decode_order(self):
+        res = run_simulation(3, 2, seed=[1, 2])
+        assert len(res.decodes) == 4
+        for i, dec in enumerate(res.decodes):
+            draw, receiver = divmod(i, 2)
+            assert res.truth(i).shape == dec.estimates.shape == (3,)
+            np.testing.assert_array_equal(res.truth(i), res.messages.w[draw, receiver].T.reshape(-1))
+            np.testing.assert_allclose(dec.estimates, res.truth(i), rtol=1e-8)
+
+    def test_relative_errors_computed_once(self):
+        res = run_simulation(3, 3, seed=2)
+        with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+            errors = res.relative_errors()
+            assert res.all_recovered()
+            assert res.relative_errors() == errors
+        assert norm.call_count == 2 * 3  # estimate error and truth norm per system, once
+
+    def test_noiseless_stack_sigma_is_zero(self):
+        _, _, _, _, log = make_log(3, 4)
+        systems = assemble_system(log, np.arange(4))
+        assert systems.sigma.shape == (4, 3, 3) and not systems.sigma.any()
+        assert not systems.sigma.flags.writeable
+        with pytest.raises(RuntimeError, match="noise covariance is singular"):
+            sum_rate(systems, [20.0])
+
+    def test_noisy_sigma_is_the_incidence_product_bit_for_bit(self):
+        _, _, _, _, log = make_log(4, 3, noise_enabled=True, variance=2.5)
+        systems = assemble_system(log, np.arange(3))
+        B = systems.noise_map
+        assert np.array_equal(systems.sigma, 2.5 * (B @ np.swapaxes(B, -1, -2)))
 
 
 class TestPermutedSchedules:
