@@ -8,7 +8,7 @@ construction and safe to share across simulation workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,16 +41,23 @@ def run_streams(seed) -> tuple[np.random.SeedSequence, ...]:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Fading coefficients for M transmitters, N receivers over T slots.
+    """Fading coefficients for M transmitters, N receivers over T slots, stored for
+    the U slots each receiver uses.
 
     Attributes
     ----------
     h : ndarray
-        Complex array of shape (..., N, M, T); h[..., i, j, t] is the coefficient
-        from transmitter j to receiver i in slot t, after any draw axes. Every
-        drawn entry has magnitude > 0; cells outside the draw's mask are NaN.
+        Complex array of shape (..., N, M, U) after any draw axes: h[..., i, j, u] is
+        the coefficient from transmitter j to receiver i in slot slots[i, u]. Every
+        stored entry has magnitude > 0.
     seed : int, SeedSequence or tuple of them
         Seed (one per draw) that, with the mask, reproduces the tensor via generate_channels.
+    slots : ndarray
+        Read-only (N, U) table of the slots stored per receiver, ascending. Left out,
+        every slot is stored (U = T), so h is the full (..., N, M, T) tensor.
+    columns : ndarray
+        Read-only (N, T) lookup of (receiver, slot) to its column of h, built from
+        slots; U where the slot is not stored, so gathering it raises IndexError.
     """
 
     M: int
@@ -58,6 +65,22 @@ class ChannelRealization:
     T: int
     h: np.ndarray
     seed: int | np.random.SeedSequence | tuple
+    slots: np.ndarray | None = None
+    columns: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        slots = np.broadcast_to(np.arange(self.T), (self.N, self.T)) if self.slots is None else self.slots
+        U = slots.shape[-1]
+        columns = np.full((self.N, self.T), U, dtype=np.intp)
+        columns[np.arange(self.N)[:, None], slots] = np.arange(U)
+        columns.setflags(write=False)
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "columns", columns)
+
+    def rows(self, receiver, slot) -> np.ndarray:
+        """Coefficient rows h[..., receiver, :, slot] as (..., *shape, M), for index arrays
+        receiver and slot broadcast to shape; a slot not stored raises IndexError."""
+        return np.swapaxes(self.h, -1, -2)[..., receiver, self.columns[receiver, slot], :]
 
 
 @dataclass(frozen=True)
@@ -98,36 +121,51 @@ class NoiseModel:
         return np.reshape(grids, lead + (N, T))
 
 
-def generate_channels(M: int, N: int, T: int, seed, mask: np.ndarray | None = None) -> ChannelRealization:
-    """Draw an (N, M, T) i.i.d. CN(0, 1) tensor, resampling exact zeros.
+def _stored_slots(mask, N: int, T: int) -> np.ndarray:
+    """The (N, U) slots an (N, T) bool mask selects per receiver; every row must select U >= 1."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (N, T):
+        raise ValueError(f"mask must be a bool array of shape {(N, T)}, got {mask.dtype} {mask.shape}")
+    counts = mask.sum(axis=1).tolist()
+    if min(counts) < 1 or len(set(counts)) > 1:
+        raise ValueError(f"every mask row must select the same number of slots, at least one; rows select {counts}")
+    slots = np.nonzero(mask)[1].reshape(N, -1)
+    slots.setflags(write=False)
+    return slots
 
-    An (N, T) bool mask draws only the cells h[i, :, t] with mask[i, t] set, in
-    C order of (N, M, T), all real then all imaginary parts, and leaves NaN in the
-    others; an all-True mask is no mask, bit for bit. A tuple of seeds fills a
-    (D, N, M, T) stack draw by draw.
+
+def generate_channels(M: int, N: int, T: int, seed, mask: np.ndarray | None = None) -> ChannelRealization:
+    """Draw i.i.d. CN(0, 1) channel coefficients, resampling exact zeros.
+
+    An (N, T) bool mask whose rows each select the same U >= 1 slots draws only the
+    coefficients h[i, :, t] with mask[i, t] set, in C order of (N, M, T), all real then
+    all imaginary parts, and stores them in that order as an (N, M, U) tensor with
+    the mask's rows as slots. No mask stores all T slots; an all-True mask is no mask,
+    bit for bit. A tuple of seeds fills a (D, N, M, U) stack draw by draw.
 
     Raises
     ------
     ValueError
-        If any dimension is smaller than 1.
+        If any dimension is smaller than 1, or the mask is not bool, not (N, T), or
+        its rows select different numbers of slots or none.
     """
     if M < 1 or N < 1 or T < 1:
         raise ValueError(f"dimensions must be at least 1, got M={M} N={N} T={T}")
+    slots = None if mask is None else _stored_slots(mask, N, T)
     seeds, lead = _draw_seeds(seed)
-    cells = np.ones((N, M, T), dtype=bool) if mask is None else mask[:, None, :].repeat(M, axis=1)
-    n = int(np.count_nonzero(cells))
-    h = np.full(lead + (N, M, T), complex(np.nan, np.nan))
-    for out, s in zip(h.reshape((-1, N, M, T)), seeds):
-        rng, drawn = np.random.default_rng(s), np.empty(n, dtype=complex)
+    U = T if slots is None else slots.shape[1]
+    n = N * M * U
+    h = np.empty(lead + (N, M, U), dtype=complex)
+    for drawn, s in zip(h.reshape((-1, n)), seeds):
+        rng = np.random.default_rng(s)
         for part in (drawn.real, drawn.imag):  # bit for bit sqrt(1/2) * (a + 1j*b): all a, then all b
             np.multiply(rng.standard_normal(n), np.sqrt(0.5), out=part)
         zero = drawn == 0
         while zero.any():
             drawn[zero] = _complex_normal(rng, int(zero.sum()))
             zero = drawn == 0
-        out[cells] = drawn
     h.setflags(write=False)
-    return ChannelRealization(M=M, N=N, T=T, h=h, seed=seed)
+    return ChannelRealization(M=M, N=N, T=T, h=h, seed=seed, slots=slots)
 
 
 def generate_messages(M: int, N: int, k: int, seed) -> MessageSet:

@@ -1,6 +1,7 @@
 """Receiver side: observation logging, interference subtraction, decoding.
 
-Every receiver logs all T observations. Phase-2 observations of pair members
+Every receiver logs its value in all T slots, NaN where its channel is not
+stored (a slot it does not use). Phase-2 observations of pair members
 are "combined": new desired combination plus a replay of a stored phase-1
 interference observation. Subtracting the (scaled) stored value leaves a
 clean linear equation in the member's own messages; stacking it with the
@@ -139,16 +140,21 @@ def observe_all(
 
     In phase 1 the served receiver sees its desired group and everyone else
     stores interference; in phase 2 the two members see a combined value and
-    everyone else discards theirs (not schedule.used; NaN if never drawn).
+    everyone else discards theirs. Only the cells the channels store
+    (channels.slots, schedule.used for a masked draw) are observed; values is
+    the full (..., N, T) grid, NaN on every cell not stored.
     """
     s = plan.schedule
     X = plan.signal_matrix()
-    values = np.einsum("...ijt,...jt->...it", channels.h, X) + noise.sample_grid(s.N, s.T)
+    receivers, slots = np.arange(s.N)[:, None], channels.slots
+    clean = np.full(X.shape[:-2] + (s.N, s.T), complex(np.nan, np.nan))
+    clean[..., receivers, slots] = np.einsum("...iju,...jiu->...iu", channels.h, X[..., :, slots])
+    values = clean + noise.sample_grid(s.N, s.T)  # NaN stays NaN where nothing is stored
     values.setflags(write=False)
     kind = ObservationKind
     entries = np.where(s.used, kind.COMBINED_PHASE2.value, kind.DISCARDED.value).astype(np.int8)
     entries[:, : s.phase1_len] = kind.INTERFERENCE_PHASE1.value
-    entries[np.arange(s.N)[:, None], s.phase1_slots] = kind.DESIRED_PHASE1.value
+    entries[receivers, s.phase1_slots] = kind.DESIRED_PHASE1.value
     entries.setflags(write=False)
     return ObservationLog(
         schedule=s,
@@ -182,8 +188,8 @@ def cancel_interference(log: ObservationLog, receiver) -> tuple[np.ndarray, np.n
         )
     g = log.slot_scale[..., slot]
     own = s.phase1_slots[own_row, copy]
-    h = np.swapaxes(log.channels.h, -1, -2)  # (..., N, T, M)
-    rows = g[..., None] * h[..., own_row, slot, :] * h[..., partner, own, :] / h[..., partner, slot, :]
+    h = log.channels.rows
+    rows = g[..., None] * h(own_row, slot) * h(partner, own) / h(partner, slot)
     values = log.values[..., own_row, slot] - g * log.values[..., own_row, linked]
     return rows, values
 
@@ -205,7 +211,7 @@ def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
     rows, values = cancel_interference(log, receiver)
     lead = log.values.shape[:-2] + receiver.shape
     own_row = receiver[..., None, None]
-    blocks = np.swapaxes(log.channels.h, -1, -2)[..., own_row, slot, :]  # direct rows are channel rows
+    blocks = log.channels.rows(own_row, slot)  # direct rows are channel rows
     blocks[..., 1:, :] = rows.reshape(lead + (k, M - 1, M))
     G = np.zeros(lead + (k * M, k * M), dtype=complex)
     for c in range(k):

@@ -72,8 +72,8 @@ def run_simulation(
     """Run one seeded end-to-end transmission.
 
     The seed (an int or a SeedSequence) roots the channel, message and noise streams
-    (run_streams), so no two seeds share a random number. Channels are drawn only where
-    schedule.used and are NaN elsewhere. A list of seeds runs one draw per seed in a
+    (run_streams), so no two seeds share a random number. Channels are drawn and stored
+    only where schedule.used. A list of seeds runs one draw per seed in a
     single stacked pass, with a leading draw axis on every array; each draw equals its
     own single run. Passing an explicit schedule (e.g. a permuted one) overrides the
     canonical construction; dimensions must match.

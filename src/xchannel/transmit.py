@@ -85,7 +85,7 @@ class CsitView:
     """
 
     def __init__(self, channels: ChannelRealization, table: CsitTable):
-        self._h = channels.h
+        self._channels = channels
         self._table = table
         self.reads = CsitTrace()
         self.violations = CsitTrace()
@@ -102,7 +102,7 @@ class CsitView:
             receiver, slot, at_slot = reads[stop].tolist()
             self.violations = CsitTrace(np.concatenate([self.violations.rows, reads[stop:stop + 1]]))
             raise CsitAccessError(receiver, slot, at_slot, self._table.state(receiver, slot))
-        return np.swapaxes(self._h, -1, -2)[..., reads[:, 0], reads[:, 1], :]
+        return self._channels.rows(reads[:, 0], reads[:, 1])
 
 
 def audit_csit_trace(reads, table: CsitTable) -> list[CsitRead]:

@@ -12,8 +12,9 @@ from xchannel.channel import (
     generate_messages,
     run_streams,
 )
-from xchannel.receive import observe_all
+from xchannel.receive import ObservationKind, observe_all
 from xchannel.schedule import build_csit_table, build_schedule
+from xchannel.simulate import run_simulation
 from xchannel.transmit import build_transmit_plan
 
 
@@ -42,14 +43,18 @@ class TestGenerateChannels:
     @pytest.mark.parametrize("seed", range(3))
     def test_masked_draw_matches_reference_expression(self, M, N, seed):
         # only the used cells are drawn, in C order of (N, M, T), all real parts
-        # then all imaginary parts; an all-True mask is the unmasked draw
+        # then all imaginary parts, and stored in that order; an all-True mask is
+        # the unmasked draw
         s = build_schedule(M, N)
         cells = np.broadcast_to(s.used[:, None, :], (N, M, s.T))
         n = int(cells.sum())
         rng = np.random.default_rng(seed)
         want = np.full((N, M, s.T), complex(np.nan, np.nan))
         want[cells] = np.sqrt(1.0 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        assert generate_channels(M, N, s.T, seed, mask=s.used).h.tobytes() == want.tobytes()
+        ch = generate_channels(M, N, s.T, seed, mask=s.used)
+        assert ch.h.shape == (N, M, n // (N * M))
+        assert ch.h.tobytes() == want[cells].tobytes()
+        assert np.array_equal(ch.slots, np.nonzero(s.used)[1].reshape(N, -1))
         everywhere = generate_channels(M, N, s.T, seed, mask=np.ones((N, s.T), dtype=bool))
         assert everywhere.h.tobytes() == generate_channels(M, N, s.T, seed).h.tobytes()
 
@@ -57,7 +62,8 @@ class TestGenerateChannels:
         s = build_schedule(4, 3)
         seeds = (5, np.random.SeedSequence(1, spawn_key=(2,)))
         stack = generate_channels(4, 3, s.T, seeds, mask=s.used)
-        assert stack.h.shape == (2, 3, 4, s.T) and stack.seed == seeds
+        U = s.k * (3 + 4 - 1)
+        assert stack.h.shape == (2, 3, 4, U) and stack.seed == seeds
         messages = generate_messages(4, 3, s.k, seeds)
         grid = NoiseModel(enabled=True, seed=seeds).sample_grid(3, s.T)
         for d, seed in enumerate(seeds):
@@ -65,6 +71,36 @@ class TestGenerateChannels:
             assert stack.h[d].tobytes() == single.tobytes()
             assert np.array_equal(messages.w[d], generate_messages(4, 3, s.k, seed).w)
             assert np.array_equal(grid[d], NoiseModel(enabled=True, seed=seed).sample_grid(3, s.T))
+
+    @pytest.mark.parametrize("mask,match", [
+        (np.ones((3, 6), dtype=int), r"bool array of shape \(3, 6\), got int\d+ \(3, 6\)"),
+        (np.ones((3, 5), dtype=bool), r"bool array of shape \(3, 6\), got bool \(3, 5\)"),
+        (np.ones((2, 6), dtype=bool), r"bool array of shape \(3, 6\), got bool \(2, 6\)"),
+        (np.tri(3, 6, 2, dtype=bool), r"rows select \[3, 4, 5\]"),
+        (np.zeros((3, 6), dtype=bool), r"at least one; rows select \[0, 0, 0\]"),
+    ])
+    def test_bad_mask_rejected(self, mask, match):
+        # int, wrong-shape, ragged and empty-row masks: a ValueError naming the
+        # shape or the row counts, never numpy's shape mismatch or an IndexError
+        with pytest.raises(ValueError, match=match):
+            generate_channels(3, 3, 6, seed=0, mask=mask)
+
+    def test_discarded_cell_gather_raises(self):
+        # an unstored cell maps to the out-of-range column U, so a gather of it
+        # raises instead of reading another slot's coefficients
+        sim = run_simulation(3, 3, seed=0)
+        ch = sim.channels
+        U = ch.h.shape[-1]
+        assert sim.log.entries[2, 3] == ObservationKind.DISCARDED and ch.columns[2, 3] == U
+        with pytest.raises(IndexError):
+            ch.rows(2, 3)
+        with pytest.raises(IndexError):
+            ch.h[2, :, ch.columns[2, 3]]
+        np.testing.assert_array_equal(ch.rows(2, 2), ch.h[2, :, ch.columns[2, 2]])
+
+    def test_32x32_stores_only_used_cells(self):
+        # each receiver stores k(N + M - 1) = 63 of the T = 528 slots
+        assert run_simulation(32, 32).channels.h.nbytes == 16 * 32 * 32 * 63
 
     def test_seeds_differ(self):
         a = generate_channels(3, 3, 6, seed=1)

@@ -14,7 +14,7 @@ from xchannel.analysis import sum_rate, sweep_rates
 from xchannel.channel import NoiseModel, generate_channels, generate_messages
 from xchannel.receive import (CONDITION_LIMIT, LinearSystem, ObservationKind as K, assemble_system,
                               decode, observe_all)
-from xchannel.schedule import CsitTable, build_csit_table, build_schedule
+from xchannel.schedule import CsitTable, build_csit_table, build_schedule, permute_schedule
 from xchannel.simulate import run_simulation
 from xchannel.transmit import CsitAccessError, audit_csit_trace, build_transmit_plan
 
@@ -235,17 +235,34 @@ def test_discarded_cells_are_never_read(case, normalize):
 @PROPERTY
 @given(stacks, st.booleans())
 def test_channels_are_nan_exactly_on_discarded_cells(case, stacked):
-    # only used observations get channel normals: a discarded (receiver, slot)
-    # cell is NaN for every transmitter, and every other cell is finite and nonzero
+    # only used observations get channel normals and storage: the stored cells are
+    # exactly schedule.used, every stored coefficient is finite and nonzero, and
+    # the observed value is NaN exactly on the discarded cells
     M, N, D, seed = case
     sim = run_simulation(M, N, seed=[seed + d for d in range(D)] if stacked else seed)
     discarded = sim.log.entries == K.DISCARDED
-    h = sim.channels.h
-    assert h.shape == ((D,) if stacked else ()) + (N, M, sim.schedule.T)
-    cells = np.broadcast_to(discarded[:, None, :], h.shape)
-    assert np.array_equal(np.isnan(h.real), cells) and np.array_equal(np.isnan(h.imag), cells)
-    assert np.all(np.abs(h[~cells]) > 0)
+    ch = sim.channels
+    assert ch.h.shape == ((D,) if stacked else ()) + (N, M, ch.slots.shape[-1])
+    stored = np.zeros_like(sim.schedule.used)
+    stored[np.arange(N)[:, None], ch.slots] = True
+    assert np.array_equal(stored, sim.schedule.used) and np.array_equal(~stored, discarded)
+    assert np.all(np.isfinite(ch.h)) and np.all(np.abs(ch.h) > 0)
     assert np.array_equal(np.isnan(sim.log.values), np.broadcast_to(discarded, sim.log.values.shape))
+
+
+@PROPERTY
+@given(st.integers(min_value=1, max_value=8), st.integers(min_value=2, max_value=8),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_every_receiver_uses_k_times_n_plus_m_minus_one_cells(M, N, seed):
+    # all kN phase-1 slots and the k(M - 1) pair slots it is a member of, for the
+    # canonical schedule and a permuted one; a masked draw stores that many columns
+    base = build_schedule(M, N)
+    rng = np.random.default_rng(seed)
+    permuted = permute_schedule(base, rng.permutation(base.phase1_len),
+                                rng.permutation(base.T - base.phase1_len))
+    for s in (base, permuted):
+        assert s.used.sum(axis=1).tolist() == [s.k * (N + M - 1)] * N
+        assert generate_channels(M, N, s.T, seed, mask=s.used).h.shape == (N, M, s.k * (N + M - 1))
 
 
 def _normals(a):
