@@ -260,8 +260,10 @@ def oracle_verify_3user(
             schedule, messages, channels, build_csit_table(schedule)
         )
 
+    stored, column = channels.h.tolist(), channels.columns.tolist()
+
     def h(i: int, j: int, t: int) -> complex:  # raises IndexError on a cell not stored
-        return channels.h[i, j, channels.columns[i, t]]
+        return stored[i][j][column[i][t]]
 
     w = messages.w[:, :, 0]
     checks: list[CheckResult] = []

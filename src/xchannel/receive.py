@@ -147,9 +147,10 @@ def observe_all(
     s = plan.schedule
     X = plan.signal_matrix()
     receivers, slots = np.arange(s.N)[:, None], channels.slots
-    clean = np.full(X.shape[:-2] + (s.N, s.T), complex(np.nan, np.nan))
-    clean[..., receivers, slots] = np.einsum("...iju,...jiu->...iu", channels.h, X[..., :, slots])
-    values = clean + noise.sample_grid(s.N, s.T)  # NaN stays NaN where nothing is stored
+    stored = np.einsum("...iju,...jiu->...iu", channels.h, X[..., :, slots])
+    stored = stored + noise.sample_grid(s.N, s.T)[..., receivers, slots]
+    values = np.full(stored.shape[:-2] + (s.N, s.T), complex(np.nan, np.nan))
+    values[..., receivers, slots] = stored
     values.setflags(write=False)
     kind = ObservationKind
     entries = np.where(s.used, kind.COMBINED_PHASE2.value, kind.DISCARDED.value).astype(np.int8)
