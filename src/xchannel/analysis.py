@@ -230,80 +230,62 @@ class OracleReport:
         return None
 
 
-def _rel_close(a, b, tol) -> bool:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1.0)
-    return float(np.max(np.abs(a - b))) <= tol * scale
+def _rel_close(a: list, b: list, tol: float) -> bool:
+    """Plain-Python check of two equal-length lists of numbers: every |a_i - b_i| is at most
+    tol * max(1, max |a|, max |b|); a NaN on either side fails."""
+    scale = max(1.0, *map(abs, a), *map(abs, b))
+    return all(abs(x - y) <= tol * scale for x, y in zip(a, b, strict=True))
 
 
-def oracle_verify_3user(
-    seed: int = 0, plan: TransmitPlan | None = None, tol: float = 1e-12
-) -> OracleReport:
-    """Check the full (3, 3) pipeline against hand-written per-slot formulas.
-
-    The draws are those of run_simulation(3, 3, seed), read cell by cell
-    through the channels' (receiver, slot) lookup. Every transmitted signal,
-    every used received value, all six stored-replay subtractions, the
-    discarded-observation pattern (not stored, observed as NaN), and final
-    recovery are re-derived independently (plain loops, explicit index
-    arithmetic) and compared at relative tolerance `tol`. Passing a tampered
-    plan makes the first divergent transmit check fail, which is how the
-    oracle itself is exercised.
-    """
-    schedule = build_schedule(3, 3)
-    channel_seed, message_seed, _ = run_streams(seed)
-    channels = generate_channels(3, 3, schedule.T, channel_seed, mask=schedule.used)
-    messages = generate_messages(3, 3, schedule.k, message_seed)
-    if plan is None:
-        plan = build_transmit_plan(
-            schedule, messages, channels, build_csit_table(schedule)
-        )
-
-    stored, column = channels.h.tolist(), channels.columns.tolist()
+def _hand_report(seed, stored, column, w, X_pipe, Y_pipe, slots, discarded_got,
+                 estimates, decoded, tol) -> OracleReport:
+    """One draw's oracle checks, on nested lists: stored[i][j][u] channels, column[i][t]
+    their lookup, w[i][j] messages, X_pipe[j][t] and Y_pipe[i][t] the pipeline's
+    signals and observations, slots[i] the stored slots, discarded_got the cells the
+    log marks discarded, estimates[i][j] and decoded[i] the decode."""
 
     def h(i: int, j: int, t: int) -> complex:  # raises IndexError on a cell not stored
         return stored[i][j][column[i][t]]
 
-    w = messages.w[:, :, 0]
     checks: list[CheckResult] = []
 
     # Transmitted signals. Phase 1 broadcasts message groups verbatim; the
     # three pair slots invert the partner's current fading and re-apply the
     # fading of the member's own broadcast slot.
-    X_hand = np.zeros((3, 6), dtype=complex)
+    X_hand = [[0j] * 6 for _ in range(3)]
     for i in range(3):
-        X_hand[:, i] = w[i, :]
+        for j in range(3):
+            X_hand[j][i] = w[i][j]
     for j in range(3):
-        X_hand[j, 3] = h(1, j, 0) / h(1, j, 3) * w[0, j] + h(0, j, 1) / h(0, j, 3) * w[1, j]
-        X_hand[j, 4] = h(2, j, 0) / h(2, j, 4) * w[0, j] + h(0, j, 2) / h(0, j, 4) * w[2, j]
-        X_hand[j, 5] = h(2, j, 1) / h(2, j, 5) * w[1, j] + h(1, j, 2) / h(1, j, 5) * w[2, j]
-    X_pipe = plan.signal_matrix()
+        X_hand[j][3] = h(1, j, 0) / h(1, j, 3) * w[0][j] + h(0, j, 1) / h(0, j, 3) * w[1][j]
+        X_hand[j][4] = h(2, j, 0) / h(2, j, 4) * w[0][j] + h(0, j, 2) / h(0, j, 4) * w[2][j]
+        X_hand[j][5] = h(2, j, 1) / h(2, j, 5) * w[1][j] + h(1, j, 2) / h(1, j, 5) * w[2][j]
     for t in range(6):
-        ok = _rel_close(X_pipe[:, t], X_hand[:, t], tol)
+        pipe, hand = [X_pipe[j][t] for j in range(3)], [X_hand[j][t] for j in range(3)]
+        ok = _rel_close(pipe, hand, tol)
         checks.append(
             CheckResult(
                 name=f"transmit-slot-{t + 1}",
                 passed=ok,
-                detail="" if ok else f"pipeline {X_pipe[:, t]} vs oracle {X_hand[:, t]}",
+                detail="" if ok else f"pipeline {pipe} vs oracle {hand}",
             )
         )
 
     discarded_expected = {(2, 3), (1, 4), (0, 5)}  # each pair slot's third receiver
-    log = observe_all(plan, channels, NoiseModel(enabled=False))
-    Y_hand = np.full((3, 6), complex(np.nan, np.nan))
+    Y_hand = [[complex(math.nan, math.nan)] * 6 for _ in range(3)]
     for i in range(3):
         for t in range(6):
             if (i, t) not in discarded_expected:
-                Y_hand[i, t] = sum(h(i, j, t) * X_hand[j, t] for j in range(3))
+                Y_hand[i][t] = sum(h(i, j, t) * X_hand[j][t] for j in range(3))
     for t in range(6):
+        pipe, hand = [Y_pipe[i][t] for i in range(3)], [Y_hand[i][t] for i in range(3)]
         used = [i for i in range(3) if (i, t) not in discarded_expected]
-        ok = _rel_close(log.values[used, t], Y_hand[used, t], tol)
+        ok = _rel_close([pipe[i] for i in used], [hand[i] for i in used], tol)
         checks.append(
             CheckResult(
                 name=f"receive-slot-{t + 1}",
                 passed=ok,
-                detail="" if ok else f"pipeline {log.values[:, t]} vs oracle {Y_hand[:, t]}",
+                detail="" if ok else f"pipeline {pipe} vs oracle {hand}",
             )
         )
 
@@ -318,11 +300,11 @@ def oracle_verify_3user(
         (2, 5, 1, 1),
     ]
     for i, t, t_stored, partner in plan_rows:
-        lhs = Y_hand[i, t] - Y_hand[i, t_stored]
+        lhs = Y_hand[i][t] - Y_hand[i][t_stored]
         rhs = sum(
-            h(i, j, t) * h(partner, j, i) / h(partner, j, t) * w[i, j] for j in range(3)
+            h(i, j, t) * h(partner, j, i) / h(partner, j, t) * w[i][j] for j in range(3)
         )
-        ok = _rel_close(lhs, rhs, tol)
+        ok = _rel_close([lhs], [rhs], tol)
         checks.append(
             CheckResult(
                 name=f"subtraction-r{i + 1}-slot{t + 1}",
@@ -331,16 +313,8 @@ def oracle_verify_3user(
             )
         )
 
-    discarded_got = {
-        (i, t)
-        for i in range(3)
-        for t in range(6)
-        if log.entries[i][t] == ObservationKind.DISCARDED
-    }
-    never_stored = {
-        (i, t)
-        for i, t in discarded_got
-        if t not in channels.slots[i].tolist() and np.isnan(log.values[i, t])
+    never_stored = {  # a NaN, unlike any number, is unequal to itself
+        (i, t) for i, t in discarded_got if t not in slots[i] and Y_pipe[i][t] != Y_pipe[i][t]
     }
     checks.append(
         CheckResult(
@@ -350,15 +324,71 @@ def oracle_verify_3user(
         )
     )
 
-    d = decode(assemble_system(log, np.arange(3)))
-    recovered = True
-    for i in range(3):
-        truth = messages.w[i].T.reshape(-1)
-        if not d.decoded[i] or not _rel_close(d.estimates[i], truth, 1e-8):
-            recovered = False
+    recovered = all(decoded[i] and _rel_close(estimates[i], w[i], 1e-8) for i in range(3))
     checks.append(CheckResult(name="decode-recovery", passed=recovered))
 
     return OracleReport(seed=seed, passed=all(c.passed for c in checks), checks=tuple(checks))
+
+
+def oracle_verify_3user(
+    seed: int | tuple | list = 0,
+    plan: TransmitPlan | None = None,
+    tol: float = 1e-12,
+    *,
+    schedule: Schedule | None = None,
+) -> OracleReport | tuple[OracleReport, ...]:
+    """Check the full (3, 3) pipeline against hand-written per-slot formulas.
+
+    The draws are those of run_simulation(3, 3, seed), read cell by cell
+    through the channels' (receiver, slot) lookup. Every transmitted signal,
+    every used received value, all six stored-replay subtractions, the
+    discarded-observation pattern (not stored, observed as NaN), and final
+    recovery are re-derived independently (plain loops, explicit index
+    arithmetic, Python numbers taken once with tolist) and compared at
+    relative tolerance `tol`. Passing a tampered plan makes the first
+    divergent transmit check fail, which is how the oracle itself is
+    exercised.
+
+    A sequence of seeds runs one stacked pipeline, one draw per seed, as
+    run_simulation does, and returns one report per seed in order; a plan
+    passed with it carries that draw axis. `schedule` is the canonical
+    (3, 3) schedule, built here when not given.
+    """
+    stacked = np.ndim(seed) > 0
+    seeds = list(seed) if stacked else [seed]
+    if not seeds:
+        return ()
+    if schedule is None:
+        schedule = build_schedule(3, 3)
+    channel_seed, message_seed, _ = zip(*map(run_streams, seeds)) if stacked else run_streams(seed)
+    channels = generate_channels(3, 3, schedule.T, channel_seed, mask=schedule.used)
+    messages = generate_messages(3, 3, schedule.k, message_seed)
+    if plan is None:
+        plan = build_transmit_plan(
+            schedule, messages, channels, build_csit_table(schedule)
+        )
+    log = observe_all(plan, channels, NoiseModel(enabled=False))
+    d = decode(assemble_system(log, np.arange(3)))
+
+    D = len(seeds)
+    per_draw = zip(
+        seeds,
+        channels.h.reshape(D, 3, 3, -1).tolist(),
+        messages.w[..., 0].reshape(D, 3, 3).tolist(),
+        plan.signal_matrix().reshape(D, 3, 6).tolist(),
+        log.values.reshape(D, 3, 6).tolist(),
+        d.estimates.reshape(D, 3, 3).tolist(),
+        np.reshape(d.decoded, (D, 3)).tolist(),
+    )
+    column, slots, entries = channels.columns.tolist(), channels.slots.tolist(), log.entries.tolist()
+    discarded_got = {
+        (i, t) for i in range(3) for t in range(6) if entries[i][t] == ObservationKind.DISCARDED
+    }
+    reports = tuple(
+        _hand_report(s, stored, column, w, X_pipe, Y_pipe, slots, discarded_got, estimates, decoded, tol)
+        for s, stored, w, X_pipe, Y_pipe, estimates, decoded in per_draw
+    )
+    return reports if stacked else reports[0]
 
 
 def _check(name: str, bad: list, failure: str, success: str) -> CheckResult:
@@ -369,10 +399,23 @@ def _check(name: str, bad: list, failure: str, success: str) -> CheckResult:
 def verify_suite(
     grid: int = 8, oracle_seeds: int = 5, perm_trials: int = 5, seed: int = 0
 ) -> list[CheckResult]:
-    """Fast invariant sweep used by the command-line `verify` mode."""
+    """Fast invariant sweep used by the command-line `verify` mode.
+
+    Each canonical schedule is built at most once per call and shared by
+    every check of its shape, so its cached index tables are built once too;
+    nothing outlives the call. The oracle runs all its seeds in one stacked
+    pipeline.
+    """
+    schedules: dict[tuple[int, int], Schedule] = {}
+
+    def schedule(M: int, N: int) -> Schedule:
+        if (M, N) not in schedules:
+            schedules[M, N] = build_schedule(M, N)
+        return schedules[M, N]
+
     checks: list[CheckResult] = []
 
-    table = build_csit_table(build_schedule(3, 3))
+    table = build_csit_table(schedule(3, 3))
     checks.append(
         CheckResult(
             name="csit-table-3x3",
@@ -381,7 +424,8 @@ def verify_suite(
         )
     )
 
-    failed = [s for s in range(oracle_seeds) if not oracle_verify_3user(seed=s).passed]
+    reports = oracle_verify_3user(seed=tuple(range(oracle_seeds)), schedule=schedule(3, 3))
+    failed = [r.seed for r in reports if not r.passed]
     checks.append(_check(f"oracle-3x3-{oracle_seeds}-seeds", failed,
                          f"failing seeds {failed}", f"{oracle_seeds} seeds"))
 
@@ -389,7 +433,7 @@ def verify_suite(
     bad_counts = []
     for M in range(1, grid + 1):
         for N in range(2, grid + 1):
-            s = build_schedule(M, N)
+            s = schedule(M, N)
             if not dof_report(s).equal:
                 bad_dof.append((M, N))
             t = build_csit_table(s)
@@ -410,7 +454,7 @@ def verify_suite(
     audit_bad = []
     decode_bad = []
     for M, N in [(2, 2), (3, 3), (4, 3), (2, 4), (5, 4), (2, 3)]:
-        sim = run_simulation(M, N, seed=seed)
+        sim = run_simulation(M, N, seed=seed, schedule=schedule(M, N))
         if sim.plan.csit_violations or audit_csit_trace(sim.plan.csit_reads, sim.table):
             audit_bad.append((M, N))
         if not sim.all_recovered():
@@ -426,7 +470,7 @@ def verify_suite(
     rng = np.random.default_rng(seed)
     perm_bad = []
     for M, N in [(3, 3), (2, 4)]:
-        base = build_schedule(M, N)
+        base = schedule(M, N)
         for _ in range(perm_trials):
             p1 = rng.permutation(base.phase1_len)
             p2 = rng.permutation(base.T - base.phase1_len)

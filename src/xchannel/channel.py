@@ -39,7 +39,7 @@ def run_streams(seed) -> tuple[np.random.SeedSequence, ...]:
     return tuple(np.random.SeedSequence(entropy, spawn_key=key + (c,)) for c in range(3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """Fading coefficients for M transmitters, N receivers over T slots, stored for
     the U slots each receiver uses.
@@ -83,7 +83,7 @@ class ChannelRealization:
         return np.swapaxes(self.h, -1, -2)[..., receiver, self.columns[receiver, slot], :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MessageSet:
     """Independent message symbols w[i, j, c] for receiver i from transmitter j.
 

@@ -46,7 +46,7 @@ class ObservationKind(IntEnum):
     DISCARDED = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationLog:
     """All N x T received values plus the context needed to use them.
 
@@ -62,7 +62,7 @@ class ObservationLog:
     noise_variance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSystem:
     """Square decoding system G w = y for one receiver, or a stack of them.
 
@@ -96,7 +96,7 @@ class LinearSystem:
             yield LinearSystem(receiver, *arrays, T=self.T, M=self.M, k=self.k)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeResult:
     """Decode of one system, or of a stack of them.
 

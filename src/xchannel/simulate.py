@@ -16,7 +16,7 @@ from .transmit import TransmitPlan, build_transmit_plan
 __all__ = ["SimulationResult", "run_simulation"]
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationResult:
     """Everything one seeded run produced, from schedule to decode diagnostics."""
 

@@ -112,7 +112,7 @@ def audit_csit_trace(reads, table: CsitTable) -> list[CsitRead]:
     return list(CsitTrace(reads.rows[~_granted(reads.rows, table)]))
 
 
-@dataclass
+@dataclass(eq=False)
 class TransmitPlan:
     """Precoding coefficients for all T slots plus the audit trail that built them.
 

@@ -194,6 +194,47 @@ class TestOracle:
     def test_report_records_seed(self):
         assert oracle_verify_3user(seed=7).seed == 7
 
+    def test_seed_sequence_matches_single_calls(self):
+        reports = oracle_verify_3user(seed=tuple(range(10)))
+        assert isinstance(reports, tuple) and len(reports) == 10
+        for seed, report in enumerate(reports):
+            single = oracle_verify_3user(seed=seed)
+            assert report.seed == single.seed == seed
+            assert report.passed and single.passed
+            assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+                (c.name, c.passed, c.detail) for c in single.checks
+            ]
+
+    def test_empty_seed_sequence_gives_no_reports(self):
+        assert oracle_verify_3user(seed=()) == ()
+
+    def test_stacked_plan_tampered_in_one_draw(self):
+        from xchannel.channel import generate_channels, generate_messages, run_streams
+        from xchannel.transmit import build_transmit_plan
+
+        seeds = (0, 1, 2)
+        s = build_schedule(3, 3)
+        channel_seeds, message_seeds, _ = zip(*map(run_streams, seeds))  # the oracle's own draws
+        ch = generate_channels(3, 3, s.T, channel_seeds, mask=s.used)
+        ms = generate_messages(3, 3, 1, message_seeds)
+        plan = build_transmit_plan(s, ms, ch, build_csit_table(s))
+        assert all(r.passed for r in oracle_verify_3user(seed=seeds, plan=plan))
+        coefficients = plan.coefficients.copy()
+        coefficients[1, 3, 0, 0] = ch.h[1, 1, 0, 0]  # draw 1 only, member (0, 0), transmitter 0
+        tampered = dataclasses.replace(plan, coefficients=coefficients, _signals=None)
+        reports = oracle_verify_3user(seed=seeds, plan=tampered)
+        assert [r.passed for r in reports] == [True, False, True]
+        assert reports[1].first_failure == "transmit-slot-4"
+
+    def test_comparison_is_plain_python_and_fails_on_nan(self):
+        from xchannel.analysis import _rel_close
+
+        assert _rel_close([1 + 1j, 2.0], [1 + 1j, 2.0 + 1e-13], 1e-12)
+        assert _rel_close([1e6], [1e6 + 1e-7], 1e-12)  # relative to the larger magnitude
+        assert not _rel_close([1.0], [1.0 + 1e-11], 1e-12)
+        assert not _rel_close([complex(math.nan, 0.0)], [1.0], 1e-12)
+        assert not _rel_close([1.0, 2.0], [1.0, math.nan], 1e-12)
+
 
 class TestVerifySuite:
     def test_all_checks_pass(self):
@@ -210,3 +251,30 @@ class TestVerifySuite:
             "variant-count-3x3",
             "permutation-decode",
         } <= names
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The shapes verify_suite builds canonical schedules for, in call order."""
+        import xchannel.analysis as analysis
+
+        shapes = []
+
+        def counting(M, N):
+            shapes.append((M, N))
+            return build_schedule(M, N)
+
+        monkeypatch.setattr(analysis, "build_schedule", counting)
+        return shapes
+
+    def test_one_schedule_per_shape_per_call(self, built):
+        verify_suite(grid=4, oracle_seeds=2, perm_trials=1)
+        assert len(built) == len(set(built))
+        first = len(built)
+        verify_suite(grid=4, oracle_seeds=2, perm_trials=1)
+        assert built[first:] == built[:first]  # nothing is kept across calls
+
+    def test_grid_two_still_builds_shapes_outside_it(self, built):
+        checks = verify_suite(grid=2, oracle_seeds=1, perm_trials=1)
+        assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
+        assert [c.name for c in checks][:3] == ["csit-table-3x3", "oracle-3x3-1-seeds", "dof-grid-to-2"]
+        assert sorted(built) == [(1, 2), (2, 2), (2, 3), (2, 4), (3, 3), (4, 3), (5, 4)]

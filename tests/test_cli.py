@@ -87,6 +87,32 @@ class TestSweepMode:
         assert len(payload["points"]) == 3
 
 
+# The full text of `verify`, so a refactor of the suite cannot change it unnoticed.
+VERIFY_GRID8_SEEDS5 = (
+    "PASS csit-table-3x3 (NDDPPN DNDPNP DDNNPP)\n"
+    "PASS oracle-3x3-5-seeds (5 seeds)\n"
+    "PASS dof-grid-to-8 (7 x 8 configs)\n"
+    "PASS csit-state-counts (per-receiver P/D/N counts)\n"
+    "PASS csit-audit (all reads within contract)\n"
+    "PASS noiseless-decode (exact recovery)\n"
+    "PASS variant-count-3x3 (36)\n"
+    "PASS permutation-decode (10 permutations)\n"
+    "8/8 checks passed\n"
+)
+
+VERIFY_GRID2_SEEDS1 = (
+    "PASS csit-table-3x3 (NDDPPN DNDPNP DDNNPP)\n"
+    "PASS oracle-3x3-1-seeds (1 seeds)\n"
+    "PASS dof-grid-to-2 (1 x 2 configs)\n"
+    "PASS csit-state-counts (per-receiver P/D/N counts)\n"
+    "PASS csit-audit (all reads within contract)\n"
+    "PASS noiseless-decode (exact recovery)\n"
+    "PASS variant-count-3x3 (36)\n"
+    "PASS permutation-decode (10 permutations)\n"
+    "8/8 checks passed\n"
+)
+
+
 class TestVerifyMode:
     def test_passes_and_prints_lines(self, capsys):
         assert main(["verify", "--grid", "4", "--seeds", "1"]) == 0
@@ -95,6 +121,11 @@ class TestVerifyMode:
         assert all(ln.startswith("PASS") for ln in lines[:-1])
         assert lines[-1].endswith("checks passed")
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("grid, seeds, golden", [(8, 5, VERIFY_GRID8_SEEDS5), (2, 1, VERIFY_GRID2_SEEDS1)])
+    def test_output_is_pinned(self, grid, seeds, golden, capsys):
+        assert main(["verify", "--grid", str(grid), "--seeds", str(seeds)]) == 0
+        assert capsys.readouterr().out == golden
 
 
 class TestConfigHandling:

@@ -412,3 +412,21 @@ class TestPermutedSchedules:
         for i in range(3):
             np.testing.assert_allclose(b.decodes[i].estimates, b.truth(i), rtol=1e-8)
             np.testing.assert_allclose(a.truth(i), b.truth(i), rtol=1e-12)
+
+
+class TestIdentityEquality:
+    def test_twins_compare_unequal_without_raising(self):
+        # array-holding containers compare by identity: equal-seed twins are distinct objects
+        a, b = run_simulation(2, 2, seed=0), run_simulation(2, 2, seed=0)
+        for x, y in [
+            (a, b),
+            (a.channels, b.channels),
+            (a.messages, b.messages),
+            (a.plan, b.plan),
+            (a.log, b.log),
+            (a.systems, b.systems),
+            (a.decoding, b.decoding),
+        ]:
+            assert (x == y) is False
+            assert (x != y) is True
+            assert (x == x) is True
