@@ -334,8 +334,6 @@ def oracle_verify_3user(
     seed: int | tuple | list = 0,
     plan: TransmitPlan | None = None,
     tol: float = 1e-12,
-    *,
-    schedule: Schedule | None = None,
 ) -> OracleReport | tuple[OracleReport, ...]:
     """Check the full (3, 3) pipeline against hand-written per-slot formulas.
 
@@ -351,15 +349,14 @@ def oracle_verify_3user(
 
     A sequence of seeds runs one stacked pipeline, one draw per seed, as
     run_simulation does, and returns one report per seed in order; a plan
-    passed with it carries that draw axis. `schedule` is the canonical
-    (3, 3) schedule, built here when not given.
+    passed with it carries that draw axis. The hand formulas hard-code the
+    slot layout of the canonical (3, 3) schedule, so it is built here.
     """
     stacked = np.ndim(seed) > 0
     seeds = list(seed) if stacked else [seed]
     if not seeds:
         return ()
-    if schedule is None:
-        schedule = build_schedule(3, 3)
+    schedule = build_schedule(3, 3)
     channel_seed, message_seed, _ = zip(*map(run_streams, seeds)) if stacked else run_streams(seed)
     channels = generate_channels(3, 3, schedule.T, channel_seed, mask=schedule.used)
     messages = generate_messages(3, 3, schedule.k, message_seed)
@@ -402,9 +399,9 @@ def verify_suite(
     """Fast invariant sweep used by the command-line `verify` mode.
 
     Each canonical schedule is built at most once per call and shared by
-    every check of its shape, so its cached index tables are built once too;
-    nothing outlives the call. The oracle runs all its seeds in one stacked
-    pipeline.
+    every other check of its shape, so its cached index tables are built
+    once too; nothing outlives the call. The oracle builds its own canonical
+    (3, 3) schedule and runs all its seeds in one stacked pipeline.
     """
     schedules: dict[tuple[int, int], Schedule] = {}
 
@@ -424,7 +421,7 @@ def verify_suite(
         )
     )
 
-    reports = oracle_verify_3user(seed=tuple(range(oracle_seeds)), schedule=schedule(3, 3))
+    reports = oracle_verify_3user(seed=tuple(range(oracle_seeds)))
     failed = [r.seed for r in reports if not r.passed]
     checks.append(_check(f"oracle-3x3-{oracle_seeds}-seeds", failed,
                          f"failing seeds {failed}", f"{oracle_seeds} seeds"))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -268,7 +269,10 @@ class TestVerifySuite:
 
     def test_one_schedule_per_shape_per_call(self, built):
         verify_suite(grid=4, oracle_seeds=2, perm_trials=1)
-        assert len(built) == len(set(built))
+        # The oracle builds its own canonical (3, 3) schedule; every other
+        # shape is built once.
+        repeated = {shape: n for shape, n in Counter(built).items() if n > 1}
+        assert repeated == {(3, 3): 2}
         first = len(built)
         verify_suite(grid=4, oracle_seeds=2, perm_trials=1)
         assert built[first:] == built[:first]  # nothing is kept across calls
@@ -277,4 +281,4 @@ class TestVerifySuite:
         checks = verify_suite(grid=2, oracle_seeds=1, perm_trials=1)
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
         assert [c.name for c in checks][:3] == ["csit-table-3x3", "oracle-3x3-1-seeds", "dof-grid-to-2"]
-        assert sorted(built) == [(1, 2), (2, 2), (2, 3), (2, 4), (3, 3), (4, 3), (5, 4)]
+        assert sorted(built) == [(1, 2), (2, 2), (2, 3), (2, 4), (3, 3), (3, 3), (4, 3), (5, 4)]
