@@ -34,8 +34,6 @@ from .receive import (
 )
 from .schedule import (
     CsitTable,
-    Phase1Slot,
-    Phase2Slot,
     Schedule,
     SchemeCase,
     SchemeConstructionError,

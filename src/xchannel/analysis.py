@@ -25,7 +25,6 @@ from .receive import (
 )
 from .schedule import (
     Schedule,
-    build_csit_table,
     build_schedule,
     count_csit_variants,
     permute_schedule,
@@ -101,7 +100,7 @@ class RatePoint:
     per_receiver: tuple[float, ...]
 
 
-def sum_rate(systems, snr_dbs, allocation: str = "equal") -> list[RatePoint]:
+def sum_rate(systems: LinearSystem, snr_dbs) -> list[RatePoint]:
     """Achievable sum rate (bits per channel use), one RatePoint per SNR in `snr_dbs`.
 
     The total budget 10^(snr_db/10) is split equally over the M transmitters,
@@ -109,26 +108,18 @@ def sum_rate(systems, snr_dbs, allocation: str = "equal") -> list[RatePoint]:
     (1/T) log2 det(I + P_s G^H Sigma^-1 G) = (1/T) sum log2(1 + P_s s^2) over the
     singular values s of L^-1 G, Sigma = L L^H, so one stacked Cholesky and SVD
     serve every SNR. Requires the noisy systems (positive definite Sigma) of one
-    run, as a sequence or a stacked LinearSystem; draw axes are averaged over.
+    run as one stack with a receiver axis, as assemble_system returns for an
+    index array of receivers; draw axes in front of it are averaged over.
     """
-    if allocation != "equal":
-        raise ValueError(f"unknown power allocation {allocation!r}")
-    if not systems:
-        raise ValueError("need at least one receiver system")
-    if not isinstance(systems, LinearSystem):
-        sigma, G = (np.stack([getattr(sys, name) for sys in systems]) for name in ("sigma", "G"))
-    else:
-        sigma, G = systems.sigma, systems.G
     try:
-        L = np.linalg.cholesky(sigma)
+        L = np.linalg.cholesky(systems.sigma)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(
             "noise covariance is singular; rate evaluation needs a noisy run"
         ) from exc
-    s2 = np.linalg.svd(np.linalg.solve(L, G), compute_uv=False) ** 2  # (..., N, kM)
-    first = next(iter(systems))  # a stack is not indexable
-    p_s = 10.0 ** (np.asarray(snr_dbs, dtype=float) / 10.0) / first.M
-    rates = np.log1p(p_s.reshape((-1,) + (1,) * s2.ndim) * s2).sum(axis=-1) / (math.log(2) * first.T)
+    s2 = np.linalg.svd(np.linalg.solve(L, systems.G), compute_uv=False) ** 2  # (..., N, kM)
+    p_s = 10.0 ** (np.asarray(snr_dbs, dtype=float) / 10.0) / systems.M
+    rates = np.log1p(p_s.reshape((-1,) + (1,) * s2.ndim) * s2).sum(axis=-1) / (math.log(2) * systems.T)
     rates = rates.reshape(len(p_s), -1, s2.shape[-2]).mean(axis=1)  # over draws
     return [
         RatePoint(snr_db=float(snr), sum_rate=float(sum(r)), per_receiver=tuple(r))
@@ -361,9 +352,7 @@ def oracle_verify_3user(
     channels = generate_channels(3, 3, schedule.T, channel_seed, mask=schedule.used)
     messages = generate_messages(3, 3, schedule.k, message_seed)
     if plan is None:
-        plan = build_transmit_plan(
-            schedule, messages, channels, build_csit_table(schedule)
-        )
+        plan = build_transmit_plan(schedule, messages, channels, schedule.csit)
     log = observe_all(plan, channels, NoiseModel(enabled=False))
     d = decode(assemble_system(log, np.arange(3)))
 
@@ -412,7 +401,7 @@ def verify_suite(
 
     checks: list[CheckResult] = []
 
-    table = build_csit_table(schedule(3, 3))
+    table = schedule(3, 3).csit
     checks.append(
         CheckResult(
             name="csit-table-3x3",
@@ -433,9 +422,8 @@ def verify_suite(
             s = schedule(M, N)
             if not dof_report(s).equal:
                 bad_dof.append((M, N))
-            t = build_csit_table(s)
             for i in range(N):
-                c = t.counts(i)
+                c = s.csit.counts(i)
                 expect = {
                     "P": s.k * (M - 1),
                     "D": s.k * (N - 1),
@@ -452,7 +440,7 @@ def verify_suite(
     decode_bad = []
     for M, N in [(2, 2), (3, 3), (4, 3), (2, 4), (5, 4), (2, 3)]:
         sim = run_simulation(M, N, seed=seed, schedule=schedule(M, N))
-        if sim.plan.csit_violations or audit_csit_trace(sim.plan.csit_reads, sim.table):
+        if len(sim.plan.csit_violations) or len(audit_csit_trace(sim.plan.csit_reads, sim.schedule.csit)):
             audit_bad.append((M, N))
         if not sim.all_recovered():
             decode_bad.append((M, N))

@@ -12,7 +12,6 @@ from pathlib import Path
 from .analysis import check_snr_grid, dof_report, dof_slope, sweep_rates, verify_suite
 from .schedule import (
     UnsupportedConfigurationError,
-    build_csit_table,
     build_schedule,
     format_csit_table,
     format_schedule,
@@ -160,6 +159,12 @@ def _validate(mode: str, cfg: dict) -> None:
                 raise ConfigError(f"--{name} is required for this mode")
         elif not ok(cfg[name]):
             raise ConfigError(f"--{name} must be {what}, got {cfg[name]!r}")
+    if cfg.get("out"):  # a path, by now; "" means stdout
+        path = Path(cfg["out"])
+        if path.is_dir():
+            raise ConfigError(f"--out must be a file path, got the directory {cfg['out']!r}")
+        if not path.parent.is_dir():
+            raise ConfigError(f"--out directory {str(path.parent)!r} does not exist")
     if mode == "sweep" and "snr" in cfg:
         check_snr_grid(cfg["snr"])  # the slope fit's own rule, checked up front
 
@@ -207,7 +212,7 @@ def _mode_schedule(cfg: dict, out: _Output) -> int:
 def _mode_csit_table(cfg: dict, out: _Output) -> int:
     M, N = cfg["M"], cfg["N"]
     schedule = build_schedule(M, N)
-    table = build_csit_table(schedule)
+    table = schedule.csit
     if cfg.get("format", "text") == "json":
         out.emit(_json_dumps(table.to_dict()))
     else:

@@ -73,7 +73,7 @@ class LinearSystem:
     y_noise = B @ n[i, :], so sigma = variance * B B^T.
 
     A stack has leading axes (draws, then receivers) on every array and an
-    int array of receivers; len() counts its systems and iteration yields them.
+    int array of receivers; len() counts its systems.
     """
 
     receiver: int | np.ndarray
@@ -87,13 +87,6 @@ class LinearSystem:
 
     def __len__(self) -> int:
         return math.prod(self.G.shape[:-2])
-
-    def __iter__(self):
-        batch = self.G.shape[:-2]
-        receivers = np.broadcast_to(self.receiver, batch).ravel().tolist()
-        flat = [a.reshape(-1, *a.shape[len(batch):]) for a in (self.G, self.y, self.sigma, self.noise_map)]
-        for receiver, *arrays in zip(receivers, *flat):
-            yield LinearSystem(receiver, *arrays, T=self.T, M=self.M, k=self.k)
 
 
 @dataclass(frozen=True, eq=False)

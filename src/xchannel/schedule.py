@@ -26,8 +26,6 @@ __all__ = [
     "SchemeCase",
     "UnsupportedConfigurationError",
     "SchemeConstructionError",
-    "Phase1Slot",
-    "Phase2Slot",
     "Schedule",
     "CsitTable",
     "classify_case",
@@ -60,23 +58,6 @@ class SchemeConstructionError(RuntimeError):
     """A built schedule or assembled system violates a structural invariant."""
 
 
-@dataclass(frozen=True)
-class Phase1Slot:
-    """Slot that broadcasts the message group of one (receiver, copy)."""
-
-    slot: int
-    receiver: int
-    copy: int = 0
-
-
-@dataclass(frozen=True)
-class Phase2Slot:
-    """Slot that serves two (receiver, copy) members with retrospective precoding."""
-
-    slot: int
-    pair: tuple[tuple[int, int], tuple[int, int]]
-
-
 @dataclass(frozen=True, eq=False)
 class Schedule:
     """Complete slot plan for one run: kN phase-1 slots then the pair slots.
@@ -85,8 +66,8 @@ class Schedule:
     two (receiver, copy) members each slot serves, a phase-1 slot listing its
     single group twice. Slot indices are 0-based and global: phase 1 occupies
     0..k*N-1 (copy-major in the canonical schedule), phase 2 the remainder.
-    Every other table and the slot records are views derived from it; compare
-    schedules by their `members`.
+    Every other table, the CSIT table included, is a view derived from it;
+    compare schedules by their `members`.
     """
 
     M: int
@@ -105,18 +86,6 @@ class Schedule:
     @property
     def phase1_len(self) -> int:
         return self.k * self.N
-
-    @cached_property
-    def phase1(self) -> tuple[Phase1Slot, ...]:
-        groups = self.members[: self.phase1_len, 0].tolist()
-        return tuple(Phase1Slot(t, i, c) for t, (i, c) in enumerate(groups))
-
-    @cached_property
-    def phase2(self) -> tuple[Phase2Slot, ...]:
-        pairs = self.members[self.phase1_len :].tolist()
-        return tuple(
-            Phase2Slot(t, (tuple(a), tuple(b))) for t, (a, b) in enumerate(pairs, self.phase1_len)
-        )
 
     @cached_property
     def phase1_slots(self) -> np.ndarray:
@@ -175,6 +144,11 @@ class Schedule:
         reads = reads.transpose(2, 0, 1).reshape(-1, 3)
         reads.setflags(write=False)
         return reads
+
+    @cached_property
+    def csit(self) -> CsitTable:
+        """The schedule's CSIT table, build_csit_table(self), built once."""
+        return build_csit_table(self)
 
     @property
     def message_count(self) -> int:

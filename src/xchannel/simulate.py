@@ -10,7 +10,7 @@ import numpy as np
 from .channel import (ChannelRealization, MessageSet, NoiseModel, generate_channels,
                       generate_messages, run_streams)
 from .receive import DecodeResult, LinearSystem, ObservationLog, assemble_system, decode, observe_all
-from .schedule import CsitTable, Schedule, build_csit_table, build_schedule
+from .schedule import Schedule, build_schedule
 from .transmit import TransmitPlan, build_transmit_plan
 
 __all__ = ["SimulationResult", "run_simulation"]
@@ -23,7 +23,6 @@ class SimulationResult:
     schedule: Schedule
     channels: ChannelRealization
     messages: MessageSet
-    table: CsitTable
     noise: NoiseModel
     plan: TransmitPlan
     log: ObservationLog
@@ -87,8 +86,7 @@ def run_simulation(
     ch_seed, msg_seed, noise_seed = zip(*map(run_streams, seed)) if np.ndim(seed) else run_streams(seed)
     channels = generate_channels(M, N, schedule.T, ch_seed, mask=schedule.used)
     messages = generate_messages(M, N, schedule.k, msg_seed)
-    table = build_csit_table(schedule)
-    plan = build_transmit_plan(schedule, messages, channels, table, normalize=normalize)
+    plan = build_transmit_plan(schedule, messages, channels, schedule.csit, normalize=normalize)
     noise = NoiseModel(enabled=noise_enabled, variance=noise_variance, seed=noise_seed)
     log = observe_all(plan, channels, noise)
     systems = assemble_system(log, np.arange(N))
@@ -96,7 +94,6 @@ def run_simulation(
         schedule=schedule,
         channels=channels,
         messages=messages,
-        table=table,
         noise=noise,
         plan=plan,
         log=log,

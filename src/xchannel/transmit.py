@@ -17,8 +17,6 @@ from .schedule import CsitTable, Schedule
 
 __all__ = [
     "CsitAccessError",
-    "CsitRead",
-    "CsitTrace",
     "CsitView",
     "TransmitPlan",
     "audit_csit_trace",
@@ -40,31 +38,11 @@ class CsitAccessError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class CsitRead:
-    """One granted channel read: receiver row `slot`, issued while in `at_slot`."""
-
-    receiver: int
-    slot: int
-    at_slot: int
-
-
-class CsitTrace:
-    """Read-only sequence of CsitRead kept as the rows of a (K, 3) int array
-    (receiver, slot, at_slot); records are built only when iterated."""
-
-    def __init__(self, rows=()):
-        self.rows = np.array(rows, dtype=np.intp).reshape(-1, 3)
-        self.rows.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return map(CsitRead, *self.rows.T.tolist())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, (CsitTrace, list, tuple)) and list(self) == list(other)
+def _rows(reads) -> np.ndarray:
+    """Read-only (K, 3) intp array of (receiver, slot, at_slot) reads."""
+    rows = np.array(reads, dtype=np.intp).reshape(-1, 3)
+    rows.setflags(write=False)
+    return rows
 
 
 def _granted(reads: np.ndarray, table: CsitTable) -> np.ndarray:
@@ -82,13 +60,13 @@ class CsitView:
     granted only when the state table marks (i, now) as "P" with t' == now,
     or (i, t') as "D" with t' strictly earlier than now. Granted reads
     accumulate in `reads`; an illegal read is recorded in `violations` and raised.
+    Both are read-only (K, 3) int arrays of (receiver, slot, at_slot) rows.
     """
 
     def __init__(self, channels: ChannelRealization, table: CsitTable):
         self._channels = channels
         self._table = table
-        self.reads = CsitTrace()
-        self.violations = CsitTrace()
+        self.reads = self.violations = _rows(())
 
     def read(self, reads) -> np.ndarray:
         """(..., K, M) copy of rows h[..., receiver, :, slot] for (K, 3) (receiver, slot,
@@ -97,19 +75,19 @@ class CsitView:
         reads = np.asarray(reads, dtype=np.intp).reshape(-1, 3)
         denied = np.flatnonzero(~_granted(reads, self._table))
         stop = denied[0] if denied.size else len(reads)
-        self.reads = CsitTrace(np.concatenate([self.reads.rows, reads[:stop]]))
+        self.reads = _rows(np.concatenate([self.reads, reads[:stop]]))
         if denied.size:
             receiver, slot, at_slot = reads[stop].tolist()
-            self.violations = CsitTrace(np.concatenate([self.violations.rows, reads[stop:stop + 1]]))
+            self.violations = _rows(np.concatenate([self.violations, reads[stop:stop + 1]]))
             raise CsitAccessError(receiver, slot, at_slot, self._table.state(receiver, slot))
         return self._channels.rows(reads[:, 0], reads[:, 1])
 
 
-def audit_csit_trace(reads, table: CsitTable) -> list[CsitRead]:
-    """Re-check a CsitTrace or a sequence of CsitRead against the state table; returns the offenders."""
-    if not isinstance(reads, CsitTrace):
-        reads = CsitTrace([(r.receiver, r.slot, r.at_slot) for r in reads])
-    return list(CsitTrace(reads.rows[~_granted(reads.rows, table)]))
+def audit_csit_trace(reads: np.ndarray, table: CsitTable) -> np.ndarray:
+    """Re-check (K, 3) (receiver, slot, at_slot) reads against the state table; returns
+    the offending rows, in order, as a read-only (n, 3) array."""
+    reads = _rows(reads)
+    return _rows(reads[~_granted(reads, table)])
 
 
 @dataclass(eq=False)
@@ -128,8 +106,8 @@ class TransmitPlan:
     coefficients: np.ndarray
     slot_scale: np.ndarray
     normalized: bool
-    csit_reads: CsitTrace
-    csit_violations: CsitTrace
+    csit_reads: np.ndarray  # (K, 3) granted (receiver, slot, at_slot) reads
+    csit_violations: np.ndarray  # the denied read, if any, in the same form
     _signals: np.ndarray | None = field(default=None, repr=False)
 
     def signal_matrix(self) -> np.ndarray:

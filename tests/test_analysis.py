@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -59,11 +60,12 @@ class TestDofReport:
 
 
 def toy_system(G, sigma, T=1):
-    G = np.asarray(G, dtype=complex)
-    m = G.shape[0]
+    """A stack of one receiver's system, as assemble_system returns for [0]."""
+    G = np.asarray(G, dtype=complex)[None]
+    m = G.shape[-1]
     return LinearSystem(
-        receiver=0, G=G, y=G @ np.ones(m), sigma=np.asarray(sigma, dtype=float),
-        noise_map=np.zeros((m, T)), T=T, M=m, k=1,
+        receiver=np.array([0]), G=G, y=G @ np.ones(m), sigma=np.asarray(sigma, dtype=float)[None],
+        noise_map=np.zeros((1, m, T)), T=T, M=m, k=1,
     )
 
 
@@ -71,7 +73,7 @@ class TestSumRate:
     def test_scalar_closed_form(self):
         sys1 = toy_system([[1.0]], [[1.0]])
         snrs = [0.0, 10.0, 30.0]
-        pts = sum_rate([sys1], snrs)
+        pts = sum_rate(sys1, snrs)
         assert [p.snr_db for p in pts] == snrs
         for snr, pt in zip(snrs, pts):
             want = math.log2(1.0 + 10.0 ** (snr / 10.0))
@@ -80,37 +82,30 @@ class TestSumRate:
     def test_power_split_across_transmitters(self):
         # M = 2 halves the per-message power of each unknown
         sysa = toy_system(np.eye(2), np.eye(2))
-        (pt,) = sum_rate([sysa], [20.0])
+        (pt,) = sum_rate(sysa, [20.0])
         want = 2 * math.log2(1.0 + 100.0 / 2.0)
         assert pt.sum_rate == pytest.approx(want, rel=1e-12)
 
     def test_slot_normalization(self):
         sys1 = toy_system([[1.0]], [[1.0]], T=4)
-        (pt,) = sum_rate([sys1], [10.0])
+        (pt,) = sum_rate(sys1, [10.0])
         assert pt.sum_rate == pytest.approx(math.log2(11.0) / 4.0, rel=1e-12)
 
     def test_per_receiver_adds_up(self):
         sim = run_simulation(3, 3, seed=0, noise_enabled=True, normalize=True)
-        (pt,) = sum_rate(list(sim.systems), [30.0])
+        (pt,) = sum_rate(sim.systems, [30.0])
         assert len(pt.per_receiver) == 3
         assert pt.sum_rate == pytest.approx(sum(pt.per_receiver), rel=1e-12)
 
     def test_monotone_in_snr(self):
         sim = run_simulation(3, 3, seed=1, noise_enabled=True, normalize=True)
-        rates = [p.sum_rate for p in sum_rate(list(sim.systems), (0, 10, 20, 30))]
+        rates = [p.sum_rate for p in sum_rate(sim.systems, (0, 10, 20, 30))]
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
     def test_noiseless_rejected(self):
         sim = run_simulation(3, 3, seed=0)
         with pytest.raises(RuntimeError, match="noise covariance is singular"):
-            sum_rate(list(sim.systems), [20.0])
-
-    def test_bad_allocation_rejected(self):
-        sys1 = toy_system([[1.0]], [[1.0]])
-        with pytest.raises(ValueError):
-            sum_rate([sys1], [10.0], allocation="waterfill")
-        with pytest.raises(ValueError):
-            sum_rate([], [10.0])
+            sum_rate(sim.systems, [20.0])
 
 
 class TestSweepAndSlope:
@@ -267,7 +262,16 @@ class TestVerifySuite:
         monkeypatch.setattr(analysis, "build_schedule", counting)
         return shapes
 
-    def test_one_schedule_per_shape_per_call(self, built):
+    def test_one_schedule_per_shape_per_call(self, built, monkeypatch):
+        import xchannel.schedule as schedule
+
+        tables = []
+        original = schedule.build_csit_table
+        for name, module in list(sys.modules.items()):  # wherever the name was imported
+            if name.startswith("xchannel") and getattr(module, "build_csit_table", None) is original:
+                monkeypatch.setattr(
+                    module, "build_csit_table", lambda s: tables.append((s.M, s.N)) or original(s)
+                )
         verify_suite(grid=4, oracle_seeds=2, perm_trials=1)
         # The oracle builds its own canonical (3, 3) schedule; every other
         # shape is built once.
@@ -276,6 +280,29 @@ class TestVerifySuite:
         first = len(built)
         verify_suite(grid=4, oracle_seeds=2, perm_trials=1)
         assert built[first:] == built[:first]  # nothing is kept across calls
+        # One CSIT table per schedule: the 56 grid shapes, the 10 permuted
+        # schedules of (3, 3) and (2, 4), and the oracle's own (3, 3).
+        tables.clear()
+        verify_suite(grid=8)
+        assert len(tables) == 67 and len(set(tables)) == 56
+        assert {shape: n for shape, n in Counter(tables).items() if n > 1} == {(3, 3): 7, (2, 4): 6}
+
+    def test_denied_reads_fail_the_audit_check(self, monkeypatch):
+        # two reads the contract denies (a row read before its slot) in every
+        # audited trace make csit-audit FAIL; nothing raises
+        import xchannel.analysis as analysis
+
+        def fabricating(*args, **kwargs):
+            sim = run_simulation(*args, **kwargs)
+            sim.plan.csit_reads = np.vstack([sim.plan.csit_reads, [[0, 1, 0], [1, 2, 1]]])
+            return sim
+
+        monkeypatch.setattr(analysis, "run_simulation", fabricating)
+        checks = {c.name: c for c in verify_suite(grid=3, oracle_seeds=1, perm_trials=1)}
+        audit = checks.pop("csit-audit")
+        assert not audit.passed
+        assert audit.detail == "violations at [(2, 2), (3, 3), (4, 3), (2, 4), (5, 4), (2, 3)]"
+        assert all(c.passed for c in checks.values())
 
     def test_grid_two_still_builds_shapes_outside_it(self, built):
         checks = verify_suite(grid=2, oracle_seeds=1, perm_trials=1)

@@ -276,6 +276,21 @@ class TestInputValidation:
         assert main(["schedule", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: --out must be a file path, got 5\n"
 
+    def test_out_in_missing_directory(self, tmp_path, capsys, no_work):
+        target = tmp_path / "missing" / "x"
+        assert main(["schedule", "--M", "3", "--N", "3", "--out", str(target)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out directory {str(target.parent)!r} does not exist\n"
+        )
+        assert not target.parent.exists()
+
+    def test_out_is_an_existing_directory(self, tmp_path, capsys, no_work):
+        assert main(["sweep", "--M", "2", "--N", "2", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --out must be a file path, got the directory {str(tmp_path)!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_in_config_is_honoured(self, tmp_path, capsys):
         target = tmp_path / "out.json"
         cfg = tmp_path / "cfg.json"

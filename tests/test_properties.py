@@ -41,9 +41,9 @@ def test_run_invariants(case, variance, normalize):
     sim = run_simulation(M, N, seed=seed, normalize=normalize)
 
     # the CSIT contract holds with four reads per pair slot
-    assert sim.plan.csit_violations == ()
-    assert audit_csit_trace(sim.plan.csit_reads, sim.table) == []
-    assert len(sim.plan.csit_reads) == 4 * len(s.phase2)
+    assert sim.plan.csit_violations.shape == (0, 3)
+    assert audit_csit_trace(sim.plan.csit_reads, sim.schedule.csit).shape == (0, 3)
+    assert len(sim.plan.csit_reads) == 4 * (s.T - first)
 
     # observation roles per receiver
     entries = sim.log.entries
@@ -67,17 +67,17 @@ def test_run_invariants(case, variance, normalize):
         M, N, seed=seed, noise_enabled=True, noise_variance=variance, normalize=normalize
     )
     noise = noisy.log.values - sim.log.values
-    for i, (system, clean) in enumerate(zip(noisy.systems, sim.systems)):
-        B = system.noise_map
+    for i in range(N):
+        B = noisy.systems.noise_map[i]
         used = np.any(B != 0, axis=0)
         # B maps the receiver's noise onto the right-hand side of its system; the
         # observations of cells whose channel was never drawn are NaN, and B is zero there
-        shift = system.y - clean.y
+        shift = noisy.systems.y[i] - sim.systems.y[i]
         assert np.abs(shift - B[:, used] @ noise[i, used]).max() <= 1e-9 * max(1.0, np.abs(shift).max())
         # discarded observations never enter the system; desired and combined ones do
         assert not used[entries[i] == K.DISCARDED].any()
         assert used[np.isin(entries[i], (K.DESIRED_PHASE1, K.COMBINED_PHASE2))].all()
-        np.testing.assert_allclose(system.sigma, variance * B @ B.T, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(noisy.systems.sigma[i], variance * B @ B.T, rtol=1e-12, atol=0)
 
 
 @PROPERTY
@@ -94,18 +94,18 @@ def test_rates_match_log_det_reference(case, tenths_db, normalize):
     M, N, seed = case
     snrs = sorted(t / 10 for t in tenths_db)
     sim = run_simulation(M, N, seed=seed, noise_enabled=True, normalize=normalize)
-    points = sum_rate(list(sim.systems), snrs)
+    points = sum_rate(sim.systems, snrs)
     assert [p.snr_db for p in points] == snrs
 
     for snr, point in zip(snrs, points):
         assert point.sum_rate == sum(point.per_receiver)
         p_s = 10.0 ** (snr / 10.0) / M
-        for system, rate in zip(sim.systems, point.per_receiver):
-            G = system.G
-            A = G.conj().T @ np.linalg.solve(system.sigma, G)
+        for i, rate in enumerate(point.per_receiver):
+            G = sim.systems.G[i]
+            A = G.conj().T @ np.linalg.solve(sim.systems.sigma[i], G)
             sign, logdet = np.linalg.slogdet(np.eye(len(A)) + p_s * A)
             assert abs(sign - 1) < 1e-9
-            want = logdet / (system.T * math.log(2))
+            want = logdet / (sim.systems.T * math.log(2))
             assert abs(rate - want) <= 1e-10 * abs(want)
 
     # strictly rising in SNR, per receiver and in sum
@@ -145,8 +145,8 @@ def test_sweep_is_mean_of_draws_in_any_chunking(case, normalize):
     M, N, D, seed = case
     snrs = [40.0, 60.0, 80.0]
     per_draw = [
-        sum_rate(list(run_simulation(M, N, seed=np.random.SeedSequence(seed, spawn_key=(d,)),
-                                     noise_enabled=True, normalize=normalize).systems), snrs)
+        sum_rate(run_simulation(M, N, seed=np.random.SeedSequence(seed, spawn_key=(d,)),
+                                noise_enabled=True, normalize=normalize).systems, snrs)
         for d in range(D)
     ]
     whole = sweep_rates(M, N, snrs, draws=D, seed=seed, normalize=normalize)
@@ -184,7 +184,7 @@ def test_stacked_plan_raises_at_the_flipped_read(case, pick):
     channels = generate_channels(M, N, s.T, seeds)
     messages = generate_messages(M, N, s.k, tuple(x + 1 for x in seeds))
     assert audit_csit_trace(build_transmit_plan(s, messages, channels, table).csit_reads,
-                            table) == []
+                            table).shape == (0, 3)
     with pytest.raises(CsitAccessError) as exc:
         build_transmit_plan(s, messages, channels, broken)
     assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (

@@ -70,79 +70,80 @@ class TestGoldenSchedules:
         s = build_schedule(3, 3)
         assert s.T == 6
         assert s.k == 1
-        assert [(p.slot, p.receiver, p.copy) for p in s.phase1] == [
-            (0, 0, 0),
-            (1, 1, 0),
-            (2, 2, 0),
-        ]
-        assert [(p.slot, p.pair) for p in s.phase2] == [
-            (3, ((0, 0), (1, 0))),
-            (4, ((0, 0), (2, 0))),
-            (5, ((1, 0), (2, 0))),
+        assert s.members[:3, 0].tolist() == [[0, 0], [1, 0], [2, 0]]  # slots 0-2
+        assert s.members[3:].tolist() == [  # slots 3-5
+            [[0, 0], [1, 0]],
+            [[0, 0], [2, 0]],
+            [[1, 0], [2, 0]],
         ]
 
     def test_2x2(self):
         s = build_schedule(2, 2)
         assert s.T == 3
-        assert [(p.slot, p.pair) for p in s.phase2] == [(2, ((0, 0), (1, 0)))]
+        assert s.phase1_len == 2
+        assert s.members[2:].tolist() == [[[0, 0], [1, 0]]]
 
     def test_4x3_alternates_copies(self):
         s = build_schedule(4, 3)
         assert (s.k, s.T) == (2, 15)
         assert s.message_count == 24
-        assert [(p.slot, p.pair) for p in s.phase2] == [
-            (6, ((0, 0), (1, 0))),
-            (7, ((0, 1), (2, 0))),
-            (8, ((1, 1), (2, 1))),
-            (9, ((0, 0), (1, 0))),
-            (10, ((0, 1), (2, 0))),
-            (11, ((1, 1), (2, 1))),
-            (12, ((0, 0), (1, 0))),
-            (13, ((0, 1), (2, 0))),
-            (14, ((1, 1), (2, 1))),
+        assert s.phase1_len == 6
+        assert s.members[6:].tolist() == [  # slots 6-14
+            [[0, 0], [1, 0]],
+            [[0, 1], [2, 0]],
+            [[1, 1], [2, 1]],
+            [[0, 0], [1, 0]],
+            [[0, 1], [2, 0]],
+            [[1, 1], [2, 1]],
+            [[0, 0], [1, 0]],
+            [[0, 1], [2, 0]],
+            [[1, 1], [2, 1]],
         ]
 
     def test_5x4_partial_round_stays_balanced(self):
         s = build_schedule(5, 4)
-        pairs = [(a[0], b[0]) for p in s.phase2 for a, b in [p.pair]]
+        pairs = s.members[s.phase1_len :, :, 0].tolist()
         # one full lexicographic sweep of C(4,2), then a perfect matching
         assert pairs == [
-            (0, 1),
-            (0, 2),
-            (0, 3),
-            (1, 2),
-            (1, 3),
-            (2, 3),
-            (0, 3),
-            (1, 2),
+            [0, 1],
+            [0, 2],
+            [0, 3],
+            [1, 2],
+            [1, 3],
+            [2, 3],
+            [0, 3],
+            [1, 2],
         ]
 
     def test_2x4_disjoint_rounds(self):
         s = build_schedule(2, 4)
-        assert [(p.slot, p.pair) for p in s.phase2] == [
-            (4, ((0, 0), (1, 0))),
-            (5, ((2, 0), (3, 0))),
+        assert s.phase1_len == 4
+        assert s.members[4:].tolist() == [  # slots 4-5
+            [[0, 0], [1, 0]],
+            [[2, 0], [3, 0]],
         ]
 
     def test_2x3_pairs_doubled_units(self):
         s = build_schedule(2, 3)
         assert (s.k, s.T) == (2, 9)
-        assert [(p.slot, p.pair) for p in s.phase2] == [
-            (6, ((0, 0), (1, 0))),
-            (7, ((2, 0), (0, 1))),
-            (8, ((1, 1), (2, 1))),
+        assert s.phase1_len == 6
+        assert s.members[6:].tolist() == [  # slots 6-8
+            [[0, 0], [1, 0]],
+            [[2, 0], [0, 1]],
+            [[1, 1], [2, 1]],
         ]
 
     def test_phase1_copy_major_order(self):
         s = build_schedule(2, 3)
-        assert [(p.slot, p.receiver, p.copy) for p in s.phase1] == [
-            (0, 0, 0),
-            (1, 1, 0),
-            (2, 2, 0),
-            (3, 0, 1),
-            (4, 1, 1),
-            (5, 2, 1),
+        assert s.members[:6, 0].tolist() == [  # slots 0-5
+            [0, 0],
+            [1, 0],
+            [2, 0],
+            [0, 1],
+            [1, 1],
+            [2, 1],
         ]
+        assert s.phase1_slots.tolist() == [[0, 3], [1, 4], [2, 5]]
 
 
 class TestBalanceInvariants:
@@ -152,38 +153,40 @@ class TestBalanceInvariants:
         k = replication_factor(classify_case(M, N))
         assert s.k == k
         assert 2 * s.T == k * N * (M + 1)
-        assert len(s.phase1) == k * N
-        assert len(s.phase2) == k * N * (M - 1) // 2
+        assert s.members.shape == (s.T, 2, 2) and not s.members.flags.writeable
+        first = s.phase1_len
+        assert first == k * N
+        pairs = s.members[first:]
+        assert len(pairs) == k * N * (M - 1) // 2
         # every (receiver, copy) unit appears exactly M-1 times in phase 2
-        counts = Counter(member for p in s.phase2 for member in p.pair)
+        counts = Counter(map(tuple, pairs.reshape(-1, 2).tolist()))
         if M > 1:
             assert set(counts) == {(i, c) for i in range(N) for c in range(k)}
             assert set(counts.values()) == {M - 1}
         else:
             assert not counts
         # pairs never put a receiver with itself
-        for p in s.phase2:
-            assert p.pair[0][0] != p.pair[1][0]
-        # slots are consecutive and phases do not overlap
-        assert [p.slot for p in s.phase1] == list(range(k * N))
-        assert [p.slot for p in s.phase2] == list(range(k * N, s.T))
+        assert (pairs[:, 0, 0] != pairs[:, 1, 0]).all()
+        # phase 1 fills slots 0..kN-1, broadcasting each (receiver, copy) group once
+        assert np.array_equal(s.members[:first, 0], s.members[:first, 1])
+        assert sorted(s.phase1_slots.ravel().tolist()) == list(range(first))
 
     @pytest.mark.parametrize("M,N", [(2, 4), (3, 6), (5, 8), (2, 6)])
     def test_even_n_rounds_are_disjoint(self, M, N):
         s = build_schedule(M, N)
         per_round = N // 2
-        for start in range(0, len(s.phase2), per_round):
-            chunk = s.phase2[start : start + per_round]
-            seen = [m[0] for p in chunk for m in p.pair]
+        pairs = s.members[s.phase1_len :]
+        for start in range(0, len(pairs), per_round):
+            seen = pairs[start : start + per_round, :, 0].ravel().tolist()
             assert sorted(seen) == list(range(N))
 
     @pytest.mark.parametrize("M,N", [(2, 3), (4, 5), (6, 7)])
     def test_odd_n_rounds_cover_every_unit_once(self, M, N):
         s = build_schedule(M, N)
         per_round = N
-        for start in range(0, len(s.phase2), per_round):
-            chunk = s.phase2[start : start + per_round]
-            seen = sorted(m for p in chunk for m in p.pair)
+        pairs = s.members[s.phase1_len :]
+        for start in range(0, len(pairs), per_round):
+            seen = sorted(map(tuple, pairs[start : start + per_round].reshape(-1, 2).tolist()))
             assert seen == sorted((i, c) for i in range(N) for c in range(2))
 
     @pytest.mark.parametrize(
@@ -202,15 +205,6 @@ class TestBalanceInvariants:
         with pytest.raises(SchemeConstructionError) as exc:
             _check_balance(M, N, 1, table)
         assert str(exc.value) == message
-
-    @pytest.mark.parametrize("M,N", [(3, 3), (4, 3), (1, 3)])
-    def test_slot_records_are_views_of_members(self, M, N):
-        s = build_schedule(M, N)
-        assert s.members.shape == (s.T, 2, 2) and not s.members.flags.writeable
-        rows = [[(p.receiver, p.copy)] * 2 for p in s.phase1] + [list(p.pair) for p in s.phase2]
-        assert np.array_equal(np.array(rows, dtype=np.intp).reshape(-1, 2, 2), s.members)
-        assert [p.slot for p in s.phase1 + s.phase2] == list(range(s.T))
-        assert all(type(v) is int for p in s.phase2 for m in p.pair for v in m)
 
     def test_n_below_two_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
@@ -268,6 +262,15 @@ class TestCsitTable:
             assert c["D"] == k * (N - 1)
             assert c["N"] == s.T - c["P"] - c["D"]
 
+    def test_schedule_owns_its_table(self):
+        s = build_schedule(4, 3)
+        assert s.csit is s.csit  # built once per schedule
+        assert np.array_equal(s.csit.grid, build_csit_table(s).grid)
+        t = permute_schedule(s, [5, 4, 3, 2, 1, 0], list(range(s.T - s.phase1_len)))
+        assert t.csit is not s.csit
+        assert np.array_equal(t.csit.grid, build_csit_table(t).grid)
+        assert not np.array_equal(t.csit.grid, s.csit.grid)
+
     def test_views_read_the_grid(self):
         s = build_schedule(4, 3)
         table = build_csit_table(s)
@@ -279,20 +282,20 @@ class TestCsitTable:
     def test_phase1_columns_have_one_n_state(self):
         s = build_schedule(3, 4)
         table = build_csit_table(s)
-        for p in s.phase1:
-            col = [table.state(i, p.slot) for i in range(s.N)]
+        for slot, ((receiver, _), _) in enumerate(s.members[: s.phase1_len].tolist()):
+            col = [table.state(i, slot) for i in range(s.N)]
             assert col.count("N") == 1
             assert col.count("D") == s.N - 1
-            assert table.state(p.receiver, p.slot) == "N"
+            assert table.state(receiver, slot) == "N"
 
     def test_phase2_columns_mark_pair_members(self):
         s = build_schedule(4, 3)
         table = build_csit_table(s)
-        for p in s.phase2:
-            members = {m[0] for m in p.pair}
+        for slot in range(s.phase1_len, s.T):
+            members = set(s.members[slot, :, 0].tolist())
             for i in range(s.N):
                 want = "P" if i in members else "N"
-                assert table.state(i, p.slot) == want
+                assert table.state(i, slot) == want
 
 
 class TestPermutations:
@@ -305,17 +308,17 @@ class TestPermutations:
     def test_swap_golden(self):
         s = build_schedule(3, 3)
         t = permute_schedule(s, [0, 1, 2], [1, 0, 2])
-        assert [p.pair for p in t.phase2] == [
-            ((0, 0), (2, 0)),
-            ((0, 0), (1, 0)),
-            ((1, 0), (2, 0)),
+        assert t.phase1_len == 3
+        assert t.members[3:].tolist() == [  # slots 3-5
+            [[0, 0], [2, 0]],
+            [[0, 0], [1, 0]],
+            [[1, 0], [2, 0]],
         ]
-        assert [p.slot for p in t.phase2] == [3, 4, 5]
 
     def test_phase1_permutation_reorders_broadcasts(self):
         s = build_schedule(3, 3)
         t = permute_schedule(s, [2, 0, 1], [0, 1, 2])
-        assert [p.receiver for p in t.phase1] == [2, 0, 1]
+        assert t.members[:3, 0, 0].tolist() == [2, 0, 1]
 
     @pytest.mark.parametrize(
         "p1,p2",
@@ -330,16 +333,17 @@ class TestPermutations:
     @given(data=st.data())
     def test_random_permutation_preserves_balance(self, data):
         s = build_schedule(4, 3)
-        p1 = data.draw(st.permutations(list(range(len(s.phase1)))))
-        p2 = data.draw(st.permutations(list(range(len(s.phase2)))))
+        first = s.phase1_len
+        p1 = data.draw(st.permutations(list(range(first))))
+        p2 = data.draw(st.permutations(list(range(s.T - first))))
         t = permute_schedule(s, list(p1), list(p2))
         assert t.T == s.T
-        assert Counter(m for p in t.phase2 for m in p.pair) == Counter(
-            m for p in s.phase2 for m in p.pair
-        )
-        assert sorted((p.receiver, p.copy) for p in t.phase1) == sorted(
-            (p.receiver, p.copy) for p in s.phase1
-        )
+
+        def units(members):
+            return Counter(map(tuple, members.reshape(-1, 2).tolist()))
+
+        assert units(t.members[first:]) == units(s.members[first:])
+        assert units(t.members[:first, 0]) == units(s.members[:first, 0])
 
     @pytest.mark.parametrize(
         "M,N,count",
@@ -351,7 +355,7 @@ class TestPermutations:
     def test_variant_count_matches_phase_lengths(self):
         for M, N in [(3, 3), (4, 3), (2, 4), (5, 4)]:
             s = build_schedule(M, N)
-            want = factorial(len(s.phase1)) * factorial(len(s.phase2))
+            want = factorial(s.phase1_len) * factorial(s.T - s.phase1_len)
             assert count_csit_variants(M, N) == want
 
 
@@ -399,7 +403,7 @@ class TestSerialization:
 
     def test_format_csit_table_golden_rows(self):
         s = build_schedule(3, 3)
-        text = format_csit_table(build_csit_table(s), len(s.phase1))
+        text = format_csit_table(build_csit_table(s), s.phase1_len)
         lines = [ln for ln in text.splitlines() if ln.lstrip().startswith("R")]
         joined = ["".join(ch for ch in ln if ch in "PDN") for ln in lines]
         assert joined == ["NDDPPN", "DNDPNP", "DDNNPP"]

@@ -13,7 +13,6 @@ from xchannel import transmit
 from xchannel.schedule import CsitTable, build_csit_table, build_schedule
 from xchannel.transmit import (
     CsitAccessError,
-    CsitRead,
     CsitView,
     audit_csit_trace,
     build_transmit_plan,
@@ -34,14 +33,14 @@ class TestPhase1:
     def test_signal_is_message_row(self):
         s, _, _, ms, _, plan = make_instance(3, 3)
         X = plan.signal_matrix()
-        for p in s.phase1:
-            np.testing.assert_array_equal(X[:, p.slot], ms.w[p.receiver, :, p.copy])
+        for t, ((i, c), _) in enumerate(s.members[: s.phase1_len].tolist()):
+            np.testing.assert_array_equal(X[:, t], ms.w[i, :, c])
 
     def test_copy_selects_column(self):
         s, _, _, ms, _, plan = make_instance(4, 3)
-        p = s.phase1[4]  # second copy of receiver 1's broadcast
-        assert (p.receiver, p.copy) == (1, 1)
-        np.testing.assert_array_equal(plan.signal_matrix()[:, p.slot], ms.w[1, :, 1])
+        t = 4  # second copy of receiver 1's broadcast
+        assert s.members[t, 0].tolist() == [1, 1] and s.phase1_slots[1, 1] == t
+        np.testing.assert_array_equal(plan.signal_matrix()[:, t], ms.w[1, :, 1])
 
 
 class TestPhase2Coefficients:
@@ -60,9 +59,7 @@ class TestPhase2Coefficients:
         # here straight from the channel tensor
         s, _, ch, ms, _, plan = make_instance(M, N, seed=3)
         h = ch.h
-        for p in s.phase2:
-            (a, ca), (b, cb) = p.pair
-            t = p.slot
+        for t, ((a, ca), (b, cb)) in enumerate(s.members[s.phase1_len :].tolist(), s.phase1_len):
             t_a = s.phase1_slots[a, ca]
             t_b = s.phase1_slots[b, cb]
             assert s.members[t].tolist() == [[a, ca], [b, cb]]
@@ -80,9 +77,8 @@ class TestPhase2Coefficients:
         ms = generate_messages(3, 3, 1, seed=1)
         plan = build_transmit_plan(s, ms, ch, table)
         X = plan.signal_matrix()
-        for p in s.phase2:
-            (a, ca), (b, cb) = p.pair
-            np.testing.assert_allclose(X[:, p.slot], ms.w[a, :, ca] + ms.w[b, :, cb], rtol=1e-14)
+        for t, ((a, ca), (b, cb)) in enumerate(s.members[s.phase1_len :].tolist(), s.phase1_len):
+            np.testing.assert_allclose(X[:, t], ms.w[a, :, ca] + ms.w[b, :, cb], rtol=1e-14)
 
     def test_matrix_matches_slot_functions(self):
         # every column of the signal matrix equals its slot's transmit vector,
@@ -90,11 +86,11 @@ class TestPhase2Coefficients:
         s, _, ch, ms, _, plan = make_instance(4, 3, seed=7)
         h = ch.h
         X = plan.signal_matrix()
-        for p in s.phase1:
-            np.testing.assert_allclose(X[:, p.slot], ms.w[p.receiver, :, p.copy], rtol=1e-14)
-        for p in s.phase2:
-            (a, ca), (b, cb) = p.pair
-            t, t_a, t_b = p.slot, s.phase1_slots[a, ca], s.phase1_slots[b, cb]
+        first, members = s.phase1_len, s.members.tolist()
+        for t, ((i, c), _) in enumerate(members[:first]):
+            np.testing.assert_allclose(X[:, t], ms.w[i, :, c], rtol=1e-14)
+        for t, ((a, ca), (b, cb)) in enumerate(members[first:], first):
+            t_a, t_b = s.phase1_slots[a, ca], s.phase1_slots[b, cb]
             for j in range(s.M):
                 want = (h[b, j, t_a] / h[b, j, t] * ms.w[a, j, ca]
                         + h[a, j, t_b] / h[a, j, t] * ms.w[b, j, cb])
@@ -105,25 +101,25 @@ class TestCsitAccessControl:
     def test_plan_is_violation_free(self):
         for M, N in [(3, 3), (4, 3), (2, 4), (5, 4), (2, 3)]:
             _, table, _, _, _, plan = make_instance(M, N)
-            assert plan.csit_violations == ()
-            assert audit_csit_trace(plan.csit_reads, table) == []
+            assert plan.csit_violations.shape == (0, 3)
+            assert audit_csit_trace(plan.csit_reads, table).shape == (0, 3)
 
     def test_reads_satisfy_access_rule(self):
         # every granted read is either perfect-now or delayed-strictly-earlier
         _, table, _, _, _, plan = make_instance(4, 3)
-        for r in plan.csit_reads:
-            state = table.state(r.receiver, r.slot)
-            assert (r.slot == r.at_slot and state == "P") or (
-                r.slot < r.at_slot and state == "D"
+        for receiver, slot, at_slot in plan.csit_reads.tolist():
+            state = table.state(receiver, slot)
+            assert (slot == at_slot and state == "P") or (
+                slot < at_slot and state == "D"
             )
 
     def test_read_count_is_four_per_pair_slot(self):
         s, _, _, _, _, plan = make_instance(5, 4)
-        assert len(plan.csit_reads) == 4 * len(s.phase2)
+        assert len(plan.csit_reads) == 4 * (s.T - s.phase1_len)
 
     def test_golden_trace_slot3(self):
         s, _, _, _, _, plan = make_instance(3, 3)
-        reads = {(r.receiver, r.slot) for r in plan.csit_reads if r.at_slot == 3}
+        reads = {(receiver, slot) for receiver, slot, at_slot in plan.csit_reads.tolist() if at_slot == 3}
         assert reads == {(0, 3), (1, 3), (1, 0), (0, 1)}
 
     def test_no_csit_state_denied(self):
@@ -147,15 +143,15 @@ class TestCsitAccessControl:
         _, _, ch, _, view, _ = make_instance(3, 3)
         rows = view.read([(1, 0, 4), (0, 4, 4)])
         np.testing.assert_array_equal(rows, [ch.h[1, :, 0], ch.h[0, :, 4]])
-        assert view.reads == [CsitRead(1, 0, 4), CsitRead(0, 4, 4)]
-        assert view.violations == []
+        assert view.reads.tolist() == [[1, 0, 4], [0, 4, 4]]
+        assert view.violations.tolist() == []
 
     def test_denied_read_stops_the_gather(self):
         _, _, _, _, view, _ = make_instance(3, 3)
         with pytest.raises(CsitAccessError):
             view.read([(1, 0, 4), (0, 3, 4), (0, 4, 4)])
-        assert view.reads == [CsitRead(1, 0, 4)]
-        assert view.violations == [CsitRead(0, 3, 4)]
+        assert view.reads.tolist() == [[1, 0, 4]]
+        assert view.violations.tolist() == [[0, 3, 4]]
 
     def test_plan_raises_at_first_denied_pair_read(self, monkeypatch):
         # flip one pair-slot "P" cell to "N": the plan's gather must stop there
@@ -180,20 +176,36 @@ class TestCsitAccessControl:
         assert (exc.value.receiver, exc.value.slot, exc.value.at_slot) == (receiver, slot, at_slot)
         assert exc.value.state == "N"
         (view,) = views
-        assert view.violations == [CsitRead(receiver, slot, at_slot)]
-        assert view.reads == [CsitRead(*r) for r in reads[:at]]
+        assert view.violations.tolist() == [[receiver, slot, at_slot]]
+        assert view.reads.tolist() == reads[:at]
 
     def test_trace_is_read_only_rows_of_pair_reads(self):
         s, _, _, _, _, plan = make_instance(4, 3)
-        rows = plan.csit_reads.rows
+        rows = plan.csit_reads
+        assert rows.shape == (len(s.pair_reads), 3) and rows.dtype == np.intp
         assert np.array_equal(rows, s.pair_reads) and not rows.flags.writeable
-        assert list(plan.csit_reads) == [CsitRead(*r) for r in s.pair_reads.tolist()]
+        assert not plan.csit_violations.flags.writeable
 
     def test_audit_flags_fabricated_read(self):
         _, table, _, _, _, plan = make_instance(3, 3)
-        fake = CsitRead(receiver=0, slot=5, at_slot=3)
-        bad = audit_csit_trace(list(plan.csit_reads) + [fake], table)
-        assert bad == [fake]
+        fake = [0, 5, 3]  # receiver 0's slot-5 row, read at slot 3
+        bad = audit_csit_trace(np.vstack([plan.csit_reads, [fake]]), table)
+        assert bad.tolist() == [fake]
+
+    def test_audit_returns_exactly_the_denied_rows(self):
+        _, table, _, _, _, plan = make_instance(4, 3)
+        clean = audit_csit_trace(plan.csit_reads, table)
+        assert clean.shape == (0, 3) and clean.dtype == np.intp
+        reads = plan.csit_reads.tolist()
+        cells = {tuple(reads[1][:2]), tuple(reads[-2][:2])}  # a "P" cell and a "D" cell
+        grid = table.grid.copy()
+        for receiver, slot in cells:
+            grid[receiver, slot] = ord("N")
+        denied = [r for r in reads if tuple(r[:2]) in cells]  # a "D" cell may be read more than once
+        assert len(denied) >= 2
+        bad = audit_csit_trace(plan.csit_reads, CsitTable(grid))
+        assert bad.shape == (len(denied), 3) and bad.dtype == np.intp and not bad.flags.writeable
+        assert bad.tolist() == denied
 
 
 class TestAlignment:
@@ -203,10 +215,9 @@ class TestAlignment:
         # the slot-scale times what b overheard when the partner broadcast
         s, _, ch, ms, _, plan = make_instance(M, N, seed=11, normalize=True)
         h = ch.h
-        for p in s.phase2:
-            t = p.slot
+        for t, pair in enumerate(s.members[s.phase1_len :].tolist(), s.phase1_len):
             g = plan.slot_scale[t]
-            for m, ((a, ca), (b, cb)) in enumerate((p.pair, p.pair[::-1])):
+            for m, ((a, ca), (b, cb)) in enumerate((pair, pair[::-1])):
                 t_a = s.phase1_slots[a, ca]
                 seen = 0.0 + 0.0j
                 for j in range(M):
@@ -218,18 +229,18 @@ class TestAlignment:
 class TestNormalization:
     def test_coefficient_norms_capped_at_one(self):
         s, _, _, _, _, plan = make_instance(4, 3, seed=5, normalize=True)
-        for p in s.phase2:
+        for t in range(s.phase1_len, s.T):
             norms = []
             for j in range(s.M):
-                coefs = plan.coefficients[p.slot, :, j]
+                coefs = plan.coefficients[t, :, j]
                 norms.append(np.sqrt(sum(abs(c) ** 2 for c in coefs)))
             assert max(norms) == pytest.approx(1.0, rel=1e-12)
             assert all(n <= 1.0 + 1e-12 for n in norms)
 
     def test_phase1_scale_is_unity(self):
         s, _, _, _, _, plan = make_instance(3, 3, normalize=True)
-        for p in s.phase1:
-            assert plan.slot_scale[p.slot] == 1.0
+        for t in range(s.phase1_len):
+            assert plan.slot_scale[t] == 1.0
 
     def test_unnormalized_scale_is_unity_everywhere(self):
         s, _, _, _, _, plan = make_instance(3, 3, normalize=False)
@@ -243,7 +254,7 @@ class TestPlanSerialization:
     def test_term_counts(self):
         s, _, _, _, _, plan = make_instance(4, 3)
         assert plan.coefficients.shape == (s.T, 2, s.M)
-        for p in s.phase1:
-            assert np.all(plan.coefficients[p.slot] == [[1.0], [0.0]])
-        for p in s.phase2:
-            assert np.all(plan.coefficients[p.slot] != 0)
+        for t in range(s.phase1_len):
+            assert np.all(plan.coefficients[t] == [[1.0], [0.0]])
+        for t in range(s.phase1_len, s.T):
+            assert np.all(plan.coefficients[t] != 0)
