@@ -25,7 +25,6 @@ from .receive import (
     CONDITION_LIMIT,
     DecodeResult,
     LinearSystem,
-    ObservationKind,
     ObservationLog,
     assemble_system,
     cancel_interference,
@@ -34,6 +33,7 @@ from .receive import (
 )
 from .schedule import (
     CsitTable,
+    ObservationKind,
     Schedule,
     SchemeCase,
     SchemeConstructionError,

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
 from .channel import ChannelRealization, NoiseModel
-from .schedule import Schedule, SchemeConstructionError
+from .schedule import ObservationKind, Schedule
 from .transmit import TransmitPlan
 
 __all__ = [
@@ -37,29 +36,23 @@ __all__ = [
 CONDITION_LIMIT = 1e12
 
 
-class ObservationKind(IntEnum):
-    """Role of one (receiver, slot) observation, stored as an int8 code."""
-
-    DESIRED_PHASE1 = 0
-    INTERFERENCE_PHASE1 = 1
-    COMBINED_PHASE2 = 2
-    DISCARDED = 3
-
-
 @dataclass(frozen=True, eq=False)
 class ObservationLog:
     """All N x T received values plus the context needed to use them.
 
-    values[..., i, t] carries the plan's draw axes in front; entries[i, t],
-    the ObservationKind code of receiver i's value in slot t, is per schedule.
+    values[..., i, t] carries the plan's draw axes in front; entries is the
+    schedule's own (N, T) ObservationKind table, built on first read.
     """
 
     schedule: Schedule
     channels: ChannelRealization
     values: np.ndarray
-    entries: np.ndarray
     slot_scale: np.ndarray
     noise_variance: float
+
+    @property
+    def entries(self) -> np.ndarray:
+        return self.schedule.entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +122,7 @@ class DecodeResult:
 def observe_all(
     plan: TransmitPlan, channels: ChannelRealization, noise: NoiseModel
 ) -> ObservationLog:
-    """Compute every receiver's observation for all T slots and classify it.
+    """Compute every receiver's observation for all T slots, classified by schedule.entries.
 
     In phase 1 the served receiver sees its desired group and everyone else
     stores interference; in phase 2 the two members see a combined value and
@@ -145,16 +138,10 @@ def observe_all(
     values = np.full(stored.shape[:-2] + (s.N, s.T), complex(np.nan, np.nan))
     values[..., receivers, slots] = stored
     values.setflags(write=False)
-    kind = ObservationKind
-    entries = np.where(s.used, kind.COMBINED_PHASE2.value, kind.DISCARDED.value).astype(np.int8)
-    entries[:, : s.phase1_len] = kind.INTERFERENCE_PHASE1.value
-    entries[receivers, s.phase1_slots] = kind.DESIRED_PHASE1.value
-    entries.setflags(write=False)
     return ObservationLog(
         schedule=s,
         channels=channels,
         values=values,
-        entries=entries,
         slot_scale=plan.slot_scale,
         noise_variance=noise.variance if noise.enabled else 0.0,
     )
@@ -167,19 +154,16 @@ def cancel_interference(log: ObservationLog, receiver) -> tuple[np.ndarray, np.n
     in that order. rows[r] holds the coefficients on the messages of the
     row's copy; noiselessly rows[r] @ w[receiver, :, copy] == values[r].
     An index array of R receivers does all of them in one pass: the arrays
-    gain an R axis after the log's draw axes.
+    gain an R axis after the log's draw axes. Each linked slot is the
+    partner's phase-1 broadcast, stored interference for every receiver but
+    the partner, and Schedule construction rejects a receiver paired with
+    itself, so the replay needs no check here.
     """
     s = log.schedule
     receiver = np.asarray(receiver)
     pairs = s.decode_rows[receiver].reshape(receiver.shape + (s.k, s.M, 4))[..., 1:, :]  # skip each direct row
     copy, slot, partner, linked = (pairs[..., f].reshape(receiver.shape + (-1,)) for f in range(4))
     own_row = receiver[..., None]
-    stored = log.entries[own_row, linked]
-    if (stored != ObservationKind.INTERFERENCE_PHASE1.value).any():
-        raise SchemeConstructionError(
-            f"receiver {receiver.tolist()} pair slots {slot.tolist()} replay slots "
-            f"{linked.tolist()}, not all of which hold stored interference: {stored.tolist()}"
-        )
     g = log.slot_scale[..., slot]
     own = s.phase1_slots[own_row, copy]
     h = log.channels.rows

@@ -5,8 +5,8 @@ receivers in pairs: each pair slot hands both members one fresh combination
 of their desired messages while the interference it creates replays an
 observation the member already stored during phase 1. Decodability therefore
 needs every (receiver, copy) to take part in exactly M-1 pair slots; the
-builders below construct such balanced sequences for every supported (M, N)
-and verify the balance before returning.
+builders below construct such balanced sequences for every supported (M, N),
+and every Schedule checks its balance when it is constructed.
 
 CSIT states use one character per (receiver, slot) cell: "P" for perfect
 current-slot knowledge, "D" for delayed knowledge (readable at any strictly
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
+from enum import Enum, IntEnum
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +26,7 @@ __all__ = [
     "SchemeCase",
     "UnsupportedConfigurationError",
     "SchemeConstructionError",
+    "ObservationKind",
     "Schedule",
     "CsitTable",
     "classify_case",
@@ -55,7 +56,16 @@ class UnsupportedConfigurationError(ValueError):
 
 
 class SchemeConstructionError(RuntimeError):
-    """A built schedule or assembled system violates a structural invariant."""
+    """A Schedule's phase-2 pair table is unbalanced; raised on construction, never by a system."""
+
+
+class ObservationKind(IntEnum):
+    """Role of one (receiver, slot) observation, stored as an int8 code."""
+
+    DESIRED_PHASE1 = 0
+    INTERFERENCE_PHASE1 = 1
+    COMBINED_PHASE2 = 2
+    DISCARDED = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +77,9 @@ class Schedule:
     single group twice. Slot indices are 0-based and global: phase 1 occupies
     0..k*N-1 (copy-major in the canonical schedule), phase 2 the remainder.
     Every other table, the CSIT table included, is a view derived from it;
-    compare schedules by their `members`.
+    compare schedules by their `members`. Construction checks the phase-2
+    balance (_check_balance), so every schedule, built, permuted or made by
+    hand, is checked once and its derived tables need no checks of their own.
     """
 
     M: int
@@ -78,6 +90,7 @@ class Schedule:
 
     def __post_init__(self):
         self.members.setflags(write=False)
+        _check_balance(self.M, self.N, self.k, self.members[self.phase1_len :])
 
     @property
     def T(self) -> int:
@@ -106,20 +119,23 @@ class Schedule:
         the partner's phase-1 broadcast that the receiver stored as
         interference.
         """
-        first, t1 = self.phase1_len, self.phase1_slots.tolist()
-        rows = [[[(c, t1[i][c], -1, -1)] for c in range(self.k)] for i in range(self.N)]
-        for t, ((a, ca), (b, cb)) in enumerate(self.members[first:].tolist(), first):
-            rows[a][ca].append((ca, t, b, t1[b][cb]))
-            rows[b][cb].append((cb, t, a, t1[a][ca]))
-        counts = [[len(per) for per in per_copy] for per_copy in rows]
-        if counts != [[self.M] * self.k] * self.N:
-            raise SchemeConstructionError(
-                f"decoding rows per (receiver, copy) are {counts}, expected {self.M} each; "
-                "phase-2 balance is broken"
-            )
-        table = np.array(
-            [[row for per in per_copy for row in per] for per_copy in rows], dtype=np.intp
-        )
+        first, t1, N, k, M = self.phase1_len, self.phase1_slots, self.N, self.k, self.M
+        pairs = self.members[first:]
+        partner = pairs[:, ::-1]  # each member's partner, in the member's place
+        rows = np.empty(pairs.shape[:2] + (4,), dtype=np.intp)  # (P, 2, 4), one per member
+        rows[..., 0] = pairs[..., 1]
+        rows[..., 1] = np.arange(first, self.T)[:, None]
+        rows[..., 2] = partner[..., 0]
+        rows[..., 3] = t1[partner[..., 0], partner[..., 1]]
+        # a stable sort keeps slot order within each (receiver, copy); balance
+        # gives every one of them exactly M-1 rows
+        order = np.argsort((pairs[..., 0] * k + pairs[..., 1]).ravel(), kind="stable")
+        table = np.empty((N, k, M, 4), dtype=np.intp)
+        table[:, :, 0, 0] = np.arange(k)
+        table[:, :, 0, 1] = t1
+        table[:, :, 0, 2:] = -1
+        table[:, :, 1:] = rows.reshape(-1, 4)[order].reshape(N, k, M - 1, 4)
+        table = table.reshape(N, k * M, 4)
         table.setflags(write=False)
         return table
 
@@ -131,6 +147,16 @@ class Schedule:
         used[self.members[:, :, 0].T, np.arange(self.T)] = True  # each slot's members
         used.setflags(write=False)
         return used
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """(N, T) int8 table of the ObservationKind code of each receiver's value in each slot."""
+        kind = ObservationKind
+        entries = np.where(self.used, kind.COMBINED_PHASE2.value, kind.DISCARDED.value).astype(np.int8)
+        entries[:, : self.phase1_len] = kind.INTERFERENCE_PHASE1.value
+        entries[np.arange(self.N)[:, None], self.phase1_slots] = kind.DESIRED_PHASE1.value
+        entries.setflags(write=False)
+        return entries
 
     @cached_property
     def pair_reads(self) -> np.ndarray:
@@ -354,7 +380,7 @@ def build_schedule(M: int, N: int) -> Schedule:
     UnsupportedConfigurationError
         If N < 2 (pairing needs at least two receivers).
     SchemeConstructionError
-        If the built pair sequence fails the balance verification.
+        If the built pair sequence fails the balance check of Schedule.
     """
     case = classify_case(M, N)
     if N < 2:
@@ -363,14 +389,9 @@ def build_schedule(M: int, N: int) -> Schedule:
         )
     k = replication_factor(case)
     pairs = np.array(_phase2_pairs(M, N, case, k), dtype=np.intp).reshape(-1, 2, 2)
-    _check_balance(M, N, k, pairs)
     copy, receiver = np.divmod(np.arange(k * N), N)
     groups = np.stack([receiver, copy], axis=-1)[:, None, :]
     members = np.concatenate([np.repeat(groups, 2, axis=1), pairs])
-    if 2 * len(members) != k * N * (M + 1):
-        raise SchemeConstructionError(
-            f"total slot count {len(members)} disagrees with k*N*(M+1)/2 for M={M} N={N}"
-        )
     return Schedule(M=M, N=N, case=case, k=k, members=members)
 
 

@@ -41,7 +41,7 @@ def test_criterion_1_hand_oracle_ten_seeds(capsys):
     for seed in range(10):
         report = oracle_verify_3user(seed=seed, tol=1e-12)
         if not report.passed:
-            failures.append((seed, report.first_failure))
+            failures.append((seed, next(c.name for c in report.checks if not c.passed)))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 1.0
     _report(capsys, "criterion-1 oracle-10-seeds", ok,

@@ -19,8 +19,29 @@ from xchannel.analysis import (
     verify_suite,
 )
 from xchannel.receive import LinearSystem
-from xchannel.schedule import build_csit_table, build_schedule
+from xchannel.schedule import build_schedule
 from xchannel.simulate import run_simulation
+
+
+def first_failure(report):
+    """Name of the report's first failing check, None when every check passed."""
+    return next((c.name for c in report.checks if not c.passed), None)
+
+
+def tamper_member(monkeypatch, draw=()):
+    """Make run_simulation's plans drop the inverse from one precoding coefficient of
+    slot 4 (member (0, 0), transmitter 0), in the given draw of a stacked run."""
+    import xchannel.simulate as simulate
+
+    original = simulate.build_transmit_plan
+
+    def tampering(schedule, messages, channels, table, **kwargs):
+        plan = original(schedule, messages, channels, table, **kwargs)
+        coefficients = plan.coefficients.copy()
+        coefficients[(*draw, 3, 0, 0)] = channels.h[(*draw, 1, 0, 0)]
+        return dataclasses.replace(plan, coefficients=coefficients, _signals=None)
+
+    monkeypatch.setattr(simulate, "build_transmit_plan", tampering)
 
 
 class TestDofReport:
@@ -133,7 +154,6 @@ class TestSweepAndSlope:
         assert fit.slope == pytest.approx(1.5, abs=1e-9)
         assert fit.intercept == pytest.approx(0.3, abs=1e-9)
         assert fit.residual_rms < 1e-9
-        assert fit.points == 4
 
     def test_slope_needs_three_points(self):
         pts = [RatePoint(snr_db=s, sum_rate=1.0, per_receiver=()) for s in (40.0, 80.0)]
@@ -145,6 +165,14 @@ class TestSweepAndSlope:
         with pytest.raises(ValueError):
             dof_slope(pts)
 
+    def test_slope_needs_snrs_within_300_db(self):
+        line = [RatePoint(snr_db=s, sum_rate=s, per_receiver=()) for s in (-300.0, 0.0, 300.0)]
+        assert dof_slope(line).slope == pytest.approx(math.log10(2.0) * 10.0)
+        for huge in (300.5, -4000.0):
+            pts = [RatePoint(snr_db=s, sum_rate=1.0, per_receiver=()) for s in (huge, 0.0, 10.0)]
+            with pytest.raises(ValueError, match="between -300 and 300 dB"):
+                dof_slope(pts)
+
     def test_small_sweep_slope_near_dof(self):
         pts = sweep_rates(2, 2, [40.0, 60.0, 80.0], draws=40, seed=0)
         fit = dof_slope(pts)
@@ -155,8 +183,8 @@ class TestOracle:
     @pytest.mark.parametrize("seed", range(10))
     def test_passes_many_seeds(self, seed):
         report = oracle_verify_3user(seed=seed)
-        assert report.passed, report.first_failure
-        assert report.first_failure is None
+        assert report.passed, first_failure(report)
+        assert first_failure(report) is None
 
     def test_check_inventory(self):
         report = oracle_verify_3user(seed=0)
@@ -168,24 +196,14 @@ class TestOracle:
         assert "decode-recovery" in names
         assert sum(1 for n in names if n.startswith("subtraction-")) == 6
 
-    def test_tampered_plan_caught(self):
-        # drop the inverse from one precoding coefficient: the slot-4 transmit
-        # check must be the first to diverge
-        from xchannel.channel import generate_channels, generate_messages, run_streams
-        from xchannel.transmit import build_transmit_plan
-
-        s = build_schedule(3, 3)
-        channel_seed, message_seed, _ = run_streams(0)  # the oracle's own draws
-        ch = generate_channels(3, 3, s.T, channel_seed, mask=s.used)
-        ms = generate_messages(3, 3, 1, message_seed)
-        plan = build_transmit_plan(s, ms, ch, build_csit_table(s))
-        assert oracle_verify_3user(seed=0, plan=plan).passed
-        coefficients = plan.coefficients.copy()
-        coefficients[3, 0, 0] = ch.h[1, 0, 0]  # member (0, 0), transmitter 0
-        tampered = dataclasses.replace(plan, coefficients=coefficients, _signals=None)
-        report = oracle_verify_3user(seed=0, plan=tampered)
+    def test_tampered_plan_caught(self, monkeypatch):
+        # drop the inverse from one precoding coefficient of the run the oracle
+        # checks: the slot-4 transmit check must be the first to diverge
+        assert oracle_verify_3user(seed=0).passed
+        tamper_member(monkeypatch)
+        report = oracle_verify_3user(seed=0)
         assert not report.passed
-        assert report.first_failure == "transmit-slot-4"
+        assert first_failure(report) == "transmit-slot-4"
 
     def test_report_records_seed(self):
         assert oracle_verify_3user(seed=7).seed == 7
@@ -204,23 +222,13 @@ class TestOracle:
     def test_empty_seed_sequence_gives_no_reports(self):
         assert oracle_verify_3user(seed=()) == ()
 
-    def test_stacked_plan_tampered_in_one_draw(self):
-        from xchannel.channel import generate_channels, generate_messages, run_streams
-        from xchannel.transmit import build_transmit_plan
-
+    def test_stacked_plan_tampered_in_one_draw(self, monkeypatch):
         seeds = (0, 1, 2)
-        s = build_schedule(3, 3)
-        channel_seeds, message_seeds, _ = zip(*map(run_streams, seeds))  # the oracle's own draws
-        ch = generate_channels(3, 3, s.T, channel_seeds, mask=s.used)
-        ms = generate_messages(3, 3, 1, message_seeds)
-        plan = build_transmit_plan(s, ms, ch, build_csit_table(s))
-        assert all(r.passed for r in oracle_verify_3user(seed=seeds, plan=plan))
-        coefficients = plan.coefficients.copy()
-        coefficients[1, 3, 0, 0] = ch.h[1, 1, 0, 0]  # draw 1 only, member (0, 0), transmitter 0
-        tampered = dataclasses.replace(plan, coefficients=coefficients, _signals=None)
-        reports = oracle_verify_3user(seed=seeds, plan=tampered)
+        assert all(r.passed for r in oracle_verify_3user(seed=seeds))
+        tamper_member(monkeypatch, draw=(1,))
+        reports = oracle_verify_3user(seed=seeds)
         assert [r.passed for r in reports] == [True, False, True]
-        assert reports[1].first_failure == "transmit-slot-4"
+        assert first_failure(reports[1]) == "transmit-slot-4"
 
     def test_comparison_is_plain_python_and_fails_on_nan(self):
         from xchannel.analysis import _rel_close
@@ -250,16 +258,18 @@ class TestVerifySuite:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The shapes verify_suite builds canonical schedules for, in call order."""
-        import xchannel.analysis as analysis
-
+        """The shapes verify_suite builds canonical schedules for, in call order: the
+        builds of every xchannel module that imported build_schedule."""
         shapes = []
 
         def counting(M, N):
             shapes.append((M, N))
             return build_schedule(M, N)
 
-        monkeypatch.setattr(analysis, "build_schedule", counting)
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("xchannel.") and name != "xchannel.schedule"
+                    and getattr(module, "build_schedule", None) is build_schedule):
+                monkeypatch.setattr(module, "build_schedule", counting)
         return shapes
 
     def test_one_schedule_per_shape_per_call(self, built, monkeypatch):

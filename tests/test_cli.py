@@ -251,6 +251,17 @@ class TestInputValidation:
         assert main(["sweep", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: rate points must span at least 20 dB\n"
 
+    @pytest.mark.parametrize("snr", ["4000", "-4000", "300.5"])
+    def test_snr_beyond_300_db(self, snr, tmp_path, capsys, no_work):
+        # 10^400 overflows to inf and NaN, which is no JSON; -4000 dB rates are all zero
+        out = tmp_path / "rates.json"
+        argv = ["sweep", "--M", "2", "--N", "2", "--snr", snr, "--snr", "0", "--snr", "10",
+                "--format", "json", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: SNRs must lie between -300 and 300 dB, got {float(snr)!r}\n"
+        assert not out.exists()
+
     def test_unknown_config_keys(self, tmp_path, capsys, no_work):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"M": 3, "N": 3, "drawz": 5, "snrs": [10]}))

@@ -67,6 +67,34 @@ class TestObservationKinds:
             assert kinds.count(K.COMBINED_PHASE2) == s.k * (M - 1)
             assert kinds.count(K.DISCARDED) == s.T - s.k * (M + N - 2) - s.k
 
+    def test_entries_are_the_schedules_read_only_table(self):
+        s = build_schedule(4, 3)
+        a, b = (run_simulation(4, 3, seed=seed, schedule=s) for seed in (0, [1, 2]))
+        assert a.log.entries is b.log.entries is s.entries
+        assert s.entries.shape == (3, s.T) and s.entries.dtype == np.int8
+        with pytest.raises(ValueError):
+            s.entries[0, 0] = K.DISCARDED
+
+    @pytest.mark.parametrize("M,N", [(1, 2), (3, 3), (4, 3), (2, 4), (5, 4), (2, 3), (6, 5)])
+    def test_entries_match_the_observation_derivation(self, M, N):
+        # the table observe_all used to build on every call, for canonical and
+        # permuted schedules
+        rng = np.random.default_rng(0)
+        base = build_schedule(M, N)
+        first = base.phase1_len
+        permuted = permute_schedule(base, rng.permutation(first), rng.permutation(base.T - first))
+        for s in (base, permuted):
+            want = np.where(s.used, K.COMBINED_PHASE2.value, K.DISCARDED.value).astype(np.int8)
+            want[:, :first] = K.INTERFERENCE_PHASE1.value
+            want[np.arange(N)[:, None], s.phase1_slots] = K.DESIRED_PHASE1.value
+            assert np.array_equal(s.entries, want)
+
+    def test_kind_is_reexported(self):
+        import xchannel
+        import xchannel.schedule
+
+        assert K is xchannel.ObservationKind is xchannel.schedule.ObservationKind
+
     def test_values_match_plain_recompute(self):
         s, ch, _, plan, log = make_log(3, 3, seed=4)
         X = plan.signal_matrix()
@@ -134,15 +162,16 @@ class TestCancelInterference:
             want = cancelled_truth(s, ms, i, rows)
             assert np.all(np.abs(values - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
-    def test_broken_link_raises(self):
-        _, _, _, _, log = make_log(3, 3)
-        # receiver 0's first pair slot (3) replays what it stored at slot 1;
-        # relabel that cell so the replay no longer points at stored interference
-        entries = log.entries.copy()
-        entries[0, 1] = K.DESIRED_PHASE1
-        bad = dataclasses.replace(log, entries=entries)
-        with pytest.raises(SchemeConstructionError):
-            cancel_interference(bad, 0)
+    def test_self_paired_slot_rejected_at_construction(self):
+        # the one way a replay can miss stored interference: pair slot 3 serves
+        # receiver 0 twice, so its linked slot would be receiver 0's own desired
+        # broadcast. Every unit still sits in M-1 = 2 pair slots, so only the
+        # self-pair check of Schedule construction stands in the way.
+        s = build_schedule(3, 3)
+        members = s.members.copy()
+        members[3:, :, 0] = [[0, 0], [1, 2], [1, 2]]
+        with pytest.raises(SchemeConstructionError, match="pair slot reuses receiver 0"):
+            dataclasses.replace(s, members=members)
 
 
 class TestAssembleSystem:

@@ -1,5 +1,6 @@
 """Tests for schedule construction, balance invariants, and CSIT tables."""
 
+import dataclasses
 import json
 from collections import Counter
 from itertools import combinations
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xchannel.schedule import (
+    Schedule,
     SchemeCase,
     SchemeConstructionError,
     UnsupportedConfigurationError,
@@ -206,6 +208,31 @@ class TestBalanceInvariants:
             _check_balance(M, N, 1, table)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda s, members: Schedule(M=s.M, N=s.N, case=s.case, k=s.k, members=members),
+            lambda s, members: dataclasses.replace(s, members=members),
+        ],
+        ids=["Schedule", "replace"],
+    )
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ([[0, 0], [1, 2], [1, 2]], "pair slot reuses receiver 0"),  # self-paired, yet balanced
+            ([[0, 1], [0, 1], [1, 2]], "receiver 1 copy 0 appears in 3 pair slots, expected 2"),
+            ([[0, 1], [0, 2]], "phase 2 has 2 slots, expected 3"),  # a pair slot missing
+        ],
+        ids=["self-paired", "unbalanced", "missing-pair-slot"],
+    )
+    def test_construction_checks_balance(self, make, pairs, message):
+        s = build_schedule(3, 3)
+        table = np.zeros((len(pairs), 2, 2), dtype=np.intp)  # copy 0 throughout
+        table[..., 0] = pairs
+        with pytest.raises(SchemeConstructionError) as exc:
+            make(s, np.concatenate([s.members[: s.phase1_len], table]))
+        assert str(exc.value) == message
+
     def test_n_below_two_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
             build_schedule(3, 1)
@@ -214,6 +241,37 @@ class TestBalanceInvariants:
     def test_bad_m_rejected(self, M, N):
         with pytest.raises(ValueError):
             build_schedule(M, N)
+
+
+def loop_decode_rows(s) -> list:
+    """Plain-loop reference for Schedule.decode_rows: per receiver and copy, the direct row,
+    then one (copy, slot, partner, linked) row per pair slot in slot order."""
+    first, t1 = s.phase1_len, s.phase1_slots.tolist()
+    rows = [[[(c, t1[i][c], -1, -1)] for c in range(s.k)] for i in range(s.N)]
+    for t, ((a, ca), (b, cb)) in enumerate(s.members[first:].tolist(), first):
+        rows[a][ca].append((ca, t, b, t1[b][cb]))
+        rows[b][cb].append((cb, t, a, t1[a][ca]))
+    return [[list(row) for per in per_copy for row in per] for per_copy in rows]
+
+
+class TestDecodeRows:
+    @pytest.mark.parametrize("M", range(1, 13))
+    def test_matches_plain_loop(self, M):
+        # canonical schedules and 3 random permutations of each, N = 2..12;
+        # M = 1 has no pair rows
+        rng = np.random.default_rng(M)
+        for N in range(2, 13):
+            base = build_schedule(M, N)
+            first = base.phase1_len
+            permuted = [
+                permute_schedule(base, rng.permutation(first), rng.permutation(base.T - first))
+                for _ in range(3)
+            ]
+            for s in [base, *permuted]:
+                rows = s.decode_rows
+                assert rows.shape == (N, s.k * M, 4) and rows.dtype == np.intp
+                assert not rows.flags.writeable
+                assert rows.tolist() == loop_decode_rows(s), (M, N)
 
 
 class TestPairingHelpers:
