@@ -6,7 +6,8 @@ of their desired messages while the interference it creates replays an
 observation the member already stored during phase 1. Decodability therefore
 needs every (receiver, copy) to take part in exactly M-1 pair slots; the
 builders below construct such balanced sequences for every supported (M, N),
-and every Schedule checks its balance when it is constructed.
+and every Schedule checks its phase-1 broadcasts and its balance when it is
+constructed.
 
 CSIT states use one character per (receiver, slot) cell: "P" for perfect
 current-slot knowledge, "D" for delayed knowledge (readable at any strictly
@@ -56,7 +57,7 @@ class UnsupportedConfigurationError(ValueError):
 
 
 class SchemeConstructionError(RuntimeError):
-    """A Schedule's phase-2 pair table is unbalanced; raised on construction, never by a system."""
+    """A Schedule's member table is malformed or unbalanced; raised on construction, never by a system."""
 
 
 class ObservationKind(IntEnum):
@@ -77,9 +78,10 @@ class Schedule:
     single group twice. Slot indices are 0-based and global: phase 1 occupies
     0..k*N-1 (copy-major in the canonical schedule), phase 2 the remainder.
     Every other table, the CSIT table included, is a view derived from it;
-    compare schedules by their `members`. Construction checks the phase-2
-    balance (_check_balance), so every schedule, built, permuted or made by
-    hand, is checked once and its derived tables need no checks of their own.
+    compare schedules by their `members`. Construction checks the phase-1
+    broadcasts (_check_phase1) and the phase-2 balance (_check_balance), so
+    every schedule, built, permuted or made by hand, is checked once and its
+    derived tables need no checks of their own.
     """
 
     M: int
@@ -90,6 +92,7 @@ class Schedule:
 
     def __post_init__(self):
         self.members.setflags(write=False)
+        _check_phase1(self.N, self.k, self.members)
         _check_balance(self.M, self.N, self.k, self.members[self.phase1_len :])
 
     @property
@@ -348,6 +351,30 @@ def _phase2_pairs(M: int, N: int, case: SchemeCase, k: int):
     return base * (M - 1)
 
 
+def _check_phase1(N: int, k: int, members: np.ndarray) -> None:
+    """Check a (T, 2, 2) member table: every member is a receiver below N and a copy
+    below k, each of the kN phase-1 slots lists one group twice, and those slots
+    broadcast every (receiver, copy) exactly once."""
+    try:
+        groups = np.ravel_multi_index((members[..., 1], members[..., 0]), (k, N))[: k * N]
+    except ValueError:
+        raise SchemeConstructionError(
+            f"members must hold receivers 0..{N - 1} and copies 0..{k - 1}"
+        ) from None
+    split = np.flatnonzero(groups[:, 0] != groups[:, 1])
+    if split.size:
+        raise SchemeConstructionError(
+            f"phase-1 slot {split[0]} lists two groups, expected one group twice"
+        )
+    counts = np.bincount(groups[:, 0], minlength=k * N)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        c, i = divmod(int(bad[0]), N)
+        raise SchemeConstructionError(
+            f"receiver {i} copy {c} is broadcast in {counts[bad[0]]} phase-1 slots, expected 1"
+        )
+
+
 def _check_balance(M: int, N: int, k: int, pairs: np.ndarray) -> None:
     """Check a (P, 2, 2) pair table: P = kN(M-1)/2, two receivers per slot, and
     every (receiver, copy) in exactly M-1 pair slots."""
@@ -388,11 +415,11 @@ def build_schedule(M: int, N: int) -> Schedule:
             f"need at least 2 receivers to form phase-2 pairs, got N={N}"
         )
     k = replication_factor(case)
-    pairs = np.array(_phase2_pairs(M, N, case, k), dtype=np.intp).reshape(-1, 2, 2)
-    copy, receiver = np.divmod(np.arange(k * N), N)
-    groups = np.stack([receiver, copy], axis=-1)[:, None, :]
-    members = np.concatenate([np.repeat(groups, 2, axis=1), pairs])
-    return Schedule(M=M, N=N, case=case, k=k, members=members)
+    # phase 1 broadcasts every group, copy-major; numpy converts a flat list of ints
+    # several times faster than the nested (slot, member, field) tuples
+    slots = [((i, c), (i, c)) for c in range(k) for i in range(N)] + _phase2_pairs(M, N, case, k)
+    members = np.array([x for slot in slots for member in slot for x in member], dtype=np.intp)
+    return Schedule(M=M, N=N, case=case, k=k, members=members.reshape(-1, 2, 2))
 
 
 def build_csit_table(schedule: Schedule) -> CsitTable:

@@ -128,6 +128,17 @@ class TestSumRate:
         with pytest.raises(RuntimeError, match="noise covariance is singular"):
             sum_rate(sim.systems, [20.0])
 
+    def test_rank_deficient_channel_fails_at_the_snr_it_names(self):
+        # G G^H = [[2, 2], [2, 2]] has rank 1: Sigma + P_s G G^H stays positive definite
+        # at 100 dB, where the rate is log2(1 + 4 P_s), but rounds to singular at 300 dB
+        sys1 = toy_system([[1.0, 1.0], [1.0, 1.0]], np.eye(2))
+        (pt,) = sum_rate(sys1, [100.0])
+        assert pt.sum_rate == pytest.approx(math.log2(1.0 + 2e10), rel=1e-6)
+        with pytest.raises(RuntimeError, match=r"at 300\.0 dB") as exc:
+            sum_rate(sys1, [0.0, 300.0])
+        assert "noise covariance" not in str(exc.value)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
 
 class TestSweepAndSlope:
     def test_sweep_deterministic(self):

@@ -114,6 +114,43 @@ def test_rates_match_log_det_reference(case, tenths_db, normalize):
         assert all(b > a for a, b in zip(lo.per_receiver, hi.per_receiver))
 
 
+def whitened_svd_rates(systems, snrs) -> np.ndarray:
+    """Reference (S, N) per-receiver rates of one run in the whitened SVD form:
+    (1/T) sum log2(1 + P_s s^2) over the singular values s of L^-1 G, Sigma = L L^H."""
+    L = np.linalg.cholesky(systems.sigma)
+    s2 = np.linalg.svd(np.linalg.solve(L, systems.G), compute_uv=False) ** 2  # (N, kM)
+    p_s = 10.0 ** (np.asarray(snrs, dtype=float) / 10.0) / systems.M
+    return np.log1p(p_s[:, None, None] * s2).sum(axis=-1) / (systems.T * math.log(2))
+
+
+@PROPERTY
+@given(
+    st.tuples(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=2, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ),
+    st.booleans(),
+)
+def test_rates_match_whitened_svd_reference(case, normalize):
+    M, N, seed = case
+    systems = run_simulation(M, N, seed=seed, noise_enabled=True, normalize=normalize).systems
+
+    def rates(snrs):
+        return np.array([p.per_receiver for p in sum_rate(systems, snrs)])
+
+    high = np.arange(0.0, 120.5, 2.5)
+    want = whitened_svd_rates(systems, high)
+    assert np.all(np.abs(rates(high) - want) <= 1e-10 * want)
+
+    # a difference of log dets has absolute accuracy: the rate near -300 dB is about 1e-30
+    low = np.arange(-300.0, 0.5, 5.0)
+    assert np.all(np.abs(rates(low) - whitened_svd_rates(systems, low)) <= 1e-15)
+
+    everywhere = rates(np.arange(-300.0, 300.5, 5.0))
+    assert np.isfinite(everywhere).all() and (everywhere >= 0).all()
+
+
 stacks = st.tuples(
     st.integers(min_value=1, max_value=6),
     st.integers(min_value=2, max_value=6),

@@ -233,6 +233,40 @@ class TestBalanceInvariants:
             make(s, np.concatenate([s.members[: s.phase1_len], table]))
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda s, members: Schedule(M=s.M, N=s.N, case=s.case, k=s.k, members=members),
+            lambda s, members: dataclasses.replace(s, members=members),
+        ],
+        ids=["Schedule", "replace"],
+    )
+    @pytest.mark.parametrize(
+        "M,N,slot,group,message",
+        [
+            # slot 2 broadcasts group (1, 0) again, so group (2, 0) is never broadcast
+            (3, 3, 2, [[1, 0], [1, 0]], "receiver 1 copy 0 is broadcast in 2 phase-1 slots, expected 1"),
+            (3, 3, 0, [[0, 0], [1, 0]], "phase-1 slot 0 lists two groups, expected one group twice"),
+            (4, 3, 5, [[2, 0], [2, 0]], "receiver 2 copy 0 is broadcast in 2 phase-1 slots, expected 1"),
+            (4, 3, 1, [[1, 1], [1, 0]], "phase-1 slot 1 lists two groups, expected one group twice"),
+            (3, 3, 1, [[3, 0], [3, 0]], "members must hold receivers 0..2 and copies 0..0"),
+            (3, 3, 1, [[-1, 0], [-1, 0]], "members must hold receivers 0..2 and copies 0..0"),
+            # (3, 0) would alias group (0, 1) in a key c*N + i
+            (4, 3, 3, [[3, 0], [3, 0]], "members must hold receivers 0..2 and copies 0..1"),
+            (4, 3, 0, [[0, 2], [0, 2]], "members must hold receivers 0..2 and copies 0..1"),
+            (3, 3, 4, [[1, 0], [0, 1]], "members must hold receivers 0..2 and copies 0..0"),  # a pair slot
+        ],
+        ids=["repeated-group", "two-groups", "repeated-copy", "two-copies", "receiver-too-large",
+             "negative-receiver", "aliasing-receiver", "copy-too-large", "pair-copy-too-large"],
+    )
+    def test_construction_checks_groups(self, make, M, N, slot, group, message):
+        s = build_schedule(M, N)
+        members = s.members.copy()
+        members[slot] = group
+        with pytest.raises(SchemeConstructionError) as exc:
+            make(s, members)
+        assert str(exc.value) == message
+
     def test_n_below_two_rejected(self):
         with pytest.raises(UnsupportedConfigurationError):
             build_schedule(3, 1)
