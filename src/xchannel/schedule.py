@@ -92,8 +92,10 @@ class Schedule:
 
     def __post_init__(self):
         self.members.setflags(write=False)
-        _check_phase1(self.N, self.k, self.members)
-        _check_balance(self.M, self.N, self.k, self.members[self.phase1_len :])
+        first = self.phase1_len
+        keys = _member_keys(self.N, self.k, self.members)
+        _check_phase1(self.N, self.k, keys[:first])
+        _check_balance(self.M, self.N, self.k, self.members[first:, :, 0], keys[first:])
 
     @property
     def T(self) -> int:
@@ -351,22 +353,26 @@ def _phase2_pairs(M: int, N: int, case: SchemeCase, k: int):
     return base * (M - 1)
 
 
-def _check_phase1(N: int, k: int, members: np.ndarray) -> None:
-    """Check a (T, 2, 2) member table: every member is a receiver below N and a copy
-    below k, each of the kN phase-1 slots lists one group twice, and those slots
-    broadcast every (receiver, copy) exactly once."""
+def _member_keys(N: int, k: int, members: np.ndarray) -> np.ndarray:
+    """(T, 2) copy-major keys c*N + i of a (T, 2, 2) member table, each member
+    checked to be a receiver i below N and a copy c below k."""
     try:
-        groups = np.ravel_multi_index((members[..., 1], members[..., 0]), (k, N))[: k * N]
+        return np.ravel_multi_index((members[..., 1], members[..., 0]), (k, N))
     except ValueError:
         raise SchemeConstructionError(
             f"members must hold receivers 0..{N - 1} and copies 0..{k - 1}"
         ) from None
-    split = np.flatnonzero(groups[:, 0] != groups[:, 1])
+
+
+def _check_phase1(N: int, k: int, keys: np.ndarray) -> None:
+    """Check the (kN, 2) member keys of phase 1: each slot lists one group twice,
+    and the slots broadcast every (receiver, copy) exactly once."""
+    split = np.flatnonzero(keys[:, 0] != keys[:, 1])
     if split.size:
         raise SchemeConstructionError(
             f"phase-1 slot {split[0]} lists two groups, expected one group twice"
         )
-    counts = np.bincount(groups[:, 0], minlength=k * N)
+    counts = np.bincount(keys[:, 0], minlength=k * N)
     bad = np.flatnonzero(counts != 1)
     if bad.size:
         c, i = divmod(int(bad[0]), N)
@@ -375,22 +381,22 @@ def _check_phase1(N: int, k: int, members: np.ndarray) -> None:
         )
 
 
-def _check_balance(M: int, N: int, k: int, pairs: np.ndarray) -> None:
-    """Check a (P, 2, 2) pair table: P = kN(M-1)/2, two receivers per slot, and
-    every (receiver, copy) in exactly M-1 pair slots."""
+def _check_balance(M: int, N: int, k: int, receivers: np.ndarray, keys: np.ndarray) -> None:
+    """Check the (P, 2) receivers and member keys of the pair slots: P = kN(M-1)/2,
+    two receivers per slot, and every (receiver, copy) in exactly M-1 pair slots."""
     expected_slots, rem = divmod(k * N * (M - 1), 2)
     if rem:
         raise SchemeConstructionError(
             f"phase-2 slot count k*N*(M-1)/2 is fractional for M={M} N={N} k={k}"
         )
-    if len(pairs) != expected_slots:
+    if len(keys) != expected_slots:
         raise SchemeConstructionError(
-            f"phase 2 has {len(pairs)} slots, expected {expected_slots}"
+            f"phase 2 has {len(keys)} slots, expected {expected_slots}"
         )
-    reused = np.flatnonzero(pairs[:, 0, 0] == pairs[:, 1, 0])
+    reused = np.flatnonzero(receivers[:, 0] == receivers[:, 1])
     if reused.size:
-        raise SchemeConstructionError(f"pair slot reuses receiver {pairs[reused[0], 0, 0]}")
-    counts = np.bincount((pairs[..., 1] * N + pairs[..., 0]).ravel(), minlength=k * N)
+        raise SchemeConstructionError(f"pair slot reuses receiver {receivers[reused[0], 0]}")
+    counts = np.bincount(keys.ravel(), minlength=k * N)
     bad = np.flatnonzero(counts != M - 1)
     if bad.size:
         c, i = divmod(int(bad[0]), N)
@@ -415,11 +421,11 @@ def build_schedule(M: int, N: int) -> Schedule:
             f"need at least 2 receivers to form phase-2 pairs, got N={N}"
         )
     k = replication_factor(case)
-    # phase 1 broadcasts every group, copy-major; numpy converts a flat list of ints
-    # several times faster than the nested (slot, member, field) tuples
-    slots = [((i, c), (i, c)) for c in range(k) for i in range(N)] + _phase2_pairs(M, N, case, k)
-    members = np.array([x for slot in slots for member in slot for x in member], dtype=np.intp)
-    return Schedule(M=M, N=N, case=case, k=k, members=members.reshape(-1, 2, 2))
+    pairs = np.array(_phase2_pairs(M, N, case, k), dtype=np.intp).reshape(-1, 2, 2)
+    copy, receiver = np.divmod(np.arange(k * N), N)
+    groups = np.stack([receiver, copy], axis=-1)[:, None, :]
+    members = np.concatenate([np.repeat(groups, 2, axis=1), pairs])
+    return Schedule(M=M, N=N, case=case, k=k, members=members)
 
 
 def build_csit_table(schedule: Schedule) -> CsitTable:

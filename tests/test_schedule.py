@@ -16,6 +16,7 @@ from xchannel.schedule import (
     SchemeConstructionError,
     UnsupportedConfigurationError,
     _check_balance,
+    _member_keys,
     build_csit_table,
     build_schedule,
     classify_case,
@@ -205,7 +206,7 @@ class TestBalanceInvariants:
         table = np.zeros((len(pairs), 2, 2), dtype=np.intp)  # copy 0 throughout
         table[..., 0] = np.array(pairs, dtype=np.intp).reshape(-1, 2)
         with pytest.raises(SchemeConstructionError) as exc:
-            _check_balance(M, N, 1, table)
+            _check_balance(M, N, 1, table[..., 0], _member_keys(N, 1, table))
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
