@@ -127,9 +127,12 @@ def sum_rate(systems: LinearSystem, snr_dbs) -> list[RatePoint]:
     gram = G @ G.conj().swapaxes(-1, -2)  # (..., N, kM, kM)
     p_s = 10.0 ** (np.asarray(snr_dbs, dtype=float) / 10.0) / systems.M
     rates = np.empty((len(p_s),) + sigma_diag.shape[:-1])
+    shifted = np.empty_like(gram)  # Sigma + P_s G G^H, rebuilt in place per SNR
     for n, (snr, p) in enumerate(zip(snr_dbs, p_s.tolist())):
+        np.multiply(gram, p, out=shifted)
+        shifted += systems.sigma
         try:
-            L = np.linalg.cholesky(systems.sigma + p * gram)
+            L = np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(
                 f"Sigma + P_s G G^H is not numerically positive definite at {snr} dB; "
@@ -158,8 +161,8 @@ def sweep_rates(
     """Ergodic rate curve: average sum_rate over `draws` channel realizations.
 
     The same realizations are reused at every SNR point, which keeps the
-    fitted slope estimate stable. Draw d runs on SeedSequence(seed, spawn_key=(d,)); each chunk
-    of draws within DRAW_CHUNK_ELEMENTS (at least one) is one stacked run and one sum_rate.
+    fitted slope estimate stable. Draw d runs on the streams of SeedSequence(seed, spawn_key=(d,));
+    each chunk of draws within DRAW_CHUNK_ELEMENTS (at least one) is one stacked run and one sum_rate.
     """
     if draws < 1:
         raise ValueError(f"need at least one draw, got {draws}")
@@ -168,12 +171,12 @@ def sweep_rates(
     chunk = max(1, DRAW_CHUNK_ELEMENTS // (N * M * schedule.T))
     per = np.zeros((len(snr_dbs), N))
     for start in range(0, draws, chunk):
-        seeds = [np.random.SeedSequence(seed, spawn_key=(d,)) for d in range(start, min(start + chunk, draws))]
+        batch = range(start, min(start + chunk, draws))
         sim = run_simulation(
-            M, N, seed=seeds, noise_enabled=True, normalize=normalize, schedule=schedule
+            M, N, seed=seed, draws=batch, noise_enabled=True, normalize=normalize, schedule=schedule
         )
         points = sum_rate(sim.systems, snr_dbs)
-        per += len(seeds) / draws * np.array([pt.per_receiver for pt in points])
+        per += len(batch) / draws * np.array([pt.per_receiver for pt in points])
         del sim  # free this chunk's arrays before the next chunk draws
     return [
         RatePoint(snr_db=float(snr), sum_rate=float(sum(r)), per_receiver=tuple(r))

@@ -8,6 +8,7 @@ construction and safe to share across simulation workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,21 +23,32 @@ __all__ = [
 ]
 
 
-def _complex_normal(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
-    """Circularly symmetric complex Gaussian samples with the given variance."""
-    scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+def _complex_normals(seed, shape, variance: float = 1.0, nonzero: bool = False) -> np.ndarray:
+    """CN(0, variance) samples of shape, stacked on a leading axis for a tuple of seeds. Seed s gives
+    bit for bit sqrt(variance/2) * (a + 1j*b), a then b from default_rng(s), through one (2, size)
+    buffer reused by every draw; nonzero redraws exact zeros from the same generator."""
+    seeds, lead = (seed, (len(seed),)) if isinstance(seed, tuple) else ((seed,), ())
+    n = math.prod(shape)
+    out = np.empty(lead + tuple(shape), dtype=complex)
+    parts = np.empty((2, n))
+    scale = math.sqrt(variance / 2.0)
+    for drawn, s in zip(out.reshape(-1, n), seeds):
+        rng = np.random.default_rng(s)
+        rng.standard_normal(out=parts)
+        parts *= scale
+        drawn.real, drawn.imag = parts
+        while nonzero and (zero := drawn == 0).any():  # default_rng(rng) is rng: redraws continue its stream
+            drawn[zero] = _complex_normals(rng, (int(zero.sum()),))
+    return out
 
 
-def _draw_seeds(seed) -> tuple[tuple, tuple[int, ...]]:  # the per-draw seeds, and the draw axes they give
-    return (seed, (len(seed),)) if isinstance(seed, tuple) else ((seed,), ())
-
-
-def run_streams(seed) -> tuple[np.random.SeedSequence, ...]:
-    """The channel, message and noise streams of the run rooted at seed: those of a fresh
-    SeedSequence(seed).spawn(3), without spawn's counter, so every call gives the same three."""
-    entropy, key = (seed.entropy, seed.spawn_key) if isinstance(seed, np.random.SeedSequence) else (seed, ())
-    return tuple(np.random.SeedSequence(entropy, spawn_key=key + (c,)) for c in range(3))
+def run_streams(seed, count: int = 3, key: tuple = ()) -> tuple[np.random.SeedSequence, ...]:
+    """The channel, message and noise streams of the run rooted at SeedSequence(seed,
+    spawn_key=key), the first count of them: those of a fresh such SeedSequence.spawn(3),
+    built without it or spawn's counter, so every call gives the same streams."""
+    if isinstance(seed, np.random.SeedSequence):
+        seed, key = seed.entropy, seed.spawn_key + key
+    return tuple(np.random.SeedSequence(seed, spawn_key=key + (c,)) for c in range(count))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,13 +124,12 @@ class NoiseModel:
     seed: int | np.random.SeedSequence | tuple = 0
 
     def sample_grid(self, N: int, T: int) -> np.ndarray:
-        seeds, lead = _draw_seeds(self.seed)
         if not self.enabled:
+            lead = (len(self.seed),) if isinstance(self.seed, tuple) else ()
             return np.zeros(lead + (N, T), dtype=complex)
         if self.variance <= 0:
             raise ValueError(f"noise variance must be positive, got {self.variance}")
-        grids = [_complex_normal(np.random.default_rng(s), (N, T), self.variance) for s in seeds]
-        return np.reshape(grids, lead + (N, T))
+        return _complex_normals(self.seed, (N, T), self.variance)
 
 
 def _stored_slots(mask, N: int, T: int) -> np.ndarray:
@@ -152,18 +163,8 @@ def generate_channels(M: int, N: int, T: int, seed, mask: np.ndarray | None = No
     if M < 1 or N < 1 or T < 1:
         raise ValueError(f"dimensions must be at least 1, got M={M} N={N} T={T}")
     slots = None if mask is None else _stored_slots(mask, N, T)
-    seeds, lead = _draw_seeds(seed)
     U = T if slots is None else slots.shape[1]
-    n = N * M * U
-    h = np.empty(lead + (N, M, U), dtype=complex)
-    for drawn, s in zip(h.reshape((-1, n)), seeds):
-        rng = np.random.default_rng(s)
-        for part in (drawn.real, drawn.imag):  # bit for bit sqrt(1/2) * (a + 1j*b): all a, then all b
-            np.multiply(rng.standard_normal(n), np.sqrt(0.5), out=part)
-        zero = drawn == 0
-        while zero.any():
-            drawn[zero] = _complex_normal(rng, int(zero.sum()))
-            zero = drawn == 0
+    h = _complex_normals(seed, (N, M, U), nonzero=True)
     h.setflags(write=False)
     return ChannelRealization(M=M, N=N, T=T, h=h, seed=seed, slots=slots)
 
@@ -174,7 +175,6 @@ def generate_messages(M: int, N: int, k: int, seed) -> MessageSet:
         raise ValueError(f"dimensions must be at least 1, got M={M} N={N}")
     if k not in (1, 2):
         raise ValueError(f"replication factor must be 1 or 2, got {k}")
-    seeds, lead = _draw_seeds(seed)
-    w = np.reshape([_complex_normal(np.random.default_rng(s), (N, M, k)) for s in seeds], lead + (N, M, k))
+    w = _complex_normals(seed, (N, M, k))
     w.setflags(write=False)
     return MessageSet(M=M, N=N, k=k, w=w, seed=seed)

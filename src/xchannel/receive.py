@@ -134,7 +134,8 @@ def observe_all(
     X = plan.signal_matrix()
     receivers, slots = np.arange(s.N)[:, None], channels.slots
     stored = np.einsum("...iju,...jiu->...iu", channels.h, X[..., :, slots])
-    stored = stored + noise.sample_grid(s.N, s.T)[..., receivers, slots]
+    if noise.enabled:
+        stored += noise.sample_grid(s.N, s.T)[..., receivers, slots]
     values = np.full(stored.shape[:-2] + (s.N, s.T), complex(np.nan, np.nan))
     values[..., receivers, slots] = stored
     values.setflags(write=False)

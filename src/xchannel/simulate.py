@@ -63,6 +63,7 @@ def run_simulation(
     N: int,
     seed: int | np.random.SeedSequence | list = 0,
     *,
+    draws: range | None = None,
     noise_enabled: bool = False,
     noise_variance: float = 1.0,
     normalize: bool = False,
@@ -71,11 +72,12 @@ def run_simulation(
     """Run one seeded end-to-end transmission.
 
     The seed (an int or a SeedSequence) roots the channel, message and noise streams
-    (run_streams), so no two seeds share a random number. Channels are drawn and stored
-    only where schedule.used. A list of seeds runs one draw per seed in a
-    single stacked pass, with a leading draw axis on every array; each draw equals its
-    own single run. Passing an explicit schedule (e.g. a permuted one) overrides the
-    canonical construction; dimensions must match.
+    (run_streams; no noise stream for a noiseless run), so no two seeds share a random
+    number. Channels are drawn and stored only where schedule.used. A list of seeds runs
+    one draw per seed in a single stacked pass, with a leading draw axis on every array;
+    each draw equals its own single run. A range of draws stacks the draws d of seed,
+    SeedSequence(seed, spawn_key=(d,)), without building them. Passing an explicit
+    schedule (e.g. a permuted one) overrides the canonical construction; dimensions must match.
     """
     if schedule is None:
         schedule = build_schedule(M, N)
@@ -83,11 +85,14 @@ def run_simulation(
         raise ValueError(
             f"schedule is for M={schedule.M} N={schedule.N}, requested M={M} N={N}"
         )
-    ch_seed, msg_seed, noise_seed = zip(*map(run_streams, seed)) if np.ndim(seed) else run_streams(seed)
+    count = 3 if noise_enabled else 2
+    stack = [run_streams(seed, count, key=(d,)) for d in draws] if draws is not None else (
+        [run_streams(s, count) for s in seed] if np.ndim(seed) else None)
+    ch_seed, msg_seed, *noise_seed = run_streams(seed, count) if stack is None else zip(*stack)
     channels = generate_channels(M, N, schedule.T, ch_seed, mask=schedule.used)
     messages = generate_messages(M, N, schedule.k, msg_seed)
     plan = build_transmit_plan(schedule, messages, channels, schedule.csit, normalize=normalize)
-    noise = NoiseModel(enabled=noise_enabled, variance=noise_variance, seed=noise_seed)
+    noise = NoiseModel(noise_enabled, noise_variance, *noise_seed)
     log = observe_all(plan, channels, noise)
     systems = assemble_system(log, np.arange(N))
     return SimulationResult(

@@ -140,6 +140,27 @@ class TestSumRate:
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
+    def test_equals_a_fresh_cholesky_per_snr(self):
+        # a stacked noisy, normalized 8x8 run, against a reference that factors a
+        # freshly built Sigma + P_s G G^H at every SNR: bit for bit, inputs untouched
+        systems = run_simulation(8, 8, seed=[3, 4, 5], noise_enabled=True, normalize=True).systems
+        G, sigma = systems.G.tobytes(), systems.sigma.tobytes()
+        snrs = [-20.0, 0.0, 40.0, 60.0, 80.0]
+        points = sum_rate(systems, snrs)
+        sigma_diag = np.linalg.cholesky(systems.sigma).diagonal(axis1=-2, axis2=-1)
+        gram = systems.G @ systems.G.conj().swapaxes(-1, -2)
+        p_s = 10.0 ** (np.asarray(snrs, dtype=float) / 10.0) / systems.M
+        rates = np.empty((len(snrs),) + sigma_diag.shape[:-1])
+        for n, p in enumerate(p_s.tolist()):
+            L = np.linalg.cholesky(systems.sigma + p * gram)
+            rates[n] = np.log(L.diagonal(axis1=-2, axis2=-1).real / sigma_diag).sum(axis=-1)
+        rates = np.maximum(rates, 0.0) * (2.0 / (math.log(2) * systems.T))
+        want = rates.reshape(len(snrs), -1, 8).mean(axis=1).tolist()
+        assert [pt.per_receiver for pt in points] == [tuple(r) for r in want]
+        assert [pt.sum_rate for pt in points] == [float(sum(r)) for r in want]
+        assert systems.G.tobytes() == G and systems.sigma.tobytes() == sigma
+
+
 class TestSweepAndSlope:
     def test_sweep_deterministic(self):
         a = sweep_rates(2, 2, [40.0, 60.0], draws=5, seed=3)

@@ -1,5 +1,7 @@
 """Tests for channel generation, message sets, noise, and received signals."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,12 +67,13 @@ class TestGenerateChannels:
         U = s.k * (3 + 4 - 1)
         assert stack.h.shape == (2, 3, 4, U) and stack.seed == seeds
         messages = generate_messages(4, 3, s.k, seeds)
-        grid = NoiseModel(enabled=True, seed=seeds).sample_grid(3, s.T)
-        for d, seed in enumerate(seeds):
+        grid = NoiseModel(enabled=True, variance=2.5, seed=seeds).sample_grid(3, s.T)
+        for d, seed in enumerate(seeds):  # bit for bit, all three draws
             single = generate_channels(4, 3, s.T, seed, mask=s.used).h
             assert stack.h[d].tobytes() == single.tobytes()
-            assert np.array_equal(messages.w[d], generate_messages(4, 3, s.k, seed).w)
-            assert np.array_equal(grid[d], NoiseModel(enabled=True, seed=seed).sample_grid(3, s.T))
+            assert messages.w[d].tobytes() == generate_messages(4, 3, s.k, seed).w.tobytes()
+            single = NoiseModel(enabled=True, variance=2.5, seed=seed).sample_grid(3, s.T)
+            assert grid[d].tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("mask,match", [
         (np.ones((3, 6), dtype=int), r"bool array of shape \(3, 6\), got int\d+ \(3, 6\)"),
@@ -145,6 +148,14 @@ class TestGenerateMessages:
         b = generate_messages(2, 3, 1, seed=5)
         np.testing.assert_array_equal(a.w, b.w)
 
+    @pytest.mark.parametrize("M,N,k", [(3, 3, 1), (4, 8, 2), (32, 32, 1)])
+    @pytest.mark.parametrize("seed", [0, 7, np.random.SeedSequence(7, spawn_key=(3, 1))])
+    def test_bit_identical_to_reference_expression(self, M, N, k, seed):
+        rng = np.random.default_rng(seed)
+        shape = (N, M, k)
+        want = np.sqrt(1.0 / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert generate_messages(M, N, k, seed).w.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k", [0, 3, -1])
     def test_invalid_k(self, k):
         with pytest.raises(ValueError):
@@ -173,6 +184,15 @@ class TestNoiseModel:
         b = NoiseModel(enabled=True, variance=4.0, seed=4).sample_grid(50, 400)
         np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
         assert abs(np.mean(np.abs(a) ** 2) - 1.0) < 0.05
+
+    @pytest.mark.parametrize("variance", [1.0, 0.3, 4.0, 1e-6])
+    @pytest.mark.parametrize("N,T", [(3, 6), (8, 36), (32, 528)])
+    @pytest.mark.parametrize("seed", [0, 11, np.random.SeedSequence(5, spawn_key=(2, 2))])
+    def test_bit_identical_to_reference_expression(self, variance, N, T, seed):
+        rng = np.random.default_rng(seed)
+        want = np.sqrt(variance / 2.0) * (rng.standard_normal((N, T)) + 1j * rng.standard_normal((N, T)))
+        got = NoiseModel(enabled=True, variance=variance, seed=seed).sample_grid(N, T)
+        assert got.tobytes() == want.tobytes()
 
     def test_invalid_variance(self):
         with pytest.raises(ValueError):
@@ -254,3 +274,32 @@ def test_run_streams_are_a_fresh_spawn():
     assert [c.generate_state(4).tolist() for c in run_streams(root)] == want
     draw = np.random.SeedSequence(7, spawn_key=(1,))
     assert [c.spawn_key for c in run_streams(draw)] == [(1, 0), (1, 1), (1, 2)]
+
+
+def test_run_streams_of_a_key_without_its_seed_sequence():
+    # the streams of SeedSequence(7, spawn_key=(1,)), from 7 and the key alone; count keeps the first ones
+    draw = np.random.SeedSequence(7, spawn_key=(1,))
+    want = [c.generate_state(4).tolist() for c in run_streams(draw)]
+    assert [c.generate_state(4).tolist() for c in run_streams(7, key=(1,))] == want
+    assert [c.generate_state(4).tolist() for c in run_streams(draw, 2)] == want[:2]
+
+
+@pytest.mark.parametrize("noise", [False, True])
+def test_draw_range_stacks_the_draw_seeds(noise):
+    # draws d of seed run on the streams of SeedSequence(seed, spawn_key=(d,)), bit for bit
+    seeds = [np.random.SeedSequence(9, spawn_key=(d,)) for d in range(2, 5)]
+    listed = run_simulation(3, 7, seed=seeds, noise_enabled=noise, normalize=True)
+    ranged = run_simulation(3, 7, seed=9, draws=range(2, 5), noise_enabled=noise, normalize=True)
+    for name in ("G", "y", "sigma"):
+        assert getattr(ranged.systems, name).tobytes() == getattr(listed.systems, name).tobytes()
+
+
+def test_noiseless_run_derives_and_samples_no_noise():
+    # the same channels and messages as the noisy run, with no noise stream and no grid sampled
+    with mock.patch.object(NoiseModel, "sample_grid", side_effect=AssertionError("sampled")):
+        quiet = run_simulation(4, 6, seed=[1, 2])
+    noisy = run_simulation(4, 6, seed=[1, 2], noise_enabled=True)
+    assert quiet.channels.h.tobytes() == noisy.channels.h.tobytes()
+    assert quiet.messages.w.tobytes() == noisy.messages.w.tobytes()
+    assert not quiet.noise.enabled and not isinstance(quiet.noise.seed, tuple)
+    assert quiet.all_recovered()
