@@ -17,6 +17,7 @@ from .channel import (
     ChannelRealization,
     MessageSet,
     NoiseModel,
+    Stream,
     generate_channels,
     generate_messages,
     run_streams,

@@ -168,7 +168,10 @@ def cancel_interference(log: ObservationLog, receiver) -> tuple[np.ndarray, np.n
     g = log.slot_scale[..., slot]
     own = s.phase1_slots[own_row, copy]
     h = log.channels.rows
-    rows = g[..., None] * h(own_row, slot) * h(partner, own) / h(partner, slot)
+    rows = h(own_row, slot)  # ((g * h1) * h2) / h3, in place
+    np.multiply(g[..., None], rows, out=rows)
+    rows *= h(partner, own)
+    rows /= h(partner, slot)
     values = log.values[..., own_row, slot] - g * log.values[..., own_row, linked]
     return rows, values
 
@@ -179,8 +182,10 @@ def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
     Row r is schedule.decode_rows[receiver, r]: per copy the phase-1 direct
     observation first, then the copy's M-1 subtraction rows in slot order.
     Each copy's M rows involve only its own M unknowns, so G is block
-    diagonal. Arrays are built per copy, as (k, M, ...), then flattened.
-    An index array of receivers assembles all of them into one stack.
+    diagonal; its rows are written into G copy by copy. The other arrays are
+    built per copy, as (k, M, ...), then flattened. An index array of
+    receivers assembles all of them into one stack. A noiseless sigma is a
+    read-only broadcast zero.
     """
     s = log.schedule
     M, k, T = s.M, s.k, s.T
@@ -190,11 +195,14 @@ def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
     rows, values = cancel_interference(log, receiver)
     lead = log.values.shape[:-2] + receiver.shape
     own_row = receiver[..., None, None]
-    blocks = log.channels.rows(own_row, slot)  # direct rows are channel rows
-    blocks[..., 1:, :] = rows.reshape(lead + (k, M - 1, M))
     G = np.zeros(lead + (k * M, k * M), dtype=complex)
+    blocks = G.reshape(lead + (k, M, k, M))
+    direct = log.channels.rows(receiver[..., None], slot[..., 0])  # direct rows are channel rows
+    rows = rows.reshape(lead + (k, M - 1, M))
     for c in range(k):
-        G[..., c * M : (c + 1) * M, c * M : (c + 1) * M] = blocks[..., c, :, :]
+        blocks[..., c, 0, c, :] = direct[..., c, :]
+        blocks[..., c, 1:, c, :] = rows[..., c, :, :]
+    del direct, rows  # freed before the noise map is allocated
     y = log.values[..., own_row, slot]
     y[..., 1:] = values.reshape(lead + (k, M - 1))
     # B: +1 at each row's own slot, minus the slot scale at the replayed slot
@@ -206,7 +214,7 @@ def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
     if log.noise_variance:
         sigma = log.noise_variance * (B @ np.swapaxes(B, -1, -2))
     else:  # noiseless: sigma is 0 * B B^T, so skip the product
-        sigma = np.zeros(lead + (k * M, k * M))
+        sigma = np.broadcast_to(0.0, lead + (k * M, k * M))
     for arr in (G, y, B, sigma):
         arr.setflags(write=False)
     return LinearSystem(

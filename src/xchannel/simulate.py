@@ -76,8 +76,9 @@ def run_simulation(
     number. Channels are drawn and stored only where schedule.used. A list of seeds runs
     one draw per seed in a single stacked pass, with a leading draw axis on every array;
     each draw equals its own single run. A range of draws stacks the draws d of seed,
-    SeedSequence(seed, spawn_key=(d,)), without building them. Passing an explicit
-    schedule (e.g. a permuted one) overrides the canonical construction; dimensions must match.
+    SeedSequence(seed, spawn_key=(d,)), whose streams come from one hash (run_streams). Passing
+    an explicit schedule (e.g. a permuted one) overrides the canonical construction; dimensions
+    must match.
     """
     if schedule is None:
         schedule = build_schedule(M, N)
@@ -86,9 +87,13 @@ def run_simulation(
             f"schedule is for M={schedule.M} N={schedule.N}, requested M={M} N={N}"
         )
     count = 3 if noise_enabled else 2
-    stack = [run_streams(seed, count, key=(d,)) for d in draws] if draws is not None else (
-        [run_streams(s, count) for s in seed] if np.ndim(seed) else None)
-    ch_seed, msg_seed, *noise_seed = run_streams(seed, count) if stack is None else zip(*stack)
+    if draws is not None:
+        streams = run_streams(seed, count, draws=draws)
+    elif np.ndim(seed):
+        streams = zip(*(run_streams(s, count) for s in seed))
+    else:
+        streams = run_streams(seed, count)
+    ch_seed, msg_seed, *noise_seed = streams
     channels = generate_channels(M, N, schedule.T, ch_seed, mask=schedule.used)
     messages = generate_messages(M, N, schedule.k, msg_seed)
     plan = build_transmit_plan(schedule, messages, channels, schedule.csit, normalize=normalize)

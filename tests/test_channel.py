@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xchannel.analysis import sweep_rates
 from xchannel.channel import (
     ChannelRealization,
     MessageSet,
     NoiseModel,
+    Stream,
     generate_channels,
     generate_messages,
     run_streams,
@@ -167,11 +169,13 @@ class TestGenerateMessages:
 
 
 class TestNoiseModel:
-    def test_disabled_is_exact_zero(self):
-        nm = NoiseModel(enabled=False)
-        z = nm.sample_grid(3, 6)
-        assert z.shape == (3, 6)
-        assert np.all(z == 0)
+    def test_noiseless_run_observes_no_noise(self):
+        # every stored cell of a noiseless stack is exactly its channel row times the slot's signal
+        sim = run_simulation(3, 5, seed=[4, 5])
+        ch = sim.channels
+        clean = np.einsum("...iju,...jiu->...iu", ch.h, sim.plan.signal_matrix()[..., :, ch.slots])
+        assert sim.log.values[..., np.arange(5)[:, None], ch.slots].tobytes() == clean.tobytes()
+        assert sim.log.noise_variance == 0.0 and not sim.systems.sigma.any()
 
     def test_enabled_deterministic(self):
         a = NoiseModel(enabled=True, variance=1.0, seed=9).sample_grid(3, 6)
@@ -282,6 +286,57 @@ def test_run_streams_of_a_key_without_its_seed_sequence():
     want = [c.generate_state(4).tolist() for c in run_streams(draw)]
     assert [c.generate_state(4).tolist() for c in run_streams(7, key=(1,))] == want
     assert [c.generate_state(4).tolist() for c in run_streams(draw, 2)] == want[:2]
+
+
+words = st.integers(min_value=0, max_value=2**40)
+entropies = st.one_of(st.integers(min_value=0, max_value=2**256), st.lists(words, max_size=6))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(
+    entropy=entropies,
+    key=st.lists(words, max_size=3).map(tuple),
+    draws=st.lists(st.one_of(st.integers(0, 5), words), min_size=1, max_size=4),
+    count=st.integers(min_value=1, max_value=3),
+    n_words=st.integers(min_value=1, max_value=16),
+    dtype=st.sampled_from([np.uint32, np.uint64]),
+)
+def test_streams_equal_numpy_seed_sequences(entropy, key, draws, count, n_words, dtype):
+    # one vectorised hash, bit for bit numpy's pool mixing and generate_state, multi-word entries too
+    def same(stream, want):
+        assert isinstance(stream, Stream) and stream.spawn_key == want.spawn_key
+        assert stream.generate_state(n_words, dtype).tolist() == want.generate_state(n_words, dtype).tolist()
+        assert stream.generate_state(4, np.uint64).tolist() == want.generate_state(4, np.uint64).tolist()
+        got, ref = np.random.default_rng(stream), np.random.default_rng(want)
+        assert got.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+
+    for c, stream in enumerate(run_streams(entropy, count, key)):
+        same(stream, np.random.SeedSequence(entropy, spawn_key=key + (c,)))
+    for c, streams in enumerate(run_streams(entropy, count, key, draws=draws)):
+        for d, stream in zip(draws, streams, strict=True):
+            same(stream, np.random.SeedSequence(entropy, spawn_key=key + (d, c)))
+
+
+def test_stream_rejects_what_seed_sequence_rejects():
+    with pytest.raises(ValueError, match="non-negative"):
+        run_streams(-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        run_streams(1, key=(-2,))
+    with pytest.raises(TypeError):
+        run_streams(1.5)
+    with pytest.raises(ValueError, match="uint32 or uint64"):
+        run_streams(1)[0].generate_state(4, np.int64)
+
+
+def test_sweep_builds_no_numpy_seed_sequence(monkeypatch):
+    class Forbidden(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("numpy SeedSequence constructed")
+
+    monkeypatch.setattr(np.random, "SeedSequence", Forbidden)
+    sweep_rates(3, 4, [10.0, 30.0], draws=5, seed=2**130)
+    sim = run_simulation(3, 4, seed=7, draws=range(2), noise_enabled=True)
+    assert all(isinstance(s, Stream) for s in sim.channels.seed + sim.messages.seed + sim.noise.seed)
 
 
 @pytest.mark.parametrize("noise", [False, True])

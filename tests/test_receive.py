@@ -1,6 +1,7 @@
 """Tests for observation bookkeeping, interference subtraction, and decoding."""
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -217,6 +218,18 @@ class TestAssembleSystem:
             sysi = assemble_system(log, i)
             w_flat = ms.w[i].T.reshape(-1)
             np.testing.assert_allclose(sysi.G @ w_flat, sysi.y, rtol=1e-9)
+
+    def test_noiseless_32x32_run_peak_stays_small(self):
+        # the run's stages free their temporaries before assembly allocates the 4.3 MB noise map,
+        # keeping a 32x32 run and its decode well below glibc's trim threshold (about 8.7 MB)
+        run_simulation(2, 2).all_recovered()  # lazy imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            assert run_simulation(32, 32).all_recovered()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8.0e6, peak
 
 
 class TestNoiseCovariance:
