@@ -9,6 +9,7 @@ loops) and compares the pipeline against it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -393,19 +394,12 @@ def verify_suite(
 ) -> list[CheckResult]:
     """Fast invariant sweep used by the command-line `verify` mode.
 
-    Each canonical schedule is built at most once per call and shared by
-    every other check of its shape, so its cached index tables are built
-    once too; nothing outlives the call. The oracle's run_simulation builds
-    its own canonical (3, 3) schedule and runs all its seeds in one stacked
-    pipeline. Runs and permutations draw from seed 0.
+    The checks call build_schedule once per shape and the oracle once more for
+    (3, 3). It keeps each canonical schedule and its tables for the process, so
+    a later call constructs and checks only its permuted schedules, which are
+    never cached. Runs and permutations draw from seed 0.
     """
-    schedules: dict[tuple[int, int], Schedule] = {}
-
-    def schedule(M: int, N: int) -> Schedule:
-        if (M, N) not in schedules:
-            schedules[M, N] = build_schedule(M, N)
-        return schedules[M, N]
-
+    schedule = functools.cache(build_schedule)  # one call per shape and verify_suite call
     checks: list[CheckResult] = []
 
     table = schedule(3, 3).csit
@@ -429,15 +423,10 @@ def verify_suite(
             s = schedule(M, N)
             if not dof_report(s).equal:
                 bad_dof.append((M, N))
-            for i in range(N):
-                c = s.csit.counts(i)
-                expect = {
-                    "P": s.k * (M - 1),
-                    "D": s.k * (N - 1),
-                    "N": s.T - s.k * (M - 1) - s.k * (N - 1),
-                }
-                if c != expect:
-                    bad_counts.append((M, N, i))
+            # each receiver's P, D and N counts: k(M-1), k(N-1) and the rest
+            expect = [s.k * (M - 1), s.k * (N - 1), s.T - s.k * (M + N - 2)]
+            counts = (s.csit.grid[:, :, None] == np.frombuffer(b"PDN", np.uint8)).sum(axis=1)
+            bad_counts += [(M, N, int(i)) for i in np.flatnonzero((counts != expect).any(axis=1))]
     checks.append(_check(f"dof-grid-to-{grid}", bad_dof,
                          f"mismatches {bad_dof}", f"{grid - 1} x {grid} configs"))
     checks.append(_check("csit-state-counts", bad_counts,

@@ -26,6 +26,14 @@ __all__ = [
 ]
 
 
+def read_only(table: np.ndarray) -> np.ndarray:
+    """A read-only view of table whose owner is read-only too (a copy, if table is a view):
+    numpy refuses to make such a view writable again, so the table can be shared."""
+    owner = table if table.base is None else table.copy()
+    owner.setflags(write=False)
+    return owner.view()
+
+
 def _complex_normals(seed, shape, variance: float = 1.0, nonzero: bool = False) -> np.ndarray:
     """CN(0, variance) samples of shape, stacked on a leading axis for a tuple of seeds. Seed s gives
     bit for bit sqrt(variance/2) * (a + 1j*b), a then b from default_rng(s), each through one
@@ -71,9 +79,7 @@ def _constants(const: int, mult: int, n: int) -> np.ndarray:
     out = [const]
     for _ in range(n):
         out.append(out[-1] * mult & _MASK32)
-    out = np.array(out, dtype=np.uint32)
-    out.setflags(write=False)
-    return out
+    return read_only(np.array(out, dtype=np.uint32))
 
 
 def _words(value) -> list[int]:
@@ -146,8 +152,7 @@ def _column_hashes(column: tuple, const: int) -> tuple:
         words = np.array(list(values), dtype=np.uint32).T[..., None]
         consts = _constants(const, _MULT_A, 4 * n)
         hashes = _hash(words, consts[:-1].reshape(n, 1, 4), consts[1:].reshape(n, 1, 4))
-        hashes.setflags(write=False)
-        runs.append((hashes, int(consts[-1])))
+        runs.append((read_only(hashes), int(consts[-1])))
     return tuple(runs)
 
 
@@ -174,10 +179,7 @@ def _hash_streams(entropy: tuple, key: tuple, columns: tuple) -> tuple[np.ndarra
     runs seed 0 for each of its schedules."""
     pool, const = _seed_pool(entropy, key)
     pools = _mix_columns(pool, const, columns).reshape(-1, 4)
-    states = _generate_state(pools, 4, np.uint64)
-    for arr in (pools, states):
-        arr.setflags(write=False)
-    return pools, states
+    return read_only(pools), read_only(_generate_state(pools, 4, np.uint64))
 
 
 def _spawn(entropy, key: tuple, *columns) -> list[Stream]:
@@ -225,8 +227,8 @@ class ChannelRealization:
         Read-only (N, U) table of the slots stored per receiver, ascending. Left out,
         every slot is stored (U = T), so h is the full (..., N, M, T) tensor.
     columns : ndarray
-        Read-only (N, T) lookup of (receiver, slot) to its column of h, built from
-        slots; U where the slot is not stored, so gathering it raises IndexError.
+        Read-only (N, T) lookup of (receiver, slot) to its column of h, given with
+        slots (slot_tables); U where the slot is not stored, so gathering it raises IndexError.
     """
 
     M: int
@@ -235,16 +237,13 @@ class ChannelRealization:
     h: np.ndarray
     seed: int | np.random.SeedSequence | Stream | tuple
     slots: np.ndarray | None = None
-    columns: np.ndarray = field(init=False, repr=False)
+    columns: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        slots = np.broadcast_to(np.arange(self.T), (self.N, self.T)) if self.slots is None else self.slots
-        U = slots.shape[-1]
-        columns = np.full((self.N, self.T), U, dtype=np.intp)
-        columns[np.arange(self.N)[:, None], slots] = np.arange(U)
-        columns.setflags(write=False)
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "columns", columns)
+        if self.slots is None:
+            slots, columns = slot_tables(None, self.N, self.T)
+            object.__setattr__(self, "slots", slots)
+            object.__setattr__(self, "columns", columns)
 
     def rows(self, receiver, slot) -> np.ndarray:
         """Coefficient rows h[..., receiver, :, slot] as (..., *shape, M), for index arrays
@@ -286,27 +285,29 @@ class NoiseModel:
         return _complex_normals(self.seed, (N, T), self.variance)
 
 
-def _stored_slots(mask, N: int, T: int) -> np.ndarray:
-    """The (N, U) slots an (N, T) bool mask selects per receiver; every row must select U >= 1."""
-    mask = np.asarray(mask)
+def slot_tables(mask, N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (N, U) slots an (N, T) bool mask selects per receiver, U >= 1 in every row,
+    and the read-only (N, T) lookup of each cell's column among them, U where not selected."""
+    mask = np.ones((N, T), dtype=bool) if mask is None else np.asarray(mask)
     if mask.dtype != bool or mask.shape != (N, T):
         raise ValueError(f"mask must be a bool array of shape {(N, T)}, got {mask.dtype} {mask.shape}")
     counts = mask.sum(axis=1).tolist()
     if min(counts) < 1 or len(set(counts)) > 1:
         raise ValueError(f"every mask row must select the same number of slots, at least one; rows select {counts}")
-    slots = np.nonzero(mask)[1].reshape(N, -1)
-    slots.setflags(write=False)
-    return slots
+    columns = np.where(mask, np.cumsum(mask, axis=1, dtype=np.intp) - 1, counts[0])
+    return read_only(np.nonzero(mask)[1].reshape(N, -1)), read_only(columns)
 
 
-def generate_channels(M: int, N: int, T: int, seed, mask: np.ndarray | None = None) -> ChannelRealization:
+def generate_channels(M: int, N: int, T: int, seed, mask: np.ndarray | None = None, *,
+                      stored: tuple[np.ndarray, np.ndarray] | None = None) -> ChannelRealization:
     """Draw i.i.d. CN(0, 1) channel coefficients, resampling exact zeros.
 
     An (N, T) bool mask whose rows each select the same U >= 1 slots draws only the
     coefficients h[i, :, t] with mask[i, t] set, in C order of (N, M, T), all real then
     all imaginary parts, and stores them in that order as an (N, M, U) tensor with
     the mask's rows as slots. No mask stores all T slots; an all-True mask is no mask,
-    bit for bit. A tuple of seeds fills a (D, N, M, U) stack draw by draw.
+    bit for bit. stored, in place of mask, is slot_tables(mask, N, T) built already, as
+    Schedule.stored for its used table. A tuple of seeds fills a (D, N, M, U) stack.
 
     Raises
     ------
@@ -316,11 +317,9 @@ def generate_channels(M: int, N: int, T: int, seed, mask: np.ndarray | None = No
     """
     if M < 1 or N < 1 or T < 1:
         raise ValueError(f"dimensions must be at least 1, got M={M} N={N} T={T}")
-    slots = None if mask is None else _stored_slots(mask, N, T)
-    U = T if slots is None else slots.shape[1]
-    h = _complex_normals(seed, (N, M, U), nonzero=True)
-    h.setflags(write=False)
-    return ChannelRealization(M=M, N=N, T=T, h=h, seed=seed, slots=slots)
+    slots, columns = slot_tables(mask, N, T) if stored is None else stored
+    h = read_only(_complex_normals(seed, (N, M, slots.shape[1]), nonzero=True))
+    return ChannelRealization(M=M, N=N, T=T, h=h, seed=seed, slots=slots, columns=columns)
 
 
 def generate_messages(M: int, N: int, k: int, seed) -> MessageSet:
@@ -329,6 +328,5 @@ def generate_messages(M: int, N: int, k: int, seed) -> MessageSet:
         raise ValueError(f"dimensions must be at least 1, got M={M} N={N}")
     if k not in (1, 2):
         raise ValueError(f"replication factor must be 1 or 2, got {k}")
-    w = _complex_normals(seed, (N, M, k))
-    w.setflags(write=False)
+    w = read_only(_complex_normals(seed, (N, M, k)))
     return MessageSet(M=M, N=N, k=k, w=w, seed=seed)

@@ -19,9 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum, IntEnum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .channel import read_only, slot_tables
 
 __all__ = [
     "SchemeCase",
@@ -41,6 +43,8 @@ __all__ = [
     "format_schedule",
     "format_csit_table",
 ]
+
+_SCHEDULE_CACHE_SIZE = 64  # canonical schedules kept per process; a verify grid of 8 has 56
 
 
 class SchemeCase(Enum):
@@ -81,7 +85,8 @@ class Schedule:
     compare schedules by their `members`. Construction checks the phase-1
     broadcasts (_check_phase1) and the phase-2 balance (_check_balance), so
     every schedule, built, permuted or made by hand, is checked once and its
-    derived tables need no checks of their own.
+    derived tables need no checks of their own. Every table is a read-only
+    view of a read-only owner, so build_schedule can share one per (M, N).
     """
 
     M: int
@@ -91,7 +96,7 @@ class Schedule:
     members: np.ndarray
 
     def __post_init__(self):
-        self.members.setflags(write=False)
+        object.__setattr__(self, "members", read_only(self.members))
         first = self.phase1_len
         keys = _member_keys(self.N, self.k, self.members)
         _check_phase1(self.N, self.k, keys[:first])
@@ -111,8 +116,7 @@ class Schedule:
         first = self.phase1_len
         slots = np.full((self.N, self.k), -1, dtype=np.intp)
         slots[self.members[:first, 0, 0], self.members[:first, 0, 1]] = np.arange(first)
-        slots.setflags(write=False)
-        return slots
+        return read_only(slots)
 
     @cached_property
     def decode_rows(self) -> np.ndarray:
@@ -140,9 +144,7 @@ class Schedule:
         table[:, :, 0, 1] = t1
         table[:, :, 0, 2:] = -1
         table[:, :, 1:] = rows.reshape(-1, 4)[order].reshape(N, k, M - 1, 4)
-        table = table.reshape(N, k * M, 4)
-        table.setflags(write=False)
-        return table
+        return read_only(table.reshape(N, k * M, 4))
 
     @cached_property
     def used(self) -> np.ndarray:
@@ -150,8 +152,7 @@ class Schedule:
         used = np.zeros((self.N, self.T), dtype=bool)
         used[:, : self.phase1_len] = True
         used[self.members[:, :, 0].T, np.arange(self.T)] = True  # each slot's members
-        used.setflags(write=False)
-        return used
+        return read_only(used)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -160,8 +161,7 @@ class Schedule:
         entries = np.where(self.used, kind.COMBINED_PHASE2.value, kind.DISCARDED.value).astype(np.int8)
         entries[:, : self.phase1_len] = kind.INTERFERENCE_PHASE1.value
         entries[np.arange(self.N)[:, None], self.phase1_slots] = kind.DESIRED_PHASE1.value
-        entries.setflags(write=False)
-        return entries
+        return read_only(entries)
 
     @cached_property
     def pair_reads(self) -> np.ndarray:
@@ -172,14 +172,17 @@ class Schedule:
         (a, ca), (b, cb) = self.members[first:].transpose(1, 2, 0)
         t_a, t_b, t = self.phase1_slots[a, ca], self.phase1_slots[b, cb], np.arange(first, self.T)
         reads = np.array([(b, t, t), (a, t, t), (b, t_a, t), (a, t_b, t)])
-        reads = reads.transpose(2, 0, 1).reshape(-1, 3)
-        reads.setflags(write=False)
-        return reads
+        return read_only(reads.transpose(2, 0, 1).reshape(-1, 3))
 
     @cached_property
     def csit(self) -> CsitTable:
         """The schedule's CSIT table, build_csit_table(self), built once."""
         return build_csit_table(self)
+
+    @cached_property
+    def stored(self) -> tuple[np.ndarray, np.ndarray]:
+        """slot_tables(used, N, T), built once: the (N, U) slots a run stores and their (N, T) columns."""
+        return slot_tables(self.used, self.N, self.T)
 
     @property
     def message_count(self) -> int:
@@ -214,7 +217,7 @@ class CsitTable:
     grid: np.ndarray
 
     def __post_init__(self):
-        self.grid.setflags(write=False)
+        object.__setattr__(self, "grid", read_only(self.grid))
 
     @cached_property
     def states(self) -> tuple[str, ...]:
@@ -406,7 +409,9 @@ def _check_balance(M: int, N: int, k: int, receivers: np.ndarray, keys: np.ndarr
 
 
 def build_schedule(M: int, N: int) -> Schedule:
-    """Construct the canonical schedule for M transmitters and N receivers.
+    """The canonical schedule for M transmitters and N receivers, built and checked once per
+    process: later calls for (M, N), by position or keyword, share it and its read-only tables
+    until build_schedule.cache_clear(). Permuted and hand-made schedules are never cached.
 
     Raises
     ------
@@ -415,6 +420,11 @@ def build_schedule(M: int, N: int) -> Schedule:
     SchemeConstructionError
         If the built pair sequence fails the balance check of Schedule.
     """
+    return _canonical_schedule(M, N)
+
+
+@lru_cache(maxsize=_SCHEDULE_CACHE_SIZE)
+def _canonical_schedule(M: int, N: int) -> Schedule:
     case = classify_case(M, N)
     if N < 2:
         raise UnsupportedConfigurationError(
@@ -426,6 +436,9 @@ def build_schedule(M: int, N: int) -> Schedule:
     groups = np.stack([receiver, copy], axis=-1)[:, None, :]
     members = np.concatenate([np.repeat(groups, 2, axis=1), pairs])
     return Schedule(M=M, N=N, case=case, k=k, members=members)
+
+
+build_schedule.cache_clear = _canonical_schedule.cache_clear
 
 
 def build_csit_table(schedule: Schedule) -> CsitTable:

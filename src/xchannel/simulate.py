@@ -94,7 +94,7 @@ def run_simulation(
     else:
         streams = run_streams(seed, count)
     ch_seed, msg_seed, *noise_seed = streams
-    channels = generate_channels(M, N, schedule.T, ch_seed, mask=schedule.used)
+    channels = generate_channels(M, N, schedule.T, ch_seed, stored=schedule.stored)
     messages = generate_messages(M, N, schedule.k, msg_seed)
     plan = build_transmit_plan(schedule, messages, channels, schedule.csit, normalize=normalize)
     noise = NoiseModel(noise_enabled, noise_variance, *noise_seed)

@@ -291,7 +291,8 @@ class TestVerifySuite:
     @pytest.fixture
     def built(self, monkeypatch):
         """The shapes verify_suite builds canonical schedules for, in call order: the
-        builds of every xchannel module that imported build_schedule."""
+        builds of every xchannel module that imported build_schedule. The schedule
+        cache starts and ends empty, so what a test counts does not depend on order."""
         shapes = []
 
         def counting(M, N):
@@ -302,32 +303,71 @@ class TestVerifySuite:
             if (name.startswith("xchannel.") and name != "xchannel.schedule"
                     and getattr(module, "build_schedule", None) is build_schedule):
                 monkeypatch.setattr(module, "build_schedule", counting)
-        return shapes
+        build_schedule.cache_clear()
+        yield shapes
+        build_schedule.cache_clear()
 
-    def test_one_schedule_per_shape_per_call(self, built, monkeypatch):
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The shapes of the schedules constructed and of the CSIT tables built, in order."""
         import xchannel.schedule as schedule
 
-        tables = []
+        made = {"schedules": [], "tables": []}
+        check = schedule.Schedule.__post_init__
+        monkeypatch.setattr(schedule.Schedule, "__post_init__",
+                            lambda s: made["schedules"].append((s.M, s.N)) or check(s))
         original = schedule.build_csit_table
         for name, module in list(sys.modules.items()):  # wherever the name was imported
             if name.startswith("xchannel") and getattr(module, "build_csit_table", None) is original:
                 monkeypatch.setattr(
-                    module, "build_csit_table", lambda s: tables.append((s.M, s.N)) or original(s)
+                    module, "build_csit_table", lambda s: made["tables"].append((s.M, s.N)) or original(s)
                 )
-        verify_suite(grid=4, oracle_seeds=2, perm_trials=1)
-        # The oracle builds its own canonical (3, 3) schedule; every other
-        # shape is built once.
-        repeated = {shape: n for shape, n in Counter(built).items() if n > 1}
-        assert repeated == {(3, 3): 2}
-        first = len(built)
-        verify_suite(grid=4, oracle_seeds=2, perm_trials=1)
-        assert built[first:] == built[:first]  # nothing is kept across calls
-        # One CSIT table per schedule: the 56 grid shapes, the 10 permuted
-        # schedules of (3, 3) and (2, 4), and the oracle's own (3, 3).
-        tables.clear()
+        return made
+
+    def test_one_schedule_per_shape_per_process(self, built, made):
+        # From an empty cache the first call constructs the 56 grid shapes, the
+        # oracle's (3, 3) among them, and the 10 permuted schedules of (3, 3) and
+        # (2, 4), one CSIT table each; a second call constructs and tables only
+        # the permuted ones, which are never cached.
         verify_suite(grid=8)
-        assert len(tables) == 67 and len(set(tables)) == 56
-        assert {shape: n for shape, n in Counter(tables).items() if n > 1} == {(3, 3): 7, (2, 4): 6}
+        assert made["tables"] == made["schedules"]
+        assert len(made["schedules"]) == 66 and len(set(made["schedules"])) == 56
+        repeated = {shape: n for shape, n in Counter(made["schedules"]).items() if n > 1}
+        assert repeated == {(3, 3): 6, (2, 4): 6}
+        # each call asks build_schedule once per shape, the oracle once more for (3, 3)
+        assert {shape: n for shape, n in Counter(built).items() if n > 1} == {(3, 3): 2}
+        assert len(built) == 57
+        for shapes in made.values():
+            shapes.clear()
+        verify_suite(grid=8)
+        assert made["schedules"] == made["tables"] == [(3, 3)] * 5 + [(2, 4)] * 5
+        assert built[57:] == built[:57]
+
+    def test_state_count_mismatches_listed_in_grid_order(self, built, monkeypatch):
+        # a CSIT table with one N cell turned D (a grant no read needs) on each
+        # receiver of odd index fails csit-state-counts, naming the first five
+        # (M, N, i) in grid order, as a per-receiver counts() reference finds them
+        import xchannel.schedule as schedule
+
+        original = schedule.build_csit_table
+
+        def tampered(s):
+            grid = original(s).grid.copy()
+            for i in range(1, s.N, 2):
+                grid[i, np.flatnonzero(grid[i] == ord("N"))[0]] = ord("D")
+            return schedule.CsitTable(grid)
+
+        monkeypatch.setattr(schedule, "build_csit_table", tampered)
+        checks = {c.name: c for c in verify_suite(grid=4, oracle_seeds=1, perm_trials=1)}
+        want = []
+        for M in range(1, 5):
+            for N in range(2, 5):
+                s = build_schedule(M, N)
+                expect = {"P": s.k * (M - 1), "D": s.k * (N - 1), "N": s.T - s.k * (M + N - 2)}
+                want += [(M, N, i) for i in range(N) if s.csit.counts(i) != expect]
+        assert want[:6] == [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 4, 3), (2, 2, 1), (2, 3, 1)]
+        assert not checks["csit-state-counts"].passed
+        assert checks["csit-state-counts"].detail == f"mismatches {want[:5]}"
 
     def test_denied_reads_fail_the_audit_check(self, monkeypatch):
         # two reads the contract denies (a row read before its slot) in every

@@ -103,6 +103,17 @@ class TestGenerateChannels:
             ch.h[2, :, ch.columns[2, 3]]
         np.testing.assert_array_equal(ch.rows(2, 2), ch.h[2, :, ch.columns[2, 2]])
 
+    def test_runs_share_the_schedules_slot_tables(self):
+        # a run takes its stored slots and column lookup from the schedule, which
+        # builds them from its used table as a bare mask would be
+        s = build_schedule(4, 3)
+        sims = [run_simulation(4, 3, seed=seed, schedule=s) for seed in (0, 1)]
+        for sim in sims:
+            assert sim.channels.slots is s.stored[0] and sim.channels.columns is s.stored[1]
+        masked = generate_channels(4, 3, s.T, sims[0].channels.seed, mask=s.used)
+        assert np.array_equal(masked.slots, s.stored[0]) and np.array_equal(masked.columns, s.stored[1])
+        assert masked.h.tobytes() == sims[0].channels.h.tobytes()
+
     def test_32x32_stores_only_used_cells(self):
         # each receiver stores k(N + M - 1) = 63 of the T = 528 slots
         assert run_simulation(32, 32).channels.h.nbytes == 16 * 32 * 32 * 63

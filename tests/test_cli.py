@@ -192,6 +192,22 @@ class TestErrorPaths:
         assert capsys.readouterr().out == ""
 
 
+class TestSharedSchedules:
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--M", "4", "--N", "6", "--seeds", "0", "1", "2", "--noise", "on", "--normalize", "on"],
+        ["sweep", "--M", "3", "--N", "3", "--draws", "20", "--format", "json"],
+        ["verify", "--grid", "4", "--seeds", "2"],
+    ], ids=["simulate", "sweep", "verify"])
+    def test_second_run_in_process_is_byte_identical(self, argv, capsys):
+        # the first run builds every schedule it needs, the second reuses them
+        build_schedule.cache_clear()
+        outputs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] and outputs[1] == outputs[0]
+
+
 class TestInputValidation:
     """Bad input exits 2 with xchannel's own message before any numeric work."""
 

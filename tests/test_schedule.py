@@ -391,6 +391,69 @@ class TestCsitTable:
                 assert table.state(i, slot) == want
 
 
+TABLES = {
+    "members": lambda s: s.members,
+    "phase1_slots": lambda s: s.phase1_slots,
+    "decode_rows": lambda s: s.decode_rows,
+    "used": lambda s: s.used,
+    "entries": lambda s: s.entries,
+    "pair_reads": lambda s: s.pair_reads,
+    "csit.grid": lambda s: s.csit.grid,
+    "stored.slots": lambda s: s.stored[0],
+    "stored.columns": lambda s: s.stored[1],
+}
+
+
+class TestSharedSchedule:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self):
+        build_schedule.cache_clear()
+        yield
+        build_schedule.cache_clear()
+
+    def test_one_object_per_shape(self):
+        s = build_schedule(3, 3)
+        assert build_schedule(M=3, N=3) is s and build_schedule(3, N=3) is s
+        assert build_schedule(3, 4) is not s
+        build_schedule.cache_clear()
+        t = build_schedule(3, 3)
+        assert t is not s and np.array_equal(t.members, s.members)
+
+    def test_permuted_and_replaced_schedules_are_new(self):
+        s = build_schedule(3, 3)
+        identity = list(range(3))
+        for t in (permute_schedule(s, identity, identity), dataclasses.replace(s)):
+            assert t is not s and np.array_equal(t.members, s.members)
+            assert t.members is not s.members and t.csit is not s.csit
+        assert build_schedule(3, 3) is s
+        members = s.members.copy()
+        members[3:, :, 0] = [[0, 1], [0, 1], [1, 2]]
+        with pytest.raises(SchemeConstructionError) as exc:
+            dataclasses.replace(s, members=members)
+        assert str(exc.value) == "receiver 1 copy 0 appears in 3 pair slots, expected 2"
+        assert build_schedule(3, 3) is s
+
+    @pytest.mark.parametrize("name", TABLES)
+    @pytest.mark.parametrize("make", [
+        lambda: build_schedule(4, 3),
+        lambda: permute_schedule(build_schedule(4, 3), range(5, -1, -1), range(9)),
+        # members a writable view of another array: the schedule keeps a copy
+        lambda: dataclasses.replace(build_schedule(4, 3), members=build_schedule(4, 3).members.copy()[:]),
+    ], ids=["built", "permuted", "made-from-a-view"])
+    def test_tables_cannot_be_made_writable(self, make, name):
+        table = TABLES[name](make())
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="cannot set WRITEABLE flag"):
+            table.setflags(write=True)
+
+    def test_members_do_not_alias_a_writable_array(self):
+        s = build_schedule(3, 3)
+        owner = s.members.copy()
+        t = dataclasses.replace(s, members=owner[:])  # a view of a writable array
+        owner[0] = [[1, 0], [1, 0]]
+        assert np.array_equal(t.members, s.members)
+
+
 class TestPermutations:
     def test_identity(self):
         s = build_schedule(3, 3)
