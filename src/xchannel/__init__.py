@@ -53,7 +53,6 @@ from .schedule import (
 from .simulate import SimulationResult, run_simulation
 from .transmit import (
     CsitAccessError,
-    CsitView,
     TransmitPlan,
     audit_csit_trace,
     build_transmit_plan,

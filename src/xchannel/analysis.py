@@ -9,7 +9,6 @@ loops) and compares the pipeline against it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -394,15 +393,13 @@ def verify_suite(
 ) -> list[CheckResult]:
     """Fast invariant sweep used by the command-line `verify` mode.
 
-    The checks call build_schedule once per shape and the oracle once more for
-    (3, 3). It keeps each canonical schedule and its tables for the process, so
-    a later call constructs and checks only its permuted schedules, which are
-    never cached. Runs and permutations draw from seed 0.
+    build_schedule keeps each canonical schedule and its tables for the
+    process, so a later call constructs and checks only its permuted
+    schedules, which are never cached. Runs and permutations draw from seed 0.
     """
-    schedule = functools.cache(build_schedule)  # one call per shape and verify_suite call
     checks: list[CheckResult] = []
 
-    table = schedule(3, 3).csit
+    table = build_schedule(3, 3).csit
     checks.append(
         CheckResult(
             name="csit-table-3x3",
@@ -420,7 +417,7 @@ def verify_suite(
     bad_counts = []
     for M in range(1, grid + 1):
         for N in range(2, grid + 1):
-            s = schedule(M, N)
+            s = build_schedule(M, N)
             if not dof_report(s).equal:
                 bad_dof.append((M, N))
             # each receiver's P, D and N counts: k(M-1), k(N-1) and the rest
@@ -435,7 +432,7 @@ def verify_suite(
     audit_bad = []
     decode_bad = []
     for M, N in [(2, 2), (3, 3), (4, 3), (2, 4), (5, 4), (2, 3)]:
-        sim = run_simulation(M, N, seed=0, schedule=schedule(M, N))
+        sim = run_simulation(M, N, seed=0, schedule=build_schedule(M, N))
         if len(sim.plan.csit_violations) or len(audit_csit_trace(sim.plan.csit_reads, sim.schedule.csit)):
             audit_bad.append((M, N))
         if not sim.all_recovered():
@@ -451,7 +448,7 @@ def verify_suite(
     rng = np.random.default_rng(0)
     perm_bad = []
     for M, N in [(3, 3), (2, 4)]:
-        base = schedule(M, N)
+        base = build_schedule(M, N)
         for _ in range(perm_trials):
             p1 = rng.permutation(base.phase1_len)
             p2 = rng.permutation(base.T - base.phase1_len)

@@ -222,7 +222,7 @@ class ChannelRealization:
         the coefficient from transmitter j to receiver i in slot slots[i, u]. Every
         stored entry has magnitude > 0.
     seed : int, SeedSequence, Stream or tuple of them
-        Seed (one per draw) that, with the mask, reproduces the tensor via generate_channels.
+        Seed (one per draw) that, with the slot tables, reproduces the tensor via generate_channels.
     slots : ndarray
         Read-only (N, U) table of the slots stored per receiver, ascending. Left out,
         every slot is stored (U = T), so h is the full (..., N, M, T) tensor.
@@ -298,26 +298,24 @@ def slot_tables(mask, N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only(np.nonzero(mask)[1].reshape(N, -1)), read_only(columns)
 
 
-def generate_channels(M: int, N: int, T: int, seed, mask: np.ndarray | None = None, *,
+def generate_channels(M: int, N: int, T: int, seed, *,
                       stored: tuple[np.ndarray, np.ndarray] | None = None) -> ChannelRealization:
     """Draw i.i.d. CN(0, 1) channel coefficients, resampling exact zeros.
 
-    An (N, T) bool mask whose rows each select the same U >= 1 slots draws only the
-    coefficients h[i, :, t] with mask[i, t] set, in C order of (N, M, T), all real then
-    all imaginary parts, and stores them in that order as an (N, M, U) tensor with
-    the mask's rows as slots. No mask stores all T slots; an all-True mask is no mask,
-    bit for bit. stored, in place of mask, is slot_tables(mask, N, T) built already, as
-    Schedule.stored for its used table. A tuple of seeds fills a (D, N, M, U) stack.
+    stored is slot_tables(mask, N, T) of an (N, T) bool mask, as Schedule.stored for its
+    used table: it draws only the coefficients h[i, :, t] with mask[i, t] set, in C order
+    of (N, M, T), all real then all imaginary parts, and stores them in that order as an
+    (N, M, U) tensor with the mask's rows as slots. None stores all T slots, bit for bit as
+    the tables of an all-True mask. A tuple of seeds fills a (D, N, M, U) stack.
 
     Raises
     ------
     ValueError
-        If any dimension is smaller than 1, or the mask is not bool, not (N, T), or
-        its rows select different numbers of slots or none.
+        If any dimension is smaller than 1.
     """
     if M < 1 or N < 1 or T < 1:
         raise ValueError(f"dimensions must be at least 1, got M={M} N={N} T={T}")
-    slots, columns = slot_tables(mask, N, T) if stored is None else stored
+    slots, columns = slot_tables(None, N, T) if stored is None else stored
     h = read_only(_complex_normals(seed, (N, M, slots.shape[1]), nonzero=True))
     return ChannelRealization(M=M, N=N, T=T, h=h, seed=seed, slots=slots, columns=columns)
 

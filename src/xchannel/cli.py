@@ -229,12 +229,19 @@ def _mode_simulate(cfg: dict, out: _Output) -> int:
     runs = []
     for seed in seeds:
         sim = run_simulation(M, N, seed=seed, noise_enabled=noise, normalize=normalize)
+        d = sim.decoding
         errors = sim.relative_errors()
         finite = [e for e in errors if e == e]  # drop NaNs from failed decodes
         runs.append(
             {
                 "seed": seed,
-                "receivers": [d.to_record() for d in sim.decodes],
+                "receivers": [
+                    {"receiver": i, "success": ok, "rank": rank,
+                     "condition": condition if math.isfinite(condition) else None}
+                    for i, ok, rank, condition in zip(
+                        *(a.ravel().tolist() for a in (d.receiver, d.decoded, d.rank, d.condition))
+                    )
+                ],
                 "relative_errors": [e if e == e else None for e in errors],
                 "max_relative_error": max(finite) if finite else None,
                 "all_recovered": sim.all_recovered(),

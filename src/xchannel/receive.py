@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, NoiseModel
+from .channel import ChannelRealization, NoiseModel, read_only
 from .schedule import ObservationKind, Schedule
 from .transmit import TransmitPlan
 
@@ -57,7 +57,7 @@ class ObservationLog:
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Square decoding system G w = y for one receiver, or a stack of them.
+    """Square decoding systems G w = y, stacked over leading axes (draws, then receivers).
 
     Unknowns are ordered copy-major: index c*M + j holds message w[i, j, c].
     Rows follow schedule.decode_rows[receiver]. sigma is the noise covariance
@@ -65,11 +65,11 @@ class LinearSystem:
     noiseless runs); noise_map is the (kM, T) matrix B with
     y_noise = B @ n[i, :], so sigma = variance * B B^T.
 
-    A stack has leading axes (draws, then receivers) on every array and an
-    int array of receivers; len() counts its systems.
+    receiver is an int array of the stack's shape, 0-d for one system with
+    no leading axes; len() counts the systems.
     """
 
-    receiver: int | np.ndarray
+    receiver: np.ndarray
     G: np.ndarray
     y: np.ndarray
     sigma: np.ndarray
@@ -84,39 +84,19 @@ class LinearSystem:
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
-    """Decode of one system, or of a stack of them.
+    """Decode of a stack of systems.
 
-    receiver, decoded, rank and condition have the stack's shape (plain
-    scalars for one system); estimates adds a trailing kM axis. success is a
-    plain bool: every system decoded. A failed system has a NaN row of
-    estimates in a stack, and estimates None on its own.
+    receiver, decoded, rank and condition have the stack's shape (0-d for a
+    stack with no leading axes); estimates adds a trailing kM axis, a NaN row
+    for a failed system. success is a plain bool: every system decoded.
     """
 
-    receiver: int | np.ndarray
+    receiver: np.ndarray
     success: bool
-    estimates: np.ndarray | None
-    rank: int | np.ndarray
-    condition: float | np.ndarray
-    decoded: bool | np.ndarray
-
-    def unstack(self) -> tuple[DecodeResult, ...]:
-        """One result per system of a stack, in flat C order."""
-        rows = zip(
-            *(np.ravel(a).tolist() for a in (self.receiver, self.decoded, self.rank, self.condition)),
-            self.estimates.reshape(-1, self.estimates.shape[-1]),
-        )
-        return tuple(
-            DecodeResult(receiver, ok, est if ok else None, rank, condition, ok)
-            for receiver, ok, rank, condition, est in rows
-        )
-
-    def to_record(self) -> dict:
-        return {
-            "receiver": self.receiver,
-            "success": self.success,
-            "rank": int(self.rank),
-            "condition": float(self.condition) if np.isfinite(self.condition) else None,
-        }
+    estimates: np.ndarray
+    rank: np.ndarray
+    condition: np.ndarray
+    decoded: np.ndarray
 
 
 def observe_all(
@@ -138,11 +118,10 @@ def observe_all(
         stored += noise.sample_grid(s.N, s.T)[..., receivers, slots]
     values = np.full(stored.shape[:-2] + (s.N, s.T), complex(np.nan, np.nan))
     values[..., receivers, slots] = stored
-    values.setflags(write=False)
     return ObservationLog(
         schedule=s,
         channels=channels,
-        values=values,
+        values=read_only(values),
         slot_scale=plan.slot_scale,
         noise_variance=noise.variance if noise.enabled else 0.0,
     )
@@ -184,8 +163,8 @@ def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
     Each copy's M rows involve only its own M unknowns, so G is block
     diagonal; its rows are written into G copy by copy. The other arrays are
     built per copy, as (k, M, ...), then flattened. An index array of
-    receivers assembles all of them into one stack. A noiseless sigma is a
-    read-only broadcast zero.
+    receivers assembles all of them into one stack. Every array is
+    read-only; a noiseless sigma is a broadcast zero.
     """
     s = log.schedule
     M, k, T = s.M, s.k, s.T
@@ -194,7 +173,6 @@ def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
     slot, linked = table[..., 1], table[..., 1:, 3]
     rows, values = cancel_interference(log, receiver)
     lead = log.values.shape[:-2] + receiver.shape
-    own_row = receiver[..., None, None]
     G = np.zeros(lead + (k * M, k * M), dtype=complex)
     blocks = G.reshape(lead + (k, M, k, M))
     direct = log.channels.rows(receiver[..., None], slot[..., 0])  # direct rows are channel rows
@@ -203,23 +181,22 @@ def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
         blocks[..., c, 0, c, :] = direct[..., c, :]
         blocks[..., c, 1:, c, :] = rows[..., c, :, :]
     del direct, rows  # freed before the noise map is allocated
-    y = log.values[..., own_row, slot]
+    y = np.empty(lead + (k, M), dtype=complex)
+    y[..., 0] = log.values[..., receiver[..., None], slot[..., 0]]
     y[..., 1:] = values.reshape(lead + (k, M - 1))
     # B: +1 at each row's own slot, minus the slot scale at the replayed slot
     B = np.zeros(lead + (k, M, T))
     *cells, positions = np.indices(receiver.shape + (k, M), sparse=True)
     B[(..., *cells, positions, slot)] = 1.0
     B[(..., *cells, positions[..., 1:], linked)] = -log.slot_scale[..., slot[..., 1:]]
-    B, y = B.reshape(lead + (k * M, T)), y.reshape(lead + (k * M,))
+    B, y = read_only(B).reshape(lead + (k * M, T)), read_only(y).reshape(lead + (k * M,))
     if log.noise_variance:
-        sigma = log.noise_variance * (B @ np.swapaxes(B, -1, -2))
+        sigma = read_only(log.noise_variance * (B @ np.swapaxes(B, -1, -2)))
     else:  # noiseless: sigma is 0 * B B^T, so skip the product
-        sigma = np.broadcast_to(0.0, lead + (k * M, k * M))
-    for arr in (G, y, B, sigma):
-        arr.setflags(write=False)
+        sigma = np.broadcast_to(read_only(np.zeros(())), lead + (k * M, k * M))
     return LinearSystem(
-        receiver=np.broadcast_to(receiver, lead) if lead else int(receiver),
-        G=G, y=y, sigma=sigma, noise_map=B, T=T, M=M, k=k,
+        receiver=np.broadcast_to(receiver, lead),
+        G=read_only(G), y=y, sigma=sigma, noise_map=B, T=T, M=M, k=k,
     )
 
 
@@ -231,15 +208,16 @@ def decode(system: LinearSystem) -> DecodeResult:
     iterative-refinement step, and only the others get a matrix_rank. For a
     square nonsingular G this is also the generalized least-squares estimate
     under any noise covariance, so noisy and noiseless systems share the
-    path. A single system is the stack with no leading axes. A condition
-    number beyond CONDITION_LIMIT yields a failure instead of an exception.
+    path. A single system is the stack with no leading axes, so its results
+    are 0-d arrays. A condition number beyond CONDITION_LIMIT yields a
+    failure (NaN estimates) instead of an exception.
     """
     G, y = system.G, system.y[..., None]
     sv = np.linalg.svd(G, compute_uv=False)
     smallest = sv[..., -1]
-    condition = np.full(np.shape(smallest), np.inf)
+    condition = np.full(smallest.shape, np.inf)
     np.divide(sv[..., 0], smallest, out=condition, where=smallest > 0)
-    decoded = condition <= CONDITION_LIMIT  # an svd of non-finite entries raises, so never NaN
+    decoded = np.asarray(condition <= CONDITION_LIMIT)  # an svd of non-finite entries raises, so never NaN
     success = bool(decoded.all())
     Gs, ys = (G, y) if success else (G[decoded], y[decoded])  # no masked copies when all decode
     est = np.linalg.solve(Gs, ys)
@@ -251,8 +229,4 @@ def decode(system: LinearSystem) -> DecodeResult:
         estimates = np.full(system.y.shape, np.nan, dtype=complex)
         estimates[decoded] = est[..., 0]
         rank[~decoded] = np.linalg.matrix_rank(G[~decoded])
-    if decoded.ndim:
-        return DecodeResult(system.receiver, success, estimates, rank, condition, decoded)
-    return DecodeResult(
-        system.receiver, success, estimates if success else None, int(rank), float(condition), success
-    )
+    return DecodeResult(system.receiver, success, estimates, rank, condition, decoded)

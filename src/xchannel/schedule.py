@@ -227,10 +227,6 @@ class CsitTable:
     def state(self, receiver: int, slot: int) -> str:
         return chr(self.grid[receiver, slot])
 
-    def counts(self, receiver: int) -> dict[str, int]:
-        row = self.states[receiver]
-        return {s: row.count(s) for s in "PDN"}
-
     def to_dict(self) -> dict:
         return {"states": [list(row) for row in self.states]}
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import (ChannelRealization, MessageSet, NoiseModel, generate_channels,
-                      generate_messages, run_streams)
+                      generate_messages, read_only, run_streams)
 from .receive import DecodeResult, LinearSystem, ObservationLog, assemble_system, decode, observe_all
 from .schedule import Schedule, build_schedule
 from .transmit import TransmitPlan, build_transmit_plan
@@ -30,28 +30,21 @@ class SimulationResult:
     decoding: DecodeResult  # one stacked decode of systems
 
     @functools.cached_property
-    def decodes(self) -> tuple[DecodeResult, ...]:
-        """Per-system view of decoding, in the flat order of systems."""
-        return self.decoding.unstack()
-
-    @functools.cached_property
-    def _truths(self) -> np.ndarray:
-        return np.swapaxes(self.messages.w, -1, -2).reshape(len(self.systems), -1)
-
-    def truth(self, i: int) -> np.ndarray:
-        """Copy-major flat message vector system i should recover, in the flat order of decodes."""
-        return self._truths[i]
+    def truths(self) -> np.ndarray:
+        """Read-only (systems, kM) copy-major message vectors the systems should recover, in their
+        flat order."""
+        return read_only(np.swapaxes(self.messages.w, -1, -2).reshape(len(self.systems), -1))
 
     @functools.cached_property
     def _errors(self) -> tuple[float, ...]:
-        estimates = self.decoding.estimates.reshape(self._truths.shape)
+        estimates = self.decoding.estimates.reshape(self.truths.shape)
         return tuple(
             float(np.linalg.norm(est - truth) / np.linalg.norm(truth))  # NaN for a failed row
-            for est, truth in zip(estimates, self._truths)
+            for est, truth in zip(estimates, self.truths)
         )
 
     def relative_errors(self) -> list[float]:
-        """Relative recovery error per decode; NaN where decoding failed."""
+        """Relative recovery error per system, in the flat order of systems; NaN where decoding failed."""
         return list(self._errors)
 
     def all_recovered(self, tol: float = 1e-8) -> bool:

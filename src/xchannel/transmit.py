@@ -2,8 +2,8 @@
 
 Phase-2 coefficients are chosen so that the interference a pair slot creates
 at each member equals (up to the published slot scale) an observation that
-member already stored in phase 1. Transmitters only ever touch the channel
-through an access-controlled CsitView, which records every read for audit.
+member already stored in phase 1. Transmitters read the channel only at the
+schedule's pair reads, and only after audit_csit_trace grants every one of them.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelRealization, MessageSet
+from .channel import ChannelRealization, MessageSet, read_only
 from .schedule import CsitTable, Schedule
 
 __all__ = [
     "CsitAccessError",
-    "CsitView",
     "TransmitPlan",
     "audit_csit_trace",
     "build_transmit_plan",
@@ -38,56 +37,15 @@ class CsitAccessError(RuntimeError):
         )
 
 
-def _rows(reads) -> np.ndarray:
-    """Read-only (K, 3) intp array of (receiver, slot, at_slot) reads."""
-    rows = np.array(reads, dtype=np.intp).reshape(-1, 3)
-    rows.setflags(write=False)
-    return rows
-
-
-def _granted(reads: np.ndarray, table: CsitTable) -> np.ndarray:
-    """The CSIT contract on (K, 3) (receiver, slot, at_slot) reads: perfect state
-    for the current slot, delayed state for earlier ones."""
+def audit_csit_trace(reads, table: CsitTable) -> np.ndarray:
+    """The CSIT contract: perfect state for the current slot, delayed state for earlier
+    ones. Returns the (K, 3) (receiver, slot, at_slot) reads it denies, in order, as a
+    read-only (n, 3) array."""
+    reads = np.asarray(reads, dtype=np.intp).reshape(-1, 3)
     receiver, slot, at_slot = reads.T
     state = table.grid[receiver, slot]
-    return ((slot == at_slot) & (state == ord("P"))) | ((slot < at_slot) & (state == ord("D")))
-
-
-class CsitView:
-    """Access-controlled window onto the channel tensor.
-
-    A read of receiver i's coefficient row at slot t', issued at slot now, is
-    granted only when the state table marks (i, now) as "P" with t' == now,
-    or (i, t') as "D" with t' strictly earlier than now. Granted reads
-    accumulate in `reads`; an illegal read is recorded in `violations` and raised.
-    Both are read-only (K, 3) int arrays of (receiver, slot, at_slot) rows.
-    """
-
-    def __init__(self, channels: ChannelRealization, table: CsitTable):
-        self._channels = channels
-        self._table = table
-        self.reads = self.violations = _rows(())
-
-    def read(self, reads) -> np.ndarray:
-        """(..., K, M) copy of rows h[..., receiver, :, slot] for (K, 3) (receiver, slot,
-        at_slot) reads, checked in order: reads before the first denied one are
-        recorded, then it is raised."""
-        reads = np.asarray(reads, dtype=np.intp).reshape(-1, 3)
-        denied = np.flatnonzero(~_granted(reads, self._table))
-        stop = denied[0] if denied.size else len(reads)
-        self.reads = _rows(np.concatenate([self.reads, reads[:stop]]))
-        if denied.size:
-            receiver, slot, at_slot = reads[stop].tolist()
-            self.violations = _rows(np.concatenate([self.violations, reads[stop:stop + 1]]))
-            raise CsitAccessError(receiver, slot, at_slot, self._table.state(receiver, slot))
-        return self._channels.rows(reads[:, 0], reads[:, 1])
-
-
-def audit_csit_trace(reads: np.ndarray, table: CsitTable) -> np.ndarray:
-    """Re-check (K, 3) (receiver, slot, at_slot) reads against the state table; returns
-    the offending rows, in order, as a read-only (n, 3) array."""
-    reads = _rows(reads)
-    return _rows(reads[~_granted(reads, table)])
+    granted = ((slot == at_slot) & (state == ord("P"))) | ((slot < at_slot) & (state == ord("D")))
+    return read_only(reads[~granted])
 
 
 @dataclass(eq=False)
@@ -106,8 +64,8 @@ class TransmitPlan:
     coefficients: np.ndarray
     slot_scale: np.ndarray
     normalized: bool
-    csit_reads: np.ndarray  # (K, 3) granted (receiver, slot, at_slot) reads
-    csit_violations: np.ndarray  # the denied read, if any, in the same form
+    csit_reads: np.ndarray  # (K, 3) audited (receiver, slot, at_slot) reads: schedule.pair_reads
+    csit_violations: np.ndarray  # the denied reads, in the same form: (0, 3) for a built plan
     _signals: np.ndarray | None = field(default=None, repr=False)
 
     def signal_matrix(self) -> np.ndarray:
@@ -133,7 +91,9 @@ def build_transmit_plan(
     Member (a, ca) paired with (b, cb) at slot t gets coefficient
     h[b,j,t]^-1 * h[b,j,t_a] on w[a,j,ca]: through receiver b's current
     fading this collapses to h[b,j,t_a], reproducing the observation b stored
-    when (a, ca) was broadcast at t_a, so b can subtract it.
+    when (a, ca) was broadcast at t_a, so b can subtract it. The coefficient
+    rows are the schedule's pair_reads, audited against csit before any is
+    gathered: a denied read raises CsitAccessError for the first one.
 
     With normalize=True each phase-2 slot is scaled by one common factor
     1 / max_j ||coefficients of transmitter j||, so every transmitter meets a
@@ -142,9 +102,13 @@ def build_transmit_plan(
     Channels and messages with draw axes (drawn from a tuple of seeds) give a
     plan with those axes, whose one CSIT audit covers every draw's gather.
     """
-    view = CsitView(channels, csit)
+    reads = schedule.pair_reads
+    denied = audit_csit_trace(reads, csit)
+    if len(denied):
+        receiver, slot, at_slot = denied[0].tolist()
+        raise CsitAccessError(receiver, slot, at_slot, csit.state(receiver, slot))
     first, draws = schedule.phase1_len, channels.h.shape[:-3]
-    rows = view.read(schedule.pair_reads).reshape(draws + (-1, 4, schedule.M))
+    rows = channels.rows(reads[:, 0], reads[:, 1]).reshape(draws + (-1, 4, schedule.M))
     coefficients = np.zeros(draws + (schedule.T, 2, schedule.M), dtype=complex)
     coefficients[..., :first, 0, :] = 1.0
     pair = coefficients[..., first:, :, :]
@@ -154,14 +118,12 @@ def build_transmit_plan(
         norms = np.sqrt(np.abs(pair[..., 0, :]) ** 2 + np.abs(pair[..., 1, :]) ** 2)
         scale[..., first:] = 1.0 / norms.max(axis=-1)
         pair *= scale[..., first:, None, None]
-    for arr in (coefficients, scale):
-        arr.setflags(write=False)
     return TransmitPlan(
         schedule=schedule,
         messages=messages,
-        coefficients=coefficients,
-        slot_scale=scale,
+        coefficients=read_only(coefficients),
+        slot_scale=read_only(scale),
         normalized=normalize,
-        csit_reads=view.reads,
-        csit_violations=view.violations,
+        csit_reads=reads,
+        csit_violations=denied,
     )

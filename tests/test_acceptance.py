@@ -74,15 +74,18 @@ def test_criterion_3_noiseless_decode_sweep(capsys):
         for N in range(2, 7):
             for seed in range(50):
                 res = run_simulation(M, N, seed=seed)
-                for i, dec in enumerate(res.decodes):
+                d = res.decoding
+                for i, (ok, condition, est, truth) in enumerate(
+                    zip(d.decoded, d.condition, d.estimates, res.truths)
+                ):
                     total += 1
-                    if not dec.success:
+                    if not ok:
                         failures += 1
-                        if not dec.condition > CONDITION_LIMIT:
-                            bad_failure.append((M, N, seed, i, dec.condition))
+                        if not condition > CONDITION_LIMIT:
+                            bad_failure.append((M, N, seed, i, condition))
                         continue
-                    err = np.abs(dec.estimates - res.truth(i)).max()
-                    scale = max(1.0, np.abs(res.truth(i)).max())
+                    err = np.abs(est - truth).max()
+                    scale = max(1.0, np.abs(truth).max())
                     if err / scale > 1e-8:
                         bad_error.append((M, N, seed, i, err / scale))
     elapsed = time.perf_counter() - start
@@ -105,8 +108,8 @@ def test_criterion_4_csit_contract(capsys):
     for M, N in GRID:
         s = build_schedule(M, N)
         t = build_csit_table(s)
-        for i in range(N):
-            c = t.counts(i)
+        for i, row in enumerate(t.states):
+            c = {state: row.count(state) for state in "PDN"}
             want = {"P": s.k * (M - 1), "D": s.k * (N - 1),
                     "N": s.T - s.k * (M - 1) - s.k * (N - 1)}
             if c != want:
@@ -150,8 +153,8 @@ def test_criterion_5_schedule_permutations(capsys):
                 bad.append((M, N, trial, "recovery"))
                 continue
             for i in range(N):
-                same = np.allclose(res.decodes[i].estimates,
-                                   canonical.decodes[i].estimates,
+                same = np.allclose(res.decoding.estimates[i],
+                                   canonical.decoding.estimates[i],
                                    rtol=1e-6, atol=1e-9)
                 if not same:
                     bad.append((M, N, trial, i))

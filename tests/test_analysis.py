@@ -334,19 +334,20 @@ class TestVerifySuite:
         assert len(made["schedules"]) == 66 and len(set(made["schedules"])) == 56
         repeated = {shape: n for shape, n in Counter(made["schedules"]).items() if n > 1}
         assert repeated == {(3, 3): 6, (2, 4): 6}
-        # each call asks build_schedule once per shape, the oracle once more for (3, 3)
-        assert {shape: n for shape, n in Counter(built).items() if n > 1} == {(3, 3): 2}
-        assert len(built) == 57
+        # it asks build_schedule for every grid shape, some more than once, and
+        # the second call asks the same again
+        first = list(built)
+        assert set(first) == {(M, N) for M in range(1, 9) for N in range(2, 9)}
         for shapes in made.values():
             shapes.clear()
         verify_suite(grid=8)
         assert made["schedules"] == made["tables"] == [(3, 3)] * 5 + [(2, 4)] * 5
-        assert built[57:] == built[:57]
+        assert built[len(first):] == first
 
     def test_state_count_mismatches_listed_in_grid_order(self, built, monkeypatch):
         # a CSIT table with one N cell turned D (a grant no read needs) on each
         # receiver of odd index fails csit-state-counts, naming the first five
-        # (M, N, i) in grid order, as a per-receiver counts() reference finds them
+        # (M, N, i) in grid order, as a per-receiver count of the state strings finds them
         import xchannel.schedule as schedule
 
         original = schedule.build_csit_table
@@ -364,7 +365,8 @@ class TestVerifySuite:
             for N in range(2, 5):
                 s = build_schedule(M, N)
                 expect = {"P": s.k * (M - 1), "D": s.k * (N - 1), "N": s.T - s.k * (M + N - 2)}
-                want += [(M, N, i) for i in range(N) if s.csit.counts(i) != expect]
+                want += [(M, N, i) for i, row in enumerate(s.csit.states)
+                         if {state: row.count(state) for state in "PDN"} != expect]
         assert want[:6] == [(1, 2, 1), (1, 3, 1), (1, 4, 1), (1, 4, 3), (2, 2, 1), (2, 3, 1)]
         assert not checks["csit-state-counts"].passed
         assert checks["csit-state-counts"].detail == f"mismatches {want[:5]}"
@@ -386,8 +388,11 @@ class TestVerifySuite:
         assert audit.detail == "violations at [(2, 2), (3, 3), (4, 3), (2, 4), (5, 4), (2, 3)]"
         assert all(c.passed for c in checks.values())
 
-    def test_grid_two_still_builds_shapes_outside_it(self, built):
+    def test_grid_two_still_builds_shapes_outside_it(self, built, made):
+        # from an empty cache: each canonical shape once, plus one permuted
+        # schedule each of (3, 3) and (2, 4)
         checks = verify_suite(grid=2, oracle_seeds=1, perm_trials=1)
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
         assert [c.name for c in checks][:3] == ["csit-table-3x3", "oracle-3x3-1-seeds", "dof-grid-to-2"]
-        assert sorted(built) == [(1, 2), (2, 2), (2, 3), (2, 4), (3, 3), (3, 3), (4, 3), (5, 4)]
+        assert sorted(set(built)) == [(1, 2), (2, 2), (2, 3), (2, 4), (3, 3), (4, 3), (5, 4)]
+        assert sorted(made["schedules"]) == [(1, 2), (2, 2), (2, 3), (2, 4), (2, 4), (3, 3), (3, 3), (4, 3), (5, 4)]

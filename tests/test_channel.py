@@ -15,6 +15,7 @@ from xchannel.channel import (
     generate_channels,
     generate_messages,
     run_streams,
+    slot_tables,
 )
 from xchannel.receive import ObservationKind, observe_all
 from xchannel.schedule import build_csit_table, build_schedule
@@ -47,31 +48,32 @@ class TestGenerateChannels:
     @pytest.mark.parametrize("seed", range(3))
     def test_masked_draw_matches_reference_expression(self, M, N, seed):
         # only the used cells are drawn, in C order of (N, M, T), all real parts
-        # then all imaginary parts, and stored in that order; an all-True mask is
-        # the unmasked draw
+        # then all imaginary parts, and stored in that order; the tables of an
+        # all-True mask are the unmasked draw
         s = build_schedule(M, N)
         cells = np.broadcast_to(s.used[:, None, :], (N, M, s.T))
         n = int(cells.sum())
         rng = np.random.default_rng(seed)
         want = np.full((N, M, s.T), complex(np.nan, np.nan))
         want[cells] = np.sqrt(1.0 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        ch = generate_channels(M, N, s.T, seed, mask=s.used)
+        ch = generate_channels(M, N, s.T, seed, stored=slot_tables(s.used, N, s.T))
         assert ch.h.shape == (N, M, n // (N * M))
         assert ch.h.tobytes() == want[cells].tobytes()
         assert np.array_equal(ch.slots, np.nonzero(s.used)[1].reshape(N, -1))
-        everywhere = generate_channels(M, N, s.T, seed, mask=np.ones((N, s.T), dtype=bool))
-        assert everywhere.h.tobytes() == generate_channels(M, N, s.T, seed).h.tobytes()
+        everywhere = slot_tables(np.ones((N, s.T), dtype=bool), N, s.T)
+        assert (generate_channels(M, N, s.T, seed, stored=everywhere).h.tobytes()
+                == generate_channels(M, N, s.T, seed).h.tobytes())
 
     def test_seed_tuple_stacks_single_draws(self):
         s = build_schedule(4, 3)
         seeds = (5, np.random.SeedSequence(1, spawn_key=(2,)))
-        stack = generate_channels(4, 3, s.T, seeds, mask=s.used)
+        stack = generate_channels(4, 3, s.T, seeds, stored=slot_tables(s.used, 3, s.T))
         U = s.k * (3 + 4 - 1)
         assert stack.h.shape == (2, 3, 4, U) and stack.seed == seeds
         messages = generate_messages(4, 3, s.k, seeds)
         grid = NoiseModel(enabled=True, variance=2.5, seed=seeds).sample_grid(3, s.T)
         for d, seed in enumerate(seeds):  # bit for bit, all three draws
-            single = generate_channels(4, 3, s.T, seed, mask=s.used).h
+            single = generate_channels(4, 3, s.T, seed, stored=slot_tables(s.used, 3, s.T)).h
             assert stack.h[d].tobytes() == single.tobytes()
             assert messages.w[d].tobytes() == generate_messages(4, 3, s.k, seed).w.tobytes()
             single = NoiseModel(enabled=True, variance=2.5, seed=seed).sample_grid(3, s.T)
@@ -88,7 +90,7 @@ class TestGenerateChannels:
         # int, wrong-shape, ragged and empty-row masks: a ValueError naming the
         # shape or the row counts, never numpy's shape mismatch or an IndexError
         with pytest.raises(ValueError, match=match):
-            generate_channels(3, 3, 6, seed=0, mask=mask)
+            slot_tables(mask, 3, 6)
 
     def test_discarded_cell_gather_raises(self):
         # an unstored cell maps to the out-of-range column U, so a gather of it
@@ -110,7 +112,7 @@ class TestGenerateChannels:
         sims = [run_simulation(4, 3, seed=seed, schedule=s) for seed in (0, 1)]
         for sim in sims:
             assert sim.channels.slots is s.stored[0] and sim.channels.columns is s.stored[1]
-        masked = generate_channels(4, 3, s.T, sims[0].channels.seed, mask=s.used)
+        masked = generate_channels(4, 3, s.T, sims[0].channels.seed, stored=slot_tables(s.used, 3, s.T))
         assert np.array_equal(masked.slots, s.stored[0]) and np.array_equal(masked.columns, s.stored[1])
         assert masked.h.tobytes() == sims[0].channels.h.tobytes()
 

@@ -1,14 +1,36 @@
 """Tests for the command-line interface: modes, config merging, exit codes."""
 
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from xchannel import cli
+from xchannel import cli, receive, simulate
 from xchannel.cli import main
 from xchannel.schedule import build_csit_table, build_schedule
+
+
+# The full text output of `schedule` and `csit-table`, phase banners and their
+# trailing spaces included, so the table layout cannot change unnoticed.
+SCHEDULE_3X3_TEXT = (
+    "M=3 N=3 case=M_GE_N_GENERAL k=1 T=6 messages=9\n"
+    "        Phase 1   |       Phase 2      \n"
+    "Time |  1   2   3 |     4      5      6\n"
+    "Tx   | W1  W2  W3 | W1,W2  W1,W3  W2,W3\n"
+    "DoF achieved=3/2 closed_form=3/2 equal=True\n"
+)
+
+CSIT_TABLE_4X3_TEXT = (
+    "M=4 N=3 case=M_GE_N_EVEN_M_ODD_N k=2 T=15\n"
+    "           Phase 1      |             Phase 2            \n"
+    "Time | 1  2  3  4  5  6 | 7  8  9  10  11  12  13  14  15\n"
+    "R1   | N  D  D  N  D  D | P  P  N   P   P   N   P   P   N\n"
+    "R2   | D  N  D  D  N  D | P  N  P   P   N   P   P   N   P\n"
+    "R3   | D  D  N  D  D  N | N  P  P   N   P   P   N   P   P\n"
+)
 
 
 class TestScheduleMode:
@@ -30,6 +52,10 @@ class TestScheduleMode:
         assert "Phase 1" in text and "Phase 2" in text
         assert "achieved=8/5" in text and "equal=True" in text
 
+    def test_text_is_pinned(self, capsys):
+        assert main(["schedule", "--M", "3", "--N", "3"]) == 0
+        assert capsys.readouterr().out == SCHEDULE_3X3_TEXT
+
 
 class TestCsitTableMode:
     def test_text_golden(self, capsys):
@@ -46,6 +72,10 @@ class TestCsitTableMode:
         states = tuple("".join(row) for row in payload["states"])
         assert states == build_csit_table(build_schedule(2, 4)).states
 
+    def test_text_is_pinned(self, capsys):
+        assert main(["csit-table", "--M", "4", "--N", "3"]) == 0
+        assert capsys.readouterr().out == CSIT_TABLE_4X3_TEXT
+
 
 class TestSimulateMode:
     def test_multiple_seeds(self, capsys):
@@ -61,6 +91,52 @@ class TestSimulateMode:
                      "--normalize", "on"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["noise"] is True and payload["normalize"] is True
+
+    @pytest.mark.parametrize("args, digest", [
+        (["--M", "4", "--N", "6", "--seeds", "0", "1", "2", "--noise", "on", "--normalize", "on"],
+         "c0b18bb5dc505445852cd740d637b17b25c9aa51d49794f7cfba7df0b95834db"),
+        (["--M", "2", "--N", "4", "--seeds", "0", "1", "2", "--noise", "off"],
+         "acf8c1a39a4ecac27063fdbfe30bdc3a291f16d76c7abef28d55f3bf659c666b"),
+    ], ids=["4x6-noisy-normalized", "2x4-noiseless"])
+    def test_output_bytes_are_pinned(self, args, digest, capsys):
+        # sha256 of the whole JSON, so no change to how runs and records are built
+        # can alter a byte unnoticed
+        assert main(["simulate", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    def test_failed_decode_record(self, monkeypatch, capsys):
+        # receiver 1's system zeroed: its decode fails with an infinite condition,
+        # printed as null, and so does its relative error
+        original = simulate.assemble_system
+
+        def zeroed(log, receiver):
+            systems = original(log, receiver)
+            G = systems.G.copy()
+            G[..., 1, :, :] = 0
+            return dataclasses.replace(systems, G=G)
+
+        monkeypatch.setattr(simulate, "assemble_system", zeroed)
+        assert main(["simulate", "--M", "3", "--N", "3", "--seeds", "0"]) == 0
+        (run,) = json.loads(capsys.readouterr().out)["runs"]
+        records, errors = run["receivers"], run["relative_errors"]
+        assert records[1] == {"condition": None, "rank": 0, "receiver": 1, "success": False}
+        assert [r["success"] for r in records] == [True, False, True]
+        assert all(type(r["condition"]) is float and r["rank"] == 3 for r in records[::2])
+        assert errors[1] is None and all(e < 1e-8 for e in errors[::2])
+        assert run["max_relative_error"] == max(errors[::2])
+        assert run["all_recovered"] is False and run["csit_violations"] == 0
+
+    def test_ill_conditioned_record_keeps_its_condition(self, monkeypatch, capsys):
+        # a limit of 1 fails every system with a finite condition, which is printed
+        monkeypatch.setattr(receive, "CONDITION_LIMIT", 1.0)
+        assert main(["simulate", "--M", "3", "--N", "3", "--seeds", "0"]) == 0
+        (run,) = json.loads(capsys.readouterr().out)["runs"]
+        assert [r["receiver"] for r in run["receivers"]] == [0, 1, 2]
+        for r in run["receivers"]:
+            assert r["success"] is False and r["rank"] == 3
+            assert type(r["condition"]) is float and r["condition"] > 1.0
+        assert run["relative_errors"] == [None] * 3
+        assert run["max_relative_error"] is None and run["all_recovered"] is False
 
 
 class TestSweepMode:

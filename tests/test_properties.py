@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from xchannel import analysis
 from xchannel.analysis import sum_rate, sweep_rates
-from xchannel.channel import NoiseModel, generate_channels, generate_messages
+from xchannel.channel import NoiseModel, generate_channels, generate_messages, slot_tables
 from xchannel.receive import (CONDITION_LIMIT, LinearSystem, ObservationKind as K, assemble_system,
                               decode, observe_all)
 from xchannel.schedule import CsitTable, build_csit_table, build_schedule, permute_schedule
@@ -56,12 +56,13 @@ def test_run_invariants(case, variance, normalize):
         assert kinds[K.DISCARDED] == s.T - s.k * (M + N - 1)
 
     # noiseless recovery; a failed decode must be ill-conditioned
-    for dec in sim.decodes:
-        if not dec.success:
-            assert dec.condition > CONDITION_LIMIT
+    d = sim.decoding
+    assert d.receiver.tolist() == list(range(N))
+    for ok, condition, est, truth in zip(d.decoded, d.condition, d.estimates, sim.truths):
+        if not ok:
+            assert condition > CONDITION_LIMIT
             continue
-        truth = sim.truth(dec.receiver)
-        assert np.abs(dec.estimates - truth).max() <= 1e-8 * max(1.0, np.abs(truth).max())
+        assert np.abs(est - truth).max() <= 1e-8 * max(1.0, np.abs(truth).max())
 
     noisy = run_simulation(
         M, N, seed=seed, noise_enabled=True, noise_variance=variance, normalize=normalize
@@ -167,15 +168,14 @@ def test_draw_stack_equals_single_runs(case, normalize):
     M, N, D, seed = case
     seeds = [seed + 10 * d for d in range(D)]
     stack = run_simulation(M, N, seed=seeds, noise_enabled=True, normalize=normalize)
-    assert len(stack.systems) == len(stack.decodes) == D * N
-    assert stack.systems.receiver.tolist() == [list(range(N))] * D
+    assert len(stack.systems) == stack.decoding.decoded.size == len(stack.truths) == D * N
+    assert stack.systems.receiver.tolist() == stack.decoding.receiver.tolist() == [list(range(N))] * D
     for d, s in enumerate(seeds):
         single = run_simulation(M, N, seed=s, noise_enabled=True, normalize=normalize)
         for name in ("G", "y", "sigma", "noise_map"):
             assert np.array_equal(getattr(stack.systems, name)[d], getattr(single.systems, name))
-        for got, want in zip(stack.decodes[d * N:(d + 1) * N], single.decodes):
-            assert got.receiver == want.receiver
-            assert np.array_equal(got.estimates, want.estimates)
+        for name in ("estimates", "decoded", "rank", "condition"):
+            assert np.array_equal(getattr(stack.decoding, name)[d], getattr(single.decoding, name))
 
 
 @PROPERTY
@@ -301,7 +301,8 @@ def test_every_receiver_uses_k_times_n_plus_m_minus_one_cells(M, N, seed):
                                 rng.permutation(base.T - base.phase1_len))
     for s in (base, permuted):
         assert s.used.sum(axis=1).tolist() == [s.k * (N + M - 1)] * N
-        assert generate_channels(M, N, s.T, seed, mask=s.used).h.shape == (N, M, s.k * (N + M - 1))
+        stored = slot_tables(s.used, N, s.T)
+        assert generate_channels(M, N, s.T, seed, stored=stored).h.shape == (N, M, s.k * (N + M - 1))
 
 
 def _normals(a):
@@ -383,7 +384,7 @@ def test_stacked_decode_equals_per_system_reference(m, lead, seed, data):
     for n, kind in enumerate(kinds):
         if kind != "ok":
             flat[n] = _degenerate(kind, flat[n], rng)
-    system = LinearSystem(receiver=np.zeros(tuple(lead), dtype=int) if lead else 0, G=G, y=y,
+    system = LinearSystem(receiver=np.zeros(tuple(lead), dtype=int), G=G, y=y,
                           sigma=np.zeros(shape + (m,)), noise_map=np.zeros(shape + (m,)), T=m, M=m, k=1)
 
     res = decode(system)
@@ -394,16 +395,12 @@ def test_stacked_decode_equals_per_system_reference(m, lead, seed, data):
     assert np.array_equal(res.decoded, mask)
     assert np.array_equal(res.rank, np.reshape([r[2] for r in refs], tuple(lead)))
     assert np.array_equal(res.condition, np.reshape([r[3] for r in refs], tuple(lead)))
-    if not lead:  # one system: plain scalars, estimates None on failure
-        assert (type(res.rank), type(res.condition)) == (int, float)
-        assert res.estimates is None if not mask else np.array_equal(res.estimates, refs[0][1])
-        return
+    # one system too: arrays of the stack's shape, 0-d without leading axes
+    assert res.decoded.shape == res.rank.shape == res.condition.shape == tuple(lead)
+    assert res.estimates.shape == shape
     estimates = res.estimates.reshape(size, m)
     assert np.array_equal(np.isnan(estimates).all(axis=1), ~mask.ravel())
     assert not np.isnan(estimates[mask.ravel()]).any()
-    for got, single, (ok, want, rank, condition) in zip(estimates, res.unstack(), refs):
-        assert (single.success, single.rank, single.condition) == (ok, rank, condition)
+    for got, (ok, want, *_) in zip(estimates, refs):
         if ok:
-            assert np.array_equal(got, want) and np.array_equal(single.estimates, want)
-        else:
-            assert single.estimates is None
+            assert np.array_equal(got, want)

@@ -317,7 +317,7 @@ class TestDecode:
         m = G.shape[0]
         y = np.asarray(y if y is not None else G @ np.ones(m), dtype=complex)
         sigma = sigma if sigma is not None else np.zeros((m, m))
-        return LinearSystem(receiver=0, G=np.asarray(G, dtype=complex), y=y,
+        return LinearSystem(receiver=np.array(0), G=np.asarray(G, dtype=complex), y=y,
                             sigma=sigma, noise_map=np.zeros((m, m)), T=m, M=m, k=1)
 
     def test_identity_system(self):
@@ -330,8 +330,8 @@ class TestDecode:
         G = np.array([[1.0, 2.0], [2.0, 4.0]])
         res = decode(self._toy(G))
         assert not res.success
-        assert res.estimates is None
-        assert res.rank == 1
+        assert res.estimates.shape == (2,) and np.isnan(res.estimates).all()
+        assert res.rank == 1 and not res.decoded
 
     def test_condition_threshold(self):
         ok = decode(self._toy(np.diag([1.0, 1e-6])))
@@ -339,19 +339,11 @@ class TestDecode:
         bad = decode(self._toy(np.diag([1.0, 1e-13])))
         assert not bad.success and bad.condition > CONDITION_LIMIT
 
-    def test_to_record_maps_nonfinite(self):
-        res = decode(self._toy(np.array([[1.0, 2.0], [2.0, 4.0]])))
-        rec = res.to_record()
-        assert rec["success"] is False
-        assert rec["condition"] is None or isinstance(rec["condition"], float)
-
     def test_noisy_decode_whitens(self):
         # tiny noise: GLS estimate must sit within a few standard deviations
         res = run_simulation(3, 3, seed=5, noise_enabled=True, noise_variance=1e-12)
-        for i, dec in enumerate(res.decodes):
-            assert dec.success
-            err = np.abs(dec.estimates - res.truth(i)).max()
-            assert err < 1e-4
+        assert res.decoding.success and res.decoding.decoded.all()
+        assert np.abs(res.decoding.estimates - res.truths).max() < 1e-4
 
     @pytest.mark.parametrize("M,N", [(3, 3), (4, 3), (2, 4), (5, 4), (2, 3), (1, 4)])
     def test_noiseless_pipeline_exact(self, M, N):
@@ -363,17 +355,17 @@ class TestDecode:
 
     def test_estimate_ordering_copy_major(self):
         res = run_simulation(4, 3, seed=2)
-        for i, dec in enumerate(res.decodes):
+        for i, est in enumerate(res.decoding.estimates):
             for c in range(2):
                 for j in range(4):
-                    assert abs(dec.estimates[c * 4 + j] - res.messages.w[i, j, c]) < 1e-8
+                    assert abs(est[c * 4 + j] - res.messages.w[i, j, c]) < 1e-8
 
 
 class TestStackedDecode:
     def _stack(self, G):
         G = np.asarray(G, dtype=complex)
         lead, m = G.shape[:-2], G.shape[-1]
-        return LinearSystem(receiver=np.zeros(lead, dtype=int) if lead else 0, G=G,
+        return LinearSystem(receiver=np.zeros(lead, dtype=int), G=G,
                             y=np.ones(lead + (m,), dtype=complex), sigma=np.zeros(G.shape),
                             noise_map=np.zeros(G.shape), T=m, M=m, k=1)
 
@@ -383,7 +375,6 @@ class TestStackedDecode:
         assert not res.decoded.any() and res.decoded.shape == (2, 3)
         assert res.estimates.shape == (2, 3, 4) and np.isnan(res.estimates).all()
         assert np.array_equal(res.rank, np.zeros((2, 3))) and np.isinf(res.condition).all()
-        assert all(d.estimates is None and not d.success for d in res.unstack())
 
     def test_single_system_is_a_row_of_the_stack(self):
         rng = np.random.default_rng(3)
@@ -391,30 +382,31 @@ class TestStackedDecode:
         G[1, 4] = G[1, 0]  # singular
         stacked = decode(self._stack(G))
         assert stacked.success is False and stacked.decoded.tolist() == [True, False, True]
-        for i, row in enumerate(stacked.unstack()):
+        for i in range(3):
             single = decode(self._stack(G[i]))
-            assert (single.success, single.rank, single.condition) == (row.success, row.rank, row.condition)
-            assert type(single.success) is bool and type(single.rank) is int
-            if single.success:
-                assert np.array_equal(single.estimates, stacked.estimates[i])
-            else:
-                assert single.estimates is None and np.isnan(stacked.estimates[i]).all()
+            assert type(single.success) is bool and single.success == stacked.decoded[i]
+            for name in ("receiver", "decoded", "rank", "condition"):
+                got = getattr(single, name)
+                assert type(got) is np.ndarray and got.shape == () and got == getattr(stacked, name)[i]
+            assert single.estimates.shape == (5,)
+            assert np.array_equal(single.estimates, stacked.estimates[i], equal_nan=True)
+        assert np.isnan(stacked.estimates[1]).all()
 
     def test_run_decodes_its_stack_in_one_call(self):
         res = run_simulation(3, 3, seed=[4, 5])
         assert res.decoding.estimates.shape == (2, 3, 3) and res.decoding.success is True
-        assert [d.receiver for d in res.decodes] == [0, 1, 2, 0, 1, 2]
-        for i, dec in enumerate(res.decodes):
-            assert np.array_equal(dec.estimates, res.decoding.estimates.reshape(6, 3)[i])
+        assert res.decoding.receiver.tolist() == [[0, 1, 2], [0, 1, 2]]
+        for name in ("decoded", "rank", "condition"):
+            assert getattr(res.decoding, name).shape == (2, 3)
 
     def test_truth_follows_the_flat_decode_order(self):
         res = run_simulation(3, 2, seed=[1, 2])
-        assert len(res.decodes) == 4
-        for i, dec in enumerate(res.decodes):
+        assert res.truths.shape == (4, 3)
+        estimates = res.decoding.estimates.reshape(4, 3)
+        for i, truth in enumerate(res.truths):
             draw, receiver = divmod(i, 2)
-            assert res.truth(i).shape == dec.estimates.shape == (3,)
-            np.testing.assert_array_equal(res.truth(i), res.messages.w[draw, receiver].T.reshape(-1))
-            np.testing.assert_allclose(dec.estimates, res.truth(i), rtol=1e-8)
+            np.testing.assert_array_equal(truth, res.messages.w[draw, receiver].T.reshape(-1))
+            np.testing.assert_allclose(estimates[i], truth, rtol=1e-8)
 
     def test_relative_errors_computed_once(self):
         res = run_simulation(3, 3, seed=2)
@@ -451,9 +443,8 @@ class TestPermutedSchedules:
         perm = permute_schedule(base, [3, 1, 2, 0, 5, 4], list(range(9))[::-1])
         a = run_simulation(4, 3, seed=1)
         b = run_simulation(4, 3, seed=1, schedule=perm)
-        for i in range(3):
-            np.testing.assert_allclose(b.decodes[i].estimates, b.truth(i), rtol=1e-8)
-            np.testing.assert_allclose(a.truth(i), b.truth(i), rtol=1e-12)
+        np.testing.assert_allclose(b.decoding.estimates, b.truths, rtol=1e-8)
+        np.testing.assert_allclose(a.truths, b.truths, rtol=1e-12)
 
 
 class TestIdentityEquality:
@@ -472,3 +463,32 @@ class TestIdentityEquality:
             assert (x == y) is False
             assert (x != y) is True
             assert (x == x) is True
+
+
+RUN_TABLES = {
+    "plan.coefficients": lambda sim: sim.plan.coefficients,
+    "plan.slot_scale": lambda sim: sim.plan.slot_scale,
+    "plan.csit_reads": lambda sim: sim.plan.csit_reads,
+    "plan.csit_violations": lambda sim: sim.plan.csit_violations,
+    "log.values": lambda sim: sim.log.values,
+    "systems.G": lambda sim: sim.systems.G,
+    "systems.y": lambda sim: sim.systems.y,
+    "systems.sigma": lambda sim: sim.systems.sigma,
+    "systems.noise_map": lambda sim: sim.systems.noise_map,
+    "truths": lambda sim: sim.truths,
+}
+
+
+class TestReadOnlyTables:
+    @pytest.mark.parametrize("name", RUN_TABLES)
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": 0},
+        {"seed": [0, 1], "noise_enabled": True, "normalize": True},
+    ], ids=["noiseless", "noisy-stack"])
+    def test_cannot_be_made_writable(self, name, kwargs):
+        # numpy refuses write=True on a view of a read-only owner, so no caller can
+        # change a run's tables after the fact
+        table = RUN_TABLES[name](run_simulation(4, 3, **kwargs))  # k = 2: truths are a copy
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table.setflags(write=True)

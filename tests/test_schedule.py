@@ -349,11 +349,11 @@ class TestCsitTable:
         s = build_schedule(M, N)
         table = build_csit_table(s)
         k = s.k
-        for i in range(N):
-            c = table.counts(i)
-            assert c["P"] == k * (M - 1)
-            assert c["D"] == k * (N - 1)
-            assert c["N"] == s.T - c["P"] - c["D"]
+        assert len(table.states) == N
+        for row in table.states:
+            assert row.count("P") == k * (M - 1)
+            assert row.count("D") == k * (N - 1)
+            assert row.count("N") == s.T - row.count("P") - row.count("D")
 
     def test_schedule_owns_its_table(self):
         s = build_schedule(4, 3)

@@ -9,11 +9,9 @@ from xchannel.channel import (
     generate_channels,
     generate_messages,
 )
-from xchannel import transmit
 from xchannel.schedule import CsitTable, build_csit_table, build_schedule
 from xchannel.transmit import (
     CsitAccessError,
-    CsitView,
     audit_csit_trace,
     build_transmit_plan,
 )
@@ -24,20 +22,19 @@ def make_instance(M, N, seed=0, normalize=False):
     table = build_csit_table(s)
     ch = generate_channels(M, N, s.T, seed=seed)
     ms = generate_messages(M, N, s.k, seed=seed + 1)
-    view = CsitView(ch, table)
     plan = build_transmit_plan(s, ms, ch, table, normalize=normalize)
-    return s, table, ch, ms, view, plan
+    return s, table, ch, ms, plan
 
 
 class TestPhase1:
     def test_signal_is_message_row(self):
-        s, _, _, ms, _, plan = make_instance(3, 3)
+        s, _, _, ms, plan = make_instance(3, 3)
         X = plan.signal_matrix()
         for t, ((i, c), _) in enumerate(s.members[: s.phase1_len].tolist()):
             np.testing.assert_array_equal(X[:, t], ms.w[i, :, c])
 
     def test_copy_selects_column(self):
-        s, _, _, ms, _, plan = make_instance(4, 3)
+        s, _, _, ms, plan = make_instance(4, 3)
         t = 4  # second copy of receiver 1's broadcast
         assert s.members[t, 0].tolist() == [1, 1] and s.phase1_slots[1, 1] == t
         np.testing.assert_array_equal(plan.signal_matrix()[:, t], ms.w[1, :, 1])
@@ -46,7 +43,7 @@ class TestPhase1:
 class TestPhase2Coefficients:
     def test_3x3_hand_formula(self):
         # pair ((0,0),(1,0)) at slot 3: member 0 broadcast at slot 0, member 1 at 1
-        s, _, ch, ms, _, plan = make_instance(3, 3)
+        s, _, ch, ms, plan = make_instance(3, 3)
         h = ch.h
         assert s.members[3].tolist() == [[0, 0], [1, 0]]
         for j in range(3):
@@ -57,7 +54,7 @@ class TestPhase2Coefficients:
     def test_general_formula(self, M, N):
         # coefficient on member (a, ca) is h[b,j,t_a] / h[b,j,t], recomputed
         # here straight from the channel tensor
-        s, _, ch, ms, _, plan = make_instance(M, N, seed=3)
+        s, _, ch, ms, plan = make_instance(M, N, seed=3)
         h = ch.h
         for t, ((a, ca), (b, cb)) in enumerate(s.members[s.phase1_len :].tolist(), s.phase1_len):
             t_a = s.phase1_slots[a, ca]
@@ -83,7 +80,7 @@ class TestPhase2Coefficients:
     def test_matrix_matches_slot_functions(self):
         # every column of the signal matrix equals its slot's transmit vector,
         # summed here term by term in plain loops
-        s, _, ch, ms, _, plan = make_instance(4, 3, seed=7)
+        s, _, ch, ms, plan = make_instance(4, 3, seed=7)
         h = ch.h
         X = plan.signal_matrix()
         first, members = s.phase1_len, s.members.tolist()
@@ -100,13 +97,13 @@ class TestPhase2Coefficients:
 class TestCsitAccessControl:
     def test_plan_is_violation_free(self):
         for M, N in [(3, 3), (4, 3), (2, 4), (5, 4), (2, 3)]:
-            _, table, _, _, _, plan = make_instance(M, N)
+            _, table, _, _, plan = make_instance(M, N)
             assert plan.csit_violations.shape == (0, 3)
             assert audit_csit_trace(plan.csit_reads, table).shape == (0, 3)
 
     def test_reads_satisfy_access_rule(self):
         # every granted read is either perfect-now or delayed-strictly-earlier
-        _, table, _, _, _, plan = make_instance(4, 3)
+        _, table, _, _, plan = make_instance(4, 3)
         for receiver, slot, at_slot in plan.csit_reads.tolist():
             state = table.state(receiver, slot)
             assert (slot == at_slot and state == "P") or (
@@ -114,86 +111,96 @@ class TestCsitAccessControl:
             )
 
     def test_read_count_is_four_per_pair_slot(self):
-        s, _, _, _, _, plan = make_instance(5, 4)
+        s, _, _, _, plan = make_instance(5, 4)
         assert len(plan.csit_reads) == 4 * (s.T - s.phase1_len)
 
     def test_golden_trace_slot3(self):
-        s, _, _, _, _, plan = make_instance(3, 3)
+        s, _, _, _, plan = make_instance(3, 3)
         reads = {(receiver, slot) for receiver, slot, at_slot in plan.csit_reads.tolist() if at_slot == 3}
         assert reads == {(0, 3), (1, 3), (1, 0), (0, 1)}
 
+    @staticmethod
+    def tampered(table, cells, state):
+        """table with every (receiver, slot) cell of cells set to state."""
+        grid = table.grid.copy()
+        for receiver, slot in cells:
+            grid[receiver, slot] = ord(state)
+        return CsitTable(grid)
+
     def test_no_csit_state_denied(self):
-        _, table, ch, _, view, _ = make_instance(3, 3)
-        with pytest.raises(CsitAccessError) as exc:
-            view.read([(2, 3, 3)])  # row 3 of receiver 3 is hidden in slot 4
-        assert (exc.value.receiver, exc.value.slot, exc.value.at_slot) == (2, 3, 3)
-        assert len(view.violations) == 1
+        s, table, ch, ms, _ = make_instance(3, 3)
+        assert table.state(2, 3) == "N"  # row 3 of receiver 3 is hidden in slot 4
+        assert audit_csit_trace([(2, 3, 3)], table).tolist() == [[2, 3, 3]]
+        with pytest.raises(CsitAccessError) as exc:  # the plan's h_b(t) read of slot 4
+            build_transmit_plan(s, ms, ch, self.tampered(table, [(1, 3)], "N"))
+        assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (1, 3, 3, "N")
 
     def test_delayed_state_denied_at_its_own_slot(self):
-        _, _, _, _, view, _ = make_instance(3, 3)
-        with pytest.raises(CsitAccessError):
-            view.read([(1, 0, 0)])  # delayed rows only become readable later
+        s, table, ch, ms, _ = make_instance(3, 3)
+        # delayed rows only become readable later
+        assert audit_csit_trace([(1, 0, 0)], table).tolist() == [[1, 0, 0]]
+        with pytest.raises(CsitAccessError) as exc:
+            build_transmit_plan(s, ms, ch, self.tampered(table, [(1, 3)], "D"))
+        assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (1, 3, 3, "D")
 
     def test_perfect_state_denied_after_its_slot(self):
-        _, _, _, _, view, _ = make_instance(3, 3)
-        with pytest.raises(CsitAccessError):
-            view.read([(0, 3, 4)])  # perfect knowledge does not persist
+        s, table, ch, ms, _ = make_instance(3, 3)
+        # perfect knowledge does not persist
+        assert audit_csit_trace([(0, 3, 4)], table).tolist() == [[0, 3, 4]]
+        with pytest.raises(CsitAccessError) as exc:  # slot 4's h_b(t_a) read, made perfect
+            build_transmit_plan(s, ms, ch, self.tampered(table, [(1, 0)], "P"))
+        assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (1, 0, 3, "P")
 
     def test_delayed_read_granted_later(self):
-        _, _, ch, _, view, _ = make_instance(3, 3)
-        rows = view.read([(1, 0, 4), (0, 4, 4)])
-        np.testing.assert_array_equal(rows, [ch.h[1, :, 0], ch.h[0, :, 4]])
-        assert view.reads.tolist() == [[1, 0, 4], [0, 4, 4]]
-        assert view.violations.tolist() == []
+        _, table, ch, _, plan = make_instance(3, 3)
+        assert audit_csit_trace([(1, 0, 4), (0, 4, 4)], table).shape == (0, 3)
+        reads = plan.csit_reads.tolist()
+        assert [1, 0, 3] in reads and table.state(1, 0) == "D"  # slot 4 reads h_2(1) delayed
+        rows = ch.rows(plan.csit_reads[:, 0], plan.csit_reads[:, 1])
+        np.testing.assert_array_equal(rows[reads.index([1, 0, 3])], ch.h[1, :, 0])
 
-    def test_denied_read_stops_the_gather(self):
-        _, _, _, _, view, _ = make_instance(3, 3)
+    def test_denied_read_stops_the_gather(self, monkeypatch):
+        # the audit runs before any channel row is gathered
+        s, table, ch, ms, _ = make_instance(3, 3)
+        assert audit_csit_trace([(1, 0, 4), (0, 3, 4), (0, 4, 4)], table).tolist() == [[0, 3, 4]]
+        gathered = []
+        monkeypatch.setattr(ChannelRealization, "rows", lambda *args: gathered.append(args))
         with pytest.raises(CsitAccessError):
-            view.read([(1, 0, 4), (0, 3, 4), (0, 4, 4)])
-        assert view.reads.tolist() == [[1, 0, 4]]
-        assert view.violations.tolist() == [[0, 3, 4]]
+            build_transmit_plan(s, ms, ch, self.tampered(table, [(0, 3)], "N"))
+        assert gathered == []
 
-    def test_plan_raises_at_first_denied_pair_read(self, monkeypatch):
-        # flip one pair-slot "P" cell to "N": the plan's gather must stop there
-        s, table, ch, ms, _, _ = make_instance(4, 3)
-        views = []
-
-        class RecordingView(CsitView):
-            def __init__(self, *args):
-                super().__init__(*args)
-                views.append(self)
-
-        monkeypatch.setattr(transmit, "CsitView", RecordingView)
+    def test_plan_raises_at_first_denied_pair_read(self):
+        # flip one pair-slot "P" cell to "N", and a later one too: the plan must
+        # raise for the first denied read
+        s, table, ch, ms, _ = make_instance(4, 3)
         reads = s.pair_reads.tolist()
         at = 4 * (len(reads) // 8) + 1  # h_a(t) of a middle pair slot
         receiver, slot, at_slot = reads[at]
         assert slot == at_slot and table.state(receiver, slot) == "P"
-        grid = table.grid.copy()
-        grid[receiver, slot] = ord("N")
-        broken = CsitTable(grid)
+        later = reads[-4][:2]
+        assert later[1] > slot and table.state(*later) == "P"
+        broken = self.tampered(table, [(receiver, slot), later], "N")
         with pytest.raises(CsitAccessError) as exc:
             build_transmit_plan(s, ms, ch, broken)
         assert (exc.value.receiver, exc.value.slot, exc.value.at_slot) == (receiver, slot, at_slot)
         assert exc.value.state == "N"
-        (view,) = views
-        assert view.violations.tolist() == [[receiver, slot, at_slot]]
-        assert view.reads.tolist() == reads[:at]
+        assert audit_csit_trace(s.pair_reads, broken)[0].tolist() == [receiver, slot, at_slot]
 
     def test_trace_is_read_only_rows_of_pair_reads(self):
-        s, _, _, _, _, plan = make_instance(4, 3)
+        s, _, _, _, plan = make_instance(4, 3)
         rows = plan.csit_reads
         assert rows.shape == (len(s.pair_reads), 3) and rows.dtype == np.intp
         assert np.array_equal(rows, s.pair_reads) and not rows.flags.writeable
         assert not plan.csit_violations.flags.writeable
 
     def test_audit_flags_fabricated_read(self):
-        _, table, _, _, _, plan = make_instance(3, 3)
+        _, table, _, _, plan = make_instance(3, 3)
         fake = [0, 5, 3]  # receiver 0's slot-5 row, read at slot 3
         bad = audit_csit_trace(np.vstack([plan.csit_reads, [fake]]), table)
         assert bad.tolist() == [fake]
 
     def test_audit_returns_exactly_the_denied_rows(self):
-        _, table, _, _, _, plan = make_instance(4, 3)
+        _, table, _, _, plan = make_instance(4, 3)
         clean = audit_csit_trace(plan.csit_reads, table)
         assert clean.shape == (0, 3) and clean.dtype == np.intp
         reads = plan.csit_reads.tolist()
@@ -213,7 +220,7 @@ class TestAlignment:
     def test_interference_replays_stored_observation(self, M, N):
         # at pair slot t the partner's contribution seen by member b equals
         # the slot-scale times what b overheard when the partner broadcast
-        s, _, ch, ms, _, plan = make_instance(M, N, seed=11, normalize=True)
+        s, _, ch, ms, plan = make_instance(M, N, seed=11, normalize=True)
         h = ch.h
         for t, pair in enumerate(s.members[s.phase1_len :].tolist(), s.phase1_len):
             g = plan.slot_scale[t]
@@ -228,7 +235,7 @@ class TestAlignment:
 
 class TestNormalization:
     def test_coefficient_norms_capped_at_one(self):
-        s, _, _, _, _, plan = make_instance(4, 3, seed=5, normalize=True)
+        s, _, _, _, plan = make_instance(4, 3, seed=5, normalize=True)
         for t in range(s.phase1_len, s.T):
             norms = []
             for j in range(s.M):
@@ -238,12 +245,12 @@ class TestNormalization:
             assert all(n <= 1.0 + 1e-12 for n in norms)
 
     def test_phase1_scale_is_unity(self):
-        s, _, _, _, _, plan = make_instance(3, 3, normalize=True)
+        s, _, _, _, plan = make_instance(3, 3, normalize=True)
         for t in range(s.phase1_len):
             assert plan.slot_scale[t] == 1.0
 
     def test_unnormalized_scale_is_unity_everywhere(self):
-        s, _, _, _, _, plan = make_instance(3, 3, normalize=False)
+        s, _, _, _, plan = make_instance(3, 3, normalize=False)
         assert np.all(plan.slot_scale == 1.0)
         assert plan.normalized is False
 
@@ -252,7 +259,7 @@ class TestPlanSerialization:
     """The plan's stored form: one coefficient pair per slot and transmitter."""
 
     def test_term_counts(self):
-        s, _, _, _, _, plan = make_instance(4, 3)
+        s, _, _, _, plan = make_instance(4, 3)
         assert plan.coefficients.shape == (s.T, 2, s.M)
         for t in range(s.phase1_len):
             assert np.all(plan.coefficients[t] == [[1.0], [0.0]])
