@@ -17,7 +17,6 @@ from .channel import (
     ChannelRealization,
     MessageSet,
     NoiseModel,
-    Stream,
     generate_channels,
     generate_messages,
     run_streams,

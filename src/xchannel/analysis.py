@@ -161,7 +161,8 @@ def sweep_rates(
     """Ergodic rate curve: average sum_rate over `draws` channel realizations.
 
     The same realizations are reused at every SNR point, which keeps the
-    fitted slope estimate stable. Draw d runs on the streams of SeedSequence(seed, spawn_key=(d,));
+    fitted slope estimate stable. Draw d runs on the Philox streams (key, d, c) of the seed's key
+    (run_streams), so draw d is run_simulation(seed, draws=range(d, d + 1)) whatever the chunking;
     each chunk of draws within DRAW_CHUNK_ELEMENTS (at least one) is one stacked run and one sum_rate.
     """
     if draws < 1:

@@ -8,9 +8,9 @@ construction and safe to share across simulation workers.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
+import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,11 +19,14 @@ __all__ = [
     "ChannelRealization",
     "MessageSet",
     "NoiseModel",
-    "Stream",
     "generate_channels",
     "generate_messages",
     "run_streams",
 ]
+
+_MASK64 = (1 << 64) - 1
+_local = threading.local()  # per thread: _generator's reused Philox generator
+_EMPTY_PHILOX = {"bit_generator": "Philox", "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def read_only(table: np.ndarray) -> np.ndarray:
@@ -34,180 +37,52 @@ def read_only(table: np.ndarray) -> np.ndarray:
     return owner.view()
 
 
-def _complex_normals(seed, shape, variance: float = 1.0, nonzero: bool = False) -> np.ndarray:
-    """CN(0, variance) samples of shape, stacked on a leading axis for a tuple of seeds. Seed s gives
-    bit for bit sqrt(variance/2) * (a + 1j*b), a then b from default_rng(s), each through one
-    size-long buffer reused by every draw; nonzero redraws exact zeros from the same generator."""
-    seeds, lead = (seed, (len(seed),)) if isinstance(seed, tuple) else ((seed,), ())
-    n = math.prod(shape)
-    out = np.empty(lead + tuple(shape), dtype=complex)
-    buffer = np.empty(n)
-    scale = math.sqrt(variance / 2.0)
-    for drawn, s in zip(out.reshape(-1, n), seeds):
-        rng = np.random.default_rng(s)
-        for part in (drawn.real, drawn.imag):
-            rng.standard_normal(out=buffer)
-            np.multiply(buffer, scale, out=part)
-        while nonzero and (zero := drawn == 0).any():  # default_rng(rng) is rng: redraws continue its stream
-            drawn[zero] = _complex_normals(rng, (int(zero.sum()),))
-    return out
-
-
-# numpy.random.SeedSequence's hash constants, for its default pool of 4 uint32 words
-_MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
-
-def _hash(value, const, after):
-    """SeedSequence's hashmix of value under the hash constant const, with after the constant
-    that follows it. The same expression serves Python ints and broadcast uint32 arrays."""
-    value = (value ^ const) * after & _MASK32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    """SeedSequence's mix of the pool word x with the hashed word y."""
-    x = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return x ^ x >> 16
-
-
-@functools.lru_cache(maxsize=64)
-def _constants(const: int, mult: int, n: int) -> np.ndarray:
-    """Read-only uint32 array of the n hash constants from const on, then the one after them."""
-    out = [const]
-    for _ in range(n):
-        out.append(out[-1] * mult & _MASK32)
-    return read_only(np.array(out, dtype=np.uint32))
-
-
-def _words(value) -> list[int]:
-    """SeedSequence's uint32 words of an int (least significant first, 0 is one word) or of a
-    sequence of them, concatenated."""
-    if isinstance(value, (int, np.integer)):
-        if value < 0:
-            raise ValueError("expected non-negative integer")
-        value = int(value)
-        return [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
-    if isinstance(value, (list, tuple, range, np.ndarray)):
-        return [w for v in value for w in _words(v)]
-    raise TypeError(f"SeedSequence expects int or sequence of ints for entropy not {value!r}")
-
-
-def _generate_state(pools: np.ndarray, n_words: int, dtype) -> np.ndarray:
-    """SeedSequence.generate_state(n_words, dtype) of every (..., 4) uint32 pool at once."""
-    dtype = np.dtype(dtype)
-    if dtype not in (np.uint32, np.uint64):
-        raise ValueError("only support uint32 or uint64")
-    n = n_words * dtype.itemsize // 4
-    cycles = -(-n // 4)  # word i hashes pool word i % 4
-    consts = _constants(_INIT_B, _MULT_B, 4 * cycles)
-    words = _hash(pools[..., None, :], consts[:-1].reshape(-1, 4), consts[1:].reshape(-1, 4))
-    words = words.reshape(pools.shape[:-1] + (-1,))[..., :n]
-    if dtype == np.uint32:
-        return words
-    return np.ascontiguousarray(words, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
-
-
-class Stream:
-    """One run stream: bit for bit numpy.random.SeedSequence(entropy, spawn_key=spawn_key) in
-    generate_state, and so in default_rng, without spawn. pool is its (4,) uint32 entropy pool;
-    state is default_rng's generate_state(4, uint64), hashed with its sibling streams. It is a
-    numpy.random.bit_generator.ISeedSequence, registered when the first streams are built."""
-
-    __slots__ = ("entropy", "spawn_key", "pool", "_state")
-
-    def __init__(self, entropy, spawn_key: tuple, pool: np.ndarray, state: np.ndarray):
-        self.entropy, self.spawn_key, self.pool, self._state = entropy, spawn_key, pool, state
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words == 4 and np.dtype(dtype) == np.uint64:  # default_rng's request
-            return self._state.copy()
-        return _generate_state(self.pool, n_words, dtype)
-
-
-def _seed_pool(entropy: tuple[int, ...], key: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """SeedSequence's (4,) pool after the entropy words, zero-padded to the pool as numpy pads
-    them when a spawn key follows, then the key words, mixed in Python ints; and the hash
-    constant next in line."""
-    words = entropy + (0,) * (4 - len(entropy)) + key
-    consts = _constants(_INIT_A, _MULT_A, 4 * len(words)).tolist()
-    pairs = zip(consts, consts[1:])
-    pool = [_hash(w, *next(pairs)) for w in words[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = _mix(pool[dst], _hash(pool[src], *next(pairs)))
-    for w in words[4:]:
-        pool = [_mix(p, _hash(w, *next(pairs))) for p in pool]
-    return np.array(pool, dtype=np.uint32), consts[-1]
-
-
-@functools.lru_cache(maxsize=64)
-def _column_hashes(column: tuple, const: int) -> tuple:
-    """The hashes a column's values mix into a pool, when const is the hash constant their first
-    word takes: per run of values with n words each, an (n, R, 4) uint32 array and the constant
-    next in line. They do not depend on the pool, so every pool of every seed shares them."""
-    runs = []
-    for n, values in itertools.groupby(map(_words, column), key=len):
-        words = np.array(list(values), dtype=np.uint32).T[..., None]
-        consts = _constants(const, _MULT_A, 4 * n)
-        hashes = _hash(words, consts[:-1].reshape(n, 1, 4), consts[1:].reshape(n, 1, 4))
-        runs.append((read_only(hashes), int(consts[-1])))
-    return tuple(runs)
-
-
-def _mix_columns(pools: np.ndarray, const: int, columns: tuple) -> np.ndarray:
-    """Mix each value of the first column into every (..., 4) pool, adding its axis before the
-    last, then the next columns likewise; const is the hash constant the first word takes."""
-    if not columns:
-        return pools
-    parts = []
-    for hashes, after in _column_hashes(columns[0], const):
-        mixed = pools[..., None, :]
-        for word_hashes in hashes:
-            mixed = _mix(mixed, word_hashes)
-        parts.append(_mix_columns(mixed, after, columns[1:]))
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1 - len(columns))
-
-
-@functools.lru_cache(maxsize=8)
-def _hash_streams(entropy: tuple, key: tuple, columns: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (K, 4) pools and default_rng states of the streams with the entropy words and
-    spawn key words key + tail, for every tail in the product of the columns, in C order: the
-    entropy and key words mix into one pool in Python ints, then each column's words into all
-    its values' pools as uint32 arrays. Cached, since runs often share a seed: a verify suite
-    runs seed 0 for each of its schedules."""
-    pool, const = _seed_pool(entropy, key)
-    pools = _mix_columns(pool, const, columns).reshape(-1, 4)
-    return read_only(pools), read_only(_generate_state(pools, 4, np.uint64))
-
-
-def _spawn(entropy, key: tuple, *columns) -> list[Stream]:
-    """The streams SeedSequence(entropy, spawn_key=key + tail) for every tail in the product of
-    the int columns, in C order, from one hash."""
-    # numpy.random loads on first use, as numpy itself loads it: commands that draw nothing skip it
-    from numpy.random.bit_generator import ISeedSequence
-
-    ISeedSequence.register(Stream)
-    columns = tuple(map(tuple, columns))
-    pools, states = _hash_streams(tuple(_words(entropy)), tuple(_words(key)), columns)
-    tails = itertools.product(*columns)
-    return [Stream(entropy, key + t, p, s) for t, p, s in zip(tails, pools, states)]
-
-
-def run_streams(seed, count: int = 3, key: tuple = (), draws=None) -> tuple:
-    """The channel, message and noise streams of the run rooted at SeedSequence(seed,
-    spawn_key=key), the first count of them: those of a fresh such SeedSequence.spawn(3),
-    built without it or spawn's counter, so every call gives the same streams. With draws,
-    the streams of every draw d, rooted at SeedSequence(seed, spawn_key=key + (d,)), as count
-    tuples over the draws. Each stream equals numpy's SeedSequence(seed, spawn_key=key + (d, c))
-    bit for bit; all of them come from one vectorised hash."""
-    if isinstance(seed, (np.random.SeedSequence, Stream)):
-        seed, key = seed.entropy, seed.spawn_key + key
+def run_streams(seed: int, count: int = 3, draws=None) -> tuple:
+    """The first count of the channel, message and noise streams of the run with this seed, each
+    the tuple (key0, key1, draw, stream): Philox4x64 with the key (key0, key1) and the counter
+    (0, 0, draw, stream) (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
+    The key is the seed's two 64-bit words, low first; a seed of 2**128 or more is hashed once,
+    to SeedSequence(seed).generate_state(2, uint64). A single run is draw 0; with draws, count
+    tuples over the draws. A stream would have to draw 2**128 blocks before its counter reached
+    another stream's, so no two streams of a key share a random number."""
+    if (seed := operator.index(seed)) < 0:  # TypeError for a float or a SeedSequence
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if seed >> 128:
+        key = tuple(np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist())
+    else:
+        key = (seed & _MASK64, seed >> 64)
     if draws is None:
-        return tuple(_spawn(seed, key, range(count)))
-    streams = _spawn(seed, key, draws, range(count))
-    return tuple(tuple(streams[c::count]) for c in range(count))
+        return tuple(key + (0, c) for c in range(count))
+    return tuple(tuple(key + (d, c) for d in draws) for c in range(count))
+
+
+def _generator() -> np.random.Generator:
+    """This thread's one Philox generator, reused by every draw: resetting its state costs a
+    fraction of constructing Philox(key=...), which first seeds itself from OS entropy."""
+    if not hasattr(_local, "rng"):
+        _local.rng = np.random.Generator(np.random.Philox(0))
+    return _local.rng
+
+
+def _complex_normals(seed, shape, variance: float = 1.0, nonzero: bool = False) -> np.ndarray:
+    """CN(0, variance) samples of shape from one stream tuple, or stacked on a leading axis for a
+    tuple of them; an int seed is stream 0 of its run, run_streams(seed, 1)[0]. A stream's normals
+    fill the cells in C order, real then imaginary part of each, straight into the output, which is
+    then scaled in place by sqrt(variance/2); nonzero redraws exact zeros, continuing the stream."""
+    if isinstance(seed, (int, np.integer)):
+        seed = run_streams(seed, 1)[0]
+    streams, lead = (seed, (len(seed),)) if isinstance(seed[0], tuple) else ((seed,), ())
+    out = np.empty(lead + tuple(shape), dtype=complex)
+    scale = math.sqrt(variance / 2.0)
+    rng = _generator()
+    for drawn, (key0, key1, draw, index) in zip(out.reshape(len(streams), -1), streams):
+        rng.bit_generator.state = _EMPTY_PHILOX | {"state": {"key": (key0, key1), "counter": (0, 0, draw, index)}}
+        normals = drawn.view(float)
+        rng.standard_normal(out=normals)
+        normals *= scale
+        while nonzero and (zero := np.flatnonzero(drawn == 0)).size:
+            drawn[zero] = (scale * rng.standard_normal(2 * zero.size)).view(complex)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,8 +96,8 @@ class ChannelRealization:
         Complex array of shape (..., N, M, U) after any draw axes: h[..., i, j, u] is
         the coefficient from transmitter j to receiver i in slot slots[i, u]. Every
         stored entry has magnitude > 0.
-    seed : int, SeedSequence, Stream or tuple of them
-        Seed (one per draw) that, with the slot tables, reproduces the tensor via generate_channels.
+    seed : int, stream tuple or tuple of them
+        Stream (one per draw, see run_streams) that with the slot tables reproduces the tensor.
     slots : ndarray
         Read-only (N, U) table of the slots stored per receiver, ascending. Left out,
         every slot is stored (U = T), so h is the full (..., N, M, T) tensor.
@@ -235,7 +110,7 @@ class ChannelRealization:
     N: int
     T: int
     h: np.ndarray
-    seed: int | np.random.SeedSequence | Stream | tuple
+    seed: int | tuple
     slots: np.ndarray | None = None
     columns: np.ndarray | None = field(default=None, repr=False)
 
@@ -256,33 +131,34 @@ class MessageSet:
     """Independent message symbols w[i, j, c] for receiver i from transmitter j.
 
     The copy axis c covers the k replicas used by schedules that double the
-    message load. Symbols are i.i.d. CN(0, 1), i.e. unit average power.
+    message load. Symbols are i.i.d. CN(0, 1), i.e. unit average power, drawn
+    from seed as by generate_channels.
     """
 
     M: int
     N: int
     k: int
     w: np.ndarray  # complex, shape (..., N, M, k)
-    seed: int | np.random.SeedSequence | Stream | tuple
+    seed: int | tuple
 
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Additive receiver noise configuration.
 
-    sample_grid draws the (N, T) grid deterministically from the seed, or a
-    (D, N, T) stack from D seeds. observe_all adds it only when enabled, so
-    disabled models contribute exactly zero.
+    sample_grid draws the noise of the (N, U) stored cells from seed as
+    generate_channels does, a (D, N, U) stack for D streams. observe_all adds
+    it only when enabled, so disabled models contribute exactly zero.
     """
 
     enabled: bool
     variance: float = 1.0
-    seed: int | np.random.SeedSequence | Stream | tuple = 0
+    seed: int | tuple = 0
 
-    def sample_grid(self, N: int, T: int) -> np.ndarray:
+    def sample_grid(self, N: int, U: int) -> np.ndarray:
         if self.variance <= 0:
             raise ValueError(f"noise variance must be positive, got {self.variance}")
-        return _complex_normals(self.seed, (N, T), self.variance)
+        return _complex_normals(self.seed, (N, U), self.variance)
 
 
 def slot_tables(mask, N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,9 +180,10 @@ def generate_channels(M: int, N: int, T: int, seed, *,
 
     stored is slot_tables(mask, N, T) of an (N, T) bool mask, as Schedule.stored for its
     used table: it draws only the coefficients h[i, :, t] with mask[i, t] set, in C order
-    of (N, M, T), all real then all imaginary parts, and stores them in that order as an
+    of (N, M, T), real then imaginary part of each, and stores them in that order as an
     (N, M, U) tensor with the mask's rows as slots. None stores all T slots, bit for bit as
-    the tables of an all-True mask. A tuple of seeds fills a (D, N, M, U) stack.
+    the tables of an all-True mask. seed is a stream tuple of run_streams or an int seed,
+    the stream run_streams(seed, 1)[0]; a tuple of D stream tuples fills a (D, N, M, U) stack.
 
     Raises
     ------
@@ -321,7 +198,7 @@ def generate_channels(M: int, N: int, T: int, seed, *,
 
 
 def generate_messages(M: int, N: int, k: int, seed) -> MessageSet:
-    """Draw the k*M*N unit-power message symbols for one run, or a stack for a tuple of seeds."""
+    """Draw the k*M*N unit-power message symbols for one stream, or a stack for a tuple of them."""
     if M < 1 or N < 1:
         raise ValueError(f"dimensions must be at least 1, got M={M} N={N}")
     if k not in (1, 2):

@@ -107,15 +107,16 @@ def observe_all(
     In phase 1 the served receiver sees its desired group and everyone else
     stores interference; in phase 2 the two members see a combined value and
     everyone else discards theirs. Only the cells the channels store
-    (channels.slots, schedule.used for a masked draw) are observed; values is
-    the full (..., N, T) grid, NaN on every cell not stored.
+    (channels.slots, schedule.used for a masked draw) are observed, and an
+    enabled noise model draws noise for them alone, in the (..., N, U) order of
+    channels.slots; values is the full (..., N, T) grid, NaN on every cell not stored.
     """
     s = plan.schedule
     X = plan.signal_matrix()
     receivers, slots = np.arange(s.N)[:, None], channels.slots
     stored = np.einsum("...iju,...jiu->...iu", channels.h, X[..., :, slots])
     if noise.enabled:
-        stored += noise.sample_grid(s.N, s.T)[..., receivers, slots]
+        stored += noise.sample_grid(*slots.shape)
     values = np.full(stored.shape[:-2] + (s.N, s.T), complex(np.nan, np.nan))
     values[..., receivers, slots] = stored
     return ObservationLog(

@@ -54,7 +54,7 @@ class SimulationResult:
 def run_simulation(
     M: int,
     N: int,
-    seed: int | np.random.SeedSequence | list = 0,
+    seed: int | list[int] | tuple[int, ...],
     *,
     draws: range | None = None,
     noise_enabled: bool = False,
@@ -64,14 +64,14 @@ def run_simulation(
 ) -> SimulationResult:
     """Run one seeded end-to-end transmission.
 
-    The seed (an int or a SeedSequence) roots the channel, message and noise streams
-    (run_streams; no noise stream for a noiseless run), so no two seeds share a random
-    number. Channels are drawn and stored only where schedule.used. A list of seeds runs
-    one draw per seed in a single stacked pass, with a leading draw axis on every array;
-    each draw equals its own single run. A range of draws stacks the draws d of seed,
-    SeedSequence(seed, spawn_key=(d,)), whose streams come from one hash (run_streams). Passing
-    an explicit schedule (e.g. a permuted one) overrides the canonical construction; dimensions
-    must match.
+    The seed, a non-negative int, keys the run's Philox streams (run_streams): streams 0, 1
+    and 2 of draw 0 for channels, messages and noise, with no noise stream for a noiseless run,
+    so no two seeds share a random number. Channels and noise are drawn only at the cells
+    schedule.used stores. A list of seeds runs one draw per seed in a single stacked pass, with
+    a leading draw axis on every array; each draw equals its own single run. A range of draws
+    stacks the draws d of seed, on the streams (key, d, c); draw d equals run_simulation(seed,
+    draws=range(d, d + 1)). Passing an explicit schedule (e.g. a permuted one) overrides the
+    canonical construction; dimensions must match.
     """
     if schedule is None:
         schedule = build_schedule(M, N)

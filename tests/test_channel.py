@@ -1,17 +1,19 @@
 """Tests for channel generation, message sets, noise, and received signals."""
 
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xchannel import channel
 from xchannel.analysis import sweep_rates
 from xchannel.channel import (
     ChannelRealization,
     MessageSet,
     NoiseModel,
-    Stream,
     generate_channels,
     generate_messages,
     run_streams,
@@ -21,6 +23,21 @@ from xchannel.receive import ObservationKind, observe_all
 from xchannel.schedule import build_csit_table, build_schedule
 from xchannel.simulate import run_simulation
 from xchannel.transmit import build_transmit_plan
+
+
+def reference_rng(seed) -> np.random.Generator:
+    """A freshly constructed generator on the stream the rule assigns: Philox4x64 keyed by the
+    seed's two 64-bit words, its counter (0, 0, draw, stream); an int seed below 2**128 is
+    stream 0 of draw 0, a stream tuple (key0, key1, draw, stream) names all four."""
+    key0, key1, draw, stream = (seed, 0, 0, 0) if isinstance(seed, int) else seed
+    return np.random.Generator(np.random.Philox(key=key0 | key1 << 64, counter=draw << 128 | stream << 192))
+
+
+def reference_normals(rng, shape, variance=1.0) -> np.ndarray:
+    """CN(0, variance) cells of shape from rng as the rule draws them: two normals per cell in
+    C order, the real part first, each times sqrt(variance/2)."""
+    z = np.sqrt(variance / 2.0) * rng.standard_normal(tuple(shape) + (2,))
+    return z[..., 0] + 1j * z[..., 1]
 
 
 class TestGenerateChannels:
@@ -39,23 +56,20 @@ class TestGenerateChannels:
     @pytest.mark.parametrize("seed", range(5))
     def test_bit_identical_to_reference_expression(self, M, N, T, seed):
         # the in-place fill keeps the stream order of this plain expression
-        rng = np.random.default_rng(seed)
-        shape = (N, M, T)
-        want = np.sqrt(1.0 / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        want = reference_normals(reference_rng(seed), (N, M, T))
         assert generate_channels(M, N, T, seed).h.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("M,N", [(2, 2), (3, 3), (4, 8)])
     @pytest.mark.parametrize("seed", range(3))
     def test_masked_draw_matches_reference_expression(self, M, N, seed):
-        # only the used cells are drawn, in C order of (N, M, T), all real parts
-        # then all imaginary parts, and stored in that order; the tables of an
-        # all-True mask are the unmasked draw
+        # only the used cells are drawn, in C order of (N, M, T), and stored in
+        # that order; the tables of an all-True mask are the unmasked draw
         s = build_schedule(M, N)
         cells = np.broadcast_to(s.used[:, None, :], (N, M, s.T))
         n = int(cells.sum())
-        rng = np.random.default_rng(seed)
+        rng = reference_rng(seed)
         want = np.full((N, M, s.T), complex(np.nan, np.nan))
-        want[cells] = np.sqrt(1.0 / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        want[cells] = reference_normals(rng, (n,))
         ch = generate_channels(M, N, s.T, seed, stored=slot_tables(s.used, N, s.T))
         assert ch.h.shape == (N, M, n // (N * M))
         assert ch.h.tobytes() == want[cells].tobytes()
@@ -66,17 +80,17 @@ class TestGenerateChannels:
 
     def test_seed_tuple_stacks_single_draws(self):
         s = build_schedule(4, 3)
-        seeds = (5, np.random.SeedSequence(1, spawn_key=(2,)))
+        seeds = ((5, 0, 0, 0), (1, 0, 2, 1))
         stack = generate_channels(4, 3, s.T, seeds, stored=slot_tables(s.used, 3, s.T))
         U = s.k * (3 + 4 - 1)
         assert stack.h.shape == (2, 3, 4, U) and stack.seed == seeds
         messages = generate_messages(4, 3, s.k, seeds)
-        grid = NoiseModel(enabled=True, variance=2.5, seed=seeds).sample_grid(3, s.T)
+        grid = NoiseModel(enabled=True, variance=2.5, seed=seeds).sample_grid(3, U)
         for d, seed in enumerate(seeds):  # bit for bit, all three draws
             single = generate_channels(4, 3, s.T, seed, stored=slot_tables(s.used, 3, s.T)).h
             assert stack.h[d].tobytes() == single.tobytes()
             assert messages.w[d].tobytes() == generate_messages(4, 3, s.k, seed).w.tobytes()
-            single = NoiseModel(enabled=True, variance=2.5, seed=seed).sample_grid(3, s.T)
+            single = NoiseModel(enabled=True, variance=2.5, seed=seed).sample_grid(3, U)
             assert grid[d].tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("mask,match", [
@@ -118,7 +132,7 @@ class TestGenerateChannels:
 
     def test_32x32_stores_only_used_cells(self):
         # each receiver stores k(N + M - 1) = 63 of the T = 528 slots
-        assert run_simulation(32, 32).channels.h.nbytes == 16 * 32 * 32 * 63
+        assert run_simulation(32, 32, 0).channels.h.nbytes == 16 * 32 * 32 * 63
 
     def test_seeds_differ(self):
         a = generate_channels(3, 3, 6, seed=1)
@@ -164,11 +178,9 @@ class TestGenerateMessages:
         np.testing.assert_array_equal(a.w, b.w)
 
     @pytest.mark.parametrize("M,N,k", [(3, 3, 1), (4, 8, 2), (32, 32, 1)])
-    @pytest.mark.parametrize("seed", [0, 7, np.random.SeedSequence(7, spawn_key=(3, 1))])
+    @pytest.mark.parametrize("seed", [0, 7, (7, 3, 1, 1)])
     def test_bit_identical_to_reference_expression(self, M, N, k, seed):
-        rng = np.random.default_rng(seed)
-        shape = (N, M, k)
-        want = np.sqrt(1.0 / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        want = reference_normals(reference_rng(seed), (N, M, k))
         assert generate_messages(M, N, k, seed).w.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [0, 3, -1])
@@ -203,12 +215,11 @@ class TestNoiseModel:
         assert abs(np.mean(np.abs(a) ** 2) - 1.0) < 0.05
 
     @pytest.mark.parametrize("variance", [1.0, 0.3, 4.0, 1e-6])
-    @pytest.mark.parametrize("N,T", [(3, 6), (8, 36), (32, 528)])
-    @pytest.mark.parametrize("seed", [0, 11, np.random.SeedSequence(5, spawn_key=(2, 2))])
-    def test_bit_identical_to_reference_expression(self, variance, N, T, seed):
-        rng = np.random.default_rng(seed)
-        want = np.sqrt(variance / 2.0) * (rng.standard_normal((N, T)) + 1j * rng.standard_normal((N, T)))
-        got = NoiseModel(enabled=True, variance=variance, seed=seed).sample_grid(N, T)
+    @pytest.mark.parametrize("N,U", [(3, 6), (8, 36), (32, 528)])
+    @pytest.mark.parametrize("seed", [0, 11, (5, 2, 2, 2)])
+    def test_bit_identical_to_reference_expression(self, variance, N, U, seed):
+        want = reference_normals(reference_rng(seed), (N, U), variance)
+        got = NoiseModel(enabled=True, variance=variance, seed=seed).sample_grid(N, U)
         assert got.tobytes() == want.tobytes()
 
     def test_invalid_variance(self):
@@ -283,83 +294,148 @@ def test_realization_records_seed():
     assert ms.seed == 45
 
 
-def test_run_streams_are_a_fresh_spawn():
-    want = [c.generate_state(4).tolist() for c in np.random.SeedSequence(7).spawn(3)]
-    assert [c.generate_state(4).tolist() for c in run_streams(7)] == want
-    root = np.random.SeedSequence(7)
-    root.spawn(5)  # spawn's counter does not move the streams
-    assert [c.generate_state(4).tolist() for c in run_streams(root)] == want
-    draw = np.random.SeedSequence(7, spawn_key=(1,))
-    assert [c.spawn_key for c in run_streams(draw)] == [(1, 0), (1, 1), (1, 2)]
+def test_run_streams_key_and_counter():
+    # the key is the seed's two 64-bit words, the counter (0, 0, draw, stream); a single run is draw 0
+    assert run_streams(7) == ((7, 0, 0, 0), (7, 0, 0, 1), (7, 0, 0, 2))
+    assert run_streams(2**64 + 3, 2, draws=range(1, 3)) == (((3, 1, 1, 0), (3, 1, 2, 0)),
+                                                            ((3, 1, 1, 1), (3, 1, 2, 1)))
+    big = 2**128 + 1  # hashed once to two words
+    key = tuple(np.random.SeedSequence(big).generate_state(2, np.uint64).tolist())
+    assert run_streams(big, 1) == (key + (0, 0),)
+    assert run_streams(2**128 - 1, 1) == ((2**64 - 1, 2**64 - 1, 0, 0),)
 
 
-def test_run_streams_of_a_key_without_its_seed_sequence():
-    # the streams of SeedSequence(7, spawn_key=(1,)), from 7 and the key alone; count keeps the first ones
-    draw = np.random.SeedSequence(7, spawn_key=(1,))
-    want = [c.generate_state(4).tolist() for c in run_streams(draw)]
-    assert [c.generate_state(4).tolist() for c in run_streams(7, key=(1,))] == want
-    assert [c.generate_state(4).tolist() for c in run_streams(draw, 2)] == want[:2]
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, 2**130), st.integers(0, 2**20), st.integers(0, 2)),
+                min_size=2, max_size=6, unique=True))
+def test_distinct_streams_have_distinct_keys_and_counters(triples):
+    # a hashed key could meet a direct one only by a 128-bit hash collision
+    def key_counter(seed, draw, stream):
+        (words,) = run_streams(seed, stream + 1, draws=[draw])[stream]
+        assert all(0 <= w < 2**64 for w in words)
+        return words[:2], (0, 0) + words[2:]
+
+    pairs = [key_counter(*t) for t in triples]
+    assert len(set(pairs)) == len(pairs)
 
 
-words = st.integers(min_value=0, max_value=2**40)
-entropies = st.one_of(st.integers(min_value=0, max_value=2**256), st.lists(words, max_size=6))
+@pytest.mark.parametrize("seed", [5, 2**130 + 7])
+def test_run_draws_match_fresh_philox_generators(seed):
+    # the stored cells of channels, messages and noise are the normals of freshly constructed
+    # generators on streams 0, 1 and 2 of the seed's key
+    M, N = 4, 3
+    sim = run_simulation(M, N, seed, noise_enabled=True, noise_variance=2.0)
+    key = seed if seed < 2**128 else int.from_bytes(
+        np.random.SeedSequence(seed).generate_state(2, np.uint64).tobytes(), "little")
+    noise = sim.noise.sample_grid(N, sim.channels.h.shape[-1])
+    for stream, got, variance in ((0, sim.channels.h, 1.0), (1, sim.messages.w, 1.0), (2, noise, 2.0)):
+        rng = reference_rng((key & (2**64 - 1), key >> 64, 0, stream))
+        assert got.tobytes() == reference_normals(rng, got.shape, variance).tobytes()
+    # and that noise is what the stored cells observe on top of the noiseless run
+    clean = run_simulation(M, N, seed).log.values
+    rows, slots = np.arange(N)[:, None], sim.channels.slots
+    np.testing.assert_allclose((sim.log.values - clean)[rows, slots], noise, atol=1e-12)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=150)
-@given(
-    entropy=entropies,
-    key=st.lists(words, max_size=3).map(tuple),
-    draws=st.lists(st.one_of(st.integers(0, 5), words), min_size=1, max_size=4),
-    count=st.integers(min_value=1, max_value=3),
-    n_words=st.integers(min_value=1, max_value=16),
-    dtype=st.sampled_from([np.uint32, np.uint64]),
-)
-def test_streams_equal_numpy_seed_sequences(entropy, key, draws, count, n_words, dtype):
-    # one vectorised hash, bit for bit numpy's pool mixing and generate_state, multi-word entries too
-    def same(stream, want):
-        assert isinstance(stream, Stream) and stream.spawn_key == want.spawn_key
-        assert stream.generate_state(n_words, dtype).tolist() == want.generate_state(n_words, dtype).tolist()
-        assert stream.generate_state(4, np.uint64).tolist() == want.generate_state(4, np.uint64).tolist()
-        got, ref = np.random.default_rng(stream), np.random.default_rng(want)
-        assert got.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+def test_zero_redraw_continues_the_stream(monkeypatch):
+    # exact zeros (here forced in both parts of three cells) are redrawn from the normals
+    # that follow on the same stream
+    cells = [0, 5, 11]
 
-    for c, stream in enumerate(run_streams(entropy, count, key)):
-        same(stream, np.random.SeedSequence(entropy, spawn_key=key + (c,)))
-    for c, streams in enumerate(run_streams(entropy, count, key, draws=draws)):
-        for d, stream in zip(draws, streams, strict=True):
-            same(stream, np.random.SeedSequence(entropy, spawn_key=key + (d, c)))
+    class Zeroing:
+        def __init__(self):
+            self.rng = np.random.Generator(np.random.Philox(0))
+            self.bit_generator, self.fills = self.rng.bit_generator, 0
+
+        def standard_normal(self, size=None, out=None):
+            got = self.rng.standard_normal(size, out=out)
+            if not self.fills:
+                self.fills += 1
+                got.reshape(-1, 2)[cells] = 0.0
+            return got
+
+    stream = (3, 9, 4, 0)
+    monkeypatch.setattr(channel, "_generator", Zeroing)
+    h = generate_channels(2, 3, 2, stream).h
+    rng = reference_rng(stream)
+    want = reference_normals(rng, (12,))
+    want[cells] = reference_normals(rng, (len(cells),))
+    assert h.ravel().tobytes() == want.tobytes()
+
+
+def test_threads_draw_their_streams_undisturbed():
+    # each thread resets and draws its own reused generator, so concurrent draws of many
+    # streams equal the same draws made one after the other
+    streams = [(s, 1, d, 0) for s in range(6) for d in range(5)]
+    want = [generate_channels(4, 8, 36, stream).h.tobytes() for stream in streams]
+    got = [None] * len(streams)
+
+    def work(start):
+        for i in range(start, len(streams), 6):
+            got[i] = generate_channels(4, 8, 36, streams[i]).h.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_stream_rejects_what_seed_sequence_rejects():
     with pytest.raises(ValueError, match="non-negative"):
         run_streams(-1)
-    with pytest.raises(ValueError, match="non-negative"):
-        run_streams(1, key=(-2,))
     with pytest.raises(TypeError):
         run_streams(1.5)
-    with pytest.raises(ValueError, match="uint32 or uint64"):
-        run_streams(1)[0].generate_state(4, np.int64)
+    with pytest.raises(TypeError):  # a SeedSequence is no seed
+        run_simulation(3, 3, np.random.SeedSequence(1))
+    with pytest.raises(TypeError):  # nor is a missing one
+        run_simulation(3, 3)
+    for stream in ((1, 2), (1, 2, 3, 4, 5)):  # a stream tuple has four words, key then counter
+        with pytest.raises(ValueError, match="unpack"):
+            generate_channels(2, 2, 2, stream)
 
 
 def test_sweep_builds_no_numpy_seed_sequence(monkeypatch):
+    # a seed below 2**128 is its own key
     class Forbidden(np.random.SeedSequence):
         def __init__(self, *args, **kwargs):
             raise AssertionError("numpy SeedSequence constructed")
 
     monkeypatch.setattr(np.random, "SeedSequence", Forbidden)
-    sweep_rates(3, 4, [10.0, 30.0], draws=5, seed=2**130)
+    sweep_rates(3, 4, [10.0, 30.0], draws=5, seed=2**128 - 1)
     sim = run_simulation(3, 4, seed=7, draws=range(2), noise_enabled=True)
-    assert all(isinstance(s, Stream) for s in sim.channels.seed + sim.messages.seed + sim.noise.seed)
+    assert sim.channels.seed + sim.messages.seed + sim.noise.seed == tuple(
+        (7, 0, d, c) for c in range(3) for d in range(2))
+
+
+def test_large_seed_is_hashed_once(monkeypatch):
+    made = []
+
+    class Counted(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Counted)
+    sweep_rates(3, 4, [10.0, 30.0], draws=5, seed=2**130)
+    assert made == [(2**130,)]
 
 
 @pytest.mark.parametrize("noise", [False, True])
 def test_draw_range_stacks_the_draw_seeds(noise):
-    # draws d of seed run on the streams of SeedSequence(seed, spawn_key=(d,)), bit for bit
-    seeds = [np.random.SeedSequence(9, spawn_key=(d,)) for d in range(2, 5)]
-    listed = run_simulation(3, 7, seed=seeds, noise_enabled=noise, normalize=True)
+    # draw d of a draw range is the one-draw run draws=range(d, d + 1), bit for bit
     ranged = run_simulation(3, 7, seed=9, draws=range(2, 5), noise_enabled=noise, normalize=True)
-    for name in ("G", "y", "sigma"):
-        assert getattr(ranged.systems, name).tobytes() == getattr(listed.systems, name).tobytes()
+    for i, d in enumerate(range(2, 5)):
+        single = run_simulation(3, 7, 9, draws=range(d, d + 1), noise_enabled=noise, normalize=True)
+        for name in ("G", "y", "sigma"):
+            assert getattr(ranged.systems, name)[i].tobytes() == getattr(single.systems, name)[0].tobytes()
 
 
 def test_noiseless_run_derives_and_samples_no_noise():

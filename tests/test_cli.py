@@ -94,9 +94,9 @@ class TestSimulateMode:
 
     @pytest.mark.parametrize("args, digest", [
         (["--M", "4", "--N", "6", "--seeds", "0", "1", "2", "--noise", "on", "--normalize", "on"],
-         "c0b18bb5dc505445852cd740d637b17b25c9aa51d49794f7cfba7df0b95834db"),
+         "9820e9b255a322d8913d4dda980773e65046c2099e91552b057ab2bf5fe320ee"),
         (["--M", "2", "--N", "4", "--seeds", "0", "1", "2", "--noise", "off"],
-         "acf8c1a39a4ecac27063fdbfe30bdc3a291f16d76c7abef28d55f3bf659c666b"),
+         "0347273250f838ca39fba4701a457601d25ffa31db70d736ad10834357142fe6"),
     ], ids=["4x6-noisy-normalized", "2x4-noiseless"])
     def test_output_bytes_are_pinned(self, args, digest, capsys):
         # sha256 of the whole JSON, so no change to how runs and records are built

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from xchannel import analysis
 from xchannel.analysis import sum_rate, sweep_rates
-from xchannel.channel import NoiseModel, generate_channels, generate_messages, slot_tables
+from xchannel.channel import NoiseModel, generate_channels, generate_messages, run_streams, slot_tables
 from xchannel.receive import (CONDITION_LIMIT, LinearSystem, ObservationKind as K, assemble_system,
                               decode, observe_all)
 from xchannel.schedule import CsitTable, build_csit_table, build_schedule, permute_schedule
@@ -184,7 +184,7 @@ def test_sweep_is_mean_of_draws_in_any_chunking(case, normalize):
     M, N, D, seed = case
     snrs = [40.0, 60.0, 80.0]
     per_draw = [
-        sum_rate(run_simulation(M, N, seed=np.random.SeedSequence(seed, spawn_key=(d,)),
+        sum_rate(run_simulation(M, N, seed, draws=range(d, d + 1),
                                 noise_enabled=True, normalize=normalize).systems, snrs)
         for d in range(D)
     ]
@@ -219,9 +219,9 @@ def test_stacked_plan_raises_at_the_flipped_read(case, pick):
     grid = table.grid.copy()
     grid[receiver, slot] = ord("N")
     broken = CsitTable(grid)
-    seeds = tuple(seed + 10 * d for d in range(D))
-    channels = generate_channels(M, N, s.T, seeds)
-    messages = generate_messages(M, N, s.k, tuple(x + 1 for x in seeds))
+    channel_seeds, message_seeds = run_streams(seed, 2, draws=range(D))
+    channels = generate_channels(M, N, s.T, channel_seeds)
+    messages = generate_messages(M, N, s.k, message_seeds)
     assert audit_csit_trace(build_transmit_plan(s, messages, channels, table).csit_reads,
                             table).shape == (0, 3)
     with pytest.raises(CsitAccessError) as exc:
@@ -322,14 +322,16 @@ def test_no_two_runs_or_draws_share_a_normal(M, N):
     sources = {}
     for seed in range(5):
         sim = run_simulation(M, N, seed=seed, noise_enabled=True)
-        grid = sim.noise.sample_grid(N, sim.schedule.T)
+        grid = sim.noise.sample_grid(N, sim.channels.h.shape[-1])
         sources.update({("run", seed, "channels"): sim.channels.h,
                         ("run", seed, "messages"): sim.messages.w, ("run", seed, "noise"): grid})
-    # the draws of sweep_rates(M, N, ..., draws=4, seed=0), as it runs them
-    seeds = [np.random.SeedSequence(0, spawn_key=(d,)) for d in range(4)]
-    stack = run_simulation(M, N, seed=seeds, noise_enabled=True)
-    grids = stack.noise.sample_grid(N, stack.schedule.T)
-    for d in range(4):
+    # the draws of sweep_rates(M, N, ..., draws=4, seed=0), as it runs them; a single run is
+    # draw 0, so that draw is run 0 itself and the others share nothing with any run
+    stack = run_simulation(M, N, 0, draws=range(4), noise_enabled=True)
+    grids = stack.noise.sample_grid(N, stack.channels.h.shape[-1])
+    for kind, drawn in (("channels", stack.channels.h), ("messages", stack.messages.w), ("noise", grids)):
+        assert drawn[0].tobytes() == sources[("run", 0, kind)].tobytes()
+    for d in range(1, 4):
         sources.update({("draw", d, "channels"): stack.channels.h[d],
                         ("draw", d, "messages"): stack.messages.w[d], ("draw", d, "noise"): grids[d]})
     values = {key: _normals(a) for key, a in sources.items()}

@@ -222,10 +222,10 @@ class TestAssembleSystem:
     def test_noiseless_32x32_run_peak_stays_small(self):
         # the run's stages free their temporaries before assembly allocates the 4.3 MB noise map,
         # keeping a 32x32 run and its decode well below glibc's trim threshold (about 8.7 MB)
-        run_simulation(2, 2).all_recovered()  # lazy imports and caches outside the measurement
+        run_simulation(2, 2, 0).all_recovered()  # lazy imports and caches outside the measurement
         tracemalloc.start()
         try:
-            assert run_simulation(32, 32).all_recovered()
+            assert run_simulation(32, 32, 0).all_recovered()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
