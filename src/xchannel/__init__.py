@@ -16,9 +16,9 @@ from .analysis import (
 from .channel import (
     ChannelRealization,
     MessageSet,
-    NoiseModel,
     generate_channels,
     generate_messages,
+    generate_noise,
     run_streams,
 )
 from .receive import (

@@ -18,9 +18,9 @@ import numpy as np
 __all__ = [
     "ChannelRealization",
     "MessageSet",
-    "NoiseModel",
     "generate_channels",
     "generate_messages",
+    "generate_noise",
     "run_streams",
 ]
 
@@ -64,16 +64,16 @@ def _generator() -> np.random.Generator:
     return _local.rng
 
 
-def _complex_normals(seed, shape, variance: float = 1.0, nonzero: bool = False) -> np.ndarray:
-    """CN(0, variance) samples of shape from one stream tuple, or stacked on a leading axis for a
-    tuple of them; an int seed is stream 0 of its run, run_streams(seed, 1)[0]. A stream's normals
-    fill the cells in C order, real then imaginary part of each, straight into the output, which is
-    then scaled in place by sqrt(variance/2); nonzero redraws exact zeros, continuing the stream."""
+def _complex_normals(seed, shape, nonzero: bool = False) -> np.ndarray:
+    """CN(0, 1) samples of shape from one stream tuple, or stacked on a leading axis for a tuple
+    of them; an int seed is stream 0 of its run, run_streams(seed, 1)[0]. A stream's normals fill
+    the cells in C order, real then imaginary part of each, straight into the output, which is
+    then scaled in place by sqrt(1/2); nonzero redraws exact zeros, continuing the stream."""
     if isinstance(seed, (int, np.integer)):
         seed = run_streams(seed, 1)[0]
     streams, lead = (seed, (len(seed),)) if isinstance(seed[0], tuple) else ((seed,), ())
     out = np.empty(lead + tuple(shape), dtype=complex)
-    scale = math.sqrt(variance / 2.0)
+    scale = math.sqrt(0.5)  # the variance of a CN(0, 1) cell's real and imaginary parts is 1/2
     rng = _generator()
     for drawn, (key0, key1, draw, index) in zip(out.reshape(len(streams), -1), streams):
         rng.bit_generator.state = _EMPTY_PHILOX | {"state": {"key": (key0, key1), "counter": (0, 0, draw, index)}}
@@ -96,8 +96,6 @@ class ChannelRealization:
         Complex array of shape (..., N, M, U) after any draw axes: h[..., i, j, u] is
         the coefficient from transmitter j to receiver i in slot slots[i, u]. Every
         stored entry has magnitude > 0.
-    seed : int, stream tuple or tuple of them
-        Stream (one per draw, see run_streams) that with the slot tables reproduces the tensor.
     slots : ndarray
         Read-only (N, U) table of the slots stored per receiver, ascending. Left out,
         every slot is stored (U = T), so h is the full (..., N, M, T) tensor.
@@ -110,7 +108,6 @@ class ChannelRealization:
     N: int
     T: int
     h: np.ndarray
-    seed: int | tuple
     slots: np.ndarray | None = None
     columns: np.ndarray | None = field(default=None, repr=False)
 
@@ -132,33 +129,13 @@ class MessageSet:
 
     The copy axis c covers the k replicas used by schedules that double the
     message load. Symbols are i.i.d. CN(0, 1), i.e. unit average power, drawn
-    from seed as by generate_channels.
+    as by generate_channels.
     """
 
     M: int
     N: int
     k: int
     w: np.ndarray  # complex, shape (..., N, M, k)
-    seed: int | tuple
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Additive receiver noise configuration.
-
-    sample_grid draws the noise of the (N, U) stored cells from seed as
-    generate_channels does, a (D, N, U) stack for D streams. observe_all adds
-    it only when enabled, so disabled models contribute exactly zero.
-    """
-
-    enabled: bool
-    variance: float = 1.0
-    seed: int | tuple = 0
-
-    def sample_grid(self, N: int, U: int) -> np.ndarray:
-        if self.variance <= 0:
-            raise ValueError(f"noise variance must be positive, got {self.variance}")
-        return _complex_normals(self.seed, (N, U), self.variance)
 
 
 def slot_tables(mask, N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +171,7 @@ def generate_channels(M: int, N: int, T: int, seed, *,
         raise ValueError(f"dimensions must be at least 1, got M={M} N={N} T={T}")
     slots, columns = slot_tables(None, N, T) if stored is None else stored
     h = read_only(_complex_normals(seed, (N, M, slots.shape[1]), nonzero=True))
-    return ChannelRealization(M=M, N=N, T=T, h=h, seed=seed, slots=slots, columns=columns)
+    return ChannelRealization(M=M, N=N, T=T, h=h, slots=slots, columns=columns)
 
 
 def generate_messages(M: int, N: int, k: int, seed) -> MessageSet:
@@ -204,4 +181,10 @@ def generate_messages(M: int, N: int, k: int, seed) -> MessageSet:
     if k not in (1, 2):
         raise ValueError(f"replication factor must be 1 or 2, got {k}")
     w = read_only(_complex_normals(seed, (N, M, k)))
-    return MessageSet(M=M, N=N, k=k, w=w, seed=seed)
+    return MessageSet(M=M, N=N, k=k, w=w)
+
+
+def generate_noise(N: int, U: int, seed) -> np.ndarray:
+    """Draw the read-only unit-variance CN(0, 1) receiver noise of the (N, U) stored cells, in the
+    order of ChannelRealization.slots, for one stream, or a (D, N, U) stack for a tuple of them."""
+    return read_only(_complex_normals(seed, (N, U)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, NoiseModel, read_only
+from .channel import ChannelRealization, read_only
 from .schedule import ObservationKind, Schedule
 from .transmit import TransmitPlan
 
@@ -48,7 +48,7 @@ class ObservationLog:
     channels: ChannelRealization
     values: np.ndarray
     slot_scale: np.ndarray
-    noise_variance: float
+    noise: np.ndarray | None  # the (..., N, U) noise added to the stored cells; None if noiseless
 
     @property
     def entries(self) -> np.ndarray:
@@ -60,10 +60,9 @@ class LinearSystem:
     """Square decoding systems G w = y, stacked over leading axes (draws, then receivers).
 
     Unknowns are ordered copy-major: index c*M + j holds message w[i, j, c].
-    Rows follow schedule.decode_rows[receiver]. sigma is the noise covariance
-    of y in noise-variance units times the model variance (all zero for
-    noiseless runs); noise_map is the (kM, T) matrix B with
-    y_noise = B @ n[i, :], so sigma = variance * B B^T.
+    Rows follow schedule.decode_rows[receiver]. sigma is the covariance of
+    y's unit-variance noise (all zero for noiseless runs); noise_map is the
+    (kM, T) matrix B with y_noise = B @ n[i, :], so sigma = B B^T.
 
     receiver is an int array of the stack's shape, 0-d for one system with
     no leading axes; len() counts the systems.
@@ -76,7 +75,6 @@ class LinearSystem:
     noise_map: np.ndarray
     T: int
     M: int
-    k: int
 
     def __len__(self) -> int:
         return math.prod(self.G.shape[:-2])
@@ -100,23 +98,25 @@ class DecodeResult:
 
 
 def observe_all(
-    plan: TransmitPlan, channels: ChannelRealization, noise: NoiseModel
+    plan: TransmitPlan, channels: ChannelRealization, noise: np.ndarray | None = None
 ) -> ObservationLog:
     """Compute every receiver's observation for all T slots, classified by schedule.entries.
 
     In phase 1 the served receiver sees its desired group and everyone else
     stores interference; in phase 2 the two members see a combined value and
     everyone else discards theirs. Only the cells the channels store
-    (channels.slots, schedule.used for a masked draw) are observed, and an
-    enabled noise model draws noise for them alone, in the (..., N, U) order of
-    channels.slots; values is the full (..., N, T) grid, NaN on every cell not stored.
+    (channels.slots, schedule.used for a masked draw) are observed, and noise of
+    their (..., N, U) shape, as generate_noise draws it, is added to them alone; any other
+    shape raises ValueError. values is the full (..., N, T) grid, NaN on every cell not stored.
     """
     s = plan.schedule
     X = plan.signal_matrix()
     receivers, slots = np.arange(s.N)[:, None], channels.slots
     stored = np.einsum("...iju,...jiu->...iu", channels.h, X[..., :, slots])
-    if noise.enabled:
-        stored += noise.sample_grid(*slots.shape)
+    if noise is not None:
+        if noise.shape != stored.shape:
+            raise ValueError(f"noise must have the stored cells' shape {stored.shape}, got {noise.shape}")
+        stored += noise
     values = np.full(stored.shape[:-2] + (s.N, s.T), complex(np.nan, np.nan))
     values[..., receivers, slots] = stored
     return ObservationLog(
@@ -124,7 +124,7 @@ def observe_all(
         channels=channels,
         values=read_only(values),
         slot_scale=plan.slot_scale,
-        noise_variance=noise.variance if noise.enabled else 0.0,
+        noise=noise,
     )
 
 
@@ -191,13 +191,13 @@ def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
     B[(..., *cells, positions, slot)] = 1.0
     B[(..., *cells, positions[..., 1:], linked)] = -log.slot_scale[..., slot[..., 1:]]
     B, y = read_only(B).reshape(lead + (k * M, T)), read_only(y).reshape(lead + (k * M,))
-    if log.noise_variance:
-        sigma = read_only(log.noise_variance * (B @ np.swapaxes(B, -1, -2)))
+    if log.noise is not None:
+        sigma = read_only(B @ np.swapaxes(B, -1, -2))
     else:  # noiseless: sigma is 0 * B B^T, so skip the product
         sigma = np.broadcast_to(read_only(np.zeros(())), lead + (k * M, k * M))
     return LinearSystem(
         receiver=np.broadcast_to(receiver, lead),
-        G=read_only(G), y=y, sigma=sigma, noise_map=B, T=T, M=M, k=k,
+        G=read_only(G), y=y, sigma=sigma, noise_map=B, T=T, M=M,
     )
 
 

@@ -7,13 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelRealization, MessageSet, NoiseModel, generate_channels,
-                      generate_messages, read_only, run_streams)
+from .channel import (ChannelRealization, MessageSet, generate_channels, generate_messages,
+                      generate_noise, read_only, run_streams)
 from .receive import DecodeResult, LinearSystem, ObservationLog, assemble_system, decode, observe_all
 from .schedule import Schedule, build_schedule
 from .transmit import TransmitPlan, build_transmit_plan
 
-__all__ = ["SimulationResult", "run_simulation"]
+__all__ = ["RECOVERY_TOL", "SimulationResult", "run_simulation"]
+
+RECOVERY_TOL = 1e-8  # all_recovered's bound on each system's relative error
 
 
 @dataclass(eq=False)
@@ -23,7 +25,6 @@ class SimulationResult:
     schedule: Schedule
     channels: ChannelRealization
     messages: MessageSet
-    noise: NoiseModel
     plan: TransmitPlan
     log: ObservationLog
     systems: LinearSystem  # stacked over (draws..., receivers)
@@ -47,8 +48,8 @@ class SimulationResult:
         """Relative recovery error per system, in the flat order of systems; NaN where decoding failed."""
         return list(self._errors)
 
-    def all_recovered(self, tol: float = 1e-8) -> bool:
-        return all(e <= tol for e in self._errors)  # False for NaN
+    def all_recovered(self) -> bool:
+        return all(e <= RECOVERY_TOL for e in self._errors)  # False for NaN
 
 
 def run_simulation(
@@ -58,7 +59,6 @@ def run_simulation(
     *,
     draws: range | None = None,
     noise_enabled: bool = False,
-    noise_variance: float = 1.0,
     normalize: bool = False,
     schedule: Schedule | None = None,
 ) -> SimulationResult:
@@ -89,15 +89,14 @@ def run_simulation(
     ch_seed, msg_seed, *noise_seed = streams
     channels = generate_channels(M, N, schedule.T, ch_seed, stored=schedule.stored)
     messages = generate_messages(M, N, schedule.k, msg_seed)
+    noise = generate_noise(N, channels.slots.shape[1], *noise_seed) if noise_enabled else None
     plan = build_transmit_plan(schedule, messages, channels, schedule.csit, normalize=normalize)
-    noise = NoiseModel(noise_enabled, noise_variance, *noise_seed)
     log = observe_all(plan, channels, noise)
     systems = assemble_system(log, np.arange(N))
     return SimulationResult(
         schedule=schedule,
         channels=channels,
         messages=messages,
-        noise=noise,
         plan=plan,
         log=log,
         systems=systems,

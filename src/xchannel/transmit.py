@@ -63,7 +63,6 @@ class TransmitPlan:
     messages: MessageSet
     coefficients: np.ndarray
     slot_scale: np.ndarray
-    normalized: bool
     csit_reads: np.ndarray  # (K, 3) audited (receiver, slot, at_slot) reads: schedule.pair_reads
     csit_violations: np.ndarray  # the denied reads, in the same form: (0, 3) for a built plan
     _signals: np.ndarray | None = field(default=None, repr=False)
@@ -123,7 +122,6 @@ def build_transmit_plan(
         messages=messages,
         coefficients=read_only(coefficients),
         slot_scale=read_only(scale),
-        normalized=normalize,
         csit_reads=reads,
         csit_violations=denied,
     )

@@ -86,7 +86,7 @@ def toy_system(G, sigma, T=1):
     m = G.shape[-1]
     return LinearSystem(
         receiver=np.array([0]), G=G, y=G @ np.ones(m), sigma=np.asarray(sigma, dtype=float)[None],
-        noise_map=np.zeros((1, m, T)), T=T, M=m, k=1,
+        noise_map=np.zeros((1, m, T)), T=T, M=m,
     )
 
 

@@ -1,5 +1,6 @@
 """Tests for channel generation, message sets, noise, and received signals."""
 
+import dataclasses
 import sys
 import threading
 from unittest import mock
@@ -8,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xchannel import channel
+from xchannel import channel, simulate
 from xchannel.analysis import sweep_rates
 from xchannel.channel import (
     ChannelRealization,
     MessageSet,
-    NoiseModel,
     generate_channels,
     generate_messages,
+    generate_noise,
     run_streams,
     slot_tables,
 )
@@ -33,10 +34,10 @@ def reference_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key0 | key1 << 64, counter=draw << 128 | stream << 192))
 
 
-def reference_normals(rng, shape, variance=1.0) -> np.ndarray:
-    """CN(0, variance) cells of shape from rng as the rule draws them: two normals per cell in
-    C order, the real part first, each times sqrt(variance/2)."""
-    z = np.sqrt(variance / 2.0) * rng.standard_normal(tuple(shape) + (2,))
+def reference_normals(rng, shape) -> np.ndarray:
+    """CN(0, 1) cells of shape from rng as the rule draws them: two normals per cell in
+    C order, the real part first, each times sqrt(1/2)."""
+    z = np.sqrt(0.5) * rng.standard_normal(tuple(shape) + (2,))
     return z[..., 0] + 1j * z[..., 1]
 
 
@@ -83,15 +84,14 @@ class TestGenerateChannels:
         seeds = ((5, 0, 0, 0), (1, 0, 2, 1))
         stack = generate_channels(4, 3, s.T, seeds, stored=slot_tables(s.used, 3, s.T))
         U = s.k * (3 + 4 - 1)
-        assert stack.h.shape == (2, 3, 4, U) and stack.seed == seeds
+        assert stack.h.shape == (2, 3, 4, U)
         messages = generate_messages(4, 3, s.k, seeds)
-        grid = NoiseModel(enabled=True, variance=2.5, seed=seeds).sample_grid(3, U)
+        grid = generate_noise(3, U, seeds)
         for d, seed in enumerate(seeds):  # bit for bit, all three draws
             single = generate_channels(4, 3, s.T, seed, stored=slot_tables(s.used, 3, s.T)).h
             assert stack.h[d].tobytes() == single.tobytes()
             assert messages.w[d].tobytes() == generate_messages(4, 3, s.k, seed).w.tobytes()
-            single = NoiseModel(enabled=True, variance=2.5, seed=seed).sample_grid(3, U)
-            assert grid[d].tobytes() == single.tobytes()
+            assert grid[d].tobytes() == generate_noise(3, U, seed).tobytes()
 
     @pytest.mark.parametrize("mask,match", [
         (np.ones((3, 6), dtype=int), r"bool array of shape \(3, 6\), got int\d+ \(3, 6\)"),
@@ -126,7 +126,7 @@ class TestGenerateChannels:
         sims = [run_simulation(4, 3, seed=seed, schedule=s) for seed in (0, 1)]
         for sim in sims:
             assert sim.channels.slots is s.stored[0] and sim.channels.columns is s.stored[1]
-        masked = generate_channels(4, 3, s.T, sims[0].channels.seed, stored=slot_tables(s.used, 3, s.T))
+        masked = generate_channels(4, 3, s.T, run_streams(0, 1)[0], stored=slot_tables(s.used, 3, s.T))
         assert np.array_equal(masked.slots, s.stored[0]) and np.array_equal(masked.columns, s.stored[1])
         assert masked.h.tobytes() == sims[0].channels.h.tobytes()
 
@@ -194,39 +194,33 @@ class TestGenerateMessages:
 
 
 class TestNoiseModel:
+    """Receiver noise: generate_noise's unit-variance CN(0, 1) draw of the stored cells."""
+
     def test_noiseless_run_observes_no_noise(self):
         # every stored cell of a noiseless stack is exactly its channel row times the slot's signal
         sim = run_simulation(3, 5, seed=[4, 5])
         ch = sim.channels
         clean = np.einsum("...iju,...jiu->...iu", ch.h, sim.plan.signal_matrix()[..., :, ch.slots])
         assert sim.log.values[..., np.arange(5)[:, None], ch.slots].tobytes() == clean.tobytes()
-        assert sim.log.noise_variance == 0.0 and not sim.systems.sigma.any()
+        assert sim.log.noise is None and not sim.systems.sigma.any()
 
     def test_enabled_deterministic(self):
-        a = NoiseModel(enabled=True, variance=1.0, seed=9).sample_grid(3, 6)
-        b = NoiseModel(enabled=True, variance=1.0, seed=9).sample_grid(3, 6)
+        a = generate_noise(3, 6, 9)
+        b = generate_noise(3, 6, 9)
         np.testing.assert_array_equal(a, b)
         assert not np.all(a == 0)
+        with pytest.raises(ValueError):  # a read-only view of a read-only owner, as run tables are
+            a.setflags(write=True)
 
-    def test_variance_scaling(self):
-        a = NoiseModel(enabled=True, variance=1.0, seed=4).sample_grid(50, 400)
-        b = NoiseModel(enabled=True, variance=4.0, seed=4).sample_grid(50, 400)
-        np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
+    def test_unit_power(self):
+        a = generate_noise(50, 400, 4)
         assert abs(np.mean(np.abs(a) ** 2) - 1.0) < 0.05
 
-    @pytest.mark.parametrize("variance", [1.0, 0.3, 4.0, 1e-6])
     @pytest.mark.parametrize("N,U", [(3, 6), (8, 36), (32, 528)])
     @pytest.mark.parametrize("seed", [0, 11, (5, 2, 2, 2)])
-    def test_bit_identical_to_reference_expression(self, variance, N, U, seed):
-        want = reference_normals(reference_rng(seed), (N, U), variance)
-        got = NoiseModel(enabled=True, variance=variance, seed=seed).sample_grid(N, U)
-        assert got.tobytes() == want.tobytes()
-
-    def test_invalid_variance(self):
-        with pytest.raises(ValueError):
-            NoiseModel(enabled=True, variance=0.0).sample_grid(2, 2)
-        with pytest.raises(ValueError):
-            NoiseModel(enabled=True, variance=-1.0).sample_grid(2, 2)
+    def test_bit_identical_to_reference_expression(self, N, U, seed):
+        want = reference_normals(reference_rng(seed), (N, U))
+        assert generate_noise(N, U, seed).tobytes() == want.tobytes()
 
 
 class TestReceivedSignal:
@@ -237,9 +231,9 @@ class TestReceivedSignal:
         ch = generate_channels(M, N, s.T, seed=seed)
         if w is None:
             w = generate_messages(M, N, s.k, seed=seed + 100).w
-        ms = MessageSet(M=M, N=N, k=s.k, w=w, seed=seed + 100)
+        ms = MessageSet(M=M, N=N, k=s.k, w=w)
         plan = build_transmit_plan(s, ms, ch, build_csit_table(s))
-        log = observe_all(plan, ch, noise or NoiseModel(enabled=False))
+        log = observe_all(plan, ch, noise)
         return ch, plan.signal_matrix(), log.values
 
     def test_matches_plain_dot(self):
@@ -261,10 +255,9 @@ class TestReceivedSignal:
         assert np.all(y[:, 0] == ch.h[:, 2, 0])
 
     def test_noise_added(self):
-        nm = NoiseModel(enabled=True, variance=1.0, seed=11)
         ch, _, clean = self._setup()
-        _, _, noisy = self._setup(noise=nm)
-        sample = nm.sample_grid(ch.N, ch.T)
+        sample = generate_noise(ch.N, ch.T, 11)
+        _, _, noisy = self._setup(noise=sample)
         assert np.all(np.abs((noisy - clean) - sample) <= 1e-12)
 
     @settings(deadline=None, max_examples=30)
@@ -285,13 +278,14 @@ class TestReceivedSignal:
         assert np.all(np.abs(lhs - rhs) <= 1e-9 * np.maximum(1.0, np.abs(rhs)))
 
 
-def test_realization_records_seed():
+def test_realizations_hold_no_seed():
+    # a draw keeps its arrays and dimensions; its stream is the caller's to keep
     ch = generate_channels(2, 2, 3, seed=123)
     assert isinstance(ch, ChannelRealization)
-    assert ch.seed == 123
+    assert [f.name for f in dataclasses.fields(ch)] == ["M", "N", "T", "h", "slots", "columns"]
     ms = generate_messages(2, 2, 1, seed=45)
     assert isinstance(ms, MessageSet)
-    assert ms.seed == 45
+    assert [f.name for f in dataclasses.fields(ms)] == ["M", "N", "k", "w"]
 
 
 def test_run_streams_key_and_counter():
@@ -324,13 +318,13 @@ def test_run_draws_match_fresh_philox_generators(seed):
     # the stored cells of channels, messages and noise are the normals of freshly constructed
     # generators on streams 0, 1 and 2 of the seed's key
     M, N = 4, 3
-    sim = run_simulation(M, N, seed, noise_enabled=True, noise_variance=2.0)
+    sim = run_simulation(M, N, seed, noise_enabled=True)
     key = seed if seed < 2**128 else int.from_bytes(
         np.random.SeedSequence(seed).generate_state(2, np.uint64).tobytes(), "little")
-    noise = sim.noise.sample_grid(N, sim.channels.h.shape[-1])
-    for stream, got, variance in ((0, sim.channels.h, 1.0), (1, sim.messages.w, 1.0), (2, noise, 2.0)):
+    noise = sim.log.noise
+    for stream, got in enumerate((sim.channels.h, sim.messages.w, noise)):
         rng = reference_rng((key & (2**64 - 1), key >> 64, 0, stream))
-        assert got.tobytes() == reference_normals(rng, got.shape, variance).tobytes()
+        assert got.tobytes() == reference_normals(rng, got.shape).tobytes()
     # and that noise is what the stored cells observe on top of the noiseless run
     clean = run_simulation(M, N, seed).log.values
     rows, slots = np.arange(N)[:, None], sim.channels.slots
@@ -411,8 +405,11 @@ def test_sweep_builds_no_numpy_seed_sequence(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", Forbidden)
     sweep_rates(3, 4, [10.0, 30.0], draws=5, seed=2**128 - 1)
     sim = run_simulation(3, 4, seed=7, draws=range(2), noise_enabled=True)
-    assert sim.channels.seed + sim.messages.seed + sim.noise.seed == tuple(
-        (7, 0, d, c) for c in range(3) for d in range(2))
+    channels, messages, noise = (tuple((7, 0, d, c) for d in range(2)) for c in range(3))
+    s = sim.schedule
+    assert sim.channels.h.tobytes() == generate_channels(3, 4, s.T, channels, stored=s.stored).h.tobytes()
+    assert sim.messages.w.tobytes() == generate_messages(3, 4, s.k, messages).w.tobytes()
+    assert sim.log.noise.tobytes() == generate_noise(4, sim.channels.h.shape[-1], noise).tobytes()
 
 
 def test_large_seed_is_hashed_once(monkeypatch):
@@ -440,10 +437,12 @@ def test_draw_range_stacks_the_draw_seeds(noise):
 
 def test_noiseless_run_derives_and_samples_no_noise():
     # the same channels and messages as the noisy run, with no noise stream and no grid sampled
-    with mock.patch.object(NoiseModel, "sample_grid", side_effect=AssertionError("sampled")):
+    with (mock.patch.object(simulate, "generate_noise", side_effect=AssertionError("sampled")),
+          mock.patch.object(simulate, "run_streams", wraps=run_streams) as streams):
         quiet = run_simulation(4, 6, seed=[1, 2])
+    assert [c.args for c in streams.call_args_list] == [(1, 2), (2, 2)]  # channels and messages only
     noisy = run_simulation(4, 6, seed=[1, 2], noise_enabled=True)
     assert quiet.channels.h.tobytes() == noisy.channels.h.tobytes()
     assert quiet.messages.w.tobytes() == noisy.messages.w.tobytes()
-    assert not quiet.noise.enabled and not isinstance(quiet.noise.seed, tuple)
+    assert quiet.log.noise is None
     assert quiet.all_recovered()

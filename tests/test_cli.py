@@ -162,6 +162,20 @@ class TestSweepMode:
         assert slope["fitted"] == pytest.approx(slope["target"], rel=0.05)
         assert len(payload["points"]) == 3
 
+    @pytest.mark.parametrize("args, digest", [
+        (["--M", "3", "--N", "7", "--draws", "10", "--format", "csv"],
+         "d98c131b6d697ea815224a1f516426984eec0640bf49abf97bb55bed9669c0f7"),
+        (["--M", "8", "--N", "8", "--draws", "20", "--format", "json"],
+         "8fdcb56c3aedb21ecc4882ba00ec9929c44fb089479c4fba4edcd0d31a5e5742"),
+        (["--M", "4", "--N", "3", "--draws", "30", "--normalize", "off", "--format", "text"],
+         "21689068c4ce8cbe75cc8f18d8b839fc92d34586a986d53fe04e11fa6906f740"),
+    ], ids=["3x7-csv", "8x8-json", "4x3-unnormalized-text"])
+    def test_output_bytes_are_pinned(self, args, digest, capsys):
+        # sha256 of all of stdout, rates and slope line, so no change to how draws, systems
+        # or rates are built can alter a byte unnoticed
+        assert main(["sweep", *args]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 # The full text of `verify`, so a refactor of the suite cannot change it unnoticed.
 VERIFY_GRID8_SEEDS5 = (

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from xchannel import analysis
 from xchannel.analysis import sum_rate, sweep_rates
-from xchannel.channel import NoiseModel, generate_channels, generate_messages, run_streams, slot_tables
+from xchannel.channel import generate_channels, generate_messages, generate_noise, run_streams, slot_tables
 from xchannel.receive import (CONDITION_LIMIT, LinearSystem, ObservationKind as K, assemble_system,
                               decode, observe_all)
 from xchannel.schedule import CsitTable, build_csit_table, build_schedule, permute_schedule
@@ -27,8 +27,8 @@ dims = st.tuples(
 
 
 @PROPERTY
-@given(dims, st.sampled_from([0.25, 1.0, 3.0]), st.booleans())
-def test_run_invariants(case, variance, normalize):
+@given(dims, st.booleans())
+def test_run_invariants(case, normalize):
     M, N, seed = case
     s = build_schedule(M, N)
     first = s.phase1_len
@@ -64,9 +64,7 @@ def test_run_invariants(case, variance, normalize):
             continue
         assert np.abs(est - truth).max() <= 1e-8 * max(1.0, np.abs(truth).max())
 
-    noisy = run_simulation(
-        M, N, seed=seed, noise_enabled=True, noise_variance=variance, normalize=normalize
-    )
+    noisy = run_simulation(M, N, seed=seed, noise_enabled=True, normalize=normalize)
     noise = noisy.log.values - sim.log.values
     for i in range(N):
         B = noisy.systems.noise_map[i]
@@ -78,7 +76,7 @@ def test_run_invariants(case, variance, normalize):
         # discarded observations never enter the system; desired and combined ones do
         assert not used[entries[i] == K.DISCARDED].any()
         assert used[np.isin(entries[i], (K.DESIRED_PHASE1, K.COMBINED_PHASE2))].all()
-        np.testing.assert_allclose(noisy.systems.sigma[i], variance * B @ B.T, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(noisy.systems.sigma[i], B @ B.T, rtol=1e-12, atol=0)
 
 
 @PROPERTY
@@ -247,7 +245,7 @@ def test_discarded_cells_are_never_read(case, normalize):
     s = build_schedule(M, N)
     table = build_csit_table(s)
     messages = generate_messages(M, N, s.k, seed + 1)
-    noise = NoiseModel(enabled=True, seed=seed + 2)
+    noise = generate_noise(N, s.T, seed + 2)
 
     def run(channels):
         plan = build_transmit_plan(s, messages, channels, table, normalize=normalize)
@@ -322,13 +320,13 @@ def test_no_two_runs_or_draws_share_a_normal(M, N):
     sources = {}
     for seed in range(5):
         sim = run_simulation(M, N, seed=seed, noise_enabled=True)
-        grid = sim.noise.sample_grid(N, sim.channels.h.shape[-1])
+        grid = sim.log.noise
         sources.update({("run", seed, "channels"): sim.channels.h,
                         ("run", seed, "messages"): sim.messages.w, ("run", seed, "noise"): grid})
     # the draws of sweep_rates(M, N, ..., draws=4, seed=0), as it runs them; a single run is
     # draw 0, so that draw is run 0 itself and the others share nothing with any run
     stack = run_simulation(M, N, 0, draws=range(4), noise_enabled=True)
-    grids = stack.noise.sample_grid(N, stack.channels.h.shape[-1])
+    grids = stack.log.noise
     for kind, drawn in (("channels", stack.channels.h), ("messages", stack.messages.w), ("noise", grids)):
         assert drawn[0].tobytes() == sources[("run", 0, kind)].tobytes()
     for d in range(1, 4):
@@ -387,7 +385,7 @@ def test_stacked_decode_equals_per_system_reference(m, lead, seed, data):
         if kind != "ok":
             flat[n] = _degenerate(kind, flat[n], rng)
     system = LinearSystem(receiver=np.zeros(tuple(lead), dtype=int), G=G, y=y,
-                          sigma=np.zeros(shape + (m,)), noise_map=np.zeros(shape + (m,)), T=m, M=m, k=1)
+                          sigma=np.zeros(shape + (m,)), noise_map=np.zeros(shape + (m,)), T=m, M=m)
 
     res = decode(system)
     refs = [_reference_decode(g, b) for g, b in zip(flat, y.reshape(size, m))]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from xchannel.analysis import sum_rate
-from xchannel.channel import ChannelRealization, NoiseModel, generate_channels, generate_messages
+from xchannel.channel import ChannelRealization, generate_channels, generate_messages, generate_noise
 from xchannel.receive import (
     CONDITION_LIMIT,
     LinearSystem,
@@ -25,13 +25,13 @@ from xchannel.transmit import build_transmit_plan
 K = ObservationKind
 
 
-def make_log(M, N, seed=0, noise_enabled=False, variance=1.0, normalize=False):
+def make_log(M, N, seed=0, noise_enabled=False, normalize=False):
     s = build_schedule(M, N)
     table = build_csit_table(s)
     ch = generate_channels(M, N, s.T, seed=seed)
     ms = generate_messages(M, N, s.k, seed=seed + 1)
     plan = build_transmit_plan(s, ms, ch, table, normalize=normalize)
-    noise = NoiseModel(enabled=noise_enabled, variance=variance, seed=seed + 2)
+    noise = generate_noise(N, s.T, seed + 2) if noise_enabled else None
     return s, ch, ms, plan, observe_all(plan, ch, noise)
 
 
@@ -107,10 +107,19 @@ class TestObservationKinds:
     def test_noise_enters_observations(self):
         _, _, _, _, clean = make_log(3, 3, seed=4)
         _, _, _, _, noisy = make_log(3, 3, seed=4, noise_enabled=True)
-        grid = NoiseModel(enabled=True, variance=1.0, seed=6).sample_grid(3, 6)
+        grid = generate_noise(3, 6, 6)
         np.testing.assert_allclose(noisy.values - clean.values, grid, atol=1e-12)
-        assert noisy.noise_variance == 1.0
-        assert clean.noise_variance == 0.0
+        assert noisy.noise.tobytes() == grid.tobytes()
+        assert clean.noise is None
+
+    def test_noise_must_match_the_stored_cells(self):
+        # one draw's (N, U) grid on a two-draw stack would broadcast onto both draws
+        sim = run_simulation(3, 4, seed=[1, 2])
+        U = sim.channels.h.shape[-1]
+        for shape in ((4, U), (2, 4, U + 1)):
+            noise = np.zeros(shape, dtype=complex)
+            with pytest.raises(ValueError, match=r"stored cells' shape \(2, 4, %d\)" % U):
+                observe_all(sim.plan, sim.channels, noise)
 
 
 def pair_rows(schedule, receiver):
@@ -147,10 +156,10 @@ class TestCancelInterference:
         table = build_csit_table(s)
         h = np.ones((3, 3, s.T), dtype=complex)
         h.setflags(write=False)
-        ch = ChannelRealization(M=3, N=3, T=s.T, h=h, seed=0)
+        ch = ChannelRealization(M=3, N=3, T=s.T, h=h)
         ms = generate_messages(3, 3, 1, seed=1)
         plan = build_transmit_plan(s, ms, ch, table)
-        log = observe_all(plan, ch, NoiseModel(enabled=False))
+        log = observe_all(plan, ch)
         rows, values = cancel_interference(log, 1)
         np.testing.assert_allclose(rows, np.ones((2, 3)), rtol=1e-14)
         assert np.all(np.abs(values - ms.w[1].sum()) < 1e-10)
@@ -184,7 +193,7 @@ class TestAssembleSystem:
         assert sys0.y.shape == (size,)
         assert sys0.sigma.shape == (size, size)
         assert sys0.noise_map.shape == (size, log.schedule.T)
-        assert (sys0.M, sys0.k) == (M, log.schedule.k)
+        assert sys0.M == M
 
     def test_row_ordering_direct_then_subtractions(self):
         _, _, _, _, log = make_log(4, 3)
@@ -221,7 +230,11 @@ class TestAssembleSystem:
 
     def test_noiseless_32x32_run_peak_stays_small(self):
         # the run's stages free their temporaries before assembly allocates the 4.3 MB noise map,
-        # keeping a 32x32 run and its decode well below glibc's trim threshold (about 8.7 MB)
+        # keeping a 32x32 run and its decode well below glibc's trim threshold (about 8.7 MB).
+        # That threshold is twice B's 4.3 MB: freeing B, an mmapped block, raises glibc's mmap
+        # threshold to its size and the trim threshold to twice that, which keeps the run's large
+        # arrays on the heap. So B stays although sigma needs no B: a run that never allocated it
+        # took about 918 minor faults per request in a closed client loop, against about 1 with it.
         run_simulation(2, 2, 0).all_recovered()  # lazy imports and caches outside the measurement
         tracemalloc.start()
         try:
@@ -262,20 +275,12 @@ class TestNoiseCovariance:
         _, _, _, _, log = make_log(3, 3, noise_enabled=False)
         assert np.all(assemble_system(log, 0).sigma == 0)
 
-    def test_variance_scales_sigma(self):
-        _, _, _, _, log1 = make_log(3, 3, noise_enabled=True, variance=1.0)
-        _, _, _, _, log3 = make_log(3, 3, noise_enabled=True, variance=3.0)
-        np.testing.assert_allclose(assemble_system(log3, 1).sigma,
-                                   3.0 * assemble_system(log1, 1).sigma, rtol=1e-12)
-
     @pytest.mark.parametrize("M,N", [(3, 3), (4, 3), (3, 4), (2, 3)])
     def test_sigma_equals_incidence_product(self, M, N):
-        _, _, _, _, log = make_log(M, N, noise_enabled=True, variance=2.0)
+        _, _, _, _, log = make_log(M, N, noise_enabled=True)
         for i in range(N):
             sysi = assemble_system(log, i)
-            np.testing.assert_allclose(
-                sysi.sigma, 2.0 * sysi.noise_map @ sysi.noise_map.T, atol=1e-12
-            )
+            np.testing.assert_allclose(sysi.sigma, sysi.noise_map @ sysi.noise_map.T, atol=1e-12)
 
     def test_noise_map_structure(self):
         _, _, _, _, log = make_log(3, 3, noise_enabled=True)
@@ -294,7 +299,7 @@ class TestNoiseCovariance:
         # noisy minus noiseless right-hand side equals B times the noise row
         s, _, _, _, clean = make_log(3, 3, seed=7)
         _, _, _, _, noisy = make_log(3, 3, seed=7, noise_enabled=True)
-        grid = NoiseModel(enabled=True, variance=1.0, seed=9).sample_grid(3, s.T)
+        grid = generate_noise(3, s.T, 9)
         for i in range(3):
             a = assemble_system(noisy, i)
             b = assemble_system(clean, i)
@@ -318,7 +323,7 @@ class TestDecode:
         y = np.asarray(y if y is not None else G @ np.ones(m), dtype=complex)
         sigma = sigma if sigma is not None else np.zeros((m, m))
         return LinearSystem(receiver=np.array(0), G=np.asarray(G, dtype=complex), y=y,
-                            sigma=sigma, noise_map=np.zeros((m, m)), T=m, M=m, k=1)
+                            sigma=sigma, noise_map=np.zeros((m, m)), T=m, M=m)
 
     def test_identity_system(self):
         res = decode(self._toy(np.eye(3), y=np.array([1, 2, 3])))
@@ -340,16 +345,23 @@ class TestDecode:
         assert not bad.success and bad.condition > CONDITION_LIMIT
 
     def test_noisy_decode_whitens(self):
-        # tiny noise: GLS estimate must sit within a few standard deviations
-        res = run_simulation(3, 3, seed=5, noise_enabled=True, noise_variance=1e-12)
-        assert res.decoding.success and res.decoding.decoded.all()
-        assert np.abs(res.decoding.estimates - res.truths).max() < 1e-4
+        # tiny noise (variance 1e-12) on the right-hand sides of a run's systems, built by hand
+        # from its noise maps: the GLS estimate must sit within a few standard deviations
+        res = run_simulation(3, 3, seed=5)
+        clean = res.systems
+        B = clean.noise_map
+        n = 1e-6 * generate_noise(3, B.shape[-1], 7)
+        noisy = dataclasses.replace(clean, y=clean.y + np.einsum("irt,it->ir", B, n),
+                                    sigma=1e-12 * (B @ np.swapaxes(B, -1, -2)))
+        d = decode(noisy)
+        assert d.success and d.decoded.all()
+        assert 0 < np.abs(d.estimates - res.truths).max() < 1e-4
 
     @pytest.mark.parametrize("M,N", [(3, 3), (4, 3), (2, 4), (5, 4), (2, 3), (1, 4)])
     def test_noiseless_pipeline_exact(self, M, N):
         for seed in range(3):
             res = run_simulation(M, N, seed=seed)
-            assert res.all_recovered(tol=1e-8)
+            assert res.all_recovered()
             errs = res.relative_errors()
             assert np.nanmax(errs) <= 1e-8
 
@@ -367,7 +379,7 @@ class TestStackedDecode:
         lead, m = G.shape[:-2], G.shape[-1]
         return LinearSystem(receiver=np.zeros(lead, dtype=int), G=G,
                             y=np.ones(lead + (m,), dtype=complex), sigma=np.zeros(G.shape),
-                            noise_map=np.zeros(G.shape), T=m, M=m, k=1)
+                            noise_map=np.zeros(G.shape), T=m, M=m)
 
     def test_all_failed_stack(self):
         res = decode(self._stack(np.zeros((2, 3, 4, 4))))
@@ -425,10 +437,10 @@ class TestStackedDecode:
             sum_rate(systems, [20.0])
 
     def test_noisy_sigma_is_the_incidence_product_bit_for_bit(self):
-        _, _, _, _, log = make_log(4, 3, noise_enabled=True, variance=2.5)
+        _, _, _, _, log = make_log(4, 3, noise_enabled=True)
         systems = assemble_system(log, np.arange(3))
         B = systems.noise_map
-        assert np.array_equal(systems.sigma, 2.5 * (B @ np.swapaxes(B, -1, -2)))
+        assert np.array_equal(systems.sigma, B @ np.swapaxes(B, -1, -2))
 
 
 class TestPermutedSchedules:
@@ -436,7 +448,7 @@ class TestPermutedSchedules:
         base = build_schedule(3, 3)
         perm = permute_schedule(base, [2, 0, 1], [1, 2, 0])
         res = run_simulation(3, 3, seed=6, schedule=perm)
-        assert res.all_recovered(tol=1e-8)
+        assert res.all_recovered()
 
     def test_permutation_matches_canonical_messages(self):
         base = build_schedule(4, 3)

@@ -70,7 +70,7 @@ class TestPhase2Coefficients:
         table = build_csit_table(s)
         h = np.ones((3, 3, s.T), dtype=complex)
         h.setflags(write=False)
-        ch = ChannelRealization(M=3, N=3, T=s.T, h=h, seed=0)
+        ch = ChannelRealization(M=3, N=3, T=s.T, h=h)
         ms = generate_messages(3, 3, 1, seed=1)
         plan = build_transmit_plan(s, ms, ch, table)
         X = plan.signal_matrix()
@@ -252,7 +252,6 @@ class TestNormalization:
     def test_unnormalized_scale_is_unity_everywhere(self):
         s, _, _, _, plan = make_instance(3, 3, normalize=False)
         assert np.all(plan.slot_scale == 1.0)
-        assert plan.normalized is False
 
 
 class TestPlanSerialization:
