@@ -72,19 +72,9 @@ class DofReport:
 
 def dof_report(schedule: Schedule) -> DofReport:
     """One message per slot-normalized unknown: kMN messages over T slots."""
-    achieved = Fraction(schedule.message_count, schedule.T)
-    closed = Fraction(2 * schedule.M, schedule.M + 1)
-    return DofReport(
-        M=schedule.M,
-        N=schedule.N,
-        case=schedule.case.value,
-        k=schedule.k,
-        T=schedule.T,
-        message_count=schedule.message_count,
-        achieved=achieved,
-        closed_form=closed,
-        equal=achieved == closed,
-    )
+    s = schedule
+    achieved, closed = Fraction(s.message_count, s.T), Fraction(2 * s.M, s.M + 1)
+    return DofReport(s.M, s.N, s.case.value, s.k, s.T, s.message_count, achieved, closed, achieved == closed)
 
 
 @dataclass(frozen=True)
@@ -423,8 +413,8 @@ def verify_suite(
                 bad_dof.append((M, N))
             # each receiver's P, D and N counts: k(M-1), k(N-1) and the rest
             expect = [s.k * (M - 1), s.k * (N - 1), s.T - s.k * (M + N - 2)]
-            counts = (s.csit.grid[:, :, None] == np.frombuffer(b"PDN", np.uint8)).sum(axis=1)
-            bad_counts += [(M, N, int(i)) for i in np.flatnonzero((counts != expect).any(axis=1))]
+            bad_counts += [(M, N, i) for i, row in enumerate(s.csit.states)
+                           if [row.count("P"), row.count("D"), row.count("N")] != expect]
     checks.append(_check(f"dof-grid-to-{grid}", bad_dof,
                          f"mismatches {bad_dof}", f"{grid - 1} x {grid} configs"))
     checks.append(_check("csit-state-counts", bad_counts,

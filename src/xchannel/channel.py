@@ -80,7 +80,8 @@ def _complex_normals(seed, shape, nonzero: bool = False) -> np.ndarray:
         normals = drawn.view(float)
         rng.standard_normal(out=normals)
         normals *= scale
-        while nonzero and (zero := np.flatnonzero(drawn == 0)).size:
+        while nonzero and not drawn.all():
+            zero = np.flatnonzero(drawn == 0)
             drawn[zero] = (scale * rng.standard_normal(2 * zero.size)).view(complex)
     return out
 
@@ -97,8 +98,8 @@ class ChannelRealization:
         the coefficient from transmitter j to receiver i in slot slots[i, u]. Every
         stored entry has magnitude > 0.
     slots : ndarray
-        Read-only (N, U) table of the slots stored per receiver, ascending. Left out,
-        every slot is stored (U = T), so h is the full (..., N, M, T) tensor.
+        Read-only (N, U) table of the slots stored per receiver, ascending;
+        slot_tables(None, N, T) stores every slot (U = T).
     columns : ndarray
         Read-only (N, T) lookup of (receiver, slot) to its column of h, given with
         slots (slot_tables); U where the slot is not stored, so gathering it raises IndexError.
@@ -108,19 +109,13 @@ class ChannelRealization:
     N: int
     T: int
     h: np.ndarray
-    slots: np.ndarray | None = None
-    columns: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.slots is None:
-            slots, columns = slot_tables(None, self.N, self.T)
-            object.__setattr__(self, "slots", slots)
-            object.__setattr__(self, "columns", columns)
+    slots: np.ndarray
+    columns: np.ndarray = field(repr=False)
 
     def rows(self, receiver, slot) -> np.ndarray:
         """Coefficient rows h[..., receiver, :, slot] as (..., *shape, M), for index arrays
         receiver and slot broadcast to shape; a slot not stored raises IndexError."""
-        return np.swapaxes(self.h, -1, -2)[..., receiver, self.columns[receiver, slot], :]
+        return self.h.swapaxes(-1, -2)[..., receiver, self.columns[receiver, slot], :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,9 +127,6 @@ class MessageSet:
     as by generate_channels.
     """
 
-    M: int
-    N: int
-    k: int
     w: np.ndarray  # complex, shape (..., N, M, k)
 
 
@@ -147,7 +139,8 @@ def slot_tables(mask, N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
     counts = mask.sum(axis=1).tolist()
     if min(counts) < 1 or len(set(counts)) > 1:
         raise ValueError(f"every mask row must select the same number of slots, at least one; rows select {counts}")
-    columns = np.where(mask, np.cumsum(mask, axis=1, dtype=np.intp) - 1, counts[0])
+    columns = np.full((N, T), counts[0], dtype=np.intp)
+    columns[mask] = np.arange(N * counts[0]) % counts[0]  # each selected cell's rank in its row
     return read_only(np.nonzero(mask)[1].reshape(N, -1)), read_only(columns)
 
 
@@ -180,8 +173,7 @@ def generate_messages(M: int, N: int, k: int, seed) -> MessageSet:
         raise ValueError(f"dimensions must be at least 1, got M={M} N={N}")
     if k not in (1, 2):
         raise ValueError(f"replication factor must be 1 or 2, got {k}")
-    w = read_only(_complex_normals(seed, (N, M, k)))
-    return MessageSet(M=M, N=N, k=k, w=w)
+    return MessageSet(w=read_only(_complex_normals(seed, (N, M, k))))
 
 
 def generate_noise(N: int, U: int, seed) -> np.ndarray:

@@ -132,21 +132,19 @@ def cancel_interference(log: ObservationLog, receiver) -> tuple[np.ndarray, np.n
     """Subtract stored replays from every combined observation of one receiver.
 
     Returns (rows, values) for the pair rows of schedule.decode_rows[receiver],
-    in that order. rows[r] holds the coefficients on the messages of the
-    row's copy; noiselessly rows[r] @ w[receiver, :, copy] == values[r].
+    in that order, indexed by the schedule's pair_rows table. rows[r] holds the
+    coefficients on the messages of the row's copy; noiselessly
+    rows[r] @ w[receiver, :, copy] == values[r].
     An index array of R receivers does all of them in one pass: the arrays
     gain an R axis after the log's draw axes. Each linked slot is the
     partner's phase-1 broadcast, stored interference for every receiver but
     the partner, and Schedule construction rejects a receiver paired with
     itself, so the replay needs no check here.
     """
-    s = log.schedule
     receiver = np.asarray(receiver)
-    pairs = s.decode_rows[receiver].reshape(receiver.shape + (s.k, s.M, 4))[..., 1:, :]  # skip each direct row
-    copy, slot, partner, linked = (pairs[..., f].reshape(receiver.shape + (-1,)) for f in range(4))
+    slot, partner, linked, own = log.schedule.pair_rows[:, receiver]
     own_row = receiver[..., None]
     g = log.slot_scale[..., slot]
-    own = s.phase1_slots[own_row, copy]
     h = log.channels.rows
     rows = h(own_row, slot)  # ((g * h1) * h2) / h3, in place
     np.multiply(g[..., None], rows, out=rows)
@@ -160,7 +158,8 @@ def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
     """Stack direct and subtraction rows into the receiver's kM x kM system.
 
     Row r is schedule.decode_rows[receiver, r]: per copy the phase-1 direct
-    observation first, then the copy's M-1 subtraction rows in slot order.
+    observation first (at schedule.phase1_slots), then the copy's M-1
+    subtraction rows in slot order (schedule.pair_rows).
     Each copy's M rows involve only its own M unknowns, so G is block
     diagonal; its rows are written into G copy by copy. The other arrays are
     built per copy, as (k, M, ...), then flattened. An index array of
@@ -170,26 +169,25 @@ def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
     s = log.schedule
     M, k, T = s.M, s.k, s.T
     receiver = np.asarray(receiver)
-    table = s.decode_rows[receiver].reshape(receiver.shape + (k, M, 4))
-    slot, linked = table[..., 1], table[..., 1:, 3]
+    own = s.phase1_slots[receiver]  # (..., k): each copy's direct row is at its phase-1 slot
+    slot, _, linked, _ = s.pair_rows[:, receiver].reshape((4,) + own.shape + (M - 1,))
     rows, values = cancel_interference(log, receiver)
-    lead = log.values.shape[:-2] + receiver.shape
+    draws = log.values.shape[:-2]
+    lead = draws + receiver.shape
     G = np.zeros(lead + (k * M, k * M), dtype=complex)
-    blocks = G.reshape(lead + (k, M, k, M))
-    direct = log.channels.rows(receiver[..., None], slot[..., 0])  # direct rows are channel rows
-    rows = rows.reshape(lead + (k, M - 1, M))
-    for c in range(k):
-        blocks[..., c, 0, c, :] = direct[..., c, :]
-        blocks[..., c, 1:, c, :] = rows[..., c, :, :]
-    del direct, rows  # freed before the noise map is allocated
+    diagonal = np.einsum("...cicj->...cij", G.reshape(lead + (k, M, k, M)))  # a view of the k blocks
+    diagonal[..., 0, :] = log.channels.rows(receiver[..., None], own)  # direct rows are channel rows
+    diagonal[..., 1:, :] = rows.reshape(lead + (k, M - 1, M))
+    del diagonal, rows  # freed before the noise map is allocated
     y = np.empty(lead + (k, M), dtype=complex)
-    y[..., 0] = log.values[..., receiver[..., None], slot[..., 0]]
+    y[..., 0] = log.values[..., receiver[..., None], own]
     y[..., 1:] = values.reshape(lead + (k, M - 1))
-    # B: +1 at each row's own slot, minus the slot scale at the replayed slot
+    # B: +1 at each row's own slot, minus the slot scale at the replayed slot; flat
+    # index (row * T + slot) into each draw's rows
     B = np.zeros(lead + (k, M, T))
-    *cells, positions = np.indices(receiver.shape + (k, M), sparse=True)
-    B[(..., *cells, positions, slot)] = 1.0
-    B[(..., *cells, positions[..., 1:], linked)] = -log.slot_scale[..., slot[..., 1:]]
+    flat, start = B.reshape(draws + (-1,)), np.arange(0, own.size * M * T, T).reshape(own.shape + (M,))
+    flat[..., (start + np.concatenate([own[..., None], slot], axis=-1)).ravel()] = 1.0
+    flat[..., (start[..., 1:] + linked).ravel()] = -log.slot_scale[..., slot].reshape(draws + (-1,))
     B, y = read_only(B).reshape(lead + (k * M, T)), read_only(y).reshape(lead + (k * M,))
     if log.noise is not None:
         sigma = read_only(B @ np.swapaxes(B, -1, -2))
@@ -206,7 +204,8 @@ def decode(system: LinearSystem) -> DecodeResult:
 
     One stacked SVD gives the 2-norm conditions (as np.linalg.cond); the
     systems within CONDITION_LIMIT get one stacked direct solve plus one
-    iterative-refinement step, and only the others get a matrix_rank. For a
+    iterative-refinement step, and only the others get a rank, counted from
+    their singular values by np.linalg.matrix_rank's default tolerance. For a
     square nonsingular G this is also the generalized least-squares estimate
     under any noise covariance, so noisy and noiseless systems share the
     path. A single system is the stack with no leading axes, so its results
@@ -229,5 +228,7 @@ def decode(system: LinearSystem) -> DecodeResult:
     else:
         estimates = np.full(system.y.shape, np.nan, dtype=complex)
         estimates[decoded] = est[..., 0]
-        rank[~decoded] = np.linalg.matrix_rank(G[~decoded])
+        failed = sv[~decoded]  # np.linalg.matrix_rank's default rule, on these singular values
+        tol = failed[:, :1] * (G.shape[-1] * np.finfo(sv.dtype).eps)
+        rank[~decoded] = np.count_nonzero(failed > tol, axis=-1)
     return DecodeResult(system.receiver, success, estimates, rank, condition, decoded)

@@ -17,7 +17,7 @@ later slot), "N" for none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property, lru_cache
 
@@ -102,11 +102,11 @@ class Schedule:
         _check_phase1(self.N, self.k, keys[:first])
         _check_balance(self.M, self.N, self.k, self.members[first:, :, 0], keys[first:])
 
-    @property
+    @cached_property
     def T(self) -> int:
         return len(self.members)
 
-    @property
+    @cached_property
     def phase1_len(self) -> int:
         return self.k * self.N
 
@@ -124,55 +124,69 @@ class Schedule:
 
         A row is (copy, slot, partner, linked). Each copy has M rows: the
         direct row first, at the copy's phase-1 slot with partner and linked
-        slot -1; then one row per pair slot in slot order, whose linked slot is
-        the partner's phase-1 broadcast that the receiver stored as
-        interference.
+        slot -1; then its pair rows, pair_rows in this layout.
         """
-        first, t1, N, k, M = self.phase1_len, self.phase1_slots, self.N, self.k, self.M
-        pairs = self.members[first:]
-        partner = pairs[:, ::-1]  # each member's partner, in the member's place
-        rows = np.empty(pairs.shape[:2] + (4,), dtype=np.intp)  # (P, 2, 4), one per member
-        rows[..., 0] = pairs[..., 1]
-        rows[..., 1] = np.arange(first, self.T)[:, None]
-        rows[..., 2] = partner[..., 0]
-        rows[..., 3] = t1[partner[..., 0], partner[..., 1]]
-        # a stable sort keeps slot order within each (receiver, copy); balance
-        # gives every one of them exactly M-1 rows
-        order = np.argsort((pairs[..., 0] * k + pairs[..., 1]).ravel(), kind="stable")
+        N, k, M = self.N, self.k, self.M
         table = np.empty((N, k, M, 4), dtype=np.intp)
-        table[:, :, 0, 0] = np.arange(k)
-        table[:, :, 0, 1] = t1
+        table[..., 0] = np.arange(k)[:, None]
+        table[:, :, 0, 1] = self.phase1_slots
         table[:, :, 0, 2:] = -1
-        table[:, :, 1:] = rows.reshape(-1, 4)[order].reshape(N, k, M - 1, 4)
-        return read_only(table.reshape(N, k * M, 4))
+        table[:, :, 1:, 1:] = np.moveaxis(self.pair_rows[:3].reshape(3, N, k, M - 1), 0, -1)
+        return read_only(table).reshape(N, k * M, 4)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """(N, T) int8 table of the ObservationKind code of each receiver's value in each slot:
+        the one "who is served" table, built from members."""
+        kind, first = ObservationKind, self.phase1_len
+        entries = np.full((self.N, self.T), kind.DISCARDED.value, dtype=np.int8)
+        entries[:, :first] = kind.INTERFERENCE_PHASE1.value
+        entries[self.members[:first, 0, 0], np.arange(first)] = kind.DESIRED_PHASE1.value
+        entries[self.members[first:, :, 0].T, np.arange(first, self.T)] = kind.COMBINED_PHASE2.value
+        return read_only(entries)
 
     @cached_property
     def used(self) -> np.ndarray:
         """(N, T) bool table of the observations receivers use: all of phase 1, and their pair slots."""
-        used = np.zeros((self.N, self.T), dtype=bool)
-        used[:, : self.phase1_len] = True
-        used[self.members[:, :, 0].T, np.arange(self.T)] = True  # each slot's members
-        return read_only(used)
+        # .value: numpy converts an IntEnum operand slowly
+        return read_only(self.entries != ObservationKind.DISCARDED.value)
 
     @cached_property
-    def entries(self) -> np.ndarray:
-        """(N, T) int8 table of the ObservationKind code of each receiver's value in each slot."""
-        kind = ObservationKind
-        entries = np.where(self.used, kind.COMBINED_PHASE2.value, kind.DISCARDED.value).astype(np.int8)
-        entries[:, : self.phase1_len] = kind.INTERFERENCE_PHASE1.value
-        entries[np.arange(self.N)[:, None], self.phase1_slots] = kind.DESIRED_PHASE1.value
-        return read_only(entries)
+    def pair_rows(self) -> np.ndarray:
+        """(4, N, k(M-1)) index table of each receiver's pair rows, field by field: slot,
+        partner, linked, and own. Per receiver the rows run copy by copy, one per pair
+        slot of the (receiver, copy) in slot order; linked is the partner's phase-1
+        broadcast, which the receiver stored as interference, and own the phase-1 slot
+        of the row's own copy."""
+        first, k, M = self.phase1_len, self.k, self.M
+        keys = self.members[first:, :, 0] * k + self.members[first:, :, 1]  # (P, 2) keys i*k + c
+        # a stable sort keeps slot order within each (receiver, copy); balance
+        # gives every one of them exactly M-1 rows
+        order = np.argsort(keys.ravel(), kind="stable")
+        partner = keys[:, ::-1].ravel()[order]
+        t1 = self.phase1_slots  # t1.ravel() is indexed by the same keys
+        table = np.empty((4, self.N, k, M - 1), dtype=np.intp)
+        rows = table.reshape(4, keys.size)
+        rows[0] = order // 2 + first
+        rows[1] = partner // k
+        rows[2] = t1.ravel()[partner]
+        table[3] = t1[..., None]
+        return read_only(table).reshape(4, self.N, k * (M - 1))
 
     @cached_property
     def pair_reads(self) -> np.ndarray:
         """(4P, 3) index table of the P pair slots' CSIT reads, (receiver, slot, at_slot) in
         read order: pair slot t serving members a and b, broadcast at t_a and t_b, reads
         h_b(t), h_a(t), h_b(t_a), h_a(t_b)."""
-        first = self.phase1_len
+        first, t1 = self.phase1_len, self.phase1_slots
         (a, ca), (b, cb) = self.members[first:].transpose(1, 2, 0)
-        t_a, t_b, t = self.phase1_slots[a, ca], self.phase1_slots[b, cb], np.arange(first, self.T)
-        reads = np.array([(b, t, t), (a, t, t), (b, t_a, t), (a, t_b, t)])
-        return read_only(reads.transpose(2, 0, 1).reshape(-1, 3))
+        t = np.arange(first, self.T)
+        reads = np.empty((len(t), 2, 2, 3), dtype=np.intp)  # per pair slot: current, delayed
+        reads[..., 0] = self.members[first:, None, ::-1, 0]  # b, a
+        reads[:, 0, :, 1] = t[:, None]
+        reads[:, 1, 0, 1], reads[:, 1, 1, 1] = t1[a, ca], t1[b, cb]
+        reads[..., 2] = t[:, None, None]
+        return read_only(reads).reshape(-1, 3)
 
     @cached_property
     def csit(self) -> CsitTable:
@@ -366,17 +380,15 @@ def _member_keys(N: int, k: int, members: np.ndarray) -> np.ndarray:
 def _check_phase1(N: int, k: int, keys: np.ndarray) -> None:
     """Check the (kN, 2) member keys of phase 1: each slot lists one group twice,
     and the slots broadcast every (receiver, copy) exactly once."""
-    split = np.flatnonzero(keys[:, 0] != keys[:, 1])
-    if split.size:
+    if (split := keys[:, 0] != keys[:, 1]).any():  # argmax: the first offender
         raise SchemeConstructionError(
-            f"phase-1 slot {split[0]} lists two groups, expected one group twice"
+            f"phase-1 slot {split.argmax()} lists two groups, expected one group twice"
         )
     counts = np.bincount(keys[:, 0], minlength=k * N)
-    bad = np.flatnonzero(counts != 1)
-    if bad.size:
-        c, i = divmod(int(bad[0]), N)
+    if (bad := counts != 1).any():
+        c, i = divmod(key := int(bad.argmax()), N)
         raise SchemeConstructionError(
-            f"receiver {i} copy {c} is broadcast in {counts[bad[0]]} phase-1 slots, expected 1"
+            f"receiver {i} copy {c} is broadcast in {counts[key]} phase-1 slots, expected 1"
         )
 
 
@@ -392,15 +404,13 @@ def _check_balance(M: int, N: int, k: int, receivers: np.ndarray, keys: np.ndarr
         raise SchemeConstructionError(
             f"phase 2 has {len(keys)} slots, expected {expected_slots}"
         )
-    reused = np.flatnonzero(receivers[:, 0] == receivers[:, 1])
-    if reused.size:
-        raise SchemeConstructionError(f"pair slot reuses receiver {receivers[reused[0], 0]}")
+    if (reused := receivers[:, 0] == receivers[:, 1]).any():
+        raise SchemeConstructionError(f"pair slot reuses receiver {receivers[reused.argmax(), 0]}")
     counts = np.bincount(keys.ravel(), minlength=k * N)
-    bad = np.flatnonzero(counts != M - 1)
-    if bad.size:
-        c, i = divmod(int(bad[0]), N)
+    if (bad := counts != M - 1).any():
+        c, i = divmod(key := int(bad.argmax()), N)
         raise SchemeConstructionError(
-            f"receiver {i} copy {c} appears in {counts[bad[0]]} pair slots, expected {M - 1}"
+            f"receiver {i} copy {c} appears in {counts[key]} pair slots, expected {M - 1}"
         )
 
 
@@ -438,18 +448,14 @@ build_schedule.cache_clear = _canonical_schedule.cache_clear
 
 
 def build_csit_table(schedule: Schedule) -> CsitTable:
-    """Derive the per-slot CSIT states implied by a schedule.
+    """Derive the per-slot CSIT states implied by a schedule, one per entries code.
 
-    Phase-1 slots give the served receiver nothing and everyone else delayed
-    knowledge; phase-2 slots give the two paired receivers perfect current
-    knowledge and everyone else nothing.
+    Phase-1 slots give the served receiver (desired) nothing and everyone else
+    (stored interference) delayed knowledge; phase-2 slots give the two paired
+    receivers (combined) perfect current knowledge and everyone else
+    (discarded) nothing.
     """
-    s, first = schedule, schedule.phase1_len
-    grid = np.full((s.N, s.T), ord("N"), dtype=np.uint8)
-    grid[:, :first] = ord("D")
-    grid[s.members[:first, 0, 0], np.arange(first)] = ord("N")
-    grid[s.members[first:, :, 0], np.arange(first, s.T)[:, None]] = ord("P")
-    return CsitTable(grid)
+    return CsitTable(np.frombuffer(b"NDPN", np.uint8)[schedule.entries])  # by ObservationKind code
 
 
 def _check_permutation(perm, length: int, label: str) -> np.ndarray:
@@ -469,7 +475,8 @@ def permute_schedule(schedule: Schedule, phase1_perm, phase2_perm) -> Schedule:
     first = schedule.phase1_len
     p1 = _check_permutation(phase1_perm, first, "phase-1 permutation")
     p2 = _check_permutation(phase2_perm, schedule.T - first, "phase-2 permutation")
-    return replace(schedule, members=schedule.members[np.concatenate([p1, p2 + first])])
+    members = schedule.members[np.concatenate([p1, p2 + first])]
+    return Schedule(M=schedule.M, N=schedule.N, case=schedule.case, k=schedule.k, members=members)
 
 
 def count_csit_variants(M: int, N: int) -> int:

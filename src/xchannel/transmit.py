@@ -71,7 +71,7 @@ class TransmitPlan:
         """All transmit vectors as an (..., M, T) matrix, computed once and cached."""
         if self._signals is None:
             members = self.schedule.members
-            w = np.swapaxes(self.messages.w, -1, -2)[..., members[..., 0], members[..., 1], :]
+            w = self.messages.w.swapaxes(-1, -2)[..., members[..., 0], members[..., 1], :]
             X = np.ascontiguousarray(np.einsum("...tmj,...tmj->...jt", self.coefficients, w))
             X.setflags(write=False)
             self._signals = X
@@ -111,7 +111,7 @@ def build_transmit_plan(
     coefficients = np.zeros(draws + (schedule.T, 2, schedule.M), dtype=complex)
     coefficients[..., :first, 0, :] = 1.0
     pair = coefficients[..., first:, :, :]
-    pair[...] = rows[..., 2:, :] / rows[..., :2, :]
+    np.divide(rows[..., 2:, :], rows[..., :2, :], out=pair)
     scale = np.ones(draws + (schedule.T,))
     if normalize:
         norms = np.sqrt(np.abs(pair[..., 0, :]) ** 2 + np.abs(pair[..., 1, :]) ** 2)

@@ -169,8 +169,7 @@ class TestGenerateChannels:
 class TestGenerateMessages:
     def test_shape(self):
         ms = generate_messages(3, 4, 2, seed=0)
-        assert ms.w.shape == (4, 3, 2)
-        assert (ms.M, ms.N, ms.k) == (3, 4, 2)
+        assert ms.w.shape == (4, 3, 2)  # (N, M, k): the dimensions are the array's
 
     def test_deterministic(self):
         a = generate_messages(2, 3, 1, seed=5)
@@ -231,7 +230,7 @@ class TestReceivedSignal:
         ch = generate_channels(M, N, s.T, seed=seed)
         if w is None:
             w = generate_messages(M, N, s.k, seed=seed + 100).w
-        ms = MessageSet(M=M, N=N, k=s.k, w=w)
+        ms = MessageSet(w=w)
         plan = build_transmit_plan(s, ms, ch, build_csit_table(s))
         log = observe_all(plan, ch, noise)
         return ch, plan.signal_matrix(), log.values
@@ -285,7 +284,7 @@ def test_realizations_hold_no_seed():
     assert [f.name for f in dataclasses.fields(ch)] == ["M", "N", "T", "h", "slots", "columns"]
     ms = generate_messages(2, 2, 1, seed=45)
     assert isinstance(ms, MessageSet)
-    assert [f.name for f in dataclasses.fields(ms)] == ["M", "N", "k", "w"]
+    assert [f.name for f in dataclasses.fields(ms)] == ["w"]
 
 
 def test_run_streams_key_and_counter():

@@ -97,7 +97,11 @@ class TestSimulateMode:
          "9820e9b255a322d8913d4dda980773e65046c2099e91552b057ab2bf5fe320ee"),
         (["--M", "2", "--N", "4", "--seeds", "0", "1", "2", "--noise", "off"],
          "0347273250f838ca39fba4701a457601d25ffa31db70d736ad10834357142fe6"),
-    ], ids=["4x6-noisy-normalized", "2x4-noiseless"])
+        (["--M", "32", "--N", "32", "--seeds", "0", "--noise", "off"],
+         "6ee69510580f2bc4b3fe7398d6000a2ca0c4d2e0ecff0090a1baf74df6109db0"),
+        (["--M", "4", "--N", "3", "--seeds", "0", "1", "--noise", "off"],
+         "ceed7b57c213545d2edee0bce597a8b17610e5c78e41c62ef16ca8854afc713e"),
+    ], ids=["4x6-noisy-normalized", "2x4-noiseless", "32x32-noiseless", "4x3-k2-noiseless"])
     def test_output_bytes_are_pinned(self, args, digest, capsys):
         # sha256 of the whole JSON, so no change to how runs and records are built
         # can alter a byte unnoticed

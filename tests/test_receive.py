@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from xchannel.analysis import sum_rate
-from xchannel.channel import ChannelRealization, generate_channels, generate_messages, generate_noise
+from xchannel.channel import (ChannelRealization, generate_channels, generate_messages, generate_noise,
+                              slot_tables)
 from xchannel.receive import (
     CONDITION_LIMIT,
     LinearSystem,
@@ -156,7 +157,7 @@ class TestCancelInterference:
         table = build_csit_table(s)
         h = np.ones((3, 3, s.T), dtype=complex)
         h.setflags(write=False)
-        ch = ChannelRealization(M=3, N=3, T=s.T, h=h)
+        ch = ChannelRealization(3, 3, s.T, h, *slot_tables(None, 3, s.T))
         ms = generate_messages(3, 3, 1, seed=1)
         plan = build_transmit_plan(s, ms, ch, table)
         log = observe_all(plan, ch)
@@ -388,6 +389,29 @@ class TestStackedDecode:
         assert res.estimates.shape == (2, 3, 4) and np.isnan(res.estimates).all()
         assert np.array_equal(res.rank, np.zeros((2, 3))) and np.isinf(res.condition).all()
 
+    @pytest.mark.parametrize("m", [1, 2, 4, 7])
+    def test_failed_rank_equals_matrix_rank(self, m):
+        # a failed system's rank comes from the decode's own singular values, by
+        # np.linalg.matrix_rank's default tolerance: zeroed, rank-1, rank-(m-1),
+        # ill-conditioned but full rank, and one that decodes
+        rng = np.random.default_rng(m)
+
+        def normals(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        deficient = normals(m, m)
+        deficient[-1] = deficient[0] * (1 + 2j) if m > 1 else 0
+        stack = np.stack([np.zeros((m, m)), np.outer(normals(m), normals(m)), deficient,
+                          np.diag([1.0] * (m - 1) + [1e-13]), normals(m, m), 1e-300 * normals(m, m)])
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd, \
+                mock.patch.object(np.linalg, "matrix_rank", side_effect=AssertionError("second SVD")):
+            res = decode(self._stack(stack))
+        assert svd.call_count == 1
+        want = [int(np.linalg.matrix_rank(G)) for G in stack]
+        assert res.rank.tolist() == want and res.rank.dtype == np.array(m).dtype
+        assert res.decoded.tolist() == [False, m == 1, False, m == 1, True, True]
+        assert want[:2] == [0, 1]
+
     def test_single_system_is_a_row_of_the_stack(self):
         rng = np.random.default_rng(3)
         G = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
@@ -411,6 +435,15 @@ class TestStackedDecode:
         for name in ("decoded", "rank", "condition"):
             assert getattr(res.decoding, name).shape == (2, 3)
 
+    def test_empty_seed_list_rejected(self):
+        # a run needs a draw: an empty list names itself instead of failing to unpack
+        with pytest.raises(ValueError, match=r"^seed must list at least one seed, got \[\]$"):
+            run_simulation(3, 3, seed=[])
+
+    def test_empty_draw_range_rejected(self):
+        with pytest.raises(ValueError, match=r"^draws must hold at least one draw, got range\(4, 4\)$"):
+            run_simulation(3, 3, seed=7, draws=range(4, 4))
+
     def test_truth_follows_the_flat_decode_order(self):
         res = run_simulation(3, 2, seed=[1, 2])
         assert res.truths.shape == (4, 3)
@@ -421,12 +454,22 @@ class TestStackedDecode:
             np.testing.assert_allclose(estimates[i], truth, rtol=1e-8)
 
     def test_relative_errors_computed_once(self):
-        res = run_simulation(3, 3, seed=2)
-        with mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
+        # one stacked norm pass over every system: two dot products (real and imaginary
+        # parts), whatever the number of systems, and no per-row norm
+        res = run_simulation(3, 3, seed=[2, 3])
+        with mock.patch.object(np, "vecdot", wraps=np.vecdot) as vecdot, \
+                mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
             errors = res.relative_errors()
             assert res.all_recovered()
             assert res.relative_errors() == errors
-        assert norm.call_count == 2 * 3  # estimate error and truth norm per system, once
+        assert vecdot.call_count == 2 and norm.call_count == 0
+
+    @pytest.mark.parametrize("M,N,seeds", [(3, 3, [2]), (4, 3, [0, 1]), (8, 8, [5]), (16, 16, [1]), (2, 4, [7, 8])])
+    def test_relative_errors_equal_per_row_norms_bit_for_bit(self, M, N, seeds):
+        res = run_simulation(M, N, seed=seeds, noise_enabled=True)
+        estimates = res.decoding.estimates.reshape(res.truths.shape)
+        want = [float(np.linalg.norm(e - t) / np.linalg.norm(t)) for e, t in zip(estimates, res.truths)]
+        assert res.relative_errors() == want
 
     def test_noiseless_stack_sigma_is_zero(self):
         _, _, _, _, log = make_log(3, 4)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xchannel.schedule import (
+    ObservationKind as K,
     Schedule,
     SchemeCase,
     SchemeConstructionError,
@@ -307,6 +308,61 @@ class TestDecodeRows:
                 assert rows.shape == (N, s.k * M, 4) and rows.dtype == np.intp
                 assert not rows.flags.writeable
                 assert rows.tolist() == loop_decode_rows(s), (M, N)
+
+
+def loop_tables(s) -> dict:
+    """Plain-loop references, from members alone, for the (N, T) tables, the pair reads and the
+    pair rows: each phase-1 slot serves its group's receiver and stores interference at everyone
+    else; each pair slot serves its two members and everyone else discards it."""
+    first, T, N = s.phase1_len, s.T, s.N
+    members = [[tuple(m) for m in slot] for slot in s.members.tolist()]
+    t1 = {members[t][0]: t for t in range(first)}  # (receiver, copy) -> its phase-1 slot
+    used = [[False] * T for _ in range(N)]
+    entries = [[int(K.DISCARDED)] * T for _ in range(N)]
+    states = [["N"] * T for _ in range(N)]
+    for t in range(first):
+        for i in range(N):
+            served = i == members[t][0][0]
+            used[i][t] = True
+            entries[i][t] = int(K.DESIRED_PHASE1 if served else K.INTERFERENCE_PHASE1)
+            states[i][t] = "N" if served else "D"
+    reads = []
+    rows = [[[] for _ in range(s.k)] for _ in range(N)]  # per (receiver, copy), in slot order
+    for t in range(first, T):
+        (a, ca), (b, cb) = members[t]
+        for i in (a, b):
+            used[i][t], entries[i][t], states[i][t] = True, int(K.COMBINED_PHASE2), "P"
+        reads += [[b, t, t], [a, t, t], [b, t1[a, ca], t], [a, t1[b, cb], t]]
+        rows[a][ca].append((t, b, t1[b, cb], t1[a, ca]))
+        rows[b][cb].append((t, a, t1[a, ca], t1[b, cb]))
+    pair_rows = [[[row[f] for per in rows[i] for row in per] for i in range(N)] for f in range(4)]
+    return {"used": used, "entries": entries, "states": tuple("".join(r) for r in states),
+            "pair_reads": reads, "pair_rows": pair_rows}
+
+
+class TestScheduleTables:
+    @pytest.mark.parametrize("M", range(1, 13))
+    def test_match_plain_loops(self, M):
+        # canonical schedules and 3 random permutations of each, N = 2..12
+        rng = np.random.default_rng(100 + M)
+        for N in range(2, 13):
+            base = build_schedule(M, N)
+            first = base.phase1_len
+            permuted = [
+                permute_schedule(base, rng.permutation(first), rng.permutation(base.T - first))
+                for _ in range(3)
+            ]
+            for s in [base, *permuted]:
+                want = loop_tables(s)
+                k, T, P = s.k, s.T, s.T - first
+                for name, shape, dtype in [("used", (N, T), bool), ("entries", (N, T), np.int8),
+                                           ("pair_reads", (4 * P, 3), np.intp),
+                                           ("pair_rows", (4, N, k * (M - 1)), np.intp)]:
+                    table = getattr(s, name)
+                    assert table.shape == shape and table.dtype == dtype, (name, M, N)
+                    assert not table.flags.writeable
+                    assert table.tolist() == want[name], (name, M, N)
+                assert s.csit.grid.dtype == np.uint8 and s.csit.states == want["states"], (M, N)
 
 
 class TestPairingHelpers:

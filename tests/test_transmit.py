@@ -8,6 +8,7 @@ from xchannel.channel import (
     MessageSet,
     generate_channels,
     generate_messages,
+    slot_tables,
 )
 from xchannel.schedule import CsitTable, build_csit_table, build_schedule
 from xchannel.transmit import (
@@ -70,7 +71,7 @@ class TestPhase2Coefficients:
         table = build_csit_table(s)
         h = np.ones((3, 3, s.T), dtype=complex)
         h.setflags(write=False)
-        ch = ChannelRealization(M=3, N=3, T=s.T, h=h)
+        ch = ChannelRealization(3, 3, s.T, h, *slot_tables(None, 3, s.T))
         ms = generate_messages(3, 3, 1, seed=1)
         plan = build_transmit_plan(s, ms, ch, table)
         X = plan.signal_matrix()
