@@ -15,7 +15,6 @@ from .analysis import (
 )
 from .channel import (
     ChannelRealization,
-    MessageSet,
     generate_channels,
     generate_messages,
     generate_noise,

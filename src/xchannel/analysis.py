@@ -73,8 +73,9 @@ class DofReport:
 def dof_report(schedule: Schedule) -> DofReport:
     """One message per slot-normalized unknown: kMN messages over T slots."""
     s = schedule
-    achieved, closed = Fraction(s.message_count, s.T), Fraction(2 * s.M, s.M + 1)
-    return DofReport(s.M, s.N, s.case.value, s.k, s.T, s.message_count, achieved, closed, achieved == closed)
+    count = s.k * s.M * s.N
+    achieved, closed = Fraction(count, s.T), Fraction(2 * s.M, s.M + 1)
+    return DofReport(s.M, s.N, s.case.value, s.k, s.T, count, achieved, closed, achieved == closed)
 
 
 @dataclass(frozen=True)
@@ -327,11 +328,8 @@ def _hand_report(seed, stored, column, w, X_pipe, Y_pipe, slots, discarded_got,
     return OracleReport(seed=seed, passed=all(c.passed for c in checks), checks=tuple(checks))
 
 
-def oracle_verify_3user(
-    seed: int | tuple | list = 0,
-    tol: float = 1e-12,
-) -> OracleReport | tuple[OracleReport, ...]:
-    """Check run_simulation(3, 3, seed) against hand-written per-slot formulas.
+def oracle_verify_3user(seeds, tol: float = 1e-12) -> tuple[OracleReport, ...]:
+    """Check run_simulation(3, 3, seeds) against hand-written per-slot formulas.
 
     The run's channels are read cell by cell through their (receiver, slot)
     lookup. Every transmitted signal, every used received value, all six
@@ -342,36 +340,33 @@ def oracle_verify_3user(
     tampered stage of run_simulation makes the first divergent check fail,
     which is how the oracle itself is exercised.
 
-    A sequence of seeds is one stacked run_simulation, one draw per seed,
-    and returns one report per seed in order. The hand formulas hard-code
+    The sequence of seeds is one stacked run_simulation, one draw per seed,
+    and gives one report per seed in order. The hand formulas hard-code
     the slot layout of the canonical (3, 3) schedule, which run_simulation
     builds.
     """
-    stacked = np.ndim(seed) > 0
-    seeds = list(seed) if stacked else [seed]
+    seeds = list(seeds)
     if not seeds:
         return ()
-    sim = run_simulation(3, 3, seed)
+    sim = run_simulation(3, 3, seeds)
     channels, log, d = sim.channels, sim.log, sim.decoding
-    D = len(seeds)
     per_draw = zip(
         seeds,
-        channels.h.reshape(D, 3, 3, -1).tolist(),
-        sim.messages.w[..., 0].reshape(D, 3, 3).tolist(),
-        sim.plan.signal_matrix().reshape(D, 3, 6).tolist(),
-        log.values.reshape(D, 3, 6).tolist(),
-        d.estimates.reshape(D, 3, 3).tolist(),
-        np.reshape(d.decoded, (D, 3)).tolist(),
+        channels.h.tolist(),
+        sim.messages[..., 0].tolist(),
+        sim.plan.signal_matrix().tolist(),
+        log.values.tolist(),
+        d.estimates.tolist(),
+        d.decoded.tolist(),
     )
     column, slots, entries = channels.columns.tolist(), channels.slots.tolist(), log.entries.tolist()
     discarded_got = {
         (i, t) for i in range(3) for t in range(6) if entries[i][t] == ObservationKind.DISCARDED
     }
-    reports = tuple(
+    return tuple(
         _hand_report(s, stored, column, w, X_pipe, Y_pipe, slots, discarded_got, estimates, decoded, tol)
         for s, stored, w, X_pipe, Y_pipe, estimates, decoded in per_draw
     )
-    return reports if stacked else reports[0]
 
 
 def _check(name: str, bad: list, failure: str, success: str) -> CheckResult:
@@ -399,7 +394,7 @@ def verify_suite(
         )
     )
 
-    reports = oracle_verify_3user(seed=tuple(range(oracle_seeds)))
+    reports = oracle_verify_3user(range(oracle_seeds))
     failed = [r.seed for r in reports if not r.passed]
     checks.append(_check(f"oracle-3x3-{oracle_seeds}-seeds", failed,
                          f"failing seeds {failed}", f"{oracle_seeds} seeds"))

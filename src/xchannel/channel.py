@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "ChannelRealization",
-    "MessageSet",
     "generate_channels",
     "generate_messages",
     "generate_noise",
@@ -37,23 +36,26 @@ def read_only(table: np.ndarray) -> np.ndarray:
     return owner.view()
 
 
-def run_streams(seed: int, count: int = 3, draws=None) -> tuple:
-    """The first count of the channel, message and noise streams of the run with this seed, each
-    the tuple (key0, key1, draw, stream): Philox4x64 with the key (key0, key1) and the counter
-    (0, 0, draw, stream) (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011).
-    The key is the seed's two 64-bit words, low first; a seed of 2**128 or more is hashed once,
-    to SeedSequence(seed).generate_state(2, uint64). A single run is draw 0; with draws, count
-    tuples over the draws. A stream would have to draw 2**128 blocks before its counter reached
-    another stream's, so no two streams of a key share a random number."""
+def run_streams(seed: int, count: int = 3, draws=None) -> np.ndarray:
+    """The first count of the channel, message and noise streams of the run with this seed, as a
+    read-only uint64 (count, 4) array of rows (key0, key1, draw, stream): Philox4x64 with the key
+    (key0, key1) and the counter (0, 0, draw, stream) (Salmon et al., "Parallel Random Numbers: As
+    Easy as 1, 2, 3", SC 2011). The key is the seed's two 64-bit words, low first; a seed of
+    2**128 or more is hashed once, to SeedSequence(seed).generate_state(2, uint64). A single run
+    is draw 0; with draws, a (count, D, 4) array over the D draws. A stream would have to draw
+    2**128 blocks before its counter reached another stream's, so no two streams of a key share
+    a random number."""
     if (seed := operator.index(seed)) < 0:  # TypeError for a float or a SeedSequence
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if seed >> 128:
-        key = tuple(np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist())
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     else:
         key = (seed & _MASK64, seed >> 64)
-    if draws is None:
-        return tuple(key + (0, c) for c in range(count))
-    return tuple(tuple(key + (d, c) for d in draws) for c in range(count))
+    streams = np.empty((count, 1 if draws is None else len(draws), 4), dtype=np.uint64)
+    streams[..., :2] = key
+    streams[..., 2] = 0 if draws is None else draws
+    streams[..., 3] = np.arange(count)[:, None]
+    return read_only(streams)[:, 0] if draws is None else read_only(streams)
 
 
 def _generator() -> np.random.Generator:
@@ -64,18 +66,18 @@ def _generator() -> np.random.Generator:
     return _local.rng
 
 
-def _complex_normals(seed, shape, nonzero: bool = False) -> np.ndarray:
-    """CN(0, 1) samples of shape from one stream tuple, or stacked on a leading axis for a tuple
-    of them; an int seed is stream 0 of its run, run_streams(seed, 1)[0]. A stream's normals fill
-    the cells in C order, real then imaginary part of each, straight into the output, which is
-    then scaled in place by sqrt(1/2); nonzero redraws exact zeros, continuing the stream."""
-    if isinstance(seed, (int, np.integer)):
-        seed = run_streams(seed, 1)[0]
-    streams, lead = (seed, (len(seed),)) if isinstance(seed[0], tuple) else ((seed,), ())
-    out = np.empty(lead + tuple(shape), dtype=complex)
+def _complex_normals(streams, shape, nonzero: bool = False) -> np.ndarray:
+    """CN(0, 1) samples of shape from each row of a run_streams array, stacked over its leading
+    axes. A stream's normals fill the cells in C order, real then imaginary part of each,
+    straight into the output, which is then scaled in place by sqrt(1/2); nonzero redraws exact
+    zeros, continuing the stream."""
+    if getattr(streams, "dtype", None) != np.uint64 or np.shape(streams)[-1:] != (4,):
+        raise ValueError(f"streams must be a uint64 (..., 4) array of run_streams rows, got {streams!r}")
+    rows = streams.reshape(-1, 4).tolist()
+    out = np.empty(streams.shape[:-1] + tuple(shape), dtype=complex)
     scale = math.sqrt(0.5)  # the variance of a CN(0, 1) cell's real and imaginary parts is 1/2
     rng = _generator()
-    for drawn, (key0, key1, draw, index) in zip(out.reshape(len(streams), -1), streams):
+    for drawn, (key0, key1, draw, index) in zip(out.reshape(len(rows), -1), rows):
         rng.bit_generator.state = _EMPTY_PHILOX | {"state": {"key": (key0, key1), "counter": (0, 0, draw, index)}}
         normals = drawn.view(float)
         rng.standard_normal(out=normals)
@@ -98,8 +100,7 @@ class ChannelRealization:
         the coefficient from transmitter j to receiver i in slot slots[i, u]. Every
         stored entry has magnitude > 0.
     slots : ndarray
-        Read-only (N, U) table of the slots stored per receiver, ascending;
-        slot_tables(None, N, T) stores every slot (U = T).
+        Read-only (N, U) table of the slots stored per receiver, ascending.
     columns : ndarray
         Read-only (N, T) lookup of (receiver, slot) to its column of h, given with
         slots (slot_tables); U where the slot is not stored, so gathering it raises IndexError.
@@ -118,22 +119,10 @@ class ChannelRealization:
         return self.h.swapaxes(-1, -2)[..., receiver, self.columns[receiver, slot], :]
 
 
-@dataclass(frozen=True, eq=False)
-class MessageSet:
-    """Independent message symbols w[i, j, c] for receiver i from transmitter j.
-
-    The copy axis c covers the k replicas used by schedules that double the
-    message load. Symbols are i.i.d. CN(0, 1), i.e. unit average power, drawn
-    as by generate_channels.
-    """
-
-    w: np.ndarray  # complex, shape (..., N, M, k)
-
-
 def slot_tables(mask, N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only (N, U) slots an (N, T) bool mask selects per receiver, U >= 1 in every row,
     and the read-only (N, T) lookup of each cell's column among them, U where not selected."""
-    mask = np.ones((N, T), dtype=bool) if mask is None else np.asarray(mask)
+    mask = np.asarray(mask)
     if mask.dtype != bool or mask.shape != (N, T):
         raise ValueError(f"mask must be a bool array of shape {(N, T)}, got {mask.dtype} {mask.shape}")
     counts = mask.sum(axis=1).tolist()
@@ -144,39 +133,41 @@ def slot_tables(mask, N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only(np.nonzero(mask)[1].reshape(N, -1)), read_only(columns)
 
 
-def generate_channels(M: int, N: int, T: int, seed, *,
-                      stored: tuple[np.ndarray, np.ndarray] | None = None) -> ChannelRealization:
+def generate_channels(M: int, N: int, T: int, streams, *,
+                      stored: tuple[np.ndarray, np.ndarray]) -> ChannelRealization:
     """Draw i.i.d. CN(0, 1) channel coefficients, resampling exact zeros.
 
     stored is slot_tables(mask, N, T) of an (N, T) bool mask, as Schedule.stored for its
     used table: it draws only the coefficients h[i, :, t] with mask[i, t] set, in C order
     of (N, M, T), real then imaginary part of each, and stores them in that order as an
-    (N, M, U) tensor with the mask's rows as slots. None stores all T slots, bit for bit as
-    the tables of an all-True mask. seed is a stream tuple of run_streams or an int seed,
-    the stream run_streams(seed, 1)[0]; a tuple of D stream tuples fills a (D, N, M, U) stack.
+    (N, M, U) tensor with the mask's rows as slots. streams is a run_streams array: one (4,)
+    stream draws an (N, M, U) tensor, a (D, 4) stack a (D, N, M, U) stack.
 
     Raises
     ------
     ValueError
-        If any dimension is smaller than 1.
+        If any dimension is smaller than 1, or streams is not a run_streams array.
     """
     if M < 1 or N < 1 or T < 1:
         raise ValueError(f"dimensions must be at least 1, got M={M} N={N} T={T}")
-    slots, columns = slot_tables(None, N, T) if stored is None else stored
-    h = read_only(_complex_normals(seed, (N, M, slots.shape[1]), nonzero=True))
+    slots, columns = stored
+    h = read_only(_complex_normals(streams, (N, M, slots.shape[1]), nonzero=True))
     return ChannelRealization(M=M, N=N, T=T, h=h, slots=slots, columns=columns)
 
 
-def generate_messages(M: int, N: int, k: int, seed) -> MessageSet:
-    """Draw the k*M*N unit-power message symbols for one stream, or a stack for a tuple of them."""
+def generate_messages(M: int, N: int, k: int, streams) -> np.ndarray:
+    """Draw the read-only (N, M, k) unit-power message symbols w[i, j, c] for receiver i from
+    transmitter j, copy c, for one run_streams stream, or a (..., N, M, k) stack over its leading
+    axes. The k copies are the replicas of schedules that double the message load."""
     if M < 1 or N < 1:
         raise ValueError(f"dimensions must be at least 1, got M={M} N={N}")
     if k not in (1, 2):
         raise ValueError(f"replication factor must be 1 or 2, got {k}")
-    return MessageSet(w=read_only(_complex_normals(seed, (N, M, k))))
+    return read_only(_complex_normals(streams, (N, M, k)))
 
 
-def generate_noise(N: int, U: int, seed) -> np.ndarray:
+def generate_noise(N: int, U: int, streams) -> np.ndarray:
     """Draw the read-only unit-variance CN(0, 1) receiver noise of the (N, U) stored cells, in the
-    order of ChannelRealization.slots, for one stream, or a (D, N, U) stack for a tuple of them."""
-    return read_only(_complex_normals(seed, (N, U)))
+    order of ChannelRealization.slots, for one run_streams stream, or a (..., N, U) stack over its
+    leading axes."""
+    return read_only(_complex_normals(streams, (N, U)))

@@ -60,7 +60,7 @@ class LinearSystem:
     """Square decoding systems G w = y, stacked over leading axes (draws, then receivers).
 
     Unknowns are ordered copy-major: index c*M + j holds message w[i, j, c].
-    Rows follow schedule.decode_rows[receiver]. sigma is the covariance of
+    Rows run copy by copy: the phase1_slots row, then the pair_rows. sigma is the covariance of
     y's unit-variance noise (all zero for noiseless runs); noise_map is the
     (kM, T) matrix B with y_noise = B @ n[i, :], so sigma = B B^T.
 
@@ -131,9 +131,9 @@ def observe_all(
 def cancel_interference(log: ObservationLog, receiver) -> tuple[np.ndarray, np.ndarray]:
     """Subtract stored replays from every combined observation of one receiver.
 
-    Returns (rows, values) for the pair rows of schedule.decode_rows[receiver],
-    in that order, indexed by the schedule's pair_rows table. rows[r] holds the
-    coefficients on the messages of the row's copy; noiselessly
+    Returns (rows, values) for the receiver's pair rows, in the order of the
+    schedule's pair_rows table. rows[r] holds the coefficients on the
+    messages of the row's copy; noiselessly
     rows[r] @ w[receiver, :, copy] == values[r].
     An index array of R receivers does all of them in one pass: the arrays
     gain an R axis after the log's draw axes. Each linked slot is the
@@ -157,9 +157,9 @@ def cancel_interference(log: ObservationLog, receiver) -> tuple[np.ndarray, np.n
 def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
     """Stack direct and subtraction rows into the receiver's kM x kM system.
 
-    Row r is schedule.decode_rows[receiver, r]: per copy the phase-1 direct
-    observation first (at schedule.phase1_slots), then the copy's M-1
-    subtraction rows in slot order (schedule.pair_rows).
+    Per copy the phase-1 direct observation comes first (at
+    schedule.phase1_slots), then the copy's M-1 subtraction rows in slot
+    order (schedule.pair_rows).
     Each copy's M rows involve only its own M unknowns, so G is block
     diagonal; its rows are written into G copy by copy. The other arrays are
     built per copy, as (k, M, ...), then flattened. An index array of

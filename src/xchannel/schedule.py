@@ -119,22 +119,6 @@ class Schedule:
         return read_only(slots)
 
     @cached_property
-    def decode_rows(self) -> np.ndarray:
-        """(N, kM, 4) index table of each receiver's decoding rows.
-
-        A row is (copy, slot, partner, linked). Each copy has M rows: the
-        direct row first, at the copy's phase-1 slot with partner and linked
-        slot -1; then its pair rows, pair_rows in this layout.
-        """
-        N, k, M = self.N, self.k, self.M
-        table = np.empty((N, k, M, 4), dtype=np.intp)
-        table[..., 0] = np.arange(k)[:, None]
-        table[:, :, 0, 1] = self.phase1_slots
-        table[:, :, 0, 2:] = -1
-        table[:, :, 1:, 1:] = np.moveaxis(self.pair_rows[:3].reshape(3, N, k, M - 1), 0, -1)
-        return read_only(table).reshape(N, k * M, 4)
-
-    @cached_property
     def entries(self) -> np.ndarray:
         """(N, T) int8 table of the ObservationKind code of each receiver's value in each slot:
         the one "who is served" table, built from members."""
@@ -198,10 +182,6 @@ class Schedule:
         """slot_tables(used, N, T), built once: the (N, U) slots a run stores and their (N, T) columns."""
         return slot_tables(self.used, self.N, self.T)
 
-    @property
-    def message_count(self) -> int:
-        return self.k * self.M * self.N
-
     def to_dict(self) -> dict:
         first, members = self.phase1_len, self.members.tolist()
         return {
@@ -237,9 +217,6 @@ class CsitTable:
     def states(self) -> tuple[str, ...]:
         """Per-receiver state strings, one character per slot."""
         return tuple(row.tobytes().decode() for row in self.grid)
-
-    def state(self, receiver: int, slot: int) -> str:
-        return chr(self.grid[receiver, slot])
 
     def to_dict(self) -> dict:
         return {"states": [list(row) for row in self.states]}
@@ -316,8 +293,6 @@ def _pair_sequence_m_ge_n(N: int, appearances: int) -> list[tuple[int, int]]:
     two missing appearances for odd N. Prefixes therefore stay balanced at
     every unit boundary, which is what makes truncation safe.
     """
-    if appearances == 0:
-        return []
     lex = [(a, b) for a in range(N) for b in range(a + 1, N)]
     q, r = divmod(appearances, N - 1)
     seq = lex * q
@@ -325,11 +300,7 @@ def _pair_sequence_m_ge_n(N: int, appearances: int) -> list[tuple[int, int]]:
         if N % 2 == 0:
             for matching in one_factorization(N)[:r]:
                 seq.extend(matching)
-        else:
-            if r % 2:
-                raise SchemeConstructionError(
-                    f"odd remainder {r} cannot be balanced over {N} receivers"
-                )
+        else:  # r is even: odd N comes with an even appearance count (M - 1 for odd M, else 2(M - 1))
             for cycle in hamiltonian_cycles(N)[: r // 2]:
                 seq.extend(cycle)
     return seq
@@ -529,7 +500,7 @@ def format_schedule(schedule: Schedule) -> str:
     row += [_group_label(*a, k) + "," + _group_label(*b, k) for a, b in members[first:]]
     summary = (
         f"M={schedule.M} N={schedule.N} case={schedule.case.value} "
-        f"k={schedule.k} T={schedule.T} messages={schedule.message_count}"
+        f"k={schedule.k} T={schedule.T} messages={schedule.k * schedule.M * schedule.N}"
     )
     return summary + "\n" + _phase_split_table(head, [row], first)
 

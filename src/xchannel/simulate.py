@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (ChannelRealization, MessageSet, generate_channels, generate_messages,
-                      generate_noise, read_only, run_streams)
+from .channel import ChannelRealization, generate_channels, generate_messages, generate_noise, read_only, run_streams
 from .receive import DecodeResult, LinearSystem, ObservationLog, assemble_system, decode, observe_all
 from .schedule import Schedule, build_schedule
 from .transmit import TransmitPlan, build_transmit_plan
@@ -24,7 +23,7 @@ class SimulationResult:
 
     schedule: Schedule
     channels: ChannelRealization
-    messages: MessageSet
+    messages: np.ndarray  # the (..., N, M, k) message symbols
     plan: TransmitPlan
     log: ObservationLog
     systems: LinearSystem  # stacked over (draws..., receivers)
@@ -34,7 +33,7 @@ class SimulationResult:
     def truths(self) -> np.ndarray:
         """Read-only (systems, kM) copy-major message vectors the systems should recover, in their
         flat order."""
-        return read_only(self.messages.w.swapaxes(-1, -2).reshape(len(self.systems), -1))
+        return read_only(self.messages.swapaxes(-1, -2).reshape(len(self.systems), -1))
 
     @functools.cached_property
     def _errors(self) -> tuple[float, ...]:
@@ -80,16 +79,14 @@ def run_simulation(
             f"schedule is for M={schedule.M} N={schedule.N}, requested M={M} N={N}"
         )
     count = 3 if noise_enabled else 2
-    if draws is not None:
-        if not len(draws):
-            raise ValueError(f"draws must hold at least one draw, got {draws!r}")
-        streams = run_streams(seed, count, draws=draws)
-    elif np.ndim(seed):
+    if draws is not None and not len(draws):
+        raise ValueError(f"draws must hold at least one draw, got {draws!r}")
+    if np.ndim(seed):  # one draw per seed, stacked on axis 1 after the stream axis
         if not len(seed):
             raise ValueError(f"seed must list at least one seed, got {seed!r}")
-        streams = zip(*(run_streams(s, count) for s in seed))
+        streams = np.stack([run_streams(s, count, draws=draws) for s in seed], axis=1)
     else:
-        streams = run_streams(seed, count)
+        streams = run_streams(seed, count, draws=draws)
     ch_seed, msg_seed, *noise_seed = streams
     channels = generate_channels(M, N, schedule.T, ch_seed, stored=schedule.stored)
     messages = generate_messages(M, N, schedule.k, msg_seed)

@@ -8,11 +8,11 @@ schedule's pair reads, and only after audit_csit_trace grants every one of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, MessageSet, read_only
+from .channel import ChannelRealization, read_only
 from .schedule import CsitTable, Schedule
 
 __all__ = [
@@ -60,27 +60,22 @@ class TransmitPlan:
     """
 
     schedule: Schedule
-    messages: MessageSet
+    messages: np.ndarray  # the (..., N, M, k) message symbols
     coefficients: np.ndarray
     slot_scale: np.ndarray
     csit_reads: np.ndarray  # (K, 3) audited (receiver, slot, at_slot) reads: schedule.pair_reads
     csit_violations: np.ndarray  # the denied reads, in the same form: (0, 3) for a built plan
-    _signals: np.ndarray | None = field(default=None, repr=False)
 
     def signal_matrix(self) -> np.ndarray:
-        """All transmit vectors as an (..., M, T) matrix, computed once and cached."""
-        if self._signals is None:
-            members = self.schedule.members
-            w = self.messages.w.swapaxes(-1, -2)[..., members[..., 0], members[..., 1], :]
-            X = np.ascontiguousarray(np.einsum("...tmj,...tmj->...jt", self.coefficients, w))
-            X.setflags(write=False)
-            self._signals = X
-        return self._signals
+        """All transmit vectors as a read-only (..., M, T) matrix."""
+        members = self.schedule.members
+        w = self.messages.swapaxes(-1, -2)[..., members[..., 0], members[..., 1], :]
+        return read_only(np.ascontiguousarray(np.einsum("...tmj,...tmj->...jt", self.coefficients, w)))
 
 
 def build_transmit_plan(
     schedule: Schedule,
-    messages: MessageSet,
+    messages: np.ndarray,
     channels: ChannelRealization,
     csit: CsitTable,
     normalize: bool = False,
@@ -105,7 +100,7 @@ def build_transmit_plan(
     denied = audit_csit_trace(reads, csit)
     if len(denied):
         receiver, slot, at_slot = denied[0].tolist()
-        raise CsitAccessError(receiver, slot, at_slot, csit.state(receiver, slot))
+        raise CsitAccessError(receiver, slot, at_slot, chr(csit.grid[receiver, slot]))
     first, draws = schedule.phase1_len, channels.h.shape[:-3]
     rows = channels.rows(reads[:, 0], reads[:, 1]).reshape(draws + (-1, 4, schedule.M))
     coefficients = np.zeros(draws + (schedule.T, 2, schedule.M), dtype=complex)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from xchannel.analysis import dof_report, dof_slope, oracle_verify_3user, sweep_rates
-from xchannel.channel import generate_channels, generate_messages, generate_noise
+from xchannel.channel import generate_channels, generate_messages, generate_noise, run_streams, slot_tables
 from xchannel.receive import CONDITION_LIMIT, assemble_system, observe_all
 from xchannel.schedule import (
     build_csit_table,
@@ -25,6 +25,16 @@ from xchannel.simulate import run_simulation
 from xchannel.transmit import audit_csit_trace, build_transmit_plan
 
 GRID = [(M, N) for M in range(1, 9) for N in range(2, 9)]
+
+
+def stream(seed: int) -> np.ndarray:
+    """Stream 0 of draw 0 of the seed's key."""
+    return run_streams(seed, 1)[0]
+
+
+def every_slot(N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slot tables of an all-True mask: a realization that stores all T slots."""
+    return slot_tables(np.ones((N, T), dtype=bool), N, T)
 
 
 def _report(capsys, name, passed, detail):
@@ -39,7 +49,7 @@ def test_criterion_1_hand_oracle_ten_seeds(capsys):
     start = time.perf_counter()
     failures = []
     for seed in range(10):
-        report = oracle_verify_3user(seed=seed, tol=1e-12)
+        (report,) = oracle_verify_3user([seed], tol=1e-12)
         if not report.passed:
             failures.append((seed, next(c.name for c in report.checks if not c.passed)))
     elapsed = time.perf_counter() - start
@@ -114,8 +124,8 @@ def test_criterion_4_csit_contract(capsys):
                     "N": s.T - s.k * (M - 1) - s.k * (N - 1)}
             if c != want:
                 count_bad.append((M, N, i, c))
-        ch = generate_channels(M, N, s.T, seed=0)
-        ms = generate_messages(M, N, s.k, seed=1)
+        ch = generate_channels(M, N, s.T, stream(0), stored=every_slot(N, s.T))
+        ms = generate_messages(M, N, s.k, stream(1))
         plan = build_transmit_plan(s, ms, ch, t)
         if len(plan.csit_violations) or len(audit_csit_trace(plan.csit_reads, t)):
             read_bad.append((M, N))
@@ -191,11 +201,11 @@ def test_criterion_7_noise_covariance_empirical(capsys):
     # correspondence crosschecked through the literal pipeline
     s = build_schedule(3, 3)
     table = build_csit_table(s)
-    ch = generate_channels(3, 3, s.T, seed=0)
-    ms = generate_messages(3, 3, s.k, seed=1)
+    ch = generate_channels(3, 3, s.T, stream(0), stored=every_slot(3, s.T))
+    ms = generate_messages(3, 3, s.k, stream(1))
     plan = build_transmit_plan(s, ms, ch, table)
     clean = observe_all(plan, ch)
-    noisy0 = observe_all(plan, ch, generate_noise(3, s.T, 2))
+    noisy0 = observe_all(plan, ch, generate_noise(3, s.T, stream(2)))
     systems = [assemble_system(noisy0, i) for i in range(3)]
     clean_sys = [assemble_system(clean, i) for i in range(3)]
 
@@ -203,7 +213,7 @@ def test_criterion_7_noise_covariance_empirical(capsys):
     # side minus the clean one equals noise_map @ noise row, exactly
     cross_bad = []
     for seed in range(100):
-        grid = generate_noise(3, s.T, 1000 + seed)
+        grid = generate_noise(3, s.T, stream(1000 + seed))
         log = observe_all(plan, ch, grid)
         for i in range(3):
             sys_i = assemble_system(log, i)

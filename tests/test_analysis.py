@@ -28,7 +28,7 @@ def first_failure(report):
     return next((c.name for c in report.checks if not c.passed), None)
 
 
-def tamper_member(monkeypatch, draw=()):
+def tamper_member(monkeypatch, draw=(0,)):
     """Make run_simulation's plans drop the inverse from one precoding coefficient of
     slot 4 (member (0, 0), transmitter 0), in the given draw of a stacked run."""
     import xchannel.simulate as simulate
@@ -39,7 +39,7 @@ def tamper_member(monkeypatch, draw=()):
         plan = original(schedule, messages, channels, table, **kwargs)
         coefficients = plan.coefficients.copy()
         coefficients[(*draw, 3, 0, 0)] = channels.h[(*draw, 1, 0, 0)]
-        return dataclasses.replace(plan, coefficients=coefficients, _signals=None)
+        return dataclasses.replace(plan, coefficients=coefficients)
 
     monkeypatch.setattr(simulate, "build_transmit_plan", tampering)
 
@@ -214,12 +214,12 @@ class TestSweepAndSlope:
 class TestOracle:
     @pytest.mark.parametrize("seed", range(10))
     def test_passes_many_seeds(self, seed):
-        report = oracle_verify_3user(seed=seed)
+        (report,) = oracle_verify_3user([seed])
         assert report.passed, first_failure(report)
         assert first_failure(report) is None
 
     def test_check_inventory(self):
-        report = oracle_verify_3user(seed=0)
+        (report,) = oracle_verify_3user([0])
         names = [c.name for c in report.checks]
         for t in range(1, 7):
             assert f"transmit-slot-{t}" in names
@@ -231,20 +231,20 @@ class TestOracle:
     def test_tampered_plan_caught(self, monkeypatch):
         # drop the inverse from one precoding coefficient of the run the oracle
         # checks: the slot-4 transmit check must be the first to diverge
-        assert oracle_verify_3user(seed=0).passed
+        assert oracle_verify_3user([0])[0].passed
         tamper_member(monkeypatch)
-        report = oracle_verify_3user(seed=0)
+        (report,) = oracle_verify_3user([0])
         assert not report.passed
         assert first_failure(report) == "transmit-slot-4"
 
     def test_report_records_seed(self):
-        assert oracle_verify_3user(seed=7).seed == 7
+        assert [r.seed for r in oracle_verify_3user([7, 3])] == [7, 3]
 
     def test_seed_sequence_matches_single_calls(self):
-        reports = oracle_verify_3user(seed=tuple(range(10)))
+        reports = oracle_verify_3user(range(10))
         assert isinstance(reports, tuple) and len(reports) == 10
         for seed, report in enumerate(reports):
-            single = oracle_verify_3user(seed=seed)
+            (single,) = oracle_verify_3user([seed])
             assert report.seed == single.seed == seed
             assert report.passed and single.passed
             assert [(c.name, c.passed, c.detail) for c in report.checks] == [
@@ -252,13 +252,13 @@ class TestOracle:
             ]
 
     def test_empty_seed_sequence_gives_no_reports(self):
-        assert oracle_verify_3user(seed=()) == ()
+        assert oracle_verify_3user(()) == ()
 
     def test_stacked_plan_tampered_in_one_draw(self, monkeypatch):
         seeds = (0, 1, 2)
-        assert all(r.passed for r in oracle_verify_3user(seed=seeds))
+        assert all(r.passed for r in oracle_verify_3user(seeds))
         tamper_member(monkeypatch, draw=(1,))
-        reports = oracle_verify_3user(seed=seeds)
+        reports = oracle_verify_3user(seeds)
         assert [r.passed for r in reports] == [True, False, True]
         assert first_failure(reports[1]) == "transmit-slot-4"
 

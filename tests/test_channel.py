@@ -13,7 +13,6 @@ from xchannel import channel, simulate
 from xchannel.analysis import sweep_rates
 from xchannel.channel import (
     ChannelRealization,
-    MessageSet,
     generate_channels,
     generate_messages,
     generate_noise,
@@ -30,8 +29,19 @@ def reference_rng(seed) -> np.random.Generator:
     """A freshly constructed generator on the stream the rule assigns: Philox4x64 keyed by the
     seed's two 64-bit words, its counter (0, 0, draw, stream); an int seed below 2**128 is
     stream 0 of draw 0, a stream tuple (key0, key1, draw, stream) names all four."""
-    key0, key1, draw, stream = (seed, 0, 0, 0) if isinstance(seed, int) else seed
+    key0, key1, draw, stream = (seed, 0, 0, 0) if isinstance(seed, int) else map(int, seed)
     return np.random.Generator(np.random.Philox(key=key0 | key1 << 64, counter=draw << 128 | stream << 192))
+
+
+def stream(seed) -> np.ndarray:
+    """The run_streams row reference_rng(seed) names: stream 0 of draw 0 of an int seed's key,
+    or the words of a stream tuple."""
+    return run_streams(seed, 1)[0] if isinstance(seed, int) else np.array(seed, dtype=np.uint64)
+
+
+def every_slot(N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slot tables of an all-True mask: a realization that stores all T slots."""
+    return slot_tables(np.ones((N, T), dtype=bool), N, T)
 
 
 def reference_normals(rng, shape) -> np.ndarray:
@@ -43,14 +53,14 @@ def reference_normals(rng, shape) -> np.ndarray:
 
 class TestGenerateChannels:
     def test_shape_and_dtype(self):
-        ch = generate_channels(3, 4, 7, seed=0)
+        ch = generate_channels(3, 4, 7, stream(0), stored=every_slot(4, 7))
         assert ch.h.shape == (4, 3, 7)
         assert ch.h.dtype == np.complex128
         assert (ch.M, ch.N, ch.T) == (3, 4, 7)
 
     def test_deterministic_per_seed(self):
-        a = generate_channels(3, 3, 6, seed=42)
-        b = generate_channels(3, 3, 6, seed=42)
+        a = generate_channels(3, 3, 6, stream(42), stored=every_slot(3, 6))
+        b = generate_channels(3, 3, 6, stream(42), stored=every_slot(3, 6))
         np.testing.assert_array_equal(a.h, b.h)
 
     @pytest.mark.parametrize("M,N,T", [(3, 3, 6), (8, 4, 36), (32, 32, 528)])
@@ -58,40 +68,57 @@ class TestGenerateChannels:
     def test_bit_identical_to_reference_expression(self, M, N, T, seed):
         # the in-place fill keeps the stream order of this plain expression
         want = reference_normals(reference_rng(seed), (N, M, T))
-        assert generate_channels(M, N, T, seed).h.tobytes() == want.tobytes()
+        assert generate_channels(M, N, T, stream(seed), stored=every_slot(N, T)).h.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("M,N", [(2, 2), (3, 3), (4, 8)])
     @pytest.mark.parametrize("seed", range(3))
     def test_masked_draw_matches_reference_expression(self, M, N, seed):
         # only the used cells are drawn, in C order of (N, M, T), and stored in
-        # that order; the tables of an all-True mask are the unmasked draw
+        # that order
         s = build_schedule(M, N)
         cells = np.broadcast_to(s.used[:, None, :], (N, M, s.T))
         n = int(cells.sum())
         rng = reference_rng(seed)
         want = np.full((N, M, s.T), complex(np.nan, np.nan))
         want[cells] = reference_normals(rng, (n,))
-        ch = generate_channels(M, N, s.T, seed, stored=slot_tables(s.used, N, s.T))
+        ch = generate_channels(M, N, s.T, stream(seed), stored=slot_tables(s.used, N, s.T))
         assert ch.h.shape == (N, M, n // (N * M))
         assert ch.h.tobytes() == want[cells].tobytes()
         assert np.array_equal(ch.slots, np.nonzero(s.used)[1].reshape(N, -1))
-        everywhere = slot_tables(np.ones((N, s.T), dtype=bool), N, s.T)
-        assert (generate_channels(M, N, s.T, seed, stored=everywhere).h.tobytes()
-                == generate_channels(M, N, s.T, seed).h.tobytes())
 
     def test_seed_tuple_stacks_single_draws(self):
         s = build_schedule(4, 3)
-        seeds = ((5, 0, 0, 0), (1, 0, 2, 1))
-        stack = generate_channels(4, 3, s.T, seeds, stored=slot_tables(s.used, 3, s.T))
+        seeds = stream([(5, 0, 0, 0), (1, 0, 2, 1)])
+        stack = generate_channels(4, 3, s.T, seeds, stored=s.stored)
         U = s.k * (3 + 4 - 1)
         assert stack.h.shape == (2, 3, 4, U)
         messages = generate_messages(4, 3, s.k, seeds)
         grid = generate_noise(3, U, seeds)
         for d, seed in enumerate(seeds):  # bit for bit, all three draws
-            single = generate_channels(4, 3, s.T, seed, stored=slot_tables(s.used, 3, s.T)).h
+            single = generate_channels(4, 3, s.T, seed, stored=s.stored).h
             assert stack.h[d].tobytes() == single.tobytes()
-            assert messages.w[d].tobytes() == generate_messages(4, 3, s.k, seed).w.tobytes()
+            assert messages[d].tobytes() == generate_messages(4, 3, s.k, seed).tobytes()
             assert grid[d].tobytes() == generate_noise(3, U, seed).tobytes()
+
+    def test_four_stream_stack_is_four_draws(self):
+        # a (4, 4) stack is four draws, not one stream read from four words
+        s = build_schedule(3, 3)
+        seeds = run_streams(0, 4)
+        stack = generate_channels(3, 3, s.T, seeds, stored=s.stored)
+        assert stack.h.shape == (4, 3, 3, s.stored[0].shape[1])
+        for d in range(4):
+            assert stack.h[d].tobytes() == generate_channels(3, 3, s.T, seeds[d], stored=s.stored).h.tobytes()
+
+    @pytest.mark.parametrize("streams", [7, (1, 2, 3), (7, 0, 0, 0), np.zeros((2, 5), dtype=np.uint64),
+                                         np.zeros(4, dtype=np.int64)])
+    def test_only_a_stream_array_is_drawn(self, streams):
+        # an int, a tuple or an array of other words or dtype is no stream array: each
+        # raises an error naming run_streams, for channels, messages and noise alike
+        s = build_schedule(3, 3)
+        for draw in (lambda: generate_channels(3, 3, s.T, streams, stored=s.stored),
+                     lambda: generate_messages(3, 3, 1, streams), lambda: generate_noise(3, 4, streams)):
+            with pytest.raises(ValueError, match="run_streams"):
+                draw()
 
     @pytest.mark.parametrize("mask,match", [
         (np.ones((3, 6), dtype=int), r"bool array of shape \(3, 6\), got int\d+ \(3, 6\)"),
@@ -126,7 +153,7 @@ class TestGenerateChannels:
         sims = [run_simulation(4, 3, seed=seed, schedule=s) for seed in (0, 1)]
         for sim in sims:
             assert sim.channels.slots is s.stored[0] and sim.channels.columns is s.stored[1]
-        masked = generate_channels(4, 3, s.T, run_streams(0, 1)[0], stored=slot_tables(s.used, 3, s.T))
+        masked = generate_channels(4, 3, s.T, stream(0), stored=slot_tables(s.used, 3, s.T))
         assert np.array_equal(masked.slots, s.stored[0]) and np.array_equal(masked.columns, s.stored[1])
         assert masked.h.tobytes() == sims[0].channels.h.tobytes()
 
@@ -135,29 +162,29 @@ class TestGenerateChannels:
         assert run_simulation(32, 32, 0).channels.h.nbytes == 16 * 32 * 32 * 63
 
     def test_seeds_differ(self):
-        a = generate_channels(3, 3, 6, seed=1)
-        b = generate_channels(3, 3, 6, seed=2)
+        a = generate_channels(3, 3, 6, stream(1), stored=every_slot(3, 6))
+        b = generate_channels(3, 3, 6, stream(2), stored=every_slot(3, 6))
         assert not np.array_equal(a.h, b.h)
 
     def test_no_zero_entries(self):
         # invertibility of every coefficient is relied on by the precoder
         for seed in range(20):
-            ch = generate_channels(4, 4, 10, seed=seed)
+            ch = generate_channels(4, 4, 10, stream(seed), stored=every_slot(4, 10))
             assert np.all(np.abs(ch.h) > 0)
 
     def test_arrays_write_protected(self):
-        ch = generate_channels(2, 2, 3, seed=0)
+        ch = generate_channels(2, 2, 3, stream(0), stored=every_slot(2, 3))
         with pytest.raises(ValueError):
             ch.h[0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("M,N,T", [(0, 3, 6), (3, 0, 6), (3, 3, 0), (-1, 2, 4)])
     def test_invalid_dims(self, M, N, T):
         with pytest.raises(ValueError):
-            generate_channels(M, N, T, seed=0)
+            generate_channels(M, N, T, stream(0), stored=every_slot(3, 6))
 
     def test_unit_variance_statistics(self):
         # 1e6 draws: E|h|^2 -> 1, Re/Im variance -> 1/2
-        ch = generate_channels(200, 50, 100, seed=7)
+        ch = generate_channels(200, 50, 100, stream(7), stored=every_slot(50, 100))
         h = ch.h
         assert h.size == 10**6
         assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.01
@@ -168,28 +195,30 @@ class TestGenerateChannels:
 
 class TestGenerateMessages:
     def test_shape(self):
-        ms = generate_messages(3, 4, 2, seed=0)
-        assert ms.w.shape == (4, 3, 2)  # (N, M, k): the dimensions are the array's
+        ms = generate_messages(3, 4, 2, stream(0))
+        assert ms.shape == (4, 3, 2)  # (N, M, k): the dimensions are the array's
+        with pytest.raises(ValueError):  # a read-only view of a read-only owner, as run tables are
+            ms.setflags(write=True)
 
     def test_deterministic(self):
-        a = generate_messages(2, 3, 1, seed=5)
-        b = generate_messages(2, 3, 1, seed=5)
-        np.testing.assert_array_equal(a.w, b.w)
+        a = generate_messages(2, 3, 1, stream(5))
+        b = generate_messages(2, 3, 1, stream(5))
+        np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("M,N,k", [(3, 3, 1), (4, 8, 2), (32, 32, 1)])
     @pytest.mark.parametrize("seed", [0, 7, (7, 3, 1, 1)])
     def test_bit_identical_to_reference_expression(self, M, N, k, seed):
         want = reference_normals(reference_rng(seed), (N, M, k))
-        assert generate_messages(M, N, k, seed).w.tobytes() == want.tobytes()
+        assert generate_messages(M, N, k, stream(seed)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [0, 3, -1])
     def test_invalid_k(self, k):
         with pytest.raises(ValueError):
-            generate_messages(3, 3, k, seed=0)
+            generate_messages(3, 3, k, stream(0))
 
     def test_unit_power(self):
-        ms = generate_messages(100, 100, 2, seed=3)
-        assert abs(np.mean(np.abs(ms.w) ** 2) - 1.0) < 0.02
+        ms = generate_messages(100, 100, 2, stream(3))
+        assert abs(np.mean(np.abs(ms) ** 2) - 1.0) < 0.02
 
 
 class TestNoiseModel:
@@ -204,22 +233,22 @@ class TestNoiseModel:
         assert sim.log.noise is None and not sim.systems.sigma.any()
 
     def test_enabled_deterministic(self):
-        a = generate_noise(3, 6, 9)
-        b = generate_noise(3, 6, 9)
+        a = generate_noise(3, 6, stream(9))
+        b = generate_noise(3, 6, stream(9))
         np.testing.assert_array_equal(a, b)
         assert not np.all(a == 0)
         with pytest.raises(ValueError):  # a read-only view of a read-only owner, as run tables are
             a.setflags(write=True)
 
     def test_unit_power(self):
-        a = generate_noise(50, 400, 4)
+        a = generate_noise(50, 400, stream(4))
         assert abs(np.mean(np.abs(a) ** 2) - 1.0) < 0.05
 
     @pytest.mark.parametrize("N,U", [(3, 6), (8, 36), (32, 528)])
     @pytest.mark.parametrize("seed", [0, 11, (5, 2, 2, 2)])
     def test_bit_identical_to_reference_expression(self, N, U, seed):
         want = reference_normals(reference_rng(seed), (N, U))
-        assert generate_noise(N, U, seed).tobytes() == want.tobytes()
+        assert generate_noise(N, U, stream(seed)).tobytes() == want.tobytes()
 
 
 class TestReceivedSignal:
@@ -227,11 +256,10 @@ class TestReceivedSignal:
 
     def _setup(self, M=3, N=3, seed=0, w=None, noise=None):
         s = build_schedule(M, N)
-        ch = generate_channels(M, N, s.T, seed=seed)
+        ch = generate_channels(M, N, s.T, stream(seed), stored=every_slot(N, s.T))
         if w is None:
-            w = generate_messages(M, N, s.k, seed=seed + 100).w
-        ms = MessageSet(w=w)
-        plan = build_transmit_plan(s, ms, ch, build_csit_table(s))
+            w = generate_messages(M, N, s.k, stream(seed + 100))
+        plan = build_transmit_plan(s, w, ch, build_csit_table(s))
         log = observe_all(plan, ch, noise)
         return ch, plan.signal_matrix(), log.values
 
@@ -255,7 +283,7 @@ class TestReceivedSignal:
 
     def test_noise_added(self):
         ch, _, clean = self._setup()
-        sample = generate_noise(ch.N, ch.T, 11)
+        sample = generate_noise(ch.N, ch.T, stream(11))
         _, _, noisy = self._setup(noise=sample)
         assert np.all(np.abs((noisy - clean) - sample) <= 1e-12)
 
@@ -268,8 +296,8 @@ class TestReceivedSignal:
     def test_linearity(self, a, b, seed):
         # precoding depends on the channel only, so observations are linear in
         # the messages
-        u = generate_messages(3, 3, 1, seed=seed % 97).w
-        v = generate_messages(3, 3, 1, seed=(seed % 97) + 1).w
+        u = generate_messages(3, 3, 1, stream(seed % 97))
+        v = generate_messages(3, 3, 1, stream((seed % 97) + 1))
         _, _, lhs = self._setup(seed=seed % 89, w=a * u + b * v)
         _, _, yu = self._setup(seed=seed % 89, w=u)
         _, _, yv = self._setup(seed=seed % 89, w=v)
@@ -279,23 +307,26 @@ class TestReceivedSignal:
 
 def test_realizations_hold_no_seed():
     # a draw keeps its arrays and dimensions; its stream is the caller's to keep
-    ch = generate_channels(2, 2, 3, seed=123)
+    ch = generate_channels(2, 2, 3, stream(123), stored=every_slot(2, 3))
     assert isinstance(ch, ChannelRealization)
     assert [f.name for f in dataclasses.fields(ch)] == ["M", "N", "T", "h", "slots", "columns"]
-    ms = generate_messages(2, 2, 1, seed=45)
-    assert isinstance(ms, MessageSet)
-    assert [f.name for f in dataclasses.fields(ms)] == ["w"]
+    ms = generate_messages(2, 2, 1, stream(45))
+    assert type(ms) is np.ndarray and ms.shape == (2, 2, 1)
 
 
 def test_run_streams_key_and_counter():
     # the key is the seed's two 64-bit words, the counter (0, 0, draw, stream); a single run is draw 0
-    assert run_streams(7) == ((7, 0, 0, 0), (7, 0, 0, 1), (7, 0, 0, 2))
-    assert run_streams(2**64 + 3, 2, draws=range(1, 3)) == (((3, 1, 1, 0), (3, 1, 2, 0)),
-                                                            ((3, 1, 1, 1), (3, 1, 2, 1)))
+    assert run_streams(7).tolist() == [[7, 0, 0, 0], [7, 0, 0, 1], [7, 0, 0, 2]]
+    assert run_streams(2**64 + 3, 2, draws=range(1, 3)).tolist() == [[[3, 1, 1, 0], [3, 1, 2, 0]],
+                                                                     [[3, 1, 1, 1], [3, 1, 2, 1]]]
     big = 2**128 + 1  # hashed once to two words
-    key = tuple(np.random.SeedSequence(big).generate_state(2, np.uint64).tolist())
-    assert run_streams(big, 1) == (key + (0, 0),)
-    assert run_streams(2**128 - 1, 1) == ((2**64 - 1, 2**64 - 1, 0, 0),)
+    key = np.random.SeedSequence(big).generate_state(2, np.uint64).tolist()
+    assert run_streams(big, 1).tolist() == [key + [0, 0]]
+    assert run_streams(2**128 - 1, 1).tolist() == [[2**64 - 1, 2**64 - 1, 0, 0]]
+    for streams in (run_streams(7), run_streams(7, 2, draws=range(3))):  # read-only uint64 rows
+        assert streams.dtype == np.uint64 and streams.shape[-1] == 4
+        with pytest.raises(ValueError):
+            streams.setflags(write=True)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
@@ -304,9 +335,9 @@ def test_run_streams_key_and_counter():
 def test_distinct_streams_have_distinct_keys_and_counters(triples):
     # a hashed key could meet a direct one only by a 128-bit hash collision
     def key_counter(seed, draw, stream):
-        (words,) = run_streams(seed, stream + 1, draws=[draw])[stream]
+        (words,) = run_streams(seed, stream + 1, draws=[draw])[stream].tolist()
         assert all(0 <= w < 2**64 for w in words)
-        return words[:2], (0, 0) + words[2:]
+        return tuple(words[:2]), (0, 0) + tuple(words[2:])
 
     pairs = [key_counter(*t) for t in triples]
     assert len(set(pairs)) == len(pairs)
@@ -321,8 +352,8 @@ def test_run_draws_match_fresh_philox_generators(seed):
     key = seed if seed < 2**128 else int.from_bytes(
         np.random.SeedSequence(seed).generate_state(2, np.uint64).tobytes(), "little")
     noise = sim.log.noise
-    for stream, got in enumerate((sim.channels.h, sim.messages.w, noise)):
-        rng = reference_rng((key & (2**64 - 1), key >> 64, 0, stream))
+    for index, got in enumerate((sim.channels.h, sim.messages, noise)):
+        rng = reference_rng((key & (2**64 - 1), key >> 64, 0, index))
         assert got.tobytes() == reference_normals(rng, got.shape).tobytes()
     # and that noise is what the stored cells observe on top of the noiseless run
     clean = run_simulation(M, N, seed).log.values
@@ -347,10 +378,10 @@ def test_zero_redraw_continues_the_stream(monkeypatch):
                 got.reshape(-1, 2)[cells] = 0.0
             return got
 
-    stream = (3, 9, 4, 0)
+    words = (3, 9, 4, 0)
     monkeypatch.setattr(channel, "_generator", Zeroing)
-    h = generate_channels(2, 3, 2, stream).h
-    rng = reference_rng(stream)
+    h = generate_channels(2, 3, 2, stream(words), stored=every_slot(3, 2)).h
+    rng = reference_rng(words)
     want = reference_normals(rng, (12,))
     want[cells] = reference_normals(rng, (len(cells),))
     assert h.ravel().tobytes() == want.tobytes()
@@ -359,13 +390,14 @@ def test_zero_redraw_continues_the_stream(monkeypatch):
 def test_threads_draw_their_streams_undisturbed():
     # each thread resets and draws its own reused generator, so concurrent draws of many
     # streams equal the same draws made one after the other
-    streams = [(s, 1, d, 0) for s in range(6) for d in range(5)]
-    want = [generate_channels(4, 8, 36, stream).h.tobytes() for stream in streams]
+    streams = [stream((s, 1, d, 0)) for s in range(6) for d in range(5)]
+    stored = every_slot(8, 36)
+    want = [generate_channels(4, 8, 36, words, stored=stored).h.tobytes() for words in streams]
     got = [None] * len(streams)
 
     def work(start):
         for i in range(start, len(streams), 6):
-            got[i] = generate_channels(4, 8, 36, streams[i]).h.tobytes()
+            got[i] = generate_channels(4, 8, 36, streams[i], stored=stored).h.tobytes()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -390,9 +422,9 @@ def test_stream_rejects_what_seed_sequence_rejects():
         run_simulation(3, 3, np.random.SeedSequence(1))
     with pytest.raises(TypeError):  # nor is a missing one
         run_simulation(3, 3)
-    for stream in ((1, 2), (1, 2, 3, 4, 5)):  # a stream tuple has four words, key then counter
-        with pytest.raises(ValueError, match="unpack"):
-            generate_channels(2, 2, 2, stream)
+    for words in ((1, 2), (1, 2, 3, 4, 5)):  # a stream has four words, key then counter
+        with pytest.raises(ValueError, match="run_streams"):
+            generate_channels(2, 2, 2, stream(words), stored=every_slot(2, 2))
 
 
 def test_sweep_builds_no_numpy_seed_sequence(monkeypatch):
@@ -404,10 +436,10 @@ def test_sweep_builds_no_numpy_seed_sequence(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", Forbidden)
     sweep_rates(3, 4, [10.0, 30.0], draws=5, seed=2**128 - 1)
     sim = run_simulation(3, 4, seed=7, draws=range(2), noise_enabled=True)
-    channels, messages, noise = (tuple((7, 0, d, c) for d in range(2)) for c in range(3))
+    channels, messages, noise = (stream([(7, 0, d, c) for d in range(2)]) for c in range(3))
     s = sim.schedule
     assert sim.channels.h.tobytes() == generate_channels(3, 4, s.T, channels, stored=s.stored).h.tobytes()
-    assert sim.messages.w.tobytes() == generate_messages(3, 4, s.k, messages).w.tobytes()
+    assert sim.messages.tobytes() == generate_messages(3, 4, s.k, messages).tobytes()
     assert sim.log.noise.tobytes() == generate_noise(4, sim.channels.h.shape[-1], noise).tobytes()
 
 
@@ -442,6 +474,6 @@ def test_noiseless_run_derives_and_samples_no_noise():
     assert [c.args for c in streams.call_args_list] == [(1, 2), (2, 2)]  # channels and messages only
     noisy = run_simulation(4, 6, seed=[1, 2], noise_enabled=True)
     assert quiet.channels.h.tobytes() == noisy.channels.h.tobytes()
-    assert quiet.messages.w.tobytes() == noisy.messages.w.tobytes()
+    assert quiet.messages.tobytes() == noisy.messages.tobytes()
     assert quiet.log.noise is None
     assert quiet.all_recovered()

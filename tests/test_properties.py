@@ -218,7 +218,7 @@ def test_stacked_plan_raises_at_the_flipped_read(case, pick):
     grid[receiver, slot] = ord("N")
     broken = CsitTable(grid)
     channel_seeds, message_seeds = run_streams(seed, 2, draws=range(D))
-    channels = generate_channels(M, N, s.T, channel_seeds)
+    channels = generate_channels(M, N, s.T, channel_seeds, stored=s.stored)
     messages = generate_messages(M, N, s.k, message_seeds)
     assert audit_csit_trace(build_transmit_plan(s, messages, channels, table).csit_reads,
                             table).shape == (0, 3)
@@ -244,8 +244,8 @@ def test_discarded_cells_are_never_read(case, normalize):
     M, N, seed = case
     s = build_schedule(M, N)
     table = build_csit_table(s)
-    messages = generate_messages(M, N, s.k, seed + 1)
-    noise = generate_noise(N, s.T, seed + 2)
+    messages = generate_messages(M, N, s.k, run_streams(seed + 1, 1)[0])
+    noise = generate_noise(N, s.T, run_streams(seed + 2, 1)[0])
 
     def run(channels):
         plan = build_transmit_plan(s, messages, channels, table, normalize=normalize)
@@ -253,7 +253,8 @@ def test_discarded_cells_are_never_read(case, normalize):
         systems = assemble_system(log, np.arange(N))
         return plan.signal_matrix(), log, systems, sum_rate(systems, [40.0, 80.0])
 
-    clean = generate_channels(M, N, s.T, seed)
+    clean = generate_channels(M, N, s.T, run_streams(seed, 1)[0],
+                              stored=slot_tables(np.ones((N, s.T), dtype=bool), N, s.T))
     X, log, systems, rates = run(clean)
     discarded = log.entries == K.DISCARDED
     h = clean.h.copy()
@@ -300,7 +301,8 @@ def test_every_receiver_uses_k_times_n_plus_m_minus_one_cells(M, N, seed):
     for s in (base, permuted):
         assert s.used.sum(axis=1).tolist() == [s.k * (N + M - 1)] * N
         stored = slot_tables(s.used, N, s.T)
-        assert generate_channels(M, N, s.T, seed, stored=stored).h.shape == (N, M, s.k * (N + M - 1))
+        draw = generate_channels(M, N, s.T, run_streams(seed, 1)[0], stored=stored)
+        assert draw.h.shape == (N, M, s.k * (N + M - 1))
 
 
 def _normals(a):
@@ -311,7 +313,7 @@ def _normals(a):
 
 def test_consecutive_seeds_share_no_normals():
     # seeds s, s+1, s+2 per run once drew run 0's messages from run 1's channel seed
-    assert np.intersect1d(_normals(run_simulation(3, 3, seed=0).messages.w),
+    assert np.intersect1d(_normals(run_simulation(3, 3, seed=0).messages),
                           _normals(run_simulation(3, 3, seed=1).channels.h)).size == 0
 
 
@@ -322,16 +324,16 @@ def test_no_two_runs_or_draws_share_a_normal(M, N):
         sim = run_simulation(M, N, seed=seed, noise_enabled=True)
         grid = sim.log.noise
         sources.update({("run", seed, "channels"): sim.channels.h,
-                        ("run", seed, "messages"): sim.messages.w, ("run", seed, "noise"): grid})
+                        ("run", seed, "messages"): sim.messages, ("run", seed, "noise"): grid})
     # the draws of sweep_rates(M, N, ..., draws=4, seed=0), as it runs them; a single run is
     # draw 0, so that draw is run 0 itself and the others share nothing with any run
     stack = run_simulation(M, N, 0, draws=range(4), noise_enabled=True)
     grids = stack.log.noise
-    for kind, drawn in (("channels", stack.channels.h), ("messages", stack.messages.w), ("noise", grids)):
+    for kind, drawn in (("channels", stack.channels.h), ("messages", stack.messages), ("noise", grids)):
         assert drawn[0].tobytes() == sources[("run", 0, kind)].tobytes()
     for d in range(1, 4):
         sources.update({("draw", d, "channels"): stack.channels.h[d],
-                        ("draw", d, "messages"): stack.messages.w[d], ("draw", d, "noise"): grids[d]})
+                        ("draw", d, "messages"): stack.messages[d], ("draw", d, "noise"): grids[d]})
     values = {key: _normals(a) for key, a in sources.items()}
     keys = list(values)
     shared = [(a, b) for i, a in enumerate(keys) for b in keys[i + 1:]

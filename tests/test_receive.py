@@ -9,7 +9,7 @@ import pytest
 
 from xchannel.analysis import sum_rate
 from xchannel.channel import (ChannelRealization, generate_channels, generate_messages, generate_noise,
-                              slot_tables)
+                              run_streams, slot_tables)
 from xchannel.receive import (
     CONDITION_LIMIT,
     LinearSystem,
@@ -26,14 +26,41 @@ from xchannel.transmit import build_transmit_plan
 K = ObservationKind
 
 
+def stream(seed: int) -> np.ndarray:
+    """Stream 0 of draw 0 of the seed's key."""
+    return run_streams(seed, 1)[0]
+
+
+def every_slot(N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slot tables of an all-True mask: a realization that stores all T slots."""
+    return slot_tables(np.ones((N, T), dtype=bool), N, T)
+
+
 def make_log(M, N, seed=0, noise_enabled=False, normalize=False):
+    # channels and noise on all T slots, so ch.h[i, :, t] is receiver i's row in slot t
     s = build_schedule(M, N)
     table = build_csit_table(s)
-    ch = generate_channels(M, N, s.T, seed=seed)
-    ms = generate_messages(M, N, s.k, seed=seed + 1)
+    ch = generate_channels(M, N, s.T, stream(seed), stored=every_slot(N, s.T))
+    ms = generate_messages(M, N, s.k, stream(seed + 1))
     plan = build_transmit_plan(s, ms, ch, table, normalize=normalize)
-    noise = generate_noise(N, s.T, seed + 2) if noise_enabled else None
+    noise = generate_noise(N, s.T, stream(seed + 2)) if noise_enabled else None
     return s, ch, ms, plan, observe_all(plan, ch, noise)
+
+
+def loop_rows(schedule, receiver) -> np.ndarray:
+    """Plain-loop reference, from members alone, for the rows of receiver's system, as
+    (copy, slot, partner, linked) each: per copy the direct row at the copy's phase-1 slot
+    (partner and linked -1), then one row per pair slot of the copy, in slot order, linked
+    to the partner's phase-1 slot."""
+    first, members = schedule.phase1_len, schedule.members.tolist()
+    t1 = {tuple(members[t][0]): t for t in range(first)}  # (receiver, copy) -> its phase-1 slot
+    rows = [[(c, t1[receiver, c], -1, -1)] for c in range(schedule.k)]
+    for t, ((a, ca), (b, cb)) in enumerate(members[first:], first):
+        if a == receiver:
+            rows[ca].append((ca, t, b, t1[b, cb]))
+        if b == receiver:
+            rows[cb].append((cb, t, a, t1[a, ca]))
+    return np.array([row for per_copy in rows for row in per_copy])
 
 
 class TestObservationKinds:
@@ -54,10 +81,13 @@ class TestObservationKinds:
         assert discarded == {(2, 3), (1, 4), (0, 5)}
 
     def test_3x3_links_and_partners(self):
-        # decoding rows (copy, slot, partner, linked phase-1 slot)
+        # each receiver's direct slot, then its pair rows (slot, partner, linked phase-1 slot, own)
         s, _, _, _, _ = make_log(3, 3)
-        assert s.decode_rows[0].tolist() == [[0, 0, -1, -1], [0, 3, 1, 1], [0, 4, 2, 2]]
-        assert s.decode_rows[2].tolist() == [[0, 2, -1, -1], [0, 4, 0, 0], [0, 5, 1, 1]]
+        assert s.phase1_slots[:, 0].tolist() == [0, 1, 2]
+        assert s.pair_rows[:, 0].T.tolist() == [[3, 1, 1, 0], [4, 2, 2, 0]]
+        assert s.pair_rows[:, 2].T.tolist() == [[4, 0, 0, 2], [5, 1, 1, 2]]
+        assert loop_rows(s, 0).tolist() == [[0, 0, -1, -1], [0, 3, 1, 1], [0, 4, 2, 2]]
+        assert loop_rows(s, 2).tolist() == [[0, 2, -1, -1], [0, 4, 0, 0], [0, 5, 1, 1]]
 
     @pytest.mark.parametrize("M,N", [(3, 3), (4, 3), (2, 4), (5, 4), (2, 3), (6, 5)])
     def test_kind_counts(self, M, N):
@@ -108,7 +138,7 @@ class TestObservationKinds:
     def test_noise_enters_observations(self):
         _, _, _, _, clean = make_log(3, 3, seed=4)
         _, _, _, _, noisy = make_log(3, 3, seed=4, noise_enabled=True)
-        grid = generate_noise(3, 6, 6)
+        grid = generate_noise(3, 6, stream(6))
         np.testing.assert_allclose(noisy.values - clean.values, grid, atol=1e-12)
         assert noisy.noise.tobytes() == grid.tobytes()
         assert clean.noise is None
@@ -124,14 +154,14 @@ class TestObservationKinds:
 
 
 def pair_rows(schedule, receiver):
-    rows = schedule.decode_rows[receiver]
+    rows = loop_rows(schedule, receiver)
     return rows[rows[:, 2] >= 0]
 
 
 def cancelled_truth(schedule, ms, receiver, rows):
     # each row applies to the messages of its own copy
     copies = pair_rows(schedule, receiver)[:, 0]
-    return (rows * ms.w[receiver, :, copies]).sum(axis=1)
+    return (rows * ms[receiver, :, copies]).sum(axis=1)
 
 
 class TestCancelInterference:
@@ -157,13 +187,13 @@ class TestCancelInterference:
         table = build_csit_table(s)
         h = np.ones((3, 3, s.T), dtype=complex)
         h.setflags(write=False)
-        ch = ChannelRealization(3, 3, s.T, h, *slot_tables(None, 3, s.T))
-        ms = generate_messages(3, 3, 1, seed=1)
+        ch = ChannelRealization(3, 3, s.T, h, *every_slot(3, s.T))
+        ms = generate_messages(3, 3, 1, stream(1))
         plan = build_transmit_plan(s, ms, ch, table)
         log = observe_all(plan, ch)
         rows, values = cancel_interference(log, 1)
         np.testing.assert_allclose(rows, np.ones((2, 3)), rtol=1e-14)
-        assert np.all(np.abs(values - ms.w[1].sum()) < 1e-10)
+        assert np.all(np.abs(values - ms[1].sum()) < 1e-10)
 
     def test_scaled_plan_keeps_identity(self):
         s, _, ms, _, log = make_log(4, 3, seed=1, normalize=True)
@@ -197,22 +227,25 @@ class TestAssembleSystem:
         assert sys0.M == M
 
     def test_row_ordering_direct_then_subtractions(self):
-        _, _, _, _, log = make_log(4, 3)
-        rows = log.schedule.decode_rows[0]
+        # per copy, G's first row is the channel row at the copy's phase-1 slot t_c, and the
+        # next M-1 rows are its pair rows in slot order, each h_0(t) h_b(t_c) / h_b(t) for partner b
+        s, ch, _, _, log = make_log(4, 3)
+        rows = loop_rows(s, 0)
         kinds = ["direct" if partner < 0 else "subtraction" for partner in rows[:, 2]]
         assert kinds == ["direct", "subtraction", "subtraction", "subtraction"] * 2
         assert rows[:, 0].tolist() == [0] * 4 + [1] * 4
-        for block in (rows[:4], rows[4:]):
-            assert block[0, 1] == log.schedule.phase1_slots[0, block[0, 0]]
-            assert list(block[1:, 1]) == sorted(block[1:, 1])  # slot order
-            assert np.all(block[1:, 3] >= 0)
+        G, h = assemble_system(log, 0).G, ch.h
+        for r, (copy, slot, partner, _) in enumerate(rows.tolist()):
+            own = rows[4 * copy, 1]
+            want = h[0, :, slot] if partner < 0 else h[0, :, slot] * h[partner, :, own] / h[partner, :, slot]
+            np.testing.assert_allclose(G[r], np.eye(2)[copy].repeat(4) * np.tile(want, 2), rtol=1e-12)
 
     def test_copy_blocks_are_disjoint(self):
         # a row for copy c involves only that copy's unknowns
         _, _, _, _, log = make_log(4, 3, seed=5)
         sys1 = assemble_system(log, 1)
         M = sys1.M
-        for r, copy in enumerate(log.schedule.decode_rows[1, :, 0]):
+        for r, copy in enumerate(loop_rows(log.schedule, 1)[:, 0]):
             block = sys1.G[r, copy * M : (copy + 1) * M]
             full = sys1.G[r]
             assert np.count_nonzero(full) == np.count_nonzero(block)
@@ -226,7 +259,7 @@ class TestAssembleSystem:
         _, _, ms, _, log = make_log(5, 4, seed=3)
         for i in range(4):
             sysi = assemble_system(log, i)
-            w_flat = ms.w[i].T.reshape(-1)
+            w_flat = ms[i].T.reshape(-1)
             np.testing.assert_allclose(sysi.G @ w_flat, sysi.y, rtol=1e-9)
 
     def test_noiseless_32x32_run_peak_stays_small(self):
@@ -287,7 +320,7 @@ class TestNoiseCovariance:
         _, _, _, _, log = make_log(3, 3, noise_enabled=True)
         sys0 = assemble_system(log, 0)
         B = sys0.noise_map
-        for r, (_, slot, partner, linked) in enumerate(log.schedule.decode_rows[0]):
+        for r, (_, slot, partner, linked) in enumerate(loop_rows(log.schedule, 0)):
             if partner < 0:
                 assert B[r, slot] == 1.0
                 assert np.count_nonzero(B[r]) == 1
@@ -300,7 +333,7 @@ class TestNoiseCovariance:
         # noisy minus noiseless right-hand side equals B times the noise row
         s, _, _, _, clean = make_log(3, 3, seed=7)
         _, _, _, _, noisy = make_log(3, 3, seed=7, noise_enabled=True)
-        grid = generate_noise(3, s.T, 9)
+        grid = generate_noise(3, s.T, stream(9))
         for i in range(3):
             a = assemble_system(noisy, i)
             b = assemble_system(clean, i)
@@ -351,7 +384,7 @@ class TestDecode:
         res = run_simulation(3, 3, seed=5)
         clean = res.systems
         B = clean.noise_map
-        n = 1e-6 * generate_noise(3, B.shape[-1], 7)
+        n = 1e-6 * generate_noise(3, B.shape[-1], stream(7))
         noisy = dataclasses.replace(clean, y=clean.y + np.einsum("irt,it->ir", B, n),
                                     sigma=1e-12 * (B @ np.swapaxes(B, -1, -2)))
         d = decode(noisy)
@@ -371,7 +404,7 @@ class TestDecode:
         for i, est in enumerate(res.decoding.estimates):
             for c in range(2):
                 for j in range(4):
-                    assert abs(est[c * 4 + j] - res.messages.w[i, j, c]) < 1e-8
+                    assert abs(est[c * 4 + j] - res.messages[i, j, c]) < 1e-8
 
 
 class TestStackedDecode:
@@ -450,7 +483,7 @@ class TestStackedDecode:
         estimates = res.decoding.estimates.reshape(4, 3)
         for i, truth in enumerate(res.truths):
             draw, receiver = divmod(i, 2)
-            np.testing.assert_array_equal(truth, res.messages.w[draw, receiver].T.reshape(-1))
+            np.testing.assert_array_equal(truth, res.messages[draw, receiver].T.reshape(-1))
             np.testing.assert_allclose(estimates[i], truth, rtol=1e-8)
 
     def test_relative_errors_computed_once(self):
@@ -509,7 +542,6 @@ class TestIdentityEquality:
         for x, y in [
             (a, b),
             (a.channels, b.channels),
-            (a.messages, b.messages),
             (a.plan, b.plan),
             (a.log, b.log),
             (a.systems, b.systems),

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xchannel.analysis import dof_report
 from xchannel.schedule import (
     ObservationKind as K,
     Schedule,
@@ -29,6 +30,7 @@ from xchannel.schedule import (
     permute_schedule,
     replication_factor,
 )
+from xchannel.simulate import run_simulation
 
 GRID = [(M, N) for M in range(1, 9) for N in range(2, 9)]
 
@@ -90,7 +92,7 @@ class TestGoldenSchedules:
     def test_4x3_alternates_copies(self):
         s = build_schedule(4, 3)
         assert (s.k, s.T) == (2, 15)
-        assert s.message_count == 24
+        assert dof_report(s).message_count == 24
         assert s.phase1_len == 6
         assert s.members[6:].tolist() == [  # slots 6-14
             [[0, 0], [1, 0]],
@@ -279,22 +281,33 @@ class TestBalanceInvariants:
             build_schedule(M, N)
 
 
-def loop_decode_rows(s) -> list:
-    """Plain-loop reference for Schedule.decode_rows: per receiver and copy, the direct row,
-    then one (copy, slot, partner, linked) row per pair slot in slot order."""
-    first, t1 = s.phase1_len, s.phase1_slots.tolist()
-    rows = [[[(c, t1[i][c], -1, -1)] for c in range(s.k)] for i in range(s.N)]
-    for t, ((a, ca), (b, cb)) in enumerate(s.members[first:].tolist(), first):
-        rows[a][ca].append((ca, t, b, t1[b][cb]))
-        rows[b][cb].append((cb, t, a, t1[a][ca]))
-    return [[list(row) for per in per_copy for row in per] for per_copy in rows]
+def loop_decode_rows(s, channels) -> list:
+    """Plain-loop reference, from members alone, for the rows of each receiver's decoding system
+    G (noiseless, unit slot scale): per copy, the channel row h_i(t_c) at the copy's phase-1
+    slot t_c first, then one row h_i(t) h_b(t_c) / h_b(t) per pair slot t of the copy, in slot
+    order, b its partner; each row sits in its copy's block of M columns, zeros elsewhere."""
+    M, k, first = s.M, s.k, s.phase1_len
+    members = s.members.tolist()
+    h, column = channels.h.tolist(), channels.columns.tolist()
+    t1 = {tuple(members[t][0]): t for t in range(first)}  # (receiver, copy) -> its phase-1 slot
+
+    def row(i, t):
+        return [h[i][j][column[i][t]] for j in range(M)]
+
+    rows = [[[row(i, t1[i, c])] for c in range(k)] for i in range(s.N)]
+    for t, pair in enumerate(members[first:], first):
+        for (a, ca), (b, _) in (pair, pair[::-1]):
+            own, cross, replay = row(a, t), row(b, t), row(b, t1[a, ca])
+            rows[a][ca].append([own[j] * replay[j] / cross[j] for j in range(M)])
+    return [[[0j] * (M * c) + r + [0j] * (M * (k - 1 - c)) for c in range(k) for r in per_receiver[c]]
+            for per_receiver in rows]
 
 
 class TestDecodeRows:
     @pytest.mark.parametrize("M", range(1, 13))
     def test_matches_plain_loop(self, M):
-        # canonical schedules and 3 random permutations of each, N = 2..12;
-        # M = 1 has no pair rows
+        # assemble_system's rows against the plain-loop rows, on canonical schedules and 3
+        # random permutations of each, N = 2..12; M = 1 has no pair rows
         rng = np.random.default_rng(M)
         for N in range(2, 13):
             base = build_schedule(M, N)
@@ -304,10 +317,11 @@ class TestDecodeRows:
                 for _ in range(3)
             ]
             for s in [base, *permuted]:
-                rows = s.decode_rows
-                assert rows.shape == (N, s.k * M, 4) and rows.dtype == np.intp
-                assert not rows.flags.writeable
-                assert rows.tolist() == loop_decode_rows(s), (M, N)
+                sim = run_simulation(M, N, seed=M, schedule=s)
+                G = sim.systems.G
+                assert G.shape == (N, s.k * M, s.k * M)
+                np.testing.assert_allclose(G, loop_decode_rows(s, sim.channels), rtol=1e-12, atol=0,
+                                           err_msg=str((M, N)))
 
 
 def loop_tables(s) -> dict:
@@ -425,17 +439,17 @@ class TestCsitTable:
         table = build_csit_table(s)
         assert table.grid.dtype == np.uint8 and not table.grid.flags.writeable
         assert np.array_equal(np.array([list(row.encode()) for row in table.states]), table.grid)
-        cells = [[table.state(i, t) for t in range(s.T)] for i in range(s.N)]
+        cells = [[chr(table.grid[i, t]) for t in range(s.T)] for i in range(s.N)]
         assert cells == [list(row) for row in table.states]
 
     def test_phase1_columns_have_one_n_state(self):
         s = build_schedule(3, 4)
         table = build_csit_table(s)
         for slot, ((receiver, _), _) in enumerate(s.members[: s.phase1_len].tolist()):
-            col = [table.state(i, slot) for i in range(s.N)]
+            col = [table.states[i][slot] for i in range(s.N)]
             assert col.count("N") == 1
             assert col.count("D") == s.N - 1
-            assert table.state(receiver, slot) == "N"
+            assert table.states[receiver][slot] == "N"
 
     def test_phase2_columns_mark_pair_members(self):
         s = build_schedule(4, 3)
@@ -444,13 +458,13 @@ class TestCsitTable:
             members = set(s.members[slot, :, 0].tolist())
             for i in range(s.N):
                 want = "P" if i in members else "N"
-                assert table.state(i, slot) == want
+                assert table.states[i][slot] == want
 
 
 TABLES = {
     "members": lambda s: s.members,
     "phase1_slots": lambda s: s.phase1_slots,
-    "decode_rows": lambda s: s.decode_rows,
+    "pair_rows": lambda s: s.pair_rows,
     "used": lambda s: s.used,
     "entries": lambda s: s.entries,
     "pair_reads": lambda s: s.pair_reads,

@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from xchannel.channel import (
-    ChannelRealization,
-    MessageSet,
-    generate_channels,
-    generate_messages,
-    slot_tables,
-)
+from xchannel.channel import ChannelRealization, generate_channels, generate_messages, run_streams, slot_tables
 from xchannel.schedule import CsitTable, build_csit_table, build_schedule
 from xchannel.transmit import (
     CsitAccessError,
@@ -18,11 +12,17 @@ from xchannel.transmit import (
 )
 
 
+def every_slot(N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slot tables of an all-True mask: a realization that stores all T slots."""
+    return slot_tables(np.ones((N, T), dtype=bool), N, T)
+
+
 def make_instance(M, N, seed=0, normalize=False):
+    # channels on all T slots from stream 0 of seed's key, messages from stream 0 of seed + 1's
     s = build_schedule(M, N)
     table = build_csit_table(s)
-    ch = generate_channels(M, N, s.T, seed=seed)
-    ms = generate_messages(M, N, s.k, seed=seed + 1)
+    ch = generate_channels(M, N, s.T, run_streams(seed, 1)[0], stored=every_slot(N, s.T))
+    ms = generate_messages(M, N, s.k, run_streams(seed + 1, 1)[0])
     plan = build_transmit_plan(s, ms, ch, table, normalize=normalize)
     return s, table, ch, ms, plan
 
@@ -32,13 +32,13 @@ class TestPhase1:
         s, _, _, ms, plan = make_instance(3, 3)
         X = plan.signal_matrix()
         for t, ((i, c), _) in enumerate(s.members[: s.phase1_len].tolist()):
-            np.testing.assert_array_equal(X[:, t], ms.w[i, :, c])
+            np.testing.assert_array_equal(X[:, t], ms[i, :, c])
 
     def test_copy_selects_column(self):
         s, _, _, ms, plan = make_instance(4, 3)
         t = 4  # second copy of receiver 1's broadcast
         assert s.members[t, 0].tolist() == [1, 1] and s.phase1_slots[1, 1] == t
-        np.testing.assert_array_equal(plan.signal_matrix()[:, t], ms.w[1, :, 1])
+        np.testing.assert_array_equal(plan.signal_matrix()[:, t], ms[1, :, 1])
 
 
 class TestPhase2Coefficients:
@@ -71,12 +71,12 @@ class TestPhase2Coefficients:
         table = build_csit_table(s)
         h = np.ones((3, 3, s.T), dtype=complex)
         h.setflags(write=False)
-        ch = ChannelRealization(3, 3, s.T, h, *slot_tables(None, 3, s.T))
-        ms = generate_messages(3, 3, 1, seed=1)
+        ch = ChannelRealization(3, 3, s.T, h, *every_slot(3, s.T))
+        ms = generate_messages(3, 3, 1, run_streams(1, 1)[0])
         plan = build_transmit_plan(s, ms, ch, table)
         X = plan.signal_matrix()
         for t, ((a, ca), (b, cb)) in enumerate(s.members[s.phase1_len :].tolist(), s.phase1_len):
-            np.testing.assert_allclose(X[:, t], ms.w[a, :, ca] + ms.w[b, :, cb], rtol=1e-14)
+            np.testing.assert_allclose(X[:, t], ms[a, :, ca] + ms[b, :, cb], rtol=1e-14)
 
     def test_matrix_matches_slot_functions(self):
         # every column of the signal matrix equals its slot's transmit vector,
@@ -86,12 +86,12 @@ class TestPhase2Coefficients:
         X = plan.signal_matrix()
         first, members = s.phase1_len, s.members.tolist()
         for t, ((i, c), _) in enumerate(members[:first]):
-            np.testing.assert_allclose(X[:, t], ms.w[i, :, c], rtol=1e-14)
+            np.testing.assert_allclose(X[:, t], ms[i, :, c], rtol=1e-14)
         for t, ((a, ca), (b, cb)) in enumerate(members[first:], first):
             t_a, t_b = s.phase1_slots[a, ca], s.phase1_slots[b, cb]
             for j in range(s.M):
-                want = (h[b, j, t_a] / h[b, j, t] * ms.w[a, j, ca]
-                        + h[a, j, t_b] / h[a, j, t] * ms.w[b, j, cb])
+                want = (h[b, j, t_a] / h[b, j, t] * ms[a, j, ca]
+                        + h[a, j, t_b] / h[a, j, t] * ms[b, j, cb])
                 np.testing.assert_allclose(X[j, t], want, rtol=1e-12)
 
 
@@ -106,7 +106,7 @@ class TestCsitAccessControl:
         # every granted read is either perfect-now or delayed-strictly-earlier
         _, table, _, _, plan = make_instance(4, 3)
         for receiver, slot, at_slot in plan.csit_reads.tolist():
-            state = table.state(receiver, slot)
+            state = table.states[receiver][slot]
             assert (slot == at_slot and state == "P") or (
                 slot < at_slot and state == "D"
             )
@@ -130,11 +130,17 @@ class TestCsitAccessControl:
 
     def test_no_csit_state_denied(self):
         s, table, ch, ms, _ = make_instance(3, 3)
-        assert table.state(2, 3) == "N"  # row 3 of receiver 3 is hidden in slot 4
+        assert table.states[2][3] == "N"  # row 3 of receiver 3 is hidden in slot 4
         assert audit_csit_trace([(2, 3, 3)], table).tolist() == [[2, 3, 3]]
         with pytest.raises(CsitAccessError) as exc:  # the plan's h_b(t) read of slot 4
             build_transmit_plan(s, ms, ch, self.tampered(table, [(1, 3)], "N"))
         assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (1, 3, 3, "N")
+
+    def test_denied_read_message_names_the_cell_and_its_state(self):
+        s, table, ch, ms, _ = make_instance(3, 3)
+        with pytest.raises(CsitAccessError) as exc:
+            build_transmit_plan(s, ms, ch, self.tampered(table, [(1, 3)], "N"))
+        assert str(exc.value) == "illegal CSIT read of receiver 1 slot 3 at slot 3 (state 'N')"
 
     def test_delayed_state_denied_at_its_own_slot(self):
         s, table, ch, ms, _ = make_instance(3, 3)
@@ -156,7 +162,7 @@ class TestCsitAccessControl:
         _, table, ch, _, plan = make_instance(3, 3)
         assert audit_csit_trace([(1, 0, 4), (0, 4, 4)], table).shape == (0, 3)
         reads = plan.csit_reads.tolist()
-        assert [1, 0, 3] in reads and table.state(1, 0) == "D"  # slot 4 reads h_2(1) delayed
+        assert [1, 0, 3] in reads and table.states[1][0] == "D"  # slot 4 reads h_2(1) delayed
         rows = ch.rows(plan.csit_reads[:, 0], plan.csit_reads[:, 1])
         np.testing.assert_array_equal(rows[reads.index([1, 0, 3])], ch.h[1, :, 0])
 
@@ -177,9 +183,9 @@ class TestCsitAccessControl:
         reads = s.pair_reads.tolist()
         at = 4 * (len(reads) // 8) + 1  # h_a(t) of a middle pair slot
         receiver, slot, at_slot = reads[at]
-        assert slot == at_slot and table.state(receiver, slot) == "P"
+        assert slot == at_slot and table.states[receiver][slot] == "P"
         later = reads[-4][:2]
-        assert later[1] > slot and table.state(*later) == "P"
+        assert later[1] > slot and table.states[later[0]][later[1]] == "P"
         broken = self.tampered(table, [(receiver, slot), later], "N")
         with pytest.raises(CsitAccessError) as exc:
             build_transmit_plan(s, ms, ch, broken)
@@ -229,8 +235,8 @@ class TestAlignment:
                 t_a = s.phase1_slots[a, ca]
                 seen = 0.0 + 0.0j
                 for j in range(M):
-                    seen += h[b, j, t] * plan.coefficients[t, m, j] * ms.w[a, j, ca]
-                stored = sum(h[b, j, t_a] * ms.w[a, j, ca] for j in range(M))
+                    seen += h[b, j, t] * plan.coefficients[t, m, j] * ms[a, j, ca]
+                stored = sum(h[b, j, t_a] * ms[a, j, ca] for j in range(M))
                 assert abs(seen - g * stored) <= 1e-10 * max(1.0, abs(stored))
 
 
