@@ -98,8 +98,8 @@ def sum_rate(systems: LinearSystem, snr_dbs) -> list[RatePoint]:
     diagonal ratios of one stacked Cholesky of Sigma per call and one of
     Sigma + P_s G G^H per SNR; no SVD or whitening solve. Requires the noisy
     systems (positive definite Sigma) of one run as one stack with a receiver
-    axis, as assemble_system returns for an index array of receivers; draw axes
-    in front of it are averaged over.
+    axis last, as assemble_system returns them; draw axes in front of it are
+    averaged over.
 
     The trade is accuracy. The error is absolute, within about 1e-15 bits up to
     0 dB, so a rate of 1e-30 at -300 dB reads as 0 (rates are floored at 0, the
@@ -153,8 +153,9 @@ def sweep_rates(
 
     The same realizations are reused at every SNR point, which keeps the
     fitted slope estimate stable. Draw d runs on the Philox streams (key, d, c) of the seed's key
-    (run_streams), so draw d is run_simulation(seed, draws=range(d, d + 1)) whatever the chunking;
-    each chunk of draws within DRAW_CHUNK_ELEMENTS (at least one) is one stacked run and one sum_rate.
+    (run_streams), so draw d is run_simulation(build_schedule(M, N), seed, draws=range(d, d + 1))
+    whatever the chunking; each chunk of draws within DRAW_CHUNK_ELEMENTS (at least one) is one
+    stacked run and one sum_rate.
     """
     if draws < 1:
         raise ValueError(f"need at least one draw, got {draws}")
@@ -164,9 +165,7 @@ def sweep_rates(
     per = np.zeros((len(snr_dbs), N))
     for start in range(0, draws, chunk):
         batch = range(start, min(start + chunk, draws))
-        sim = run_simulation(
-            M, N, seed=seed, draws=batch, noise_enabled=True, normalize=normalize, schedule=schedule
-        )
+        sim = run_simulation(schedule, seed, draws=batch, noise_enabled=True, normalize=normalize)
         points = sum_rate(sim.systems, snr_dbs)
         per += len(batch) / draws * np.array([pt.per_receiver for pt in points])
         del sim  # free this chunk's arrays before the next chunk draws
@@ -329,7 +328,7 @@ def _hand_report(seed, stored, column, w, X_pipe, Y_pipe, slots, discarded_got,
 
 
 def oracle_verify_3user(seeds, tol: float = 1e-12) -> tuple[OracleReport, ...]:
-    """Check run_simulation(3, 3, seeds) against hand-written per-slot formulas.
+    """Check run_simulation(build_schedule(3, 3), seeds) against hand-written per-slot formulas.
 
     The run's channels are read cell by cell through their (receiver, slot)
     lookup. Every transmitted signal, every used received value, all six
@@ -342,19 +341,18 @@ def oracle_verify_3user(seeds, tol: float = 1e-12) -> tuple[OracleReport, ...]:
 
     The sequence of seeds is one stacked run_simulation, one draw per seed,
     and gives one report per seed in order. The hand formulas hard-code
-    the slot layout of the canonical (3, 3) schedule, which run_simulation
-    builds.
+    the slot layout of the canonical (3, 3) schedule, which the run is given.
     """
     seeds = list(seeds)
     if not seeds:
         return ()
-    sim = run_simulation(3, 3, seeds)
+    sim = run_simulation(build_schedule(3, 3), seeds)
     channels, log, d = sim.channels, sim.log, sim.decoding
     per_draw = zip(
         seeds,
         channels.h.tolist(),
         sim.messages[..., 0].tolist(),
-        sim.plan.signal_matrix().tolist(),
+        sim.plan.signal_matrix(sim.messages).tolist(),
         log.values.tolist(),
         d.estimates.tolist(),
         d.decoded.tolist(),
@@ -418,7 +416,7 @@ def verify_suite(
     audit_bad = []
     decode_bad = []
     for M, N in [(2, 2), (3, 3), (4, 3), (2, 4), (5, 4), (2, 3)]:
-        sim = run_simulation(M, N, seed=0, schedule=build_schedule(M, N))
+        sim = run_simulation(build_schedule(M, N), seed=0)
         if len(sim.plan.csit_violations) or len(audit_csit_trace(sim.plan.csit_reads, sim.schedule.csit)):
             audit_bad.append((M, N))
         if not sim.all_recovered():
@@ -439,7 +437,7 @@ def verify_suite(
             p1 = rng.permutation(base.phase1_len)
             p2 = rng.permutation(base.T - base.phase1_len)
             permuted = permute_schedule(base, p1, p2)
-            if not run_simulation(M, N, seed=0, schedule=permuted).all_recovered():
+            if not run_simulation(permuted, seed=0).all_recovered():
                 perm_bad.append((M, N, list(p1), list(p2)))
     checks.append(_check("permutation-decode", perm_bad,
                          f"failures {perm_bad[:2]}", f"{2 * perm_trials} permutations"))

@@ -12,8 +12,12 @@ import math
 import operator
 import threading
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .schedule import Schedule
 
 __all__ = [
     "ChannelRealization",
@@ -133,41 +137,35 @@ def slot_tables(mask, N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
     return read_only(np.nonzero(mask)[1].reshape(N, -1)), read_only(columns)
 
 
-def generate_channels(M: int, N: int, T: int, streams, *,
-                      stored: tuple[np.ndarray, np.ndarray]) -> ChannelRealization:
+def generate_channels(schedule: Schedule, streams) -> ChannelRealization:
     """Draw i.i.d. CN(0, 1) channel coefficients, resampling exact zeros.
 
-    stored is slot_tables(mask, N, T) of an (N, T) bool mask, as Schedule.stored for its
-    used table: it draws only the coefficients h[i, :, t] with mask[i, t] set, in C order
-    of (N, M, T), real then imaginary part of each, and stores them in that order as an
-    (N, M, U) tensor with the mask's rows as slots. streams is a run_streams array: one (4,)
-    stream draws an (N, M, U) tensor, a (D, 4) stack a (D, N, M, U) stack.
+    The schedule gives the shapes: M, N, T, and schedule.stored, the slot tables of its used
+    mask. Only the coefficients h[i, :, t] with used[i, t] set are drawn, in C order of
+    (N, M, T), real then imaginary part of each, and stored in that order as an (N, M, U)
+    tensor with the mask's rows as slots. streams is a run_streams array: one (4,) stream
+    draws an (N, M, U) tensor, a (D, 4) stack a (D, N, M, U) stack.
 
     Raises
     ------
     ValueError
-        If any dimension is smaller than 1, or streams is not a run_streams array.
+        If streams is not a run_streams array.
     """
-    if M < 1 or N < 1 or T < 1:
-        raise ValueError(f"dimensions must be at least 1, got M={M} N={N} T={T}")
-    slots, columns = stored
-    h = read_only(_complex_normals(streams, (N, M, slots.shape[1]), nonzero=True))
-    return ChannelRealization(M=M, N=N, T=T, h=h, slots=slots, columns=columns)
+    slots, columns = schedule.stored
+    h = read_only(_complex_normals(streams, (schedule.N, schedule.M, slots.shape[1]), nonzero=True))
+    return ChannelRealization(M=schedule.M, N=schedule.N, T=schedule.T, h=h, slots=slots, columns=columns)
 
 
-def generate_messages(M: int, N: int, k: int, streams) -> np.ndarray:
+def generate_messages(schedule: Schedule, streams) -> np.ndarray:
     """Draw the read-only (N, M, k) unit-power message symbols w[i, j, c] for receiver i from
-    transmitter j, copy c, for one run_streams stream, or a (..., N, M, k) stack over its leading
-    axes. The k copies are the replicas of schedules that double the message load."""
-    if M < 1 or N < 1:
-        raise ValueError(f"dimensions must be at least 1, got M={M} N={N}")
-    if k not in (1, 2):
-        raise ValueError(f"replication factor must be 1 or 2, got {k}")
-    return read_only(_complex_normals(streams, (N, M, k)))
+    transmitter j, copy c, of the schedule's shape, for one run_streams stream, or a
+    (..., N, M, k) stack over its leading axes. The k copies are the replicas of schedules
+    that double the message load."""
+    return read_only(_complex_normals(streams, (schedule.N, schedule.M, schedule.k)))
 
 
-def generate_noise(N: int, U: int, streams) -> np.ndarray:
-    """Draw the read-only unit-variance CN(0, 1) receiver noise of the (N, U) stored cells, in the
-    order of ChannelRealization.slots, for one run_streams stream, or a (..., N, U) stack over its
-    leading axes."""
-    return read_only(_complex_normals(streams, (N, U)))
+def generate_noise(schedule: Schedule, streams) -> np.ndarray:
+    """Draw the read-only unit-variance CN(0, 1) receiver noise of the schedule's (N, U) stored
+    cells, in the order of its stored slots (ChannelRealization.slots), for one run_streams
+    stream, or a (..., N, U) stack over its leading axes."""
+    return read_only(_complex_normals(streams, schedule.stored[0].shape))

@@ -226,20 +226,21 @@ def _mode_simulate(cfg: dict, out: _Output) -> int:
     seeds = cfg.get("seeds", [0])
     noise = _flag(cfg, "noise", False)
     normalize = _flag(cfg, "normalize", False)
+    schedule = build_schedule(M, N)
     runs = []
     for seed in seeds:
-        sim = run_simulation(M, N, seed=seed, noise_enabled=noise, normalize=normalize)
+        sim = run_simulation(schedule, seed, noise_enabled=noise, normalize=normalize)
         d = sim.decoding
         errors = sim.relative_errors()
         finite = [e for e in errors if e == e]  # drop NaNs from failed decodes
         runs.append(
             {
                 "seed": seed,
-                "receivers": [
+                "receivers": [  # receiver i is system i of the run
                     {"receiver": i, "success": ok, "rank": rank,
                      "condition": condition if math.isfinite(condition) else None}
-                    for i, ok, rank, condition in zip(
-                        *(a.ravel().tolist() for a in (d.receiver, d.decoded, d.rank, d.condition))
+                    for i, (ok, rank, condition) in enumerate(
+                        zip(d.decoded.tolist(), d.rank.tolist(), d.condition.tolist())
                     )
                 ],
                 "relative_errors": [e if e == e else None for e in errors],

@@ -57,18 +57,15 @@ class ObservationLog:
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Square decoding systems G w = y, stacked over leading axes (draws, then receivers).
+    """Square decoding systems G w = y, stacked over the leading axes (..., N): any draw axes,
+    then every receiver of the schedule, receiver i at position i of the last one.
 
     Unknowns are ordered copy-major: index c*M + j holds message w[i, j, c].
     Rows run copy by copy: the phase1_slots row, then the pair_rows. sigma is the covariance of
     y's unit-variance noise (all zero for noiseless runs); noise_map is the
-    (kM, T) matrix B with y_noise = B @ n[i, :], so sigma = B B^T.
-
-    receiver is an int array of the stack's shape, 0-d for one system with
-    no leading axes; len() counts the systems.
+    (kM, T) matrix B with y_noise = B @ n[i, :], so sigma = B B^T. len() counts the systems.
     """
 
-    receiver: np.ndarray
     G: np.ndarray
     y: np.ndarray
     sigma: np.ndarray
@@ -84,12 +81,11 @@ class LinearSystem:
 class DecodeResult:
     """Decode of a stack of systems.
 
-    receiver, decoded, rank and condition have the stack's shape (0-d for a
-    stack with no leading axes); estimates adds a trailing kM axis, a NaN row
+    decoded, rank and condition have the stack's shape (..., N), so receiver i is
+    at position i of the last axis; estimates adds a trailing kM axis, a NaN row
     for a failed system. success is a plain bool: every system decoded.
     """
 
-    receiver: np.ndarray
     success: bool
     estimates: np.ndarray
     rank: np.ndarray
@@ -98,19 +94,20 @@ class DecodeResult:
 
 
 def observe_all(
-    plan: TransmitPlan, channels: ChannelRealization, noise: np.ndarray | None = None
+    plan: TransmitPlan, channels: ChannelRealization, messages: np.ndarray, noise: np.ndarray | None = None
 ) -> ObservationLog:
     """Compute every receiver's observation for all T slots, classified by schedule.entries.
 
-    In phase 1 the served receiver sees its desired group and everyone else
-    stores interference; in phase 2 the two members see a combined value and
-    everyone else discards theirs. Only the cells the channels store
+    The plan sends the (..., N, M, k) messages (TransmitPlan.signal_matrix). In
+    phase 1 the served receiver sees its desired group and everyone else stores
+    interference; in phase 2 the two members see a combined value and everyone
+    else discards theirs. Only the cells the channels store
     (channels.slots, schedule.used for a masked draw) are observed, and noise of
     their (..., N, U) shape, as generate_noise draws it, is added to them alone; any other
     shape raises ValueError. values is the full (..., N, T) grid, NaN on every cell not stored.
     """
     s = plan.schedule
-    X = plan.signal_matrix()
+    X = plan.signal_matrix(messages)
     receivers, slots = np.arange(s.N)[:, None], channels.slots
     stored = np.einsum("...iju,...jiu->...iu", channels.h, X[..., :, slots])
     if noise is not None:
@@ -128,22 +125,19 @@ def observe_all(
     )
 
 
-def cancel_interference(log: ObservationLog, receiver) -> tuple[np.ndarray, np.ndarray]:
-    """Subtract stored replays from every combined observation of one receiver.
+def cancel_interference(log: ObservationLog) -> tuple[np.ndarray, np.ndarray]:
+    """Subtract stored replays from every combined observation of every receiver.
 
-    Returns (rows, values) for the receiver's pair rows, in the order of the
-    schedule's pair_rows table. rows[r] holds the coefficients on the
-    messages of the row's copy; noiselessly
-    rows[r] @ w[receiver, :, copy] == values[r].
-    An index array of R receivers does all of them in one pass: the arrays
-    gain an R axis after the log's draw axes. Each linked slot is the
-    partner's phase-1 broadcast, stored interference for every receiver but
-    the partner, and Schedule construction rejects a receiver paired with
+    Returns (rows, values) for each receiver's pair rows, in the order of the
+    schedule's pair_rows table, with an N axis after the log's draw axes.
+    rows[i, r] holds the coefficients on the messages of the row's copy;
+    noiselessly rows[i, r] @ w[i, :, copy] == values[i, r]. Each linked slot
+    is the partner's phase-1 broadcast, stored interference for every receiver
+    but the partner, and Schedule construction rejects a receiver paired with
     itself, so the replay needs no check here.
     """
-    receiver = np.asarray(receiver)
-    slot, partner, linked, own = log.schedule.pair_rows[:, receiver]
-    own_row = receiver[..., None]
+    slot, partner, linked, own = log.schedule.pair_rows
+    own_row = np.arange(log.schedule.N)[:, None]
     g = log.slot_scale[..., slot]
     h = log.channels.rows
     rows = h(own_row, slot)  # ((g * h1) * h2) / h3, in place
@@ -154,33 +148,33 @@ def cancel_interference(log: ObservationLog, receiver) -> tuple[np.ndarray, np.n
     return rows, values
 
 
-def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
-    """Stack direct and subtraction rows into the receiver's kM x kM system.
+def assemble_system(log: ObservationLog) -> LinearSystem:
+    """Stack direct and subtraction rows into every receiver's kM x kM system.
 
     Per copy the phase-1 direct observation comes first (at
     schedule.phase1_slots), then the copy's M-1 subtraction rows in slot
     order (schedule.pair_rows).
     Each copy's M rows involve only its own M unknowns, so G is block
     diagonal; its rows are written into G copy by copy. The other arrays are
-    built per copy, as (k, M, ...), then flattened. An index array of
-    receivers assembles all of them into one stack. Every array is
+    built per copy, as (k, M, ...), then flattened. The N receivers form one
+    stack after the log's draw axes, receiver i at position i. Every array is
     read-only; a noiseless sigma is a broadcast zero.
     """
     s = log.schedule
-    M, k, T = s.M, s.k, s.T
-    receiver = np.asarray(receiver)
-    own = s.phase1_slots[receiver]  # (..., k): each copy's direct row is at its phase-1 slot
-    slot, _, linked, _ = s.pair_rows[:, receiver].reshape((4,) + own.shape + (M - 1,))
-    rows, values = cancel_interference(log, receiver)
+    M, N, k, T = s.M, s.N, s.k, s.T
+    own = s.phase1_slots  # (N, k): each copy's direct row is at its phase-1 slot
+    receivers = np.arange(N)[:, None]
+    slot, _, linked, _ = s.pair_rows.reshape(4, N, k, M - 1)
+    rows, values = cancel_interference(log)
     draws = log.values.shape[:-2]
-    lead = draws + receiver.shape
+    lead = draws + (N,)
     G = np.zeros(lead + (k * M, k * M), dtype=complex)
     diagonal = np.einsum("...cicj->...cij", G.reshape(lead + (k, M, k, M)))  # a view of the k blocks
-    diagonal[..., 0, :] = log.channels.rows(receiver[..., None], own)  # direct rows are channel rows
+    diagonal[..., 0, :] = log.channels.rows(receivers, own)  # direct rows are channel rows
     diagonal[..., 1:, :] = rows.reshape(lead + (k, M - 1, M))
     del diagonal, rows  # freed before the noise map is allocated
     y = np.empty(lead + (k, M), dtype=complex)
-    y[..., 0] = log.values[..., receiver[..., None], own]
+    y[..., 0] = log.values[..., receivers, own]
     y[..., 1:] = values.reshape(lead + (k, M - 1))
     # B: +1 at each row's own slot, minus the slot scale at the replayed slot; flat
     # index (row * T + slot) into each draw's rows
@@ -193,10 +187,7 @@ def assemble_system(log: ObservationLog, receiver) -> LinearSystem:
         sigma = read_only(B @ np.swapaxes(B, -1, -2))
     else:  # noiseless: sigma is 0 * B B^T, so skip the product
         sigma = np.broadcast_to(read_only(np.zeros(())), lead + (k * M, k * M))
-    return LinearSystem(
-        receiver=np.broadcast_to(receiver, lead),
-        G=read_only(G), y=y, sigma=sigma, noise_map=B, T=T, M=M,
-    )
+    return LinearSystem(G=read_only(G), y=y, sigma=sigma, noise_map=B, T=T, M=M)
 
 
 def decode(system: LinearSystem) -> DecodeResult:
@@ -231,4 +222,4 @@ def decode(system: LinearSystem) -> DecodeResult:
         failed = sv[~decoded]  # np.linalg.matrix_rank's default rule, on these singular values
         tol = failed[:, :1] * (G.shape[-1] * np.finfo(sv.dtype).eps)
         rank[~decoded] = np.count_nonzero(failed > tol, axis=-1)
-    return DecodeResult(system.receiver, success, estimates, rank, condition, decoded)
+    return DecodeResult(success, estimates, rank, condition, decoded)

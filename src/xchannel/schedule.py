@@ -85,8 +85,9 @@ class Schedule:
     compare schedules by their `members`. Construction checks the phase-1
     broadcasts (_check_phase1) and the phase-2 balance (_check_balance), so
     every schedule, built, permuted or made by hand, is checked once and its
-    derived tables need no checks of their own. Every table is a read-only
-    view of a read-only owner, so build_schedule can share one per (M, N).
+    derived tables need no checks of their own. They also fix the shapes a run reads from it:
+    N >= 1, k in (1, 2), M >= 1 (by balance) and T >= kN. Every table is a read-only view
+    of a read-only owner, so build_schedule can share one per (M, N).
     """
 
     M: int
@@ -97,6 +98,8 @@ class Schedule:
 
     def __post_init__(self):
         object.__setattr__(self, "members", read_only(self.members))
+        if self.N < 1 or self.k not in (1, 2):
+            raise SchemeConstructionError(f"a schedule needs N >= 1 and k in (1, 2): N={self.N} k={self.k}")
         first = self.phase1_len
         keys = _member_keys(self.N, self.k, self.members)
         _check_phase1(self.N, self.k, keys[:first])

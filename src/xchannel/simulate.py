@@ -9,7 +9,7 @@ import numpy as np
 
 from .channel import ChannelRealization, generate_channels, generate_messages, generate_noise, read_only, run_streams
 from .receive import DecodeResult, LinearSystem, ObservationLog, assemble_system, decode, observe_all
-from .schedule import Schedule, build_schedule
+from .schedule import Schedule
 from .transmit import TransmitPlan, build_transmit_plan
 
 __all__ = ["RECOVERY_TOL", "SimulationResult", "run_simulation"]
@@ -26,7 +26,7 @@ class SimulationResult:
     messages: np.ndarray  # the (..., N, M, k) message symbols
     plan: TransmitPlan
     log: ObservationLog
-    systems: LinearSystem  # stacked over (draws..., receivers)
+    systems: LinearSystem  # stacked over (draws..., N)
     decoding: DecodeResult  # one stacked decode of systems
 
     @functools.cached_property
@@ -52,48 +52,42 @@ class SimulationResult:
 
 
 def run_simulation(
-    M: int,
-    N: int,
+    schedule: Schedule,
     seed: int | list[int] | tuple[int, ...],
     *,
     draws: range | None = None,
     noise_enabled: bool = False,
     normalize: bool = False,
-    schedule: Schedule | None = None,
 ) -> SimulationResult:
-    """Run one seeded end-to-end transmission.
+    """Run one seeded end-to-end transmission of the schedule: build_schedule(M, N), or a
+    permuted or hand-made one. Every stage reads the run's shapes from it.
 
     The seed, a non-negative int, keys the run's Philox streams (run_streams): streams 0, 1
     and 2 of draw 0 for channels, messages and noise, with no noise stream for a noiseless run,
     so no two seeds share a random number. Channels and noise are drawn only at the cells
     schedule.used stores. A list of seeds runs one draw per seed in a single stacked pass, with
     a leading draw axis on every array; each draw equals its own single run. A range of draws
-    stacks the draws d of seed, on the streams (key, d, c); draw d equals run_simulation(seed,
-    draws=range(d, d + 1)). Passing an explicit schedule (e.g. a permuted one) overrides the
-    canonical construction; dimensions must match.
+    stacks the draws d of one seed, on the streams (key, d, c); draw d equals
+    run_simulation(schedule, seed, draws=range(d, d + 1)). A list of seeds takes no draws.
     """
-    if schedule is None:
-        schedule = build_schedule(M, N)
-    if schedule.M != M or schedule.N != N:
-        raise ValueError(
-            f"schedule is for M={schedule.M} N={schedule.N}, requested M={M} N={N}"
-        )
     count = 3 if noise_enabled else 2
     if draws is not None and not len(draws):
         raise ValueError(f"draws must hold at least one draw, got {draws!r}")
     if np.ndim(seed):  # one draw per seed, stacked on axis 1 after the stream axis
         if not len(seed):
             raise ValueError(f"seed must list at least one seed, got {seed!r}")
-        streams = np.stack([run_streams(s, count, draws=draws) for s in seed], axis=1)
+        if draws is not None:
+            raise ValueError(f"pass a list of seeds or draws, not both: seed={seed!r} draws={draws!r}")
+        streams = np.stack([run_streams(s, count) for s in seed], axis=1)
     else:
         streams = run_streams(seed, count, draws=draws)
     ch_seed, msg_seed, *noise_seed = streams
-    channels = generate_channels(M, N, schedule.T, ch_seed, stored=schedule.stored)
-    messages = generate_messages(M, N, schedule.k, msg_seed)
-    noise = generate_noise(N, channels.slots.shape[1], *noise_seed) if noise_enabled else None
-    plan = build_transmit_plan(schedule, messages, channels, schedule.csit, normalize=normalize)
-    log = observe_all(plan, channels, noise)
-    systems = assemble_system(log, np.arange(N))
+    channels = generate_channels(schedule, ch_seed)
+    messages = generate_messages(schedule, msg_seed)
+    noise = generate_noise(schedule, *noise_seed) if noise_enabled else None
+    plan = build_transmit_plan(schedule, channels, schedule.csit, normalize=normalize)
+    log = observe_all(plan, channels, messages, noise)
+    systems = assemble_system(log)
     return SimulationResult(
         schedule=schedule,
         channels=channels,

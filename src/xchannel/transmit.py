@@ -57,25 +57,25 @@ class TransmitPlan:
     group as is (coefficients 1 and 0). slot_scale[..., t] is the common scalar
     already folded into slot t's coefficients (1.0 unless normalization is
     on), which receivers also apply to stored observations when subtracting.
+    The plan depends on the channels alone and holds no messages: signal_matrix
+    applies it to the messages it is given.
     """
 
     schedule: Schedule
-    messages: np.ndarray  # the (..., N, M, k) message symbols
     coefficients: np.ndarray
     slot_scale: np.ndarray
     csit_reads: np.ndarray  # (K, 3) audited (receiver, slot, at_slot) reads: schedule.pair_reads
     csit_violations: np.ndarray  # the denied reads, in the same form: (0, 3) for a built plan
 
-    def signal_matrix(self) -> np.ndarray:
-        """All transmit vectors as a read-only (..., M, T) matrix."""
+    def signal_matrix(self, messages: np.ndarray) -> np.ndarray:
+        """All transmit vectors of the (..., N, M, k) messages as a read-only (..., M, T) matrix."""
         members = self.schedule.members
-        w = self.messages.swapaxes(-1, -2)[..., members[..., 0], members[..., 1], :]
+        w = messages.swapaxes(-1, -2)[..., members[..., 0], members[..., 1], :]
         return read_only(np.ascontiguousarray(np.einsum("...tmj,...tmj->...jt", self.coefficients, w)))
 
 
 def build_transmit_plan(
     schedule: Schedule,
-    messages: np.ndarray,
     channels: ChannelRealization,
     csit: CsitTable,
     normalize: bool = False,
@@ -93,7 +93,7 @@ def build_transmit_plan(
     1 / max_j ||coefficients of transmitter j||, so every transmitter meets a
     unit power budget with unit-power messages. A common factor (rather than
     per-transmitter ones) keeps the stored-observation subtraction exact.
-    Channels and messages with draw axes (drawn from a tuple of seeds) give a
+    Channels with draw axes (drawn from a list of seeds or a range of draws) give a
     plan with those axes, whose one CSIT audit covers every draw's gather.
     """
     reads = schedule.pair_reads
@@ -114,7 +114,6 @@ def build_transmit_plan(
         pair *= scale[..., first:, None, None]
     return TransmitPlan(
         schedule=schedule,
-        messages=messages,
         coefficients=read_only(coefficients),
         slot_scale=read_only(scale),
         csit_reads=reads,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from xchannel.analysis import dof_report, dof_slope, oracle_verify_3user, sweep_rates
-from xchannel.channel import generate_channels, generate_messages, generate_noise, run_streams, slot_tables
+from xchannel.channel import generate_channels, generate_messages, generate_noise
 from xchannel.receive import CONDITION_LIMIT, assemble_system, observe_all
 from xchannel.schedule import (
     build_csit_table,
@@ -24,17 +24,9 @@ from xchannel.schedule import (
 from xchannel.simulate import run_simulation
 from xchannel.transmit import audit_csit_trace, build_transmit_plan
 
+from helpers import full_store, stream
+
 GRID = [(M, N) for M in range(1, 9) for N in range(2, 9)]
-
-
-def stream(seed: int) -> np.ndarray:
-    """Stream 0 of draw 0 of the seed's key."""
-    return run_streams(seed, 1)[0]
-
-
-def every_slot(N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """The slot tables of an all-True mask: a realization that stores all T slots."""
-    return slot_tables(np.ones((N, T), dtype=bool), N, T)
 
 
 def _report(capsys, name, passed, detail):
@@ -83,7 +75,7 @@ def test_criterion_3_noiseless_decode_sweep(capsys):
     for M in range(2, 7):
         for N in range(2, 7):
             for seed in range(50):
-                res = run_simulation(M, N, seed=seed)
+                res = run_simulation(build_schedule(M, N), seed=seed)
                 d = res.decoding
                 for i, (ok, condition, est, truth) in enumerate(
                     zip(d.decoded, d.condition, d.estimates, res.truths)
@@ -124,16 +116,15 @@ def test_criterion_4_csit_contract(capsys):
                     "N": s.T - s.k * (M - 1) - s.k * (N - 1)}
             if c != want:
                 count_bad.append((M, N, i, c))
-        ch = generate_channels(M, N, s.T, stream(0), stored=every_slot(N, s.T))
-        ms = generate_messages(M, N, s.k, stream(1))
-        plan = build_transmit_plan(s, ms, ch, t)
+        ch = generate_channels(full_store(M, N, s.T), stream(0))
+        plan = build_transmit_plan(s, ch, t)
         if len(plan.csit_violations) or len(audit_csit_trace(plan.csit_reads, t)):
             read_bad.append((M, N))
     sims = 0
     for M in range(2, 7):
         for N in range(2, 7):
             for seed in range(5):
-                res = run_simulation(M, N, seed=seed)
+                res = run_simulation(build_schedule(M, N), seed=seed)
                 sims += 1
                 if len(res.plan.csit_violations) or len(audit_csit_trace(
                     res.plan.csit_reads, res.schedule.csit
@@ -153,12 +144,12 @@ def test_criterion_5_schedule_permutations(capsys):
     bad = []
     for M, N in [(3, 3), (4, 4), (2, 4)]:
         base = build_schedule(M, N)
-        canonical = run_simulation(M, N, seed=0)
+        canonical = run_simulation(base, seed=0)
         for trial in range(20):
             p1 = list(rng.permutation(base.phase1_len))
             p2 = list(rng.permutation(base.T - base.phase1_len))
             permuted = permute_schedule(base, p1, p2)
-            res = run_simulation(M, N, seed=0, schedule=permuted)
+            res = run_simulation(permuted, seed=0)
             if not res.all_recovered():
                 bad.append((M, N, trial, "recovery"))
                 continue
@@ -201,24 +192,24 @@ def test_criterion_7_noise_covariance_empirical(capsys):
     # correspondence crosschecked through the literal pipeline
     s = build_schedule(3, 3)
     table = build_csit_table(s)
-    ch = generate_channels(3, 3, s.T, stream(0), stored=every_slot(3, s.T))
-    ms = generate_messages(3, 3, s.k, stream(1))
-    plan = build_transmit_plan(s, ms, ch, table)
-    clean = observe_all(plan, ch)
-    noisy0 = observe_all(plan, ch, generate_noise(3, s.T, stream(2)))
-    systems = [assemble_system(noisy0, i) for i in range(3)]
-    clean_sys = [assemble_system(clean, i) for i in range(3)]
+    store = full_store(3, 3, s.T)
+    ch = generate_channels(store, stream(0))
+    ms = generate_messages(s, stream(1))
+    plan = build_transmit_plan(s, ch, table)
+    clean = observe_all(plan, ch, ms)
+    noisy0 = observe_all(plan, ch, ms, generate_noise(store, stream(2)))
+    systems = assemble_system(noisy0)
+    clean_sys = assemble_system(clean)
 
     # pipeline crosscheck: for 100 independent redraws the noisy right-hand
     # side minus the clean one equals noise_map @ noise row, exactly
     cross_bad = []
     for seed in range(100):
-        grid = generate_noise(3, s.T, stream(1000 + seed))
-        log = observe_all(plan, ch, grid)
+        grid = generate_noise(store, stream(1000 + seed))
+        noisy = assemble_system(observe_all(plan, ch, ms, grid))
         for i in range(3):
-            sys_i = assemble_system(log, i)
-            want = sys_i.noise_map @ grid[i]
-            if np.max(np.abs((sys_i.y - clean_sys[i].y) - want)) > 1e-12:
+            want = noisy.noise_map[i] @ grid[i]
+            if np.max(np.abs((noisy.y[i] - clean_sys.y[i]) - want)) > 1e-12:
                 cross_bad.append((seed, i))
     cross_ok = not cross_bad
 
@@ -228,12 +219,12 @@ def test_criterion_7_noise_covariance_empirical(capsys):
     worst = 0.0
     cov_ok = True
     for i in range(3):
-        B = systems[i].noise_map
+        B = systems.noise_map[i]
         n = (rng.standard_normal((R, s.T)) + 1j * rng.standard_normal((R, s.T)))
         n /= np.sqrt(2.0)
         resid = n @ B.T
         emp = (resid.conj().T @ resid).real / R
-        sigma = systems[i].sigma
+        sigma = systems.sigma[i]
         err = np.abs(emp - sigma) / np.maximum(np.abs(sigma), 1.0)
         worst = max(worst, float(err.max()))
         if err.max() > 0.05:

@@ -35,8 +35,8 @@ def tamper_member(monkeypatch, draw=(0,)):
 
     original = simulate.build_transmit_plan
 
-    def tampering(schedule, messages, channels, table, **kwargs):
-        plan = original(schedule, messages, channels, table, **kwargs)
+    def tampering(schedule, channels, table, **kwargs):
+        plan = original(schedule, channels, table, **kwargs)
         coefficients = plan.coefficients.copy()
         coefficients[(*draw, 3, 0, 0)] = channels.h[(*draw, 1, 0, 0)]
         return dataclasses.replace(plan, coefficients=coefficients)
@@ -81,11 +81,11 @@ class TestDofReport:
 
 
 def toy_system(G, sigma, T=1):
-    """A stack of one receiver's system, as assemble_system returns for [0]."""
+    """A stack of one receiver's system, shaped as assemble_system's stack of N = 1 receivers."""
     G = np.asarray(G, dtype=complex)[None]
     m = G.shape[-1]
     return LinearSystem(
-        receiver=np.array([0]), G=G, y=G @ np.ones(m), sigma=np.asarray(sigma, dtype=float)[None],
+        G=G, y=G @ np.ones(m), sigma=np.asarray(sigma, dtype=float)[None],
         noise_map=np.zeros((1, m, T)), T=T, M=m,
     )
 
@@ -113,18 +113,18 @@ class TestSumRate:
         assert pt.sum_rate == pytest.approx(math.log2(11.0) / 4.0, rel=1e-12)
 
     def test_per_receiver_adds_up(self):
-        sim = run_simulation(3, 3, seed=0, noise_enabled=True, normalize=True)
+        sim = run_simulation(build_schedule(3, 3), seed=0, noise_enabled=True, normalize=True)
         (pt,) = sum_rate(sim.systems, [30.0])
         assert len(pt.per_receiver) == 3
         assert pt.sum_rate == pytest.approx(sum(pt.per_receiver), rel=1e-12)
 
     def test_monotone_in_snr(self):
-        sim = run_simulation(3, 3, seed=1, noise_enabled=True, normalize=True)
+        sim = run_simulation(build_schedule(3, 3), seed=1, noise_enabled=True, normalize=True)
         rates = [p.sum_rate for p in sum_rate(sim.systems, (0, 10, 20, 30))]
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
     def test_noiseless_rejected(self):
-        sim = run_simulation(3, 3, seed=0)
+        sim = run_simulation(build_schedule(3, 3), seed=0)
         with pytest.raises(RuntimeError, match="noise covariance is singular"):
             sum_rate(sim.systems, [20.0])
 
@@ -143,7 +143,8 @@ class TestSumRate:
     def test_equals_a_fresh_cholesky_per_snr(self):
         # a stacked noisy, normalized 8x8 run, against a reference that factors a
         # freshly built Sigma + P_s G G^H at every SNR: bit for bit, inputs untouched
-        systems = run_simulation(8, 8, seed=[3, 4, 5], noise_enabled=True, normalize=True).systems
+        sim = run_simulation(build_schedule(8, 8), seed=[3, 4, 5], noise_enabled=True, normalize=True)
+        systems = sim.systems
         G, sigma = systems.G.tobytes(), systems.sigma.tobytes()
         snrs = [-20.0, 0.0, 40.0, 60.0, 80.0]
         points = sum_rate(systems, snrs)

@@ -20,9 +20,11 @@ from xchannel.channel import (
     slot_tables,
 )
 from xchannel.receive import ObservationKind, observe_all
-from xchannel.schedule import build_csit_table, build_schedule
+from xchannel.schedule import Schedule, SchemeCase, SchemeConstructionError, build_csit_table, build_schedule
 from xchannel.simulate import run_simulation
 from xchannel.transmit import build_transmit_plan
+
+from helpers import full_store, stream
 
 
 def reference_rng(seed) -> np.random.Generator:
@@ -31,17 +33,6 @@ def reference_rng(seed) -> np.random.Generator:
     stream 0 of draw 0, a stream tuple (key0, key1, draw, stream) names all four."""
     key0, key1, draw, stream = (seed, 0, 0, 0) if isinstance(seed, int) else map(int, seed)
     return np.random.Generator(np.random.Philox(key=key0 | key1 << 64, counter=draw << 128 | stream << 192))
-
-
-def stream(seed) -> np.ndarray:
-    """The run_streams row reference_rng(seed) names: stream 0 of draw 0 of an int seed's key,
-    or the words of a stream tuple."""
-    return run_streams(seed, 1)[0] if isinstance(seed, int) else np.array(seed, dtype=np.uint64)
-
-
-def every_slot(N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """The slot tables of an all-True mask: a realization that stores all T slots."""
-    return slot_tables(np.ones((N, T), dtype=bool), N, T)
 
 
 def reference_normals(rng, shape) -> np.ndarray:
@@ -53,14 +44,14 @@ def reference_normals(rng, shape) -> np.ndarray:
 
 class TestGenerateChannels:
     def test_shape_and_dtype(self):
-        ch = generate_channels(3, 4, 7, stream(0), stored=every_slot(4, 7))
+        ch = generate_channels(full_store(3, 4, 7), stream(0))
         assert ch.h.shape == (4, 3, 7)
         assert ch.h.dtype == np.complex128
         assert (ch.M, ch.N, ch.T) == (3, 4, 7)
 
     def test_deterministic_per_seed(self):
-        a = generate_channels(3, 3, 6, stream(42), stored=every_slot(3, 6))
-        b = generate_channels(3, 3, 6, stream(42), stored=every_slot(3, 6))
+        a = generate_channels(full_store(3, 3, 6), stream(42))
+        b = generate_channels(full_store(3, 3, 6), stream(42))
         np.testing.assert_array_equal(a.h, b.h)
 
     @pytest.mark.parametrize("M,N,T", [(3, 3, 6), (8, 4, 36), (32, 32, 528)])
@@ -68,20 +59,20 @@ class TestGenerateChannels:
     def test_bit_identical_to_reference_expression(self, M, N, T, seed):
         # the in-place fill keeps the stream order of this plain expression
         want = reference_normals(reference_rng(seed), (N, M, T))
-        assert generate_channels(M, N, T, stream(seed), stored=every_slot(N, T)).h.tobytes() == want.tobytes()
+        assert generate_channels(full_store(M, N, T), stream(seed)).h.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("M,N", [(2, 2), (3, 3), (4, 8)])
     @pytest.mark.parametrize("seed", range(3))
     def test_masked_draw_matches_reference_expression(self, M, N, seed):
-        # only the used cells are drawn, in C order of (N, M, T), and stored in
-        # that order
+        # only the schedule's used cells are drawn, in C order of (N, M, T), and
+        # stored in that order
         s = build_schedule(M, N)
         cells = np.broadcast_to(s.used[:, None, :], (N, M, s.T))
         n = int(cells.sum())
         rng = reference_rng(seed)
         want = np.full((N, M, s.T), complex(np.nan, np.nan))
         want[cells] = reference_normals(rng, (n,))
-        ch = generate_channels(M, N, s.T, stream(seed), stored=slot_tables(s.used, N, s.T))
+        ch = generate_channels(s, stream(seed))
         assert ch.h.shape == (N, M, n // (N * M))
         assert ch.h.tobytes() == want[cells].tobytes()
         assert np.array_equal(ch.slots, np.nonzero(s.used)[1].reshape(N, -1))
@@ -89,25 +80,26 @@ class TestGenerateChannels:
     def test_seed_tuple_stacks_single_draws(self):
         s = build_schedule(4, 3)
         seeds = stream([(5, 0, 0, 0), (1, 0, 2, 1)])
-        stack = generate_channels(4, 3, s.T, seeds, stored=s.stored)
+        stack = generate_channels(s, seeds)
         U = s.k * (3 + 4 - 1)
         assert stack.h.shape == (2, 3, 4, U)
-        messages = generate_messages(4, 3, s.k, seeds)
-        grid = generate_noise(3, U, seeds)
+        messages = generate_messages(s, seeds)
+        grid = generate_noise(s, seeds)
+        assert messages.shape == (2, 3, 4, 2) and grid.shape == (2, 3, U)
         for d, seed in enumerate(seeds):  # bit for bit, all three draws
-            single = generate_channels(4, 3, s.T, seed, stored=s.stored).h
+            single = generate_channels(s, seed).h
             assert stack.h[d].tobytes() == single.tobytes()
-            assert messages[d].tobytes() == generate_messages(4, 3, s.k, seed).tobytes()
-            assert grid[d].tobytes() == generate_noise(3, U, seed).tobytes()
+            assert messages[d].tobytes() == generate_messages(s, seed).tobytes()
+            assert grid[d].tobytes() == generate_noise(s, seed).tobytes()
 
     def test_four_stream_stack_is_four_draws(self):
         # a (4, 4) stack is four draws, not one stream read from four words
         s = build_schedule(3, 3)
         seeds = run_streams(0, 4)
-        stack = generate_channels(3, 3, s.T, seeds, stored=s.stored)
+        stack = generate_channels(s, seeds)
         assert stack.h.shape == (4, 3, 3, s.stored[0].shape[1])
         for d in range(4):
-            assert stack.h[d].tobytes() == generate_channels(3, 3, s.T, seeds[d], stored=s.stored).h.tobytes()
+            assert stack.h[d].tobytes() == generate_channels(s, seeds[d]).h.tobytes()
 
     @pytest.mark.parametrize("streams", [7, (1, 2, 3), (7, 0, 0, 0), np.zeros((2, 5), dtype=np.uint64),
                                          np.zeros(4, dtype=np.int64)])
@@ -115,10 +107,9 @@ class TestGenerateChannels:
         # an int, a tuple or an array of other words or dtype is no stream array: each
         # raises an error naming run_streams, for channels, messages and noise alike
         s = build_schedule(3, 3)
-        for draw in (lambda: generate_channels(3, 3, s.T, streams, stored=s.stored),
-                     lambda: generate_messages(3, 3, 1, streams), lambda: generate_noise(3, 4, streams)):
+        for draw in (generate_channels, generate_messages, generate_noise):
             with pytest.raises(ValueError, match="run_streams"):
-                draw()
+                draw(s, streams)
 
     @pytest.mark.parametrize("mask,match", [
         (np.ones((3, 6), dtype=int), r"bool array of shape \(3, 6\), got int\d+ \(3, 6\)"),
@@ -136,7 +127,7 @@ class TestGenerateChannels:
     def test_discarded_cell_gather_raises(self):
         # an unstored cell maps to the out-of-range column U, so a gather of it
         # raises instead of reading another slot's coefficients
-        sim = run_simulation(3, 3, seed=0)
+        sim = run_simulation(build_schedule(3, 3), seed=0)
         ch = sim.channels
         U = ch.h.shape[-1]
         assert sim.log.entries[2, 3] == ObservationKind.DISCARDED and ch.columns[2, 3] == U
@@ -150,41 +141,47 @@ class TestGenerateChannels:
         # a run takes its stored slots and column lookup from the schedule, which
         # builds them from its used table as a bare mask would be
         s = build_schedule(4, 3)
-        sims = [run_simulation(4, 3, seed=seed, schedule=s) for seed in (0, 1)]
+        sims = [run_simulation(s, seed=seed) for seed in (0, 1)]
         for sim in sims:
             assert sim.channels.slots is s.stored[0] and sim.channels.columns is s.stored[1]
-        masked = generate_channels(4, 3, s.T, stream(0), stored=slot_tables(s.used, 3, s.T))
-        assert np.array_equal(masked.slots, s.stored[0]) and np.array_equal(masked.columns, s.stored[1])
-        assert masked.h.tobytes() == sims[0].channels.h.tobytes()
+        slots, columns = slot_tables(s.used, 3, s.T)
+        assert np.array_equal(slots, s.stored[0]) and np.array_equal(columns, s.stored[1])
+        assert generate_channels(s, stream(0)).h.tobytes() == sims[0].channels.h.tobytes()
 
     def test_32x32_stores_only_used_cells(self):
         # each receiver stores k(N + M - 1) = 63 of the T = 528 slots
-        assert run_simulation(32, 32, 0).channels.h.nbytes == 16 * 32 * 32 * 63
+        assert run_simulation(build_schedule(32, 32), 0).channels.h.nbytes == 16 * 32 * 32 * 63
 
     def test_seeds_differ(self):
-        a = generate_channels(3, 3, 6, stream(1), stored=every_slot(3, 6))
-        b = generate_channels(3, 3, 6, stream(2), stored=every_slot(3, 6))
+        a = generate_channels(full_store(3, 3, 6), stream(1))
+        b = generate_channels(full_store(3, 3, 6), stream(2))
         assert not np.array_equal(a.h, b.h)
 
     def test_no_zero_entries(self):
         # invertibility of every coefficient is relied on by the precoder
         for seed in range(20):
-            ch = generate_channels(4, 4, 10, stream(seed), stored=every_slot(4, 10))
+            ch = generate_channels(full_store(4, 4, 10), stream(seed))
             assert np.all(np.abs(ch.h) > 0)
 
     def test_arrays_write_protected(self):
-        ch = generate_channels(2, 2, 3, stream(0), stored=every_slot(2, 3))
+        ch = generate_channels(full_store(2, 2, 3), stream(0))
         with pytest.raises(ValueError):
             ch.h[0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("M,N,T", [(0, 3, 6), (3, 0, 6), (3, 3, 0), (-1, 2, 4)])
     def test_invalid_dims(self, M, N, T):
-        with pytest.raises(ValueError):
-            generate_channels(M, N, T, stream(0), stored=every_slot(3, 6))
+        # the draw reads M, N and T from its schedule, and no schedule of these dimensions
+        # can be constructed: it needs N >= 1, the kN phase-1 broadcasts, and M - 1 >= 0
+        # pair slots per group to balance
+        message = {(0, 3, 6): "fractional", (3, 0, 6): "N >= 1", (3, 3, 0): "in 0 phase-1 slots",
+                   (-1, 2, 4): "expected -2"}[M, N, T]
+        members = np.array([[[t % max(N, 1), 0]] * 2 for t in range(T)], dtype=np.intp).reshape(-1, 2, 2)
+        with pytest.raises(SchemeConstructionError, match=message):
+            Schedule(M=M, N=N, case=SchemeCase.M_GE_N_GENERAL, k=1, members=members)
 
     def test_unit_variance_statistics(self):
         # 1e6 draws: E|h|^2 -> 1, Re/Im variance -> 1/2
-        ch = generate_channels(200, 50, 100, stream(7), stored=every_slot(50, 100))
+        ch = generate_channels(full_store(200, 50, 100), stream(7))
         h = ch.h
         assert h.size == 10**6
         assert abs(np.mean(np.abs(h) ** 2) - 1.0) < 0.01
@@ -195,29 +192,30 @@ class TestGenerateChannels:
 
 class TestGenerateMessages:
     def test_shape(self):
-        ms = generate_messages(3, 4, 2, stream(0))
-        assert ms.shape == (4, 3, 2)  # (N, M, k): the dimensions are the array's
+        ms = generate_messages(build_schedule(4, 3), stream(0))
+        assert ms.shape == (3, 4, 2)  # (N, M, k): the dimensions are the array's
         with pytest.raises(ValueError):  # a read-only view of a read-only owner, as run tables are
             ms.setflags(write=True)
 
     def test_deterministic(self):
-        a = generate_messages(2, 3, 1, stream(5))
-        b = generate_messages(2, 3, 1, stream(5))
+        a = generate_messages(build_schedule(2, 3), stream(5))
+        b = generate_messages(build_schedule(2, 3), stream(5))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("M,N,k", [(3, 3, 1), (4, 8, 2), (32, 32, 1)])
     @pytest.mark.parametrize("seed", [0, 7, (7, 3, 1, 1)])
     def test_bit_identical_to_reference_expression(self, M, N, k, seed):
         want = reference_normals(reference_rng(seed), (N, M, k))
-        assert generate_messages(M, N, k, stream(seed)).tobytes() == want.tobytes()
+        assert generate_messages(full_store(M, N, 1, k), stream(seed)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("k", [0, 3, -1])
     def test_invalid_k(self, k):
-        with pytest.raises(ValueError):
-            generate_messages(3, 3, k, stream(0))
+        # the draw reads k from its schedule, whose construction allows 1 or 2 copies only
+        with pytest.raises(SchemeConstructionError, match=r"k in \(1, 2\): N=3 k=%d$" % k):
+            dataclasses.replace(build_schedule(3, 3), k=k)
 
     def test_unit_power(self):
-        ms = generate_messages(100, 100, 2, stream(3))
+        ms = generate_messages(full_store(100, 100, 1, 2), stream(3))
         assert abs(np.mean(np.abs(ms) ** 2) - 1.0) < 0.02
 
 
@@ -226,29 +224,30 @@ class TestNoiseModel:
 
     def test_noiseless_run_observes_no_noise(self):
         # every stored cell of a noiseless stack is exactly its channel row times the slot's signal
-        sim = run_simulation(3, 5, seed=[4, 5])
+        sim = run_simulation(build_schedule(3, 5), seed=[4, 5])
         ch = sim.channels
-        clean = np.einsum("...iju,...jiu->...iu", ch.h, sim.plan.signal_matrix()[..., :, ch.slots])
+        X = sim.plan.signal_matrix(sim.messages)
+        clean = np.einsum("...iju,...jiu->...iu", ch.h, X[..., :, ch.slots])
         assert sim.log.values[..., np.arange(5)[:, None], ch.slots].tobytes() == clean.tobytes()
         assert sim.log.noise is None and not sim.systems.sigma.any()
 
     def test_enabled_deterministic(self):
-        a = generate_noise(3, 6, stream(9))
-        b = generate_noise(3, 6, stream(9))
+        a = generate_noise(full_store(1, 3, 6), stream(9))
+        b = generate_noise(full_store(1, 3, 6), stream(9))
         np.testing.assert_array_equal(a, b)
         assert not np.all(a == 0)
         with pytest.raises(ValueError):  # a read-only view of a read-only owner, as run tables are
             a.setflags(write=True)
 
     def test_unit_power(self):
-        a = generate_noise(50, 400, stream(4))
+        a = generate_noise(full_store(1, 50, 400), stream(4))
         assert abs(np.mean(np.abs(a) ** 2) - 1.0) < 0.05
 
     @pytest.mark.parametrize("N,U", [(3, 6), (8, 36), (32, 528)])
     @pytest.mark.parametrize("seed", [0, 11, (5, 2, 2, 2)])
     def test_bit_identical_to_reference_expression(self, N, U, seed):
         want = reference_normals(reference_rng(seed), (N, U))
-        assert generate_noise(N, U, stream(seed)).tobytes() == want.tobytes()
+        assert generate_noise(full_store(1, N, U), stream(seed)).tobytes() == want.tobytes()
 
 
 class TestReceivedSignal:
@@ -256,12 +255,12 @@ class TestReceivedSignal:
 
     def _setup(self, M=3, N=3, seed=0, w=None, noise=None):
         s = build_schedule(M, N)
-        ch = generate_channels(M, N, s.T, stream(seed), stored=every_slot(N, s.T))
+        ch = generate_channels(full_store(M, N, s.T), stream(seed))
         if w is None:
-            w = generate_messages(M, N, s.k, stream(seed + 100))
-        plan = build_transmit_plan(s, w, ch, build_csit_table(s))
-        log = observe_all(plan, ch, noise)
-        return ch, plan.signal_matrix(), log.values
+            w = generate_messages(s, stream(seed + 100))
+        plan = build_transmit_plan(s, ch, build_csit_table(s))
+        log = observe_all(plan, ch, w, noise)
+        return ch, plan.signal_matrix(w), log.values
 
     def test_matches_plain_dot(self):
         ch, x, y = self._setup()
@@ -283,7 +282,7 @@ class TestReceivedSignal:
 
     def test_noise_added(self):
         ch, _, clean = self._setup()
-        sample = generate_noise(ch.N, ch.T, stream(11))
+        sample = generate_noise(full_store(ch.M, ch.N, ch.T), stream(11))
         _, _, noisy = self._setup(noise=sample)
         assert np.all(np.abs((noisy - clean) - sample) <= 1e-12)
 
@@ -296,8 +295,9 @@ class TestReceivedSignal:
     def test_linearity(self, a, b, seed):
         # precoding depends on the channel only, so observations are linear in
         # the messages
-        u = generate_messages(3, 3, 1, stream(seed % 97))
-        v = generate_messages(3, 3, 1, stream((seed % 97) + 1))
+        s = build_schedule(3, 3)
+        u = generate_messages(s, stream(seed % 97))
+        v = generate_messages(s, stream((seed % 97) + 1))
         _, _, lhs = self._setup(seed=seed % 89, w=a * u + b * v)
         _, _, yu = self._setup(seed=seed % 89, w=u)
         _, _, yv = self._setup(seed=seed % 89, w=v)
@@ -307,10 +307,10 @@ class TestReceivedSignal:
 
 def test_realizations_hold_no_seed():
     # a draw keeps its arrays and dimensions; its stream is the caller's to keep
-    ch = generate_channels(2, 2, 3, stream(123), stored=every_slot(2, 3))
+    ch = generate_channels(full_store(2, 2, 3), stream(123))
     assert isinstance(ch, ChannelRealization)
     assert [f.name for f in dataclasses.fields(ch)] == ["M", "N", "T", "h", "slots", "columns"]
-    ms = generate_messages(2, 2, 1, stream(45))
+    ms = generate_messages(build_schedule(2, 2), stream(45))
     assert type(ms) is np.ndarray and ms.shape == (2, 2, 1)
 
 
@@ -348,7 +348,7 @@ def test_run_draws_match_fresh_philox_generators(seed):
     # the stored cells of channels, messages and noise are the normals of freshly constructed
     # generators on streams 0, 1 and 2 of the seed's key
     M, N = 4, 3
-    sim = run_simulation(M, N, seed, noise_enabled=True)
+    sim = run_simulation(build_schedule(M, N), seed, noise_enabled=True)
     key = seed if seed < 2**128 else int.from_bytes(
         np.random.SeedSequence(seed).generate_state(2, np.uint64).tobytes(), "little")
     noise = sim.log.noise
@@ -356,7 +356,7 @@ def test_run_draws_match_fresh_philox_generators(seed):
         rng = reference_rng((key & (2**64 - 1), key >> 64, 0, index))
         assert got.tobytes() == reference_normals(rng, got.shape).tobytes()
     # and that noise is what the stored cells observe on top of the noiseless run
-    clean = run_simulation(M, N, seed).log.values
+    clean = run_simulation(build_schedule(M, N), seed).log.values
     rows, slots = np.arange(N)[:, None], sim.channels.slots
     np.testing.assert_allclose((sim.log.values - clean)[rows, slots], noise, atol=1e-12)
 
@@ -380,7 +380,7 @@ def test_zero_redraw_continues_the_stream(monkeypatch):
 
     words = (3, 9, 4, 0)
     monkeypatch.setattr(channel, "_generator", Zeroing)
-    h = generate_channels(2, 3, 2, stream(words), stored=every_slot(3, 2)).h
+    h = generate_channels(full_store(2, 3, 2), stream(words)).h
     rng = reference_rng(words)
     want = reference_normals(rng, (12,))
     want[cells] = reference_normals(rng, (len(cells),))
@@ -391,13 +391,13 @@ def test_threads_draw_their_streams_undisturbed():
     # each thread resets and draws its own reused generator, so concurrent draws of many
     # streams equal the same draws made one after the other
     streams = [stream((s, 1, d, 0)) for s in range(6) for d in range(5)]
-    stored = every_slot(8, 36)
-    want = [generate_channels(4, 8, 36, words, stored=stored).h.tobytes() for words in streams]
+    store = full_store(4, 8, 36)
+    want = [generate_channels(store, words).h.tobytes() for words in streams]
     got = [None] * len(streams)
 
     def work(start):
         for i in range(start, len(streams), 6):
-            got[i] = generate_channels(4, 8, 36, streams[i], stored=stored).h.tobytes()
+            got[i] = generate_channels(store, streams[i]).h.tobytes()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -419,12 +419,12 @@ def test_stream_rejects_what_seed_sequence_rejects():
     with pytest.raises(TypeError):
         run_streams(1.5)
     with pytest.raises(TypeError):  # a SeedSequence is no seed
-        run_simulation(3, 3, np.random.SeedSequence(1))
+        run_simulation(build_schedule(3, 3), np.random.SeedSequence(1))
     with pytest.raises(TypeError):  # nor is a missing one
-        run_simulation(3, 3)
+        run_simulation(build_schedule(3, 3))
     for words in ((1, 2), (1, 2, 3, 4, 5)):  # a stream has four words, key then counter
         with pytest.raises(ValueError, match="run_streams"):
-            generate_channels(2, 2, 2, stream(words), stored=every_slot(2, 2))
+            generate_channels(full_store(2, 2, 2), stream(words))
 
 
 def test_sweep_builds_no_numpy_seed_sequence(monkeypatch):
@@ -435,12 +435,12 @@ def test_sweep_builds_no_numpy_seed_sequence(monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", Forbidden)
     sweep_rates(3, 4, [10.0, 30.0], draws=5, seed=2**128 - 1)
-    sim = run_simulation(3, 4, seed=7, draws=range(2), noise_enabled=True)
+    s = build_schedule(3, 4)
+    sim = run_simulation(s, seed=7, draws=range(2), noise_enabled=True)
     channels, messages, noise = (stream([(7, 0, d, c) for d in range(2)]) for c in range(3))
-    s = sim.schedule
-    assert sim.channels.h.tobytes() == generate_channels(3, 4, s.T, channels, stored=s.stored).h.tobytes()
-    assert sim.messages.tobytes() == generate_messages(3, 4, s.k, messages).tobytes()
-    assert sim.log.noise.tobytes() == generate_noise(4, sim.channels.h.shape[-1], noise).tobytes()
+    assert sim.channels.h.tobytes() == generate_channels(s, channels).h.tobytes()
+    assert sim.messages.tobytes() == generate_messages(s, messages).tobytes()
+    assert sim.log.noise.tobytes() == generate_noise(s, noise).tobytes()
 
 
 def test_large_seed_is_hashed_once(monkeypatch):
@@ -459,9 +459,10 @@ def test_large_seed_is_hashed_once(monkeypatch):
 @pytest.mark.parametrize("noise", [False, True])
 def test_draw_range_stacks_the_draw_seeds(noise):
     # draw d of a draw range is the one-draw run draws=range(d, d + 1), bit for bit
-    ranged = run_simulation(3, 7, seed=9, draws=range(2, 5), noise_enabled=noise, normalize=True)
+    s = build_schedule(3, 7)
+    ranged = run_simulation(s, seed=9, draws=range(2, 5), noise_enabled=noise, normalize=True)
     for i, d in enumerate(range(2, 5)):
-        single = run_simulation(3, 7, 9, draws=range(d, d + 1), noise_enabled=noise, normalize=True)
+        single = run_simulation(s, 9, draws=range(d, d + 1), noise_enabled=noise, normalize=True)
         for name in ("G", "y", "sigma"):
             assert getattr(ranged.systems, name)[i].tobytes() == getattr(single.systems, name)[0].tobytes()
 
@@ -470,9 +471,9 @@ def test_noiseless_run_derives_and_samples_no_noise():
     # the same channels and messages as the noisy run, with no noise stream and no grid sampled
     with (mock.patch.object(simulate, "generate_noise", side_effect=AssertionError("sampled")),
           mock.patch.object(simulate, "run_streams", wraps=run_streams) as streams):
-        quiet = run_simulation(4, 6, seed=[1, 2])
+        quiet = run_simulation(build_schedule(4, 6), seed=[1, 2])
     assert [c.args for c in streams.call_args_list] == [(1, 2), (2, 2)]  # channels and messages only
-    noisy = run_simulation(4, 6, seed=[1, 2], noise_enabled=True)
+    noisy = run_simulation(build_schedule(4, 6), seed=[1, 2], noise_enabled=True)
     assert quiet.channels.h.tobytes() == noisy.channels.h.tobytes()
     assert quiet.messages.tobytes() == noisy.messages.tobytes()
     assert quiet.log.noise is None

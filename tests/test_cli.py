@@ -101,7 +101,10 @@ class TestSimulateMode:
          "6ee69510580f2bc4b3fe7398d6000a2ca0c4d2e0ecff0090a1baf74df6109db0"),
         (["--M", "4", "--N", "3", "--seeds", "0", "1", "--noise", "off"],
          "ceed7b57c213545d2edee0bce597a8b17610e5c78e41c62ef16ca8854afc713e"),
-    ], ids=["4x6-noisy-normalized", "2x4-noiseless", "32x32-noiseless", "4x3-k2-noiseless"])
+        (["--M", "3", "--N", "5", "--seeds", "0", "1", "--noise", "on", "--normalize", "on"],
+         "9e7135f8d629411382dccbc41b140ac11ecbc2aadf1e887d4aa6e0cb6b8b9bc4"),
+    ], ids=["4x6-noisy-normalized", "2x4-noiseless", "32x32-noiseless", "4x3-k2-noiseless",
+            "3x5-k2-noisy-normalized"])
     def test_output_bytes_are_pinned(self, args, digest, capsys):
         # sha256 of the whole JSON, so no change to how runs and records are built
         # can alter a byte unnoticed
@@ -113,8 +116,8 @@ class TestSimulateMode:
         # printed as null, and so does its relative error
         original = simulate.assemble_system
 
-        def zeroed(log, receiver):
-            systems = original(log, receiver)
+        def zeroed(log):
+            systems = original(log)
             G = systems.G.copy()
             G[..., 1, :, :] = 0
             return dataclasses.replace(systems, G=G)

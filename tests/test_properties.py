@@ -11,12 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from xchannel import analysis
 from xchannel.analysis import sum_rate, sweep_rates
-from xchannel.channel import generate_channels, generate_messages, generate_noise, run_streams, slot_tables
+from xchannel.channel import generate_channels, generate_messages, generate_noise, run_streams
 from xchannel.receive import (CONDITION_LIMIT, LinearSystem, ObservationKind as K, assemble_system,
                               decode, observe_all)
 from xchannel.schedule import CsitTable, build_csit_table, build_schedule, permute_schedule
 from xchannel.simulate import run_simulation
 from xchannel.transmit import CsitAccessError, audit_csit_trace, build_transmit_plan
+
+from helpers import full_store, stream
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 dims = st.tuples(
@@ -38,7 +40,7 @@ def test_run_invariants(case, normalize):
     assert set(units) <= {(i, c) for i in range(N) for c in range(s.k)}
     assert all(units[(i, c)] == M - 1 for i in range(N) for c in range(s.k))
 
-    sim = run_simulation(M, N, seed=seed, normalize=normalize)
+    sim = run_simulation(s, seed=seed, normalize=normalize)
 
     # the CSIT contract holds with four reads per pair slot
     assert sim.plan.csit_violations.shape == (0, 3)
@@ -57,14 +59,14 @@ def test_run_invariants(case, normalize):
 
     # noiseless recovery; a failed decode must be ill-conditioned
     d = sim.decoding
-    assert d.receiver.tolist() == list(range(N))
+    assert d.decoded.shape == (N,)
     for ok, condition, est, truth in zip(d.decoded, d.condition, d.estimates, sim.truths):
         if not ok:
             assert condition > CONDITION_LIMIT
             continue
         assert np.abs(est - truth).max() <= 1e-8 * max(1.0, np.abs(truth).max())
 
-    noisy = run_simulation(M, N, seed=seed, noise_enabled=True, normalize=normalize)
+    noisy = run_simulation(s, seed=seed, noise_enabled=True, normalize=normalize)
     noise = noisy.log.values - sim.log.values
     for i in range(N):
         B = noisy.systems.noise_map[i]
@@ -92,7 +94,7 @@ def test_run_invariants(case, normalize):
 def test_rates_match_log_det_reference(case, tenths_db, normalize):
     M, N, seed = case
     snrs = sorted(t / 10 for t in tenths_db)
-    sim = run_simulation(M, N, seed=seed, noise_enabled=True, normalize=normalize)
+    sim = run_simulation(build_schedule(M, N), seed=seed, noise_enabled=True, normalize=normalize)
     points = sum_rate(sim.systems, snrs)
     assert [p.snr_db for p in points] == snrs
 
@@ -133,7 +135,7 @@ def whitened_svd_rates(systems, snrs) -> np.ndarray:
 )
 def test_rates_match_whitened_svd_reference(case, normalize):
     M, N, seed = case
-    systems = run_simulation(M, N, seed=seed, noise_enabled=True, normalize=normalize).systems
+    systems = run_simulation(build_schedule(M, N), seed=seed, noise_enabled=True, normalize=normalize).systems
 
     def rates(snrs):
         return np.array([p.per_receiver for p in sum_rate(systems, snrs)])
@@ -165,11 +167,11 @@ stacks = st.tuples(
 def test_draw_stack_equals_single_runs(case, normalize):
     M, N, D, seed = case
     seeds = [seed + 10 * d for d in range(D)]
-    stack = run_simulation(M, N, seed=seeds, noise_enabled=True, normalize=normalize)
+    stack = run_simulation(build_schedule(M, N), seed=seeds, noise_enabled=True, normalize=normalize)
     assert len(stack.systems) == stack.decoding.decoded.size == len(stack.truths) == D * N
-    assert stack.systems.receiver.tolist() == stack.decoding.receiver.tolist() == [list(range(N))] * D
+    assert stack.systems.G.shape[:2] == stack.decoding.decoded.shape == (D, N)
     for d, s in enumerate(seeds):
-        single = run_simulation(M, N, seed=s, noise_enabled=True, normalize=normalize)
+        single = run_simulation(build_schedule(M, N), seed=s, noise_enabled=True, normalize=normalize)
         for name in ("G", "y", "sigma", "noise_map"):
             assert np.array_equal(getattr(stack.systems, name)[d], getattr(single.systems, name))
         for name in ("estimates", "decoded", "rank", "condition"):
@@ -182,7 +184,7 @@ def test_sweep_is_mean_of_draws_in_any_chunking(case, normalize):
     M, N, D, seed = case
     snrs = [40.0, 60.0, 80.0]
     per_draw = [
-        sum_rate(run_simulation(M, N, seed, draws=range(d, d + 1),
+        sum_rate(run_simulation(build_schedule(M, N), seed, draws=range(d, d + 1),
                                 noise_enabled=True, normalize=normalize).systems, snrs)
         for d in range(D)
     ]
@@ -217,13 +219,10 @@ def test_stacked_plan_raises_at_the_flipped_read(case, pick):
     grid = table.grid.copy()
     grid[receiver, slot] = ord("N")
     broken = CsitTable(grid)
-    channel_seeds, message_seeds = run_streams(seed, 2, draws=range(D))
-    channels = generate_channels(M, N, s.T, channel_seeds, stored=s.stored)
-    messages = generate_messages(M, N, s.k, message_seeds)
-    assert audit_csit_trace(build_transmit_plan(s, messages, channels, table).csit_reads,
-                            table).shape == (0, 3)
+    channels = generate_channels(s, run_streams(seed, 1, draws=range(D))[0])
+    assert audit_csit_trace(build_transmit_plan(s, channels, table).csit_reads, table).shape == (0, 3)
     with pytest.raises(CsitAccessError) as exc:
-        build_transmit_plan(s, messages, channels, broken)
+        build_transmit_plan(s, channels, broken)
     assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (
         receiver, slot, at_slot, "N"
     )
@@ -244,17 +243,17 @@ def test_discarded_cells_are_never_read(case, normalize):
     M, N, seed = case
     s = build_schedule(M, N)
     table = build_csit_table(s)
-    messages = generate_messages(M, N, s.k, run_streams(seed + 1, 1)[0])
-    noise = generate_noise(N, s.T, run_streams(seed + 2, 1)[0])
+    store = full_store(M, N, s.T)
+    messages = generate_messages(s, stream(seed + 1))
+    noise = generate_noise(store, stream(seed + 2))
 
     def run(channels):
-        plan = build_transmit_plan(s, messages, channels, table, normalize=normalize)
-        log = observe_all(plan, channels, noise)
-        systems = assemble_system(log, np.arange(N))
-        return plan.signal_matrix(), log, systems, sum_rate(systems, [40.0, 80.0])
+        plan = build_transmit_plan(s, channels, table, normalize=normalize)
+        log = observe_all(plan, channels, messages, noise)
+        systems = assemble_system(log)
+        return plan.signal_matrix(messages), log, systems, sum_rate(systems, [40.0, 80.0])
 
-    clean = generate_channels(M, N, s.T, run_streams(seed, 1)[0],
-                              stored=slot_tables(np.ones((N, s.T), dtype=bool), N, s.T))
+    clean = generate_channels(store, stream(seed))
     X, log, systems, rates = run(clean)
     discarded = log.entries == K.DISCARDED
     h = clean.h.copy()
@@ -277,7 +276,7 @@ def test_channels_are_nan_exactly_on_discarded_cells(case, stacked):
     # exactly schedule.used, every stored coefficient is finite and nonzero, and
     # the observed value is NaN exactly on the discarded cells
     M, N, D, seed = case
-    sim = run_simulation(M, N, seed=[seed + d for d in range(D)] if stacked else seed)
+    sim = run_simulation(build_schedule(M, N), seed=[seed + d for d in range(D)] if stacked else seed)
     discarded = sim.log.entries == K.DISCARDED
     ch = sim.channels
     assert ch.h.shape == ((D,) if stacked else ()) + (N, M, ch.slots.shape[-1])
@@ -300,8 +299,7 @@ def test_every_receiver_uses_k_times_n_plus_m_minus_one_cells(M, N, seed):
                                 rng.permutation(base.T - base.phase1_len))
     for s in (base, permuted):
         assert s.used.sum(axis=1).tolist() == [s.k * (N + M - 1)] * N
-        stored = slot_tables(s.used, N, s.T)
-        draw = generate_channels(M, N, s.T, run_streams(seed, 1)[0], stored=stored)
+        draw = generate_channels(s, stream(seed))
         assert draw.h.shape == (N, M, s.k * (N + M - 1))
 
 
@@ -313,21 +311,21 @@ def _normals(a):
 
 def test_consecutive_seeds_share_no_normals():
     # seeds s, s+1, s+2 per run once drew run 0's messages from run 1's channel seed
-    assert np.intersect1d(_normals(run_simulation(3, 3, seed=0).messages),
-                          _normals(run_simulation(3, 3, seed=1).channels.h)).size == 0
+    assert np.intersect1d(_normals(run_simulation(build_schedule(3, 3), seed=0).messages),
+                          _normals(run_simulation(build_schedule(3, 3), seed=1).channels.h)).size == 0
 
 
 @pytest.mark.parametrize("M,N", [(3, 3), (2, 4)])
 def test_no_two_runs_or_draws_share_a_normal(M, N):
     sources = {}
     for seed in range(5):
-        sim = run_simulation(M, N, seed=seed, noise_enabled=True)
+        sim = run_simulation(build_schedule(M, N), seed=seed, noise_enabled=True)
         grid = sim.log.noise
         sources.update({("run", seed, "channels"): sim.channels.h,
                         ("run", seed, "messages"): sim.messages, ("run", seed, "noise"): grid})
     # the draws of sweep_rates(M, N, ..., draws=4, seed=0), as it runs them; a single run is
     # draw 0, so that draw is run 0 itself and the others share nothing with any run
-    stack = run_simulation(M, N, 0, draws=range(4), noise_enabled=True)
+    stack = run_simulation(build_schedule(M, N), 0, draws=range(4), noise_enabled=True)
     grids = stack.log.noise
     for kind, drawn in (("channels", stack.channels.h), ("messages", stack.messages), ("noise", grids)):
         assert drawn[0].tobytes() == sources[("run", 0, kind)].tobytes()
@@ -386,8 +384,8 @@ def test_stacked_decode_equals_per_system_reference(m, lead, seed, data):
     for n, kind in enumerate(kinds):
         if kind != "ok":
             flat[n] = _degenerate(kind, flat[n], rng)
-    system = LinearSystem(receiver=np.zeros(tuple(lead), dtype=int), G=G, y=y,
-                          sigma=np.zeros(shape + (m,)), noise_map=np.zeros(shape + (m,)), T=m, M=m)
+    system = LinearSystem(G=G, y=y, sigma=np.zeros(shape + (m,)), noise_map=np.zeros(shape + (m,)),
+                          T=m, M=m)
 
     res = decode(system)
     refs = [_reference_decode(g, b) for g, b in zip(flat, y.reshape(size, m))]

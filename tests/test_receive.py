@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from xchannel.analysis import sum_rate
-from xchannel.channel import (ChannelRealization, generate_channels, generate_messages, generate_noise,
-                              run_streams, slot_tables)
+from xchannel.channel import ChannelRealization, generate_channels, generate_messages, generate_noise
 from xchannel.receive import (
     CONDITION_LIMIT,
     LinearSystem,
@@ -23,28 +22,21 @@ from xchannel.schedule import SchemeConstructionError, build_csit_table, build_s
 from xchannel.simulate import run_simulation
 from xchannel.transmit import build_transmit_plan
 
+from helpers import every_slot, full_store, stream
+
 K = ObservationKind
-
-
-def stream(seed: int) -> np.ndarray:
-    """Stream 0 of draw 0 of the seed's key."""
-    return run_streams(seed, 1)[0]
-
-
-def every_slot(N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """The slot tables of an all-True mask: a realization that stores all T slots."""
-    return slot_tables(np.ones((N, T), dtype=bool), N, T)
 
 
 def make_log(M, N, seed=0, noise_enabled=False, normalize=False):
     # channels and noise on all T slots, so ch.h[i, :, t] is receiver i's row in slot t
     s = build_schedule(M, N)
     table = build_csit_table(s)
-    ch = generate_channels(M, N, s.T, stream(seed), stored=every_slot(N, s.T))
-    ms = generate_messages(M, N, s.k, stream(seed + 1))
-    plan = build_transmit_plan(s, ms, ch, table, normalize=normalize)
-    noise = generate_noise(N, s.T, stream(seed + 2)) if noise_enabled else None
-    return s, ch, ms, plan, observe_all(plan, ch, noise)
+    store = full_store(M, N, s.T)
+    ch = generate_channels(store, stream(seed))
+    ms = generate_messages(s, stream(seed + 1))
+    plan = build_transmit_plan(s, ch, table, normalize=normalize)
+    noise = generate_noise(store, stream(seed + 2)) if noise_enabled else None
+    return s, ch, ms, plan, observe_all(plan, ch, ms, noise)
 
 
 def loop_rows(schedule, receiver) -> np.ndarray:
@@ -101,7 +93,7 @@ class TestObservationKinds:
 
     def test_entries_are_the_schedules_read_only_table(self):
         s = build_schedule(4, 3)
-        a, b = (run_simulation(4, 3, seed=seed, schedule=s) for seed in (0, [1, 2]))
+        a, b = (run_simulation(s, seed=seed) for seed in (0, [1, 2]))
         assert a.log.entries is b.log.entries is s.entries
         assert s.entries.shape == (3, s.T) and s.entries.dtype == np.int8
         with pytest.raises(ValueError):
@@ -128,8 +120,8 @@ class TestObservationKinds:
         assert K is xchannel.ObservationKind is xchannel.schedule.ObservationKind
 
     def test_values_match_plain_recompute(self):
-        s, ch, _, plan, log = make_log(3, 3, seed=4)
-        X = plan.signal_matrix()
+        s, ch, ms, plan, log = make_log(3, 3, seed=4)
+        X = plan.signal_matrix(ms)
         for i in range(s.N):
             for t in range(s.T):
                 want = sum(ch.h[i, j, t] * X[j, t] for j in range(s.M))
@@ -138,19 +130,19 @@ class TestObservationKinds:
     def test_noise_enters_observations(self):
         _, _, _, _, clean = make_log(3, 3, seed=4)
         _, _, _, _, noisy = make_log(3, 3, seed=4, noise_enabled=True)
-        grid = generate_noise(3, 6, stream(6))
+        grid = generate_noise(full_store(3, 3, 6), stream(6))
         np.testing.assert_allclose(noisy.values - clean.values, grid, atol=1e-12)
         assert noisy.noise.tobytes() == grid.tobytes()
         assert clean.noise is None
 
     def test_noise_must_match_the_stored_cells(self):
         # one draw's (N, U) grid on a two-draw stack would broadcast onto both draws
-        sim = run_simulation(3, 4, seed=[1, 2])
+        sim = run_simulation(build_schedule(3, 4), seed=[1, 2])
         U = sim.channels.h.shape[-1]
         for shape in ((4, U), (2, 4, U + 1)):
             noise = np.zeros(shape, dtype=complex)
             with pytest.raises(ValueError, match=r"stored cells' shape \(2, 4, %d\)" % U):
-                observe_all(sim.plan, sim.channels, noise)
+                observe_all(sim.plan, sim.channels, sim.messages, noise)
 
 
 def pair_rows(schedule, receiver):
@@ -168,16 +160,16 @@ class TestCancelInterference:
     @pytest.mark.parametrize("M,N", [(3, 3), (4, 3), (5, 4), (2, 3)])
     def test_rows_satisfy_identity(self, M, N):
         s, _, ms, _, log = make_log(M, N, seed=9)
+        rows, values = cancel_interference(log)
+        assert rows.shape == (N, s.k * (M - 1), M) and values.shape == (N, s.k * (M - 1))
         for i in range(N):
-            rows, values = cancel_interference(log, i)
-            assert rows.shape == (s.k * (M - 1), M)
-            want = cancelled_truth(s, ms, i, rows)
-            assert np.all(np.abs(values - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+            want = cancelled_truth(s, ms, i, rows[i])
+            assert np.all(np.abs(values[i] - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     def test_row_coefficients_3x3_hand_formula(self):
         s, ch, _, _, log = make_log(3, 3, seed=2)
         h = ch.h
-        rows, _ = cancel_interference(log, 0)
+        rows = cancel_interference(log)[0][0]
         # receiver 0 broadcast at slot 0; partners 1 and 2 broadcast at 1 and 2
         np.testing.assert_allclose(rows[0], h[0, :, 3] * h[1, :, 0] / h[1, :, 3], rtol=1e-12)
         np.testing.assert_allclose(rows[1], h[0, :, 4] * h[2, :, 0] / h[2, :, 4], rtol=1e-12)
@@ -188,20 +180,20 @@ class TestCancelInterference:
         h = np.ones((3, 3, s.T), dtype=complex)
         h.setflags(write=False)
         ch = ChannelRealization(3, 3, s.T, h, *every_slot(3, s.T))
-        ms = generate_messages(3, 3, 1, stream(1))
-        plan = build_transmit_plan(s, ms, ch, table)
-        log = observe_all(plan, ch)
-        rows, values = cancel_interference(log, 1)
-        np.testing.assert_allclose(rows, np.ones((2, 3)), rtol=1e-14)
-        assert np.all(np.abs(values - ms[1].sum()) < 1e-10)
+        ms = generate_messages(s, stream(1))
+        plan = build_transmit_plan(s, ch, table)
+        log = observe_all(plan, ch, ms)
+        rows, values = cancel_interference(log)
+        np.testing.assert_allclose(rows, np.ones((3, 2, 3)), rtol=1e-14)
+        assert np.all(np.abs(values - ms.sum(axis=(1, 2))[:, None]) < 1e-10)
 
     def test_scaled_plan_keeps_identity(self):
         s, _, ms, _, log = make_log(4, 3, seed=1, normalize=True)
+        rows, values = cancel_interference(log)
         for i in range(3):
             assert np.all(log.slot_scale[pair_rows(s, i)[:, 1]] < 1.0)
-            rows, values = cancel_interference(log, i)
-            want = cancelled_truth(s, ms, i, rows)
-            assert np.all(np.abs(values - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+            want = cancelled_truth(s, ms, i, rows[i])
+            assert np.all(np.abs(values[i] - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     def test_self_paired_slot_rejected_at_construction(self):
         # the one way a replay can miss stored interference: pair slot 3 serves
@@ -218,13 +210,14 @@ class TestCancelInterference:
 class TestAssembleSystem:
     @pytest.mark.parametrize("M,N,size", [(3, 3, 3), (2, 2, 2), (4, 3, 8), (2, 3, 4)])
     def test_shapes(self, M, N, size):
+        # every receiver's system, receiver i at position i
         _, _, _, _, log = make_log(M, N)
-        sys0 = assemble_system(log, 0)
-        assert sys0.G.shape == (size, size)
-        assert sys0.y.shape == (size,)
-        assert sys0.sigma.shape == (size, size)
-        assert sys0.noise_map.shape == (size, log.schedule.T)
-        assert sys0.M == M
+        systems = assemble_system(log)
+        assert systems.G.shape == (N, size, size)
+        assert systems.y.shape == (N, size)
+        assert systems.sigma.shape == (N, size, size)
+        assert systems.noise_map.shape == (N, size, log.schedule.T)
+        assert systems.M == M and len(systems) == N
 
     def test_row_ordering_direct_then_subtractions(self):
         # per copy, G's first row is the channel row at the copy's phase-1 slot t_c, and the
@@ -234,7 +227,7 @@ class TestAssembleSystem:
         kinds = ["direct" if partner < 0 else "subtraction" for partner in rows[:, 2]]
         assert kinds == ["direct", "subtraction", "subtraction", "subtraction"] * 2
         assert rows[:, 0].tolist() == [0] * 4 + [1] * 4
-        G, h = assemble_system(log, 0).G, ch.h
+        G, h = assemble_system(log).G[0], ch.h
         for r, (copy, slot, partner, _) in enumerate(rows.tolist()):
             own = rows[4 * copy, 1]
             want = h[0, :, slot] if partner < 0 else h[0, :, slot] * h[partner, :, own] / h[partner, :, slot]
@@ -243,24 +236,24 @@ class TestAssembleSystem:
     def test_copy_blocks_are_disjoint(self):
         # a row for copy c involves only that copy's unknowns
         _, _, _, _, log = make_log(4, 3, seed=5)
-        sys1 = assemble_system(log, 1)
-        M = sys1.M
+        systems = assemble_system(log)
+        M = systems.M
         for r, copy in enumerate(loop_rows(log.schedule, 1)[:, 0]):
-            block = sys1.G[r, copy * M : (copy + 1) * M]
-            full = sys1.G[r]
+            block = systems.G[1, r, copy * M : (copy + 1) * M]
+            full = systems.G[1, r]
             assert np.count_nonzero(full) == np.count_nonzero(block)
 
     def test_direct_row_is_channel_row(self):
         s, ch, _, _, log = make_log(3, 3, seed=8)
-        sys2 = assemble_system(log, 2)
-        np.testing.assert_allclose(sys2.G[0], ch.h[2, :, 2], rtol=1e-14)
+        G = assemble_system(log).G
+        np.testing.assert_allclose(G[:, 0], ch.h[[0, 1, 2], :, [0, 1, 2]], rtol=1e-14)
 
     def test_system_consistent_with_truth(self):
         _, _, ms, _, log = make_log(5, 4, seed=3)
+        systems = assemble_system(log)
         for i in range(4):
-            sysi = assemble_system(log, i)
             w_flat = ms[i].T.reshape(-1)
-            np.testing.assert_allclose(sysi.G @ w_flat, sysi.y, rtol=1e-9)
+            np.testing.assert_allclose(systems.G[i] @ w_flat, systems.y[i], rtol=1e-9)
 
     def test_noiseless_32x32_run_peak_stays_small(self):
         # the run's stages free their temporaries before assembly allocates the 4.3 MB noise map,
@@ -269,10 +262,11 @@ class TestAssembleSystem:
         # threshold to its size and the trim threshold to twice that, which keeps the run's large
         # arrays on the heap. So B stays although sigma needs no B: a run that never allocated it
         # took about 918 minor faults per request in a closed client loop, against about 1 with it.
-        run_simulation(2, 2, 0).all_recovered()  # lazy imports and caches outside the measurement
+        run_simulation(build_schedule(2, 2), 0).all_recovered()  # imports and caches unmeasured
+        schedule = build_schedule(32, 32)
         tracemalloc.start()
         try:
-            assert run_simulation(32, 32, 0).all_recovered()
+            assert run_simulation(schedule, 0).all_recovered()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -282,7 +276,7 @@ class TestAssembleSystem:
 class TestNoiseCovariance:
     def test_3x3_golden(self):
         _, _, _, _, log = make_log(3, 3, noise_enabled=True)
-        np.testing.assert_allclose(assemble_system(log, 0).sigma,
+        np.testing.assert_allclose(assemble_system(log).sigma[0],
                                    np.diag([1.0, 2.0, 2.0]), atol=1e-14)
 
     def test_3x4_shared_replay_correlates_rows(self):
@@ -290,7 +284,7 @@ class TestNoiseCovariance:
         # so the two subtraction rows share one noise sample
         _, _, _, _, log = make_log(3, 4, noise_enabled=True)
         want = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
-        np.testing.assert_allclose(assemble_system(log, 0).sigma, want, atol=1e-14)
+        np.testing.assert_allclose(assemble_system(log).sigma[0], want, atol=1e-14)
 
     def test_4x3_golden(self):
         _, _, _, _, log = make_log(4, 3, noise_enabled=True)
@@ -303,23 +297,23 @@ class TestNoiseCovariance:
         want = np.zeros((8, 8))
         want[:4, :4] = block
         want[4:, 4:] = block
-        np.testing.assert_allclose(assemble_system(log, 0).sigma, want, atol=1e-14)
+        np.testing.assert_allclose(assemble_system(log).sigma[0], want, atol=1e-14)
 
     def test_noiseless_sigma_is_zero(self):
         _, _, _, _, log = make_log(3, 3, noise_enabled=False)
-        assert np.all(assemble_system(log, 0).sigma == 0)
+        assert np.all(assemble_system(log).sigma == 0)
 
     @pytest.mark.parametrize("M,N", [(3, 3), (4, 3), (3, 4), (2, 3)])
     def test_sigma_equals_incidence_product(self, M, N):
         _, _, _, _, log = make_log(M, N, noise_enabled=True)
+        systems = assemble_system(log)
         for i in range(N):
-            sysi = assemble_system(log, i)
-            np.testing.assert_allclose(sysi.sigma, sysi.noise_map @ sysi.noise_map.T, atol=1e-12)
+            B = systems.noise_map[i]
+            np.testing.assert_allclose(systems.sigma[i], B @ B.T, atol=1e-12)
 
     def test_noise_map_structure(self):
         _, _, _, _, log = make_log(3, 3, noise_enabled=True)
-        sys0 = assemble_system(log, 0)
-        B = sys0.noise_map
+        B = assemble_system(log).noise_map[0]
         for r, (_, slot, partner, linked) in enumerate(loop_rows(log.schedule, 0)):
             if partner < 0:
                 assert B[r, slot] == 1.0
@@ -333,22 +327,21 @@ class TestNoiseCovariance:
         # noisy minus noiseless right-hand side equals B times the noise row
         s, _, _, _, clean = make_log(3, 3, seed=7)
         _, _, _, _, noisy = make_log(3, 3, seed=7, noise_enabled=True)
-        grid = generate_noise(3, s.T, stream(9))
+        grid = generate_noise(full_store(3, 3, s.T), stream(9))
+        a, b = assemble_system(noisy), assemble_system(clean)
         for i in range(3):
-            a = assemble_system(noisy, i)
-            b = assemble_system(clean, i)
-            np.testing.assert_allclose(a.y - b.y, a.noise_map @ grid[i], atol=1e-10)
-            np.testing.assert_allclose(a.G, b.G, rtol=1e-12)
+            np.testing.assert_allclose(a.y[i] - b.y[i], a.noise_map[i] @ grid[i], atol=1e-10)
+        np.testing.assert_allclose(a.G, b.G, rtol=1e-12)
 
     def test_empirical_covariance_quick(self):
         _, _, _, _, log = make_log(3, 3, noise_enabled=True)
-        sys0 = assemble_system(log, 0)
+        systems = assemble_system(log)
         rng = np.random.default_rng(0)
         R = 20000
         n = (rng.standard_normal((R, 6)) + 1j * rng.standard_normal((R, 6))) / np.sqrt(2)
-        r = n @ sys0.noise_map.T
+        r = n @ systems.noise_map[0].T
         emp = (r.conj().T @ r).real / R
-        np.testing.assert_allclose(emp, sys0.sigma, atol=0.1)
+        np.testing.assert_allclose(emp, systems.sigma[0], atol=0.1)
 
 
 class TestDecode:
@@ -356,7 +349,7 @@ class TestDecode:
         m = G.shape[0]
         y = np.asarray(y if y is not None else G @ np.ones(m), dtype=complex)
         sigma = sigma if sigma is not None else np.zeros((m, m))
-        return LinearSystem(receiver=np.array(0), G=np.asarray(G, dtype=complex), y=y,
+        return LinearSystem(G=np.asarray(G, dtype=complex), y=y,
                             sigma=sigma, noise_map=np.zeros((m, m)), T=m, M=m)
 
     def test_identity_system(self):
@@ -381,10 +374,10 @@ class TestDecode:
     def test_noisy_decode_whitens(self):
         # tiny noise (variance 1e-12) on the right-hand sides of a run's systems, built by hand
         # from its noise maps: the GLS estimate must sit within a few standard deviations
-        res = run_simulation(3, 3, seed=5)
+        res = run_simulation(build_schedule(3, 3), seed=5)
         clean = res.systems
         B = clean.noise_map
-        n = 1e-6 * generate_noise(3, B.shape[-1], stream(7))
+        n = 1e-6 * generate_noise(full_store(3, 3, B.shape[-1]), stream(7))
         noisy = dataclasses.replace(clean, y=clean.y + np.einsum("irt,it->ir", B, n),
                                     sigma=1e-12 * (B @ np.swapaxes(B, -1, -2)))
         d = decode(noisy)
@@ -394,13 +387,13 @@ class TestDecode:
     @pytest.mark.parametrize("M,N", [(3, 3), (4, 3), (2, 4), (5, 4), (2, 3), (1, 4)])
     def test_noiseless_pipeline_exact(self, M, N):
         for seed in range(3):
-            res = run_simulation(M, N, seed=seed)
+            res = run_simulation(build_schedule(M, N), seed=seed)
             assert res.all_recovered()
             errs = res.relative_errors()
             assert np.nanmax(errs) <= 1e-8
 
     def test_estimate_ordering_copy_major(self):
-        res = run_simulation(4, 3, seed=2)
+        res = run_simulation(build_schedule(4, 3), seed=2)
         for i, est in enumerate(res.decoding.estimates):
             for c in range(2):
                 for j in range(4):
@@ -411,8 +404,7 @@ class TestStackedDecode:
     def _stack(self, G):
         G = np.asarray(G, dtype=complex)
         lead, m = G.shape[:-2], G.shape[-1]
-        return LinearSystem(receiver=np.zeros(lead, dtype=int), G=G,
-                            y=np.ones(lead + (m,), dtype=complex), sigma=np.zeros(G.shape),
+        return LinearSystem(G=G, y=np.ones(lead + (m,), dtype=complex), sigma=np.zeros(G.shape),
                             noise_map=np.zeros(G.shape), T=m, M=m)
 
     def test_all_failed_stack(self):
@@ -454,7 +446,7 @@ class TestStackedDecode:
         for i in range(3):
             single = decode(self._stack(G[i]))
             assert type(single.success) is bool and single.success == stacked.decoded[i]
-            for name in ("receiver", "decoded", "rank", "condition"):
+            for name in ("decoded", "rank", "condition"):
                 got = getattr(single, name)
                 assert type(got) is np.ndarray and got.shape == () and got == getattr(stacked, name)[i]
             assert single.estimates.shape == (5,)
@@ -462,23 +454,28 @@ class TestStackedDecode:
         assert np.isnan(stacked.estimates[1]).all()
 
     def test_run_decodes_its_stack_in_one_call(self):
-        res = run_simulation(3, 3, seed=[4, 5])
+        res = run_simulation(build_schedule(3, 3), seed=[4, 5])
         assert res.decoding.estimates.shape == (2, 3, 3) and res.decoding.success is True
-        assert res.decoding.receiver.tolist() == [[0, 1, 2], [0, 1, 2]]
         for name in ("decoded", "rank", "condition"):
             assert getattr(res.decoding, name).shape == (2, 3)
 
     def test_empty_seed_list_rejected(self):
         # a run needs a draw: an empty list names itself instead of failing to unpack
         with pytest.raises(ValueError, match=r"^seed must list at least one seed, got \[\]$"):
-            run_simulation(3, 3, seed=[])
+            run_simulation(build_schedule(3, 3), seed=[])
 
     def test_empty_draw_range_rejected(self):
         with pytest.raises(ValueError, match=r"^draws must hold at least one draw, got range\(4, 4\)$"):
-            run_simulation(3, 3, seed=7, draws=range(4, 4))
+            run_simulation(build_schedule(3, 3), seed=7, draws=range(4, 4))
+
+    def test_seed_list_with_draws_rejected(self):
+        # a list of seeds is one draw per seed; draws on top would stack a second draw axis
+        with pytest.raises(ValueError, match=r"^pass a list of seeds or draws, not both: "
+                                             r"seed=\[1, 2\] draws=range\(0, 2\)$"):
+            run_simulation(build_schedule(3, 3), seed=[1, 2], draws=range(2))
 
     def test_truth_follows_the_flat_decode_order(self):
-        res = run_simulation(3, 2, seed=[1, 2])
+        res = run_simulation(build_schedule(3, 2), seed=[1, 2])
         assert res.truths.shape == (4, 3)
         estimates = res.decoding.estimates.reshape(4, 3)
         for i, truth in enumerate(res.truths):
@@ -489,7 +486,7 @@ class TestStackedDecode:
     def test_relative_errors_computed_once(self):
         # one stacked norm pass over every system: two dot products (real and imaginary
         # parts), whatever the number of systems, and no per-row norm
-        res = run_simulation(3, 3, seed=[2, 3])
+        res = run_simulation(build_schedule(3, 3), seed=[2, 3])
         with mock.patch.object(np, "vecdot", wraps=np.vecdot) as vecdot, \
                 mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
             errors = res.relative_errors()
@@ -499,14 +496,14 @@ class TestStackedDecode:
 
     @pytest.mark.parametrize("M,N,seeds", [(3, 3, [2]), (4, 3, [0, 1]), (8, 8, [5]), (16, 16, [1]), (2, 4, [7, 8])])
     def test_relative_errors_equal_per_row_norms_bit_for_bit(self, M, N, seeds):
-        res = run_simulation(M, N, seed=seeds, noise_enabled=True)
+        res = run_simulation(build_schedule(M, N), seed=seeds, noise_enabled=True)
         estimates = res.decoding.estimates.reshape(res.truths.shape)
         want = [float(np.linalg.norm(e - t) / np.linalg.norm(t)) for e, t in zip(estimates, res.truths)]
         assert res.relative_errors() == want
 
     def test_noiseless_stack_sigma_is_zero(self):
         _, _, _, _, log = make_log(3, 4)
-        systems = assemble_system(log, np.arange(4))
+        systems = assemble_system(log)
         assert systems.sigma.shape == (4, 3, 3) and not systems.sigma.any()
         assert not systems.sigma.flags.writeable
         with pytest.raises(RuntimeError, match="noise covariance is singular"):
@@ -514,7 +511,7 @@ class TestStackedDecode:
 
     def test_noisy_sigma_is_the_incidence_product_bit_for_bit(self):
         _, _, _, _, log = make_log(4, 3, noise_enabled=True)
-        systems = assemble_system(log, np.arange(3))
+        systems = assemble_system(log)
         B = systems.noise_map
         assert np.array_equal(systems.sigma, B @ np.swapaxes(B, -1, -2))
 
@@ -523,14 +520,14 @@ class TestPermutedSchedules:
     def test_permuted_schedule_still_decodes(self):
         base = build_schedule(3, 3)
         perm = permute_schedule(base, [2, 0, 1], [1, 2, 0])
-        res = run_simulation(3, 3, seed=6, schedule=perm)
+        res = run_simulation(perm, seed=6)
         assert res.all_recovered()
 
     def test_permutation_matches_canonical_messages(self):
         base = build_schedule(4, 3)
         perm = permute_schedule(base, [3, 1, 2, 0, 5, 4], list(range(9))[::-1])
-        a = run_simulation(4, 3, seed=1)
-        b = run_simulation(4, 3, seed=1, schedule=perm)
+        a = run_simulation(base, seed=1)
+        b = run_simulation(perm, seed=1)
         np.testing.assert_allclose(b.decoding.estimates, b.truths, rtol=1e-8)
         np.testing.assert_allclose(a.truths, b.truths, rtol=1e-12)
 
@@ -538,7 +535,7 @@ class TestPermutedSchedules:
 class TestIdentityEquality:
     def test_twins_compare_unequal_without_raising(self):
         # array-holding containers compare by identity: equal-seed twins are distinct objects
-        a, b = run_simulation(2, 2, seed=0), run_simulation(2, 2, seed=0)
+        a, b = (run_simulation(build_schedule(2, 2), seed=0) for _ in range(2))
         for x, y in [
             (a, b),
             (a.channels, b.channels),
@@ -575,7 +572,7 @@ class TestReadOnlyTables:
     def test_cannot_be_made_writable(self, name, kwargs):
         # numpy refuses write=True on a view of a read-only owner, so no caller can
         # change a run's tables after the fact
-        table = RUN_TABLES[name](run_simulation(4, 3, **kwargs))  # k = 2: truths are a copy
+        table = RUN_TABLES[name](run_simulation(build_schedule(4, 3), **kwargs))  # k = 2: truths are a copy
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table.setflags(write=True)

@@ -317,7 +317,7 @@ class TestDecodeRows:
                 for _ in range(3)
             ]
             for s in [base, *permuted]:
-                sim = run_simulation(M, N, seed=M, schedule=s)
+                sim = run_simulation(s, seed=M)
                 G = sim.systems.G
                 assert G.shape == (N, s.k * M, s.k * M)
                 np.testing.assert_allclose(G, loop_decode_rows(s, sim.channels), rtol=1e-12, atol=0,

@@ -1,9 +1,11 @@
 """Tests for CSIT access control and the two-phase precoder."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from xchannel.channel import ChannelRealization, generate_channels, generate_messages, run_streams, slot_tables
+from xchannel.channel import ChannelRealization, generate_channels, generate_messages
 from xchannel.schedule import CsitTable, build_csit_table, build_schedule
 from xchannel.transmit import (
     CsitAccessError,
@@ -11,26 +13,23 @@ from xchannel.transmit import (
     build_transmit_plan,
 )
 
-
-def every_slot(N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """The slot tables of an all-True mask: a realization that stores all T slots."""
-    return slot_tables(np.ones((N, T), dtype=bool), N, T)
+from helpers import every_slot, full_store, stream
 
 
 def make_instance(M, N, seed=0, normalize=False):
     # channels on all T slots from stream 0 of seed's key, messages from stream 0 of seed + 1's
     s = build_schedule(M, N)
     table = build_csit_table(s)
-    ch = generate_channels(M, N, s.T, run_streams(seed, 1)[0], stored=every_slot(N, s.T))
-    ms = generate_messages(M, N, s.k, run_streams(seed + 1, 1)[0])
-    plan = build_transmit_plan(s, ms, ch, table, normalize=normalize)
+    ch = generate_channels(full_store(M, N, s.T), stream(seed))
+    ms = generate_messages(s, stream(seed + 1))
+    plan = build_transmit_plan(s, ch, table, normalize=normalize)
     return s, table, ch, ms, plan
 
 
 class TestPhase1:
     def test_signal_is_message_row(self):
         s, _, _, ms, plan = make_instance(3, 3)
-        X = plan.signal_matrix()
+        X = plan.signal_matrix(ms)
         for t, ((i, c), _) in enumerate(s.members[: s.phase1_len].tolist()):
             np.testing.assert_array_equal(X[:, t], ms[i, :, c])
 
@@ -38,7 +37,7 @@ class TestPhase1:
         s, _, _, ms, plan = make_instance(4, 3)
         t = 4  # second copy of receiver 1's broadcast
         assert s.members[t, 0].tolist() == [1, 1] and s.phase1_slots[1, 1] == t
-        np.testing.assert_array_equal(plan.signal_matrix()[:, t], ms[1, :, 1])
+        np.testing.assert_array_equal(plan.signal_matrix(ms)[:, t], ms[1, :, 1])
 
 
 class TestPhase2Coefficients:
@@ -72,9 +71,9 @@ class TestPhase2Coefficients:
         h = np.ones((3, 3, s.T), dtype=complex)
         h.setflags(write=False)
         ch = ChannelRealization(3, 3, s.T, h, *every_slot(3, s.T))
-        ms = generate_messages(3, 3, 1, run_streams(1, 1)[0])
-        plan = build_transmit_plan(s, ms, ch, table)
-        X = plan.signal_matrix()
+        ms = generate_messages(s, stream(1))
+        plan = build_transmit_plan(s, ch, table)
+        X = plan.signal_matrix(ms)
         for t, ((a, ca), (b, cb)) in enumerate(s.members[s.phase1_len :].tolist(), s.phase1_len):
             np.testing.assert_allclose(X[:, t], ms[a, :, ca] + ms[b, :, cb], rtol=1e-14)
 
@@ -83,7 +82,7 @@ class TestPhase2Coefficients:
         # summed here term by term in plain loops
         s, _, ch, ms, plan = make_instance(4, 3, seed=7)
         h = ch.h
-        X = plan.signal_matrix()
+        X = plan.signal_matrix(ms)
         first, members = s.phase1_len, s.members.tolist()
         for t, ((i, c), _) in enumerate(members[:first]):
             np.testing.assert_allclose(X[:, t], ms[i, :, c], rtol=1e-14)
@@ -133,13 +132,13 @@ class TestCsitAccessControl:
         assert table.states[2][3] == "N"  # row 3 of receiver 3 is hidden in slot 4
         assert audit_csit_trace([(2, 3, 3)], table).tolist() == [[2, 3, 3]]
         with pytest.raises(CsitAccessError) as exc:  # the plan's h_b(t) read of slot 4
-            build_transmit_plan(s, ms, ch, self.tampered(table, [(1, 3)], "N"))
+            build_transmit_plan(s, ch, self.tampered(table, [(1, 3)], "N"))
         assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (1, 3, 3, "N")
 
     def test_denied_read_message_names_the_cell_and_its_state(self):
         s, table, ch, ms, _ = make_instance(3, 3)
         with pytest.raises(CsitAccessError) as exc:
-            build_transmit_plan(s, ms, ch, self.tampered(table, [(1, 3)], "N"))
+            build_transmit_plan(s, ch, self.tampered(table, [(1, 3)], "N"))
         assert str(exc.value) == "illegal CSIT read of receiver 1 slot 3 at slot 3 (state 'N')"
 
     def test_delayed_state_denied_at_its_own_slot(self):
@@ -147,7 +146,7 @@ class TestCsitAccessControl:
         # delayed rows only become readable later
         assert audit_csit_trace([(1, 0, 0)], table).tolist() == [[1, 0, 0]]
         with pytest.raises(CsitAccessError) as exc:
-            build_transmit_plan(s, ms, ch, self.tampered(table, [(1, 3)], "D"))
+            build_transmit_plan(s, ch, self.tampered(table, [(1, 3)], "D"))
         assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (1, 3, 3, "D")
 
     def test_perfect_state_denied_after_its_slot(self):
@@ -155,7 +154,7 @@ class TestCsitAccessControl:
         # perfect knowledge does not persist
         assert audit_csit_trace([(0, 3, 4)], table).tolist() == [[0, 3, 4]]
         with pytest.raises(CsitAccessError) as exc:  # slot 4's h_b(t_a) read, made perfect
-            build_transmit_plan(s, ms, ch, self.tampered(table, [(1, 0)], "P"))
+            build_transmit_plan(s, ch, self.tampered(table, [(1, 0)], "P"))
         assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (1, 0, 3, "P")
 
     def test_delayed_read_granted_later(self):
@@ -173,7 +172,7 @@ class TestCsitAccessControl:
         gathered = []
         monkeypatch.setattr(ChannelRealization, "rows", lambda *args: gathered.append(args))
         with pytest.raises(CsitAccessError):
-            build_transmit_plan(s, ms, ch, self.tampered(table, [(0, 3)], "N"))
+            build_transmit_plan(s, ch, self.tampered(table, [(0, 3)], "N"))
         assert gathered == []
 
     def test_plan_raises_at_first_denied_pair_read(self):
@@ -188,7 +187,7 @@ class TestCsitAccessControl:
         assert later[1] > slot and table.states[later[0]][later[1]] == "P"
         broken = self.tampered(table, [(receiver, slot), later], "N")
         with pytest.raises(CsitAccessError) as exc:
-            build_transmit_plan(s, ms, ch, broken)
+            build_transmit_plan(s, ch, broken)
         assert (exc.value.receiver, exc.value.slot, exc.value.at_slot) == (receiver, slot, at_slot)
         assert exc.value.state == "N"
         assert audit_csit_trace(s.pair_reads, broken)[0].tolist() == [receiver, slot, at_slot]
@@ -263,6 +262,13 @@ class TestNormalization:
 
 class TestPlanSerialization:
     """The plan's stored form: one coefficient pair per slot and transmitter."""
+
+    def test_plan_holds_no_messages(self):
+        # a plan depends on the channels alone: signal_matrix applies it to the messages it is given
+        _, _, _, ms, plan = make_instance(4, 3)
+        fields = [f.name for f in dataclasses.fields(plan)]
+        assert fields == ["schedule", "coefficients", "slot_scale", "csit_reads", "csit_violations"]
+        np.testing.assert_allclose(plan.signal_matrix(2 * ms), 2 * plan.signal_matrix(ms), rtol=1e-15)
 
     def test_term_counts(self):
         s, _, _, _, plan = make_instance(4, 3)
