@@ -2,8 +2,8 @@
 
 Coefficients h[i, j, t] connect transmitter j to receiver i in slot t and are
 drawn i.i.d. CN(0, 1), with exact zeros resampled so that phase-2 precoders
-may divide by any coefficient. All containers are immutable after
-construction and safe to share across simulation workers.
+may divide by any coefficient. Every array is read-only after construction,
+so the transmit plan, the observation log and the run result share one draw.
 """
 
 from __future__ import annotations

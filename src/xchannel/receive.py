@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, read_only
-from .schedule import ObservationKind, Schedule
+from .channel import read_only
+from .schedule import ObservationKind
 from .transmit import TransmitPlan
 
 __all__ = [
@@ -38,21 +38,20 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True, eq=False)
 class ObservationLog:
-    """All N x T received values plus the context needed to use them.
+    """All N x T received values and the plan that sent them.
 
-    values[..., i, t] carries the plan's draw axes in front; entries is the
-    schedule's own (N, T) ObservationKind table, built on first read.
+    values[..., i, t] carries the plan's draw axes in front. The schedule, the channels and the
+    slot scale are read through plan, so they are the ones the values were formed with; entries
+    is the schedule's own (N, T) ObservationKind table, built on first read.
     """
 
-    schedule: Schedule
-    channels: ChannelRealization
+    plan: TransmitPlan
     values: np.ndarray
-    slot_scale: np.ndarray
     noise: np.ndarray | None  # the (..., N, U) noise added to the stored cells; None if noiseless
 
     @property
     def entries(self) -> np.ndarray:
-        return self.schedule.entries
+        return self.plan.schedule.entries
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +62,8 @@ class LinearSystem:
     Unknowns are ordered copy-major: index c*M + j holds message w[i, j, c].
     Rows run copy by copy: the phase1_slots row, then the pair_rows. sigma is the covariance of
     y's unit-variance noise (all zero for noiseless runs); noise_map is the
-    (kM, T) matrix B with y_noise = B @ n[i, :], so sigma = B B^T. len() counts the systems.
+    (kM, T) matrix B with y_noise = B @ n, where n is receiver i's (U,) noise placed on its
+    channels.slots[i] columns of T, zero elsewhere, so sigma = B B^T. len() counts the systems.
     """
 
     G: np.ndarray
@@ -93,20 +93,19 @@ class DecodeResult:
     decoded: np.ndarray
 
 
-def observe_all(
-    plan: TransmitPlan, channels: ChannelRealization, messages: np.ndarray, noise: np.ndarray | None = None
-) -> ObservationLog:
+def observe_all(plan: TransmitPlan, messages: np.ndarray, noise: np.ndarray | None = None) -> ObservationLog:
     """Compute every receiver's observation for all T slots, classified by schedule.entries.
 
-    The plan sends the (..., N, M, k) messages (TransmitPlan.signal_matrix). In
-    phase 1 the served receiver sees its desired group and everyone else stores
-    interference; in phase 2 the two members see a combined value and everyone
-    else discards theirs. Only the cells the channels store
+    The plan sends the (..., N, M, k) messages (TransmitPlan.signal_matrix) through the
+    channels it was built from (plan.channels), so the draw that is replayed is the one
+    that was precoded with. In phase 1 the served receiver sees its desired group and
+    everyone else stores interference; in phase 2 the two members see a combined value
+    and everyone else discards theirs. Only the cells the channels store
     (channels.slots, schedule.used for a masked draw) are observed, and noise of
     their (..., N, U) shape, as generate_noise draws it, is added to them alone; any other
     shape raises ValueError. values is the full (..., N, T) grid, NaN on every cell not stored.
     """
-    s = plan.schedule
+    s, channels = plan.schedule, plan.channels
     X = plan.signal_matrix(messages)
     receivers, slots = np.arange(s.N)[:, None], channels.slots
     stored = np.einsum("...iju,...jiu->...iu", channels.h, X[..., :, slots])
@@ -116,13 +115,7 @@ def observe_all(
         stored += noise
     values = np.full(stored.shape[:-2] + (s.N, s.T), complex(np.nan, np.nan))
     values[..., receivers, slots] = stored
-    return ObservationLog(
-        schedule=s,
-        channels=channels,
-        values=read_only(values),
-        slot_scale=plan.slot_scale,
-        noise=noise,
-    )
+    return ObservationLog(plan=plan, values=read_only(values), noise=noise)
 
 
 def cancel_interference(log: ObservationLog) -> tuple[np.ndarray, np.ndarray]:
@@ -136,10 +129,11 @@ def cancel_interference(log: ObservationLog) -> tuple[np.ndarray, np.ndarray]:
     but the partner, and Schedule construction rejects a receiver paired with
     itself, so the replay needs no check here.
     """
-    slot, partner, linked, own = log.schedule.pair_rows
-    own_row = np.arange(log.schedule.N)[:, None]
-    g = log.slot_scale[..., slot]
-    h = log.channels.rows
+    plan = log.plan
+    slot, partner, linked, own = plan.schedule.pair_rows
+    own_row = np.arange(plan.schedule.N)[:, None]
+    g = plan.slot_scale[..., slot]
+    h = plan.channels.rows
     rows = h(own_row, slot)  # ((g * h1) * h2) / h3, in place
     np.multiply(g[..., None], rows, out=rows)
     rows *= h(partner, own)
@@ -160,7 +154,8 @@ def assemble_system(log: ObservationLog) -> LinearSystem:
     stack after the log's draw axes, receiver i at position i. Every array is
     read-only; a noiseless sigma is a broadcast zero.
     """
-    s = log.schedule
+    plan = log.plan
+    s = plan.schedule
     M, N, k, T = s.M, s.N, s.k, s.T
     own = s.phase1_slots  # (N, k): each copy's direct row is at its phase-1 slot
     receivers = np.arange(N)[:, None]
@@ -170,7 +165,7 @@ def assemble_system(log: ObservationLog) -> LinearSystem:
     lead = draws + (N,)
     G = np.zeros(lead + (k * M, k * M), dtype=complex)
     diagonal = np.einsum("...cicj->...cij", G.reshape(lead + (k, M, k, M)))  # a view of the k blocks
-    diagonal[..., 0, :] = log.channels.rows(receivers, own)  # direct rows are channel rows
+    diagonal[..., 0, :] = plan.channels.rows(receivers, own)  # direct rows are channel rows
     diagonal[..., 1:, :] = rows.reshape(lead + (k, M - 1, M))
     del diagonal, rows  # freed before the noise map is allocated
     y = np.empty(lead + (k, M), dtype=complex)
@@ -181,7 +176,7 @@ def assemble_system(log: ObservationLog) -> LinearSystem:
     B = np.zeros(lead + (k, M, T))
     flat, start = B.reshape(draws + (-1,)), np.arange(0, own.size * M * T, T).reshape(own.shape + (M,))
     flat[..., (start + np.concatenate([own[..., None], slot], axis=-1)).ravel()] = 1.0
-    flat[..., (start[..., 1:] + linked).ravel()] = -log.slot_scale[..., slot].reshape(draws + (-1,))
+    flat[..., (start[..., 1:] + linked).ravel()] = -plan.slot_scale[..., slot].reshape(draws + (-1,))
     B, y = read_only(B).reshape(lead + (k * M, T)), read_only(y).reshape(lead + (k * M,))
     if log.noise is not None:
         sigma = read_only(B @ np.swapaxes(B, -1, -2))

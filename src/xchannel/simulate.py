@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization, generate_channels, generate_messages, generate_noise, read_only, run_streams
+from .channel import generate_channels, generate_messages, generate_noise, read_only, run_streams
 from .receive import DecodeResult, LinearSystem, ObservationLog, assemble_system, decode, observe_all
 from .schedule import Schedule
-from .transmit import TransmitPlan, build_transmit_plan
+from .transmit import build_transmit_plan
 
 __all__ = ["RECOVERY_TOL", "SimulationResult", "run_simulation"]
 
@@ -19,15 +19,19 @@ RECOVERY_TOL = 1e-8  # all_recovered's bound on each system's relative error
 
 @dataclass(eq=False)
 class SimulationResult:
-    """Everything one seeded run produced, from schedule to decode diagnostics."""
+    """Everything one seeded run produced, from schedule to decode diagnostics.
 
-    schedule: Schedule
-    channels: ChannelRealization
+    The plan, its channels and its schedule are read through log.plan, so each is stored once.
+    """
+
     messages: np.ndarray  # the (..., N, M, k) message symbols
-    plan: TransmitPlan
     log: ObservationLog
     systems: LinearSystem  # stacked over (draws..., N)
     decoding: DecodeResult  # one stacked decode of systems
+
+    plan = property(lambda self: self.log.plan, doc="The transmit plan the log was observed from.")
+    channels = property(lambda self: self.log.plan.channels, doc="The plan's channel draw.")
+    schedule = property(lambda self: self.log.plan.schedule, doc="The plan's schedule.")
 
     @functools.cached_property
     def truths(self) -> np.ndarray:
@@ -86,14 +90,6 @@ def run_simulation(
     messages = generate_messages(schedule, msg_seed)
     noise = generate_noise(schedule, *noise_seed) if noise_enabled else None
     plan = build_transmit_plan(schedule, channels, schedule.csit, normalize=normalize)
-    log = observe_all(plan, channels, messages, noise)
+    log = observe_all(plan, messages, noise)
     systems = assemble_system(log)
-    return SimulationResult(
-        schedule=schedule,
-        channels=channels,
-        messages=messages,
-        plan=plan,
-        log=log,
-        systems=systems,
-        decoding=decode(systems),
-    )
+    return SimulationResult(messages=messages, log=log, systems=systems, decoding=decode(systems))

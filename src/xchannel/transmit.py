@@ -50,22 +50,29 @@ def audit_csit_trace(reads, table: CsitTable) -> np.ndarray:
 
 @dataclass(eq=False)
 class TransmitPlan:
-    """Precoding coefficients for all T slots plus the audit trail that built them.
+    """Precoding coefficients for all T slots, the channel draw they were computed from, and
+    the audit trail that built them.
 
     coefficients[..., t, m, j] is transmitter j's coefficient in slot t on the
     message of member m = schedule.members[t, m]; a phase-1 slot sends its
     group as is (coefficients 1 and 0). slot_scale[..., t] is the common scalar
     already folded into slot t's coefficients (1.0 unless normalization is
     on), which receivers also apply to stored observations when subtracting.
-    The plan depends on the channels alone and holds no messages: signal_matrix
-    applies it to the messages it is given.
+    channels is the draw build_transmit_plan gathered from, the one the plan's
+    signals travel through and receivers replay. The plan holds no messages:
+    signal_matrix applies it to the messages it is given.
     """
 
     schedule: Schedule
+    channels: ChannelRealization
     coefficients: np.ndarray
     slot_scale: np.ndarray
-    csit_reads: np.ndarray  # (K, 3) audited (receiver, slot, at_slot) reads: schedule.pair_reads
-    csit_violations: np.ndarray  # the denied reads, in the same form: (0, 3) for a built plan
+    csit_violations: np.ndarray  # the denied csit_reads, in their form: (0, 3) for a built plan
+
+    @property
+    def csit_reads(self) -> np.ndarray:
+        """The (K, 3) audited (receiver, slot, at_slot) reads: the schedule's pair_reads."""
+        return self.schedule.pair_reads
 
     def signal_matrix(self, messages: np.ndarray) -> np.ndarray:
         """All transmit vectors of the (..., N, M, k) messages as a read-only (..., M, T) matrix."""
@@ -114,8 +121,8 @@ def build_transmit_plan(
         pair *= scale[..., first:, None, None]
     return TransmitPlan(
         schedule=schedule,
+        channels=channels,
         coefficients=read_only(coefficients),
         slot_scale=read_only(scale),
-        csit_reads=reads,
         csit_violations=denied,
     )

@@ -196,8 +196,8 @@ def test_criterion_7_noise_covariance_empirical(capsys):
     ch = generate_channels(store, stream(0))
     ms = generate_messages(s, stream(1))
     plan = build_transmit_plan(s, ch, table)
-    clean = observe_all(plan, ch, ms)
-    noisy0 = observe_all(plan, ch, ms, generate_noise(store, stream(2)))
+    clean = observe_all(plan, ms)
+    noisy0 = observe_all(plan, ms, generate_noise(store, stream(2)))
     systems = assemble_system(noisy0)
     clean_sys = assemble_system(clean)
 
@@ -206,7 +206,7 @@ def test_criterion_7_noise_covariance_empirical(capsys):
     cross_bad = []
     for seed in range(100):
         grid = generate_noise(store, stream(1000 + seed))
-        noisy = assemble_system(observe_all(plan, ch, ms, grid))
+        noisy = assemble_system(observe_all(plan, ms, grid))
         for i in range(3):
             want = noisy.noise_map[i] @ grid[i]
             if np.max(np.abs((noisy.y[i] - clean_sys.y[i]) - want)) > 1e-12:

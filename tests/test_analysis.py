@@ -21,6 +21,7 @@ from xchannel.analysis import (
 from xchannel.receive import LinearSystem
 from xchannel.schedule import build_schedule
 from xchannel.simulate import run_simulation
+from xchannel.transmit import TransmitPlan
 
 
 def first_failure(report):
@@ -375,14 +376,10 @@ class TestVerifySuite:
     def test_denied_reads_fail_the_audit_check(self, monkeypatch):
         # two reads the contract denies (a row read before its slot) in every
         # audited trace make csit-audit FAIL; nothing raises
-        import xchannel.analysis as analysis
+        def fabricated(plan):
+            return np.vstack([plan.schedule.pair_reads, [[0, 1, 0], [1, 2, 1]]])
 
-        def fabricating(*args, **kwargs):
-            sim = run_simulation(*args, **kwargs)
-            sim.plan.csit_reads = np.vstack([sim.plan.csit_reads, [[0, 1, 0], [1, 2, 1]]])
-            return sim
-
-        monkeypatch.setattr(analysis, "run_simulation", fabricating)
+        monkeypatch.setattr(TransmitPlan, "csit_reads", property(fabricated))
         checks = {c.name: c for c in verify_suite(grid=3, oracle_seeds=1, perm_trials=1)}
         audit = checks.pop("csit-audit")
         assert not audit.passed

@@ -259,7 +259,7 @@ class TestReceivedSignal:
         if w is None:
             w = generate_messages(s, stream(seed + 100))
         plan = build_transmit_plan(s, ch, build_csit_table(s))
-        log = observe_all(plan, ch, w, noise)
+        log = observe_all(plan, w, noise)
         return ch, plan.signal_matrix(w), log.values
 
     def test_matches_plain_dot(self):

@@ -249,7 +249,7 @@ def test_discarded_cells_are_never_read(case, normalize):
 
     def run(channels):
         plan = build_transmit_plan(s, channels, table, normalize=normalize)
-        log = observe_all(plan, channels, messages, noise)
+        log = observe_all(plan, messages, noise)
         systems = assemble_system(log)
         return plan.signal_matrix(messages), log, systems, sum_rate(systems, [40.0, 80.0])
 

@@ -1,6 +1,7 @@
 """Tests for observation bookkeeping, interference subtraction, and decoding."""
 
 import dataclasses
+import inspect
 import tracemalloc
 from unittest import mock
 
@@ -13,13 +14,14 @@ from xchannel.receive import (
     CONDITION_LIMIT,
     LinearSystem,
     ObservationKind,
+    ObservationLog,
     assemble_system,
     cancel_interference,
     decode,
     observe_all,
 )
 from xchannel.schedule import SchemeConstructionError, build_csit_table, build_schedule, permute_schedule
-from xchannel.simulate import run_simulation
+from xchannel.simulate import SimulationResult, run_simulation
 from xchannel.transmit import build_transmit_plan
 
 from helpers import every_slot, full_store, stream
@@ -36,7 +38,7 @@ def make_log(M, N, seed=0, noise_enabled=False, normalize=False):
     ms = generate_messages(s, stream(seed + 1))
     plan = build_transmit_plan(s, ch, table, normalize=normalize)
     noise = generate_noise(store, stream(seed + 2)) if noise_enabled else None
-    return s, ch, ms, plan, observe_all(plan, ch, ms, noise)
+    return s, ch, ms, plan, observe_all(plan, ms, noise)
 
 
 def loop_rows(schedule, receiver) -> np.ndarray:
@@ -142,7 +144,7 @@ class TestObservationKinds:
         for shape in ((4, U), (2, 4, U + 1)):
             noise = np.zeros(shape, dtype=complex)
             with pytest.raises(ValueError, match=r"stored cells' shape \(2, 4, %d\)" % U):
-                observe_all(sim.plan, sim.channels, sim.messages, noise)
+                observe_all(sim.plan, sim.messages, noise)
 
 
 def pair_rows(schedule, receiver):
@@ -182,7 +184,7 @@ class TestCancelInterference:
         ch = ChannelRealization(3, 3, s.T, h, *every_slot(3, s.T))
         ms = generate_messages(s, stream(1))
         plan = build_transmit_plan(s, ch, table)
-        log = observe_all(plan, ch, ms)
+        log = observe_all(plan, ms)
         rows, values = cancel_interference(log)
         np.testing.assert_allclose(rows, np.ones((3, 2, 3)), rtol=1e-14)
         assert np.all(np.abs(values - ms.sum(axis=(1, 2))[:, None]) < 1e-10)
@@ -191,7 +193,7 @@ class TestCancelInterference:
         s, _, ms, _, log = make_log(4, 3, seed=1, normalize=True)
         rows, values = cancel_interference(log)
         for i in range(3):
-            assert np.all(log.slot_scale[pair_rows(s, i)[:, 1]] < 1.0)
+            assert np.all(log.plan.slot_scale[pair_rows(s, i)[:, 1]] < 1.0)
             want = cancelled_truth(s, ms, i, rows[i])
             assert np.all(np.abs(values[i] - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
@@ -216,7 +218,7 @@ class TestAssembleSystem:
         assert systems.G.shape == (N, size, size)
         assert systems.y.shape == (N, size)
         assert systems.sigma.shape == (N, size, size)
-        assert systems.noise_map.shape == (N, size, log.schedule.T)
+        assert systems.noise_map.shape == (N, size, log.plan.schedule.T)
         assert systems.M == M and len(systems) == N
 
     def test_row_ordering_direct_then_subtractions(self):
@@ -238,7 +240,7 @@ class TestAssembleSystem:
         _, _, _, _, log = make_log(4, 3, seed=5)
         systems = assemble_system(log)
         M = systems.M
-        for r, copy in enumerate(loop_rows(log.schedule, 1)[:, 0]):
+        for r, copy in enumerate(loop_rows(log.plan.schedule, 1)[:, 0]):
             block = systems.G[1, r, copy * M : (copy + 1) * M]
             full = systems.G[1, r]
             assert np.count_nonzero(full) == np.count_nonzero(block)
@@ -314,13 +316,13 @@ class TestNoiseCovariance:
     def test_noise_map_structure(self):
         _, _, _, _, log = make_log(3, 3, noise_enabled=True)
         B = assemble_system(log).noise_map[0]
-        for r, (_, slot, partner, linked) in enumerate(loop_rows(log.schedule, 0)):
+        for r, (_, slot, partner, linked) in enumerate(loop_rows(log.plan.schedule, 0)):
             if partner < 0:
                 assert B[r, slot] == 1.0
                 assert np.count_nonzero(B[r]) == 1
             else:
                 assert B[r, slot] == 1.0
-                assert B[r, linked] == -log.slot_scale[slot]
+                assert B[r, linked] == -log.plan.slot_scale[slot]
                 assert np.count_nonzero(B[r]) == 2
 
     def test_residuals_match_noise_map(self):
@@ -332,6 +334,20 @@ class TestNoiseCovariance:
         for i in range(3):
             np.testing.assert_allclose(a.y[i] - b.y[i], a.noise_map[i] @ grid[i], atol=1e-10)
         np.testing.assert_allclose(a.G, b.G, rtol=1e-12)
+
+    @pytest.mark.parametrize("M,N", [(3, 3), (4, 3), (3, 4)])
+    def test_noise_map_applies_to_stored_cell_noise(self, M, N):
+        # a noisy run draws noise at the (N, U) stored cells only: receiver i's noise placed on
+        # its channels.slots[i] columns of T, zero elsewhere, is what B[i] maps to y's noise
+        sim = run_simulation(build_schedule(M, N), seed=4, noise_enabled=True)
+        T, slots = sim.schedule.T, sim.channels.slots
+        assert sim.log.noise.shape == slots.shape and slots.shape[-1] < T
+        clean = assemble_system(observe_all(sim.plan, sim.messages))
+        n = np.zeros((N, T), dtype=complex)
+        n[np.arange(N)[:, None], slots] = sim.log.noise
+        for i in range(N):
+            np.testing.assert_allclose(sim.systems.noise_map[i] @ n[i], sim.systems.y[i] - clean.y[i],
+                                       rtol=0, atol=1e-12)
 
     def test_empirical_covariance_quick(self):
         _, _, _, _, log = make_log(3, 3, noise_enabled=True)
@@ -547,6 +563,29 @@ class TestIdentityEquality:
             assert (x == y) is False
             assert (x != y) is True
             assert (x == x) is True
+
+
+class TestOneOwnerPerRunFact:
+    def test_observe_all_reads_the_channels_the_plan_was_built_from(self):
+        # the plan keeps its draw, so no caller can observe a plan through another seed's
+        # channels (which decoded with success True and a relative error of 6.2)
+        s = build_schedule(3, 3)
+        a, b = (run_simulation(s, seed=seed) for seed in (0, 1))
+        assert a.log.plan.channels is a.channels and a.channels is not b.channels
+        assert list(inspect.signature(observe_all).parameters) == ["plan", "messages", "noise"]
+        d = decode(assemble_system(observe_all(a.plan, a.messages)))
+        assert d.success and d.estimates.tobytes() == a.decoding.estimates.tobytes()
+        assert np.abs(d.estimates.reshape(a.truths.shape) - a.truths).max() <= 1e-8 * np.abs(a.truths).max()
+
+    def test_log_and_result_read_the_rest_through_the_plan(self):
+        assert [f.name for f in dataclasses.fields(ObservationLog)] == ["plan", "values", "noise"]
+        assert [f.name for f in dataclasses.fields(SimulationResult)] == ["messages", "log", "systems", "decoding"]
+        sim = run_simulation(build_schedule(4, 3), seed=[0, 1], noise_enabled=True, normalize=True)
+        assert sim.plan is sim.log.plan
+        assert sim.channels is sim.plan.channels and sim.schedule is sim.plan.schedule
+        for name in ("plan", "channels", "schedule"):
+            with pytest.raises(AttributeError):
+                setattr(sim, name, None)
 
 
 RUN_TABLES = {

@@ -267,8 +267,16 @@ class TestPlanSerialization:
         # a plan depends on the channels alone: signal_matrix applies it to the messages it is given
         _, _, _, ms, plan = make_instance(4, 3)
         fields = [f.name for f in dataclasses.fields(plan)]
-        assert fields == ["schedule", "coefficients", "slot_scale", "csit_reads", "csit_violations"]
+        assert fields == ["schedule", "channels", "coefficients", "slot_scale", "csit_violations"]
         np.testing.assert_allclose(plan.signal_matrix(2 * ms), 2 * plan.signal_matrix(ms), rtol=1e-15)
+
+    def test_plan_holds_its_draw_and_reads_through_the_schedule(self):
+        # the draw the coefficients were gathered from is the plan's own; the audited reads are
+        # the schedule's table, not a copy a caller could replace
+        s, _, ch, _, plan = make_instance(4, 3)
+        assert plan.channels is ch and plan.csit_reads is s.pair_reads
+        with pytest.raises(AttributeError):
+            plan.csit_reads = s.pair_reads[:1]
 
     def test_term_counts(self):
         s, _, _, _, plan = make_instance(4, 3)
