@@ -41,28 +41,29 @@ __all__ = [
     "verify_suite",
 ]
 
+ORACLE_TOL = 1e-12  # oracle_verify_3user's relative tolerance
+PERM_TRIALS = 5  # verify_suite's random slot permutations per shape
+
 
 @dataclass(frozen=True)
 class DofReport:
-    """Exact sum-DoF bookkeeping for one schedule."""
+    """Exact sum-DoF bookkeeping for one schedule: kMN messages over its T slots against 2M/(M+1)."""
 
-    M: int
-    N: int
-    case: str
-    k: int
-    T: int
-    message_count: int
-    achieved: Fraction
-    closed_form: Fraction
-    equal: bool
+    schedule: Schedule
+
+    message_count = property(lambda self: self.schedule.k * self.schedule.M * self.schedule.N)
+    achieved = property(lambda self: Fraction(self.message_count, self.schedule.T))
+    closed_form = property(lambda self: Fraction(2 * self.schedule.M, self.schedule.M + 1))
+    equal = property(lambda self: self.achieved == self.closed_form)
 
     def to_dict(self) -> dict:
+        s = self.schedule
         return {
-            "M": self.M,
-            "N": self.N,
-            "case": self.case,
-            "k": self.k,
-            "T": self.T,
+            "M": s.M,
+            "N": s.N,
+            "case": s.case.value,
+            "k": s.k,
+            "T": s.T,
             "messages": self.message_count,
             "achieved": str(self.achieved),
             "closed_form": str(self.closed_form),
@@ -71,11 +72,8 @@ class DofReport:
 
 
 def dof_report(schedule: Schedule) -> DofReport:
-    """One message per slot-normalized unknown: kMN messages over T slots."""
-    s = schedule
-    count = s.k * s.M * s.N
-    achieved, closed = Fraction(count, s.T), Fraction(2 * s.M, s.M + 1)
-    return DofReport(s.M, s.N, s.case.value, s.k, s.T, count, achieved, closed, achieved == closed)
+    """The schedule's DofReport."""
+    return DofReport(schedule)
 
 
 @dataclass(frozen=True)
@@ -223,8 +221,9 @@ class CheckResult:
 @dataclass(frozen=True)
 class OracleReport:
     seed: int
-    passed: bool
     checks: tuple[CheckResult, ...]
+
+    passed = property(lambda self: all(c.passed for c in self.checks))
 
 
 def _rel_close(a: list, b: list, tol: float) -> bool:
@@ -235,7 +234,7 @@ def _rel_close(a: list, b: list, tol: float) -> bool:
 
 
 def _hand_report(seed, stored, column, w, X_pipe, Y_pipe, slots, discarded_got,
-                 estimates, decoded, tol) -> OracleReport:
+                 estimates, decoded) -> OracleReport:
     """One draw's oracle checks, on nested lists: stored[i][j][u] channels, column[i][t]
     their lookup, w[i][j] messages, X_pipe[j][t] and Y_pipe[i][t] the pipeline's
     signals and observations, slots[i] the stored slots, discarded_got the cells the
@@ -259,7 +258,7 @@ def _hand_report(seed, stored, column, w, X_pipe, Y_pipe, slots, discarded_got,
         X_hand[j][5] = h(2, j, 1) / h(2, j, 5) * w[1][j] + h(1, j, 2) / h(1, j, 5) * w[2][j]
     for t in range(6):
         pipe, hand = [X_pipe[j][t] for j in range(3)], [X_hand[j][t] for j in range(3)]
-        ok = _rel_close(pipe, hand, tol)
+        ok = _rel_close(pipe, hand, ORACLE_TOL)
         checks.append(
             CheckResult(
                 name=f"transmit-slot-{t + 1}",
@@ -277,7 +276,7 @@ def _hand_report(seed, stored, column, w, X_pipe, Y_pipe, slots, discarded_got,
     for t in range(6):
         pipe, hand = [Y_pipe[i][t] for i in range(3)], [Y_hand[i][t] for i in range(3)]
         used = [i for i in range(3) if (i, t) not in discarded_expected]
-        ok = _rel_close([pipe[i] for i in used], [hand[i] for i in used], tol)
+        ok = _rel_close([pipe[i] for i in used], [hand[i] for i in used], ORACLE_TOL)
         checks.append(
             CheckResult(
                 name=f"receive-slot-{t + 1}",
@@ -301,7 +300,7 @@ def _hand_report(seed, stored, column, w, X_pipe, Y_pipe, slots, discarded_got,
         rhs = sum(
             h(i, j, t) * h(partner, j, i) / h(partner, j, t) * w[i][j] for j in range(3)
         )
-        ok = _rel_close([lhs], [rhs], tol)
+        ok = _rel_close([lhs], [rhs], ORACLE_TOL)
         checks.append(
             CheckResult(
                 name=f"subtraction-r{i + 1}-slot{t + 1}",
@@ -324,10 +323,10 @@ def _hand_report(seed, stored, column, w, X_pipe, Y_pipe, slots, discarded_got,
     recovered = all(decoded[i] and _rel_close(estimates[i], w[i], 1e-8) for i in range(3))
     checks.append(CheckResult(name="decode-recovery", passed=recovered))
 
-    return OracleReport(seed=seed, passed=all(c.passed for c in checks), checks=tuple(checks))
+    return OracleReport(seed=seed, checks=tuple(checks))
 
 
-def oracle_verify_3user(seeds, tol: float = 1e-12) -> tuple[OracleReport, ...]:
+def oracle_verify_3user(seeds) -> tuple[OracleReport, ...]:
     """Check run_simulation(build_schedule(3, 3), seeds) against hand-written per-slot formulas.
 
     The run's channels are read cell by cell through their (receiver, slot)
@@ -335,7 +334,7 @@ def oracle_verify_3user(seeds, tol: float = 1e-12) -> tuple[OracleReport, ...]:
     stored-replay subtractions, the discarded-observation pattern (not
     stored, observed as NaN), and final recovery are re-derived
     independently (plain loops, explicit index arithmetic, Python numbers
-    taken once with tolist) and compared at relative tolerance `tol`. A
+    taken once with tolist) and compared at relative tolerance ORACLE_TOL. A
     tampered stage of run_simulation makes the first divergent check fail,
     which is how the oracle itself is exercised.
 
@@ -362,7 +361,7 @@ def oracle_verify_3user(seeds, tol: float = 1e-12) -> tuple[OracleReport, ...]:
         (i, t) for i in range(3) for t in range(6) if entries[i][t] == ObservationKind.DISCARDED
     }
     return tuple(
-        _hand_report(s, stored, column, w, X_pipe, Y_pipe, slots, discarded_got, estimates, decoded, tol)
+        _hand_report(s, stored, column, w, X_pipe, Y_pipe, slots, discarded_got, estimates, decoded)
         for s, stored, w, X_pipe, Y_pipe, estimates, decoded in per_draw
     )
 
@@ -372,14 +371,12 @@ def _check(name: str, bad: list, failure: str, success: str) -> CheckResult:
     return CheckResult(name=name, passed=not bad, detail=failure if bad else success)
 
 
-def verify_suite(
-    grid: int = 8, oracle_seeds: int = 5, perm_trials: int = 5
-) -> list[CheckResult]:
+def verify_suite(grid: int = 8, oracle_seeds: int = 5) -> list[CheckResult]:
     """Fast invariant sweep used by the command-line `verify` mode.
 
     build_schedule keeps each canonical schedule and its tables for the
-    process, so a later call constructs and checks only its permuted
-    schedules, which are never cached. Runs and permutations draw from seed 0.
+    process, so a later call constructs and checks only its PERM_TRIALS permuted
+    schedules per shape, which are never cached. Runs and permutations draw from seed 0.
     """
     checks: list[CheckResult] = []
 
@@ -417,7 +414,7 @@ def verify_suite(
     decode_bad = []
     for M, N in [(2, 2), (3, 3), (4, 3), (2, 4), (5, 4), (2, 3)]:
         sim = run_simulation(build_schedule(M, N), seed=0)
-        if len(sim.plan.csit_violations) or len(audit_csit_trace(sim.plan.csit_reads, sim.schedule.csit)):
+        if len(audit_csit_trace(sim.plan.csit_reads, sim.schedule.csit)):
             audit_bad.append((M, N))
         if not sim.all_recovered():
             decode_bad.append((M, N))
@@ -433,13 +430,13 @@ def verify_suite(
     perm_bad = []
     for M, N in [(3, 3), (2, 4)]:
         base = build_schedule(M, N)
-        for _ in range(perm_trials):
+        for _ in range(PERM_TRIALS):
             p1 = rng.permutation(base.phase1_len)
             p2 = rng.permutation(base.T - base.phase1_len)
             permuted = permute_schedule(base, p1, p2)
             if not run_simulation(permuted, seed=0).all_recovered():
                 perm_bad.append((M, N, list(p1), list(p2)))
     checks.append(_check("permutation-decode", perm_bad,
-                         f"failures {perm_bad[:2]}", f"{2 * perm_trials} permutations"))
+                         f"failures {perm_bad[:2]}", f"{2 * PERM_TRIALS} permutations"))
 
     return checks

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -94,8 +94,8 @@ def _complex_normals(streams, shape, nonzero: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """Fading coefficients for M transmitters, N receivers over T slots, stored for
-    the U slots each receiver uses.
+    """Fading coefficients of a schedule's M transmitters, N receivers and T slots, stored for
+    the U slots each receiver uses; every layout fact is read from schedule.
 
     Attributes
     ----------
@@ -103,19 +103,20 @@ class ChannelRealization:
         Complex array of shape (..., N, M, U) after any draw axes: h[..., i, j, u] is
         the coefficient from transmitter j to receiver i in slot slots[i, u]. Every
         stored entry has magnitude > 0.
-    slots : ndarray
-        Read-only (N, U) table of the slots stored per receiver, ascending.
-    columns : ndarray
-        Read-only (N, T) lookup of (receiver, slot) to its column of h, given with
-        slots (slot_tables); U where the slot is not stored, so gathering it raises IndexError.
+    slots, columns : ndarray
+        schedule.stored: the read-only (N, U) slots stored per receiver, ascending, and the
+        (N, T) lookup of (receiver, slot) to its column of h, U where the slot is not stored,
+        so gathering it raises IndexError.
     """
 
-    M: int
-    N: int
-    T: int
+    schedule: Schedule
     h: np.ndarray
-    slots: np.ndarray
-    columns: np.ndarray = field(repr=False)
+
+    M = property(lambda self: self.schedule.M)
+    N = property(lambda self: self.schedule.N)
+    T = property(lambda self: self.schedule.T)
+    slots = property(lambda self: self.schedule.stored[0])
+    columns = property(lambda self: self.schedule.stored[1])
 
     def rows(self, receiver, slot) -> np.ndarray:
         """Coefficient rows h[..., receiver, :, slot] as (..., *shape, M), for index arrays
@@ -141,19 +142,18 @@ def generate_channels(schedule: Schedule, streams) -> ChannelRealization:
     """Draw i.i.d. CN(0, 1) channel coefficients, resampling exact zeros.
 
     The schedule gives the shapes: M, N, T, and schedule.stored, the slot tables of its used
-    mask. Only the coefficients h[i, :, t] with used[i, t] set are drawn, in C order of
-    (N, M, T), real then imaginary part of each, and stored in that order as an (N, M, U)
-    tensor with the mask's rows as slots. streams is a run_streams array: one (4,) stream
-    draws an (N, M, U) tensor, a (D, 4) stack a (D, N, M, U) stack.
+    mask, which the realization reads from it. Only the coefficients h[i, :, t] with used[i, t]
+    set are drawn, in C order of (N, M, T), real then imaginary part of each, and stored in
+    that order as an (N, M, U) tensor with the mask's rows as slots. streams is a run_streams
+    array: one (4,) stream draws an (N, M, U) tensor, a (D, 4) stack a (D, N, M, U) stack.
 
     Raises
     ------
     ValueError
         If streams is not a run_streams array.
     """
-    slots, columns = schedule.stored
-    h = read_only(_complex_normals(streams, (schedule.N, schedule.M, slots.shape[1]), nonzero=True))
-    return ChannelRealization(M=schedule.M, N=schedule.N, T=schedule.T, h=h, slots=slots, columns=columns)
+    shape = (schedule.N, schedule.M, schedule.stored[0].shape[1])
+    return ChannelRealization(schedule, read_only(_complex_normals(streams, shape, nonzero=True)))
 
 
 def generate_messages(schedule: Schedule, streams) -> np.ndarray:

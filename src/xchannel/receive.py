@@ -83,14 +83,15 @@ class DecodeResult:
 
     decoded, rank and condition have the stack's shape (..., N), so receiver i is
     at position i of the last axis; estimates adds a trailing kM axis, a NaN row
-    for a failed system. success is a plain bool: every system decoded.
+    for a failed system. success is read from decoded as a plain bool: every system decoded.
     """
 
-    success: bool
     estimates: np.ndarray
     rank: np.ndarray
     condition: np.ndarray
     decoded: np.ndarray
+
+    success = property(lambda self: bool(self.decoded.all()))
 
 
 def observe_all(plan: TransmitPlan, messages: np.ndarray, noise: np.ndarray | None = None) -> ObservationLog:
@@ -102,10 +103,13 @@ def observe_all(plan: TransmitPlan, messages: np.ndarray, noise: np.ndarray | No
     everyone else stores interference; in phase 2 the two members see a combined value
     and everyone else discards theirs. Only the cells the channels store
     (channels.slots, schedule.used for a masked draw) are observed, and noise of
-    their (..., N, U) shape, as generate_noise draws it, is added to them alone; any other
-    shape raises ValueError. values is the full (..., N, T) grid, NaN on every cell not stored.
+    their (..., N, U) shape, as generate_noise draws it, is added to them alone; messages of
+    another shape than the plan's (..., N, M, k), or noise of another shape, raise ValueError.
+    values is the full (..., N, T) grid, NaN on every cell not stored.
     """
     s, channels = plan.schedule, plan.channels
+    if messages.shape != (want := channels.h.shape[:-3] + (s.N, s.M, s.k)):
+        raise ValueError(f"messages must have the plan's shape {want}, got {messages.shape}")
     X = plan.signal_matrix(messages)
     receivers, slots = np.arange(s.N)[:, None], channels.slots
     stored = np.einsum("...iju,...jiu->...iu", channels.h, X[..., :, slots])
@@ -217,4 +221,4 @@ def decode(system: LinearSystem) -> DecodeResult:
         failed = sv[~decoded]  # np.linalg.matrix_rank's default rule, on these singular values
         tol = failed[:, :1] * (G.shape[-1] * np.finfo(sv.dtype).eps)
         rank[~decoded] = np.count_nonzero(failed > tol, axis=-1)
-    return DecodeResult(success, estimates, rank, condition, decoded)
+    return DecodeResult(estimates, rank, condition, decoded)

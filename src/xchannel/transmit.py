@@ -59,20 +59,22 @@ class TransmitPlan:
     already folded into slot t's coefficients (1.0 unless normalization is
     on), which receivers also apply to stored observations when subtracting.
     channels is the draw build_transmit_plan gathered from, the one the plan's
-    signals travel through and receivers replay. The plan holds no messages:
-    signal_matrix applies it to the messages it is given.
+    signals travel through and receivers replay. The audit trail is read from
+    the schedule, since a plan is built only when no read is denied. The plan
+    holds no messages: signal_matrix applies it to the messages it is given.
     """
 
     schedule: Schedule
     channels: ChannelRealization
     coefficients: np.ndarray
     slot_scale: np.ndarray
-    csit_violations: np.ndarray  # the denied csit_reads, in their form: (0, 3) for a built plan
 
     @property
     def csit_reads(self) -> np.ndarray:
         """The (K, 3) audited (receiver, slot, at_slot) reads: the schedule's pair_reads."""
         return self.schedule.pair_reads
+
+    csit_violations = property(lambda self: self.schedule.pair_reads[:0], doc="The denied reads: none, (0, 3).")
 
     def signal_matrix(self, messages: np.ndarray) -> np.ndarray:
         """All transmit vectors of the (..., N, M, k) messages as a read-only (..., M, T) matrix."""
@@ -124,5 +126,4 @@ def build_transmit_plan(
         channels=channels,
         coefficients=read_only(coefficients),
         slot_scale=read_only(scale),
-        csit_violations=denied,
     )

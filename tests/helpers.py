@@ -13,13 +13,10 @@ def stream(seed) -> np.ndarray:
     return run_streams(seed, 1)[0] if isinstance(seed, int) else np.array(seed, dtype=np.uint64)
 
 
-def every_slot(N: int, T: int) -> tuple[np.ndarray, np.ndarray]:
-    """The slot tables of an all-True mask: a realization that stores all T slots."""
-    return slot_tables(np.ones((N, T), dtype=bool), N, T)
-
-
 def full_store(M: int, N: int, T: int, k: int = 1) -> SimpleNamespace:
     """The shapes generate_channels, generate_messages and generate_noise read from a Schedule
-    (M, N, T, k and stored), with stored = every_slot(N, T): channels drawn for it hold
-    h[i, :, t] for every slot t, and noise drawn for it covers all N x T cells."""
-    return SimpleNamespace(M=M, N=N, T=T, k=k, stored=every_slot(N, T))
+    (M, N, T, k and stored), with stored the slot tables of an all-True mask: channels drawn
+    for it hold h[i, :, t] for every slot t, and noise drawn for it covers all N x T cells.
+    It is also the schedule of a realization built by hand from a full (N, M, T) tensor,
+    ChannelRealization(full_store(M, N, T), h), which reads its layout from it."""
+    return SimpleNamespace(M=M, N=N, T=T, k=k, stored=slot_tables(np.ones((N, T), dtype=bool), N, T))

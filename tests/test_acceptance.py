@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xchannel.analysis import dof_report, dof_slope, oracle_verify_3user, sweep_rates
+from xchannel.analysis import ORACLE_TOL, dof_report, dof_slope, oracle_verify_3user, sweep_rates
 from xchannel.channel import generate_channels, generate_messages, generate_noise
 from xchannel.receive import CONDITION_LIMIT, assemble_system, observe_all
 from xchannel.schedule import (
@@ -37,17 +37,18 @@ def _report(capsys, name, passed, detail):
 
 
 def test_criterion_1_hand_oracle_ten_seeds(capsys):
-    # full (3, 3) pipeline vs independent hand formulas, 10 seeds, 1e-12, < 1 s
+    # full (3, 3) pipeline vs independent hand formulas, 10 seeds, 1e-12, < 1 s; the
+    # oracle's tolerance is a module constant, held here to at most the criterion's 1e-12
     start = time.perf_counter()
     failures = []
     for seed in range(10):
-        (report,) = oracle_verify_3user([seed], tol=1e-12)
+        (report,) = oracle_verify_3user([seed])
         if not report.passed:
             failures.append((seed, next(c.name for c in report.checks if not c.passed)))
     elapsed = time.perf_counter() - start
-    ok = not failures and elapsed < 1.0
+    ok = not failures and elapsed < 1.0 and ORACLE_TOL <= 1e-12
     _report(capsys, "criterion-1 oracle-10-seeds", ok,
-            f"failures={failures} elapsed={elapsed:.2f}s (budget 1s)")
+            f"failures={failures} tol={ORACLE_TOL} elapsed={elapsed:.2f}s (budget 1s)")
 
 
 def test_criterion_2_rational_dof_grid(capsys):

@@ -276,7 +276,7 @@ class TestOracle:
 
 class TestVerifySuite:
     def test_all_checks_pass(self):
-        checks = verify_suite(grid=5, oracle_seeds=2, perm_trials=2)
+        checks = verify_suite(grid=5, oracle_seeds=2)
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
         names = {c.name for c in checks}
         assert {
@@ -361,7 +361,7 @@ class TestVerifySuite:
             return schedule.CsitTable(grid)
 
         monkeypatch.setattr(schedule, "build_csit_table", tampered)
-        checks = {c.name: c for c in verify_suite(grid=4, oracle_seeds=1, perm_trials=1)}
+        checks = {c.name: c for c in verify_suite(grid=4, oracle_seeds=1)}
         want = []
         for M in range(1, 5):
             for N in range(2, 5):
@@ -380,17 +380,17 @@ class TestVerifySuite:
             return np.vstack([plan.schedule.pair_reads, [[0, 1, 0], [1, 2, 1]]])
 
         monkeypatch.setattr(TransmitPlan, "csit_reads", property(fabricated))
-        checks = {c.name: c for c in verify_suite(grid=3, oracle_seeds=1, perm_trials=1)}
+        checks = {c.name: c for c in verify_suite(grid=3, oracle_seeds=1)}
         audit = checks.pop("csit-audit")
         assert not audit.passed
         assert audit.detail == "violations at [(2, 2), (3, 3), (4, 3), (2, 4), (5, 4), (2, 3)]"
         assert all(c.passed for c in checks.values())
 
     def test_grid_two_still_builds_shapes_outside_it(self, built, made):
-        # from an empty cache: each canonical shape once, plus one permuted
-        # schedule each of (3, 3) and (2, 4)
-        checks = verify_suite(grid=2, oracle_seeds=1, perm_trials=1)
+        # from an empty cache: each canonical shape once, plus the PERM_TRIALS (5)
+        # permuted schedules each of (3, 3) and (2, 4)
+        checks = verify_suite(grid=2, oracle_seeds=1)
         assert all(c.passed for c in checks), [c.name for c in checks if not c.passed]
         assert [c.name for c in checks][:3] == ["csit-table-3x3", "oracle-3x3-1-seeds", "dof-grid-to-2"]
         assert sorted(set(built)) == [(1, 2), (2, 2), (2, 3), (2, 4), (3, 3), (4, 3), (5, 4)]
-        assert sorted(made["schedules"]) == [(1, 2), (2, 2), (2, 3), (2, 4), (2, 4), (3, 3), (3, 3), (4, 3), (5, 4)]
+        assert sorted(made["schedules"]) == [(1, 2), (2, 2), (2, 3)] + [(2, 4)] * 6 + [(3, 3)] * 6 + [(4, 3), (5, 4)]

@@ -306,10 +306,13 @@ class TestReceivedSignal:
 
 
 def test_realizations_hold_no_seed():
-    # a draw keeps its arrays and dimensions; its stream is the caller's to keep
-    ch = generate_channels(full_store(2, 2, 3), stream(123))
+    # a draw keeps its schedule and its coefficients, and reads its layout from the schedule;
+    # its stream is the caller's to keep
+    store = full_store(2, 2, 3)
+    ch = generate_channels(store, stream(123))
     assert isinstance(ch, ChannelRealization)
-    assert [f.name for f in dataclasses.fields(ch)] == ["M", "N", "T", "h", "slots", "columns"]
+    assert [f.name for f in dataclasses.fields(ch)] == ["schedule", "h"]
+    assert ch.schedule is store and ch.slots is store.stored[0] and ch.columns is store.stored[1]
     ms = generate_messages(build_schedule(2, 2), stream(45))
     assert type(ms) is np.ndarray and ms.shape == (2, 2, 1)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -301,6 +302,30 @@ def test_every_receiver_uses_k_times_n_plus_m_minus_one_cells(M, N, seed):
         assert s.used.sum(axis=1).tolist() == [s.k * (N + M - 1)] * N
         draw = generate_channels(s, stream(seed))
         assert draw.h.shape == (N, M, s.k * (N + M - 1))
+
+
+@PROPERTY
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=6),
+       st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_results_read_what_they_do_not_store(M, N, seed, stacked):
+    # the draw's layout is its schedule's, and no result can disagree with itself: success,
+    # the CSIT violations and the DoF report are computed from what the result holds
+    s = build_schedule(M, N)
+    sim = run_simulation(s, seed=[seed, seed + 1] if stacked else seed)
+    ch = sim.channels
+    assert sim.channels.schedule is sim.schedule is s
+    assert (ch.M, ch.N, ch.T) == (M, N, s.T)
+    assert ch.slots is s.stored[0] and ch.columns is s.stored[1]
+    d = sim.decoding
+    assert type(d.success) is bool and d.success == bool(d.decoded.all())
+    violations = sim.plan.csit_violations
+    assert violations.shape == (0, 3) and violations.dtype == np.intp and not violations.flags.writeable
+    count = s.k * M * N
+    assert analysis.dof_report(s).to_dict() == {
+        "M": M, "N": N, "case": s.case.value, "k": s.k, "T": s.T, "messages": count,
+        "achieved": str(Fraction(count, s.T)), "closed_form": str(Fraction(2 * M, M + 1)),
+        "equal": count * (M + 1) == 2 * M * s.T,
+    }
 
 
 def _normals(a):

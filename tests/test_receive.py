@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import re
 import tracemalloc
 from unittest import mock
 
@@ -24,7 +25,7 @@ from xchannel.schedule import SchemeConstructionError, build_csit_table, build_s
 from xchannel.simulate import SimulationResult, run_simulation
 from xchannel.transmit import build_transmit_plan
 
-from helpers import every_slot, full_store, stream
+from helpers import full_store, stream
 
 K = ObservationKind
 
@@ -146,6 +147,20 @@ class TestObservationKinds:
             with pytest.raises(ValueError, match=r"stored cells' shape \(2, 4, %d\)" % U):
                 observe_all(sim.plan, sim.messages, noise)
 
+    def test_messages_must_match_the_plan(self):
+        # two copies on a k = 1 plan once sent copy 0 alone and decoded with success True; a
+        # two-draw stack on a one-draw plan once failed late, in assemble_system, with a bare
+        # reshape error. Both now raise in observe_all, naming both shapes.
+        sim = run_simulation(build_schedule(3, 3), seed=0)
+        for shape in ((3, 3, 2), (2, 3, 3, 1)):
+            messages = np.ones(shape, dtype=complex)
+            want = r"^messages must have the plan's shape \(3, 3, 1\), got %s$" % re.escape(str(shape))
+            with pytest.raises(ValueError, match=want):
+                observe_all(sim.plan, messages)
+        stacked = run_simulation(build_schedule(3, 3), seed=[0, 1])
+        with pytest.raises(ValueError, match=r"plan's shape \(2, 3, 3, 1\), got \(3, 3, 1\)"):
+            observe_all(stacked.plan, sim.messages)
+
 
 def pair_rows(schedule, receiver):
     rows = loop_rows(schedule, receiver)
@@ -181,7 +196,7 @@ class TestCancelInterference:
         table = build_csit_table(s)
         h = np.ones((3, 3, s.T), dtype=complex)
         h.setflags(write=False)
-        ch = ChannelRealization(3, 3, s.T, h, *every_slot(3, s.T))
+        ch = ChannelRealization(full_store(3, 3, s.T), h)
         ms = generate_messages(s, stream(1))
         plan = build_transmit_plan(s, ch, table)
         log = observe_all(plan, ms)
