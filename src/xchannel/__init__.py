@@ -6,7 +6,6 @@ from .analysis import (
     OracleReport,
     RatePoint,
     SlopeFit,
-    dof_report,
     dof_slope,
     oracle_verify_3user,
     sum_rate,

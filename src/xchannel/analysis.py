@@ -32,7 +32,6 @@ __all__ = [
     "SlopeFit",
     "OracleReport",
     "CheckResult",
-    "dof_report",
     "sum_rate",
     "sweep_rates",
     "check_snr_grid",
@@ -69,11 +68,6 @@ class DofReport:
             "closed_form": str(self.closed_form),
             "equal": self.equal,
         }
-
-
-def dof_report(schedule: Schedule) -> DofReport:
-    """The schedule's DofReport."""
-    return DofReport(schedule)
 
 
 @dataclass(frozen=True)
@@ -220,7 +214,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class OracleReport:
-    seed: int
+    draw: int
     checks: tuple[CheckResult, ...]
 
     passed = property(lambda self: all(c.passed for c in self.checks))
@@ -233,7 +227,7 @@ def _rel_close(a: list, b: list, tol: float) -> bool:
     return all(abs(x - y) <= tol * scale for x, y in zip(a, b, strict=True))
 
 
-def _hand_report(seed, stored, column, w, X_pipe, Y_pipe, slots, discarded_got,
+def _hand_report(draw, stored, column, w, X_pipe, Y_pipe, slots, discarded_got,
                  estimates, decoded) -> OracleReport:
     """One draw's oracle checks, on nested lists: stored[i][j][u] channels, column[i][t]
     their lookup, w[i][j] messages, X_pipe[j][t] and Y_pipe[i][t] the pipeline's
@@ -323,11 +317,12 @@ def _hand_report(seed, stored, column, w, X_pipe, Y_pipe, slots, discarded_got,
     recovered = all(decoded[i] and _rel_close(estimates[i], w[i], 1e-8) for i in range(3))
     checks.append(CheckResult(name="decode-recovery", passed=recovered))
 
-    return OracleReport(seed=seed, checks=tuple(checks))
+    return OracleReport(draw=draw, checks=tuple(checks))
 
 
-def oracle_verify_3user(seeds) -> tuple[OracleReport, ...]:
-    """Check run_simulation(build_schedule(3, 3), seeds) against hand-written per-slot formulas.
+def oracle_verify_3user(draws) -> tuple[OracleReport, ...]:
+    """Check run_simulation(build_schedule(3, 3), 0, draws=draws) against hand-written per-slot
+    formulas.
 
     The run's channels are read cell by cell through their (receiver, slot)
     lookup. Every transmitted signal, every used received value, all six
@@ -338,17 +333,16 @@ def oracle_verify_3user(seeds) -> tuple[OracleReport, ...]:
     tampered stage of run_simulation makes the first divergent check fail,
     which is how the oracle itself is exercised.
 
-    The sequence of seeds is one stacked run_simulation, one draw per seed,
-    and gives one report per seed in order. The hand formulas hard-code
-    the slot layout of the canonical (3, 3) schedule, which the run is given.
+    The range of draws of seed 0 is one stacked run_simulation and gives one
+    report per draw in order. The hand formulas hard-code the slot layout of
+    the canonical (3, 3) schedule, which the run is given.
     """
-    seeds = list(seeds)
-    if not seeds:
+    if not len(draws):
         return ()
-    sim = run_simulation(build_schedule(3, 3), seeds)
+    sim = run_simulation(build_schedule(3, 3), 0, draws=draws)
     channels, log, d = sim.channels, sim.log, sim.decoding
     per_draw = zip(
-        seeds,
+        draws,
         channels.h.tolist(),
         sim.messages[..., 0].tolist(),
         sim.plan.signal_matrix(sim.messages).tolist(),
@@ -361,8 +355,8 @@ def oracle_verify_3user(seeds) -> tuple[OracleReport, ...]:
         (i, t) for i in range(3) for t in range(6) if entries[i][t] == ObservationKind.DISCARDED
     }
     return tuple(
-        _hand_report(s, stored, column, w, X_pipe, Y_pipe, slots, discarded_got, estimates, decoded)
-        for s, stored, w, X_pipe, Y_pipe, estimates, decoded in per_draw
+        _hand_report(draw, stored, column, w, X_pipe, Y_pipe, slots, discarded_got, estimates, decoded)
+        for draw, stored, w, X_pipe, Y_pipe, estimates, decoded in per_draw
     )
 
 
@@ -390,16 +384,16 @@ def verify_suite(grid: int = 8, oracle_seeds: int = 5) -> list[CheckResult]:
     )
 
     reports = oracle_verify_3user(range(oracle_seeds))
-    failed = [r.seed for r in reports if not r.passed]
+    failed = [r.draw for r in reports if not r.passed]
     checks.append(_check(f"oracle-3x3-{oracle_seeds}-seeds", failed,
-                         f"failing seeds {failed}", f"{oracle_seeds} seeds"))
+                         f"failing draws {failed}", f"{oracle_seeds} seeds"))
 
     bad_dof = []
     bad_counts = []
     for M in range(1, grid + 1):
         for N in range(2, grid + 1):
             s = build_schedule(M, N)
-            if not dof_report(s).equal:
+            if not DofReport(s).equal:
                 bad_dof.append((M, N))
             # each receiver's P, D and N counts: k(M-1), k(N-1) and the rest
             expect = [s.k * (M - 1), s.k * (N - 1), s.T - s.k * (M + N - 2)]

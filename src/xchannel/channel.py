@@ -51,6 +51,8 @@ def run_streams(seed: int, count: int = 3, draws=None) -> np.ndarray:
     a random number."""
     if (seed := operator.index(seed)) < 0:  # TypeError for a float or a SeedSequence
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if draws is not None and len(draws) and (min(draws) < 0 or max(draws) >> 64):
+        raise ValueError(f"draws must lie in 0..2**64 - 1, got {draws!r}")
     if seed >> 128:
         key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
     else:

@@ -9,7 +9,7 @@ import math
 import sys
 from pathlib import Path
 
-from .analysis import check_snr_grid, dof_report, dof_slope, sweep_rates, verify_suite
+from .analysis import DofReport, check_snr_grid, dof_slope, sweep_rates, verify_suite
 from .schedule import (
     UnsupportedConfigurationError,
     build_schedule,
@@ -196,7 +196,7 @@ class _Output:
 def _mode_schedule(cfg: dict, out: _Output) -> int:
     M, N = cfg["M"], cfg["N"]
     schedule = build_schedule(M, N)
-    report = dof_report(schedule)
+    report = DofReport(schedule)
     if cfg.get("format", "text") == "json":
         payload = {"schedule": schedule.to_dict(), "dof": report.to_dict()}
         out.emit(_json_dumps(payload))
@@ -210,14 +210,11 @@ def _mode_schedule(cfg: dict, out: _Output) -> int:
 
 
 def _mode_csit_table(cfg: dict, out: _Output) -> int:
-    M, N = cfg["M"], cfg["N"]
-    schedule = build_schedule(M, N)
-    table = schedule.csit
+    schedule = build_schedule(cfg["M"], cfg["N"])
     if cfg.get("format", "text") == "json":
-        out.emit(_json_dumps(table.to_dict()))
+        out.emit(_json_dumps(schedule.csit.to_dict()))
     else:
-        head = f"M={M} N={N} case={schedule.case.value} k={schedule.k} T={schedule.T}"
-        out.emit(head + "\n" + format_csit_table(table, schedule.phase1_len) + "\n")
+        out.emit(format_csit_table(schedule) + "\n")
     return 0
 
 

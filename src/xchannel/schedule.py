@@ -92,9 +92,10 @@ class Schedule:
 
     M: int
     N: int
-    case: SchemeCase
     k: int
     members: np.ndarray
+
+    case = property(lambda self: classify_case(self.M, self.N), doc="classify_case(M, N), built on read.")
 
     def __post_init__(self):
         object.__setattr__(self, "members", read_only(self.members))
@@ -415,7 +416,7 @@ def _canonical_schedule(M: int, N: int) -> Schedule:
     copy, receiver = np.divmod(np.arange(k * N), N)
     groups = np.stack([receiver, copy], axis=-1)[:, None, :]
     members = np.concatenate([np.repeat(groups, 2, axis=1), pairs])
-    return Schedule(M=M, N=N, case=case, k=k, members=members)
+    return Schedule(M=M, N=N, k=k, members=members)
 
 
 build_schedule.cache_clear = _canonical_schedule.cache_clear
@@ -450,7 +451,7 @@ def permute_schedule(schedule: Schedule, phase1_perm, phase2_perm) -> Schedule:
     p1 = _check_permutation(phase1_perm, first, "phase-1 permutation")
     p2 = _check_permutation(phase2_perm, schedule.T - first, "phase-2 permutation")
     members = schedule.members[np.concatenate([p1, p2 + first])]
-    return Schedule(M=schedule.M, N=schedule.N, case=schedule.case, k=schedule.k, members=members)
+    return Schedule(M=schedule.M, N=schedule.N, k=schedule.k, members=members)
 
 
 def count_csit_variants(M: int, N: int) -> int:
@@ -508,8 +509,9 @@ def format_schedule(schedule: Schedule) -> str:
     return summary + "\n" + _phase_split_table(head, [row], first)
 
 
-def format_csit_table(table: CsitTable, phase1_len: int) -> str:
-    """Plain-text state table with receivers as rows and slots as columns."""
-    head = ["Time"] + [str(t + 1) for t in range(table.grid.shape[1])]
-    body = [[f"R{i + 1}"] + list(row) for i, row in enumerate(table.states)]
-    return _phase_split_table(head, body, phase1_len)
+def format_csit_table(schedule: Schedule) -> str:
+    """Plain-text state table of the schedule's CSIT table, receivers as rows and slots as columns."""
+    head = ["Time"] + [str(t + 1) for t in range(schedule.T)]
+    body = [[f"R{i + 1}"] + list(row) for i, row in enumerate(schedule.csit.states)]
+    summary = f"M={schedule.M} N={schedule.N} case={schedule.case.value} k={schedule.k} T={schedule.T}"
+    return summary + "\n" + _phase_split_table(head, body, schedule.phase1_len)

@@ -17,7 +17,7 @@ __all__ = ["RECOVERY_TOL", "SimulationResult", "run_simulation"]
 RECOVERY_TOL = 1e-8  # all_recovered's bound on each system's relative error
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     """Everything one seeded run produced, from schedule to decode diagnostics.
 
@@ -57,7 +57,7 @@ class SimulationResult:
 
 def run_simulation(
     schedule: Schedule,
-    seed: int | list[int] | tuple[int, ...],
+    seed: int,
     *,
     draws: range | None = None,
     noise_enabled: bool = False,
@@ -69,27 +69,17 @@ def run_simulation(
     The seed, a non-negative int, keys the run's Philox streams (run_streams): streams 0, 1
     and 2 of draw 0 for channels, messages and noise, with no noise stream for a noiseless run,
     so no two seeds share a random number. Channels and noise are drawn only at the cells
-    schedule.used stores. A list of seeds runs one draw per seed in a single stacked pass, with
-    a leading draw axis on every array; each draw equals its own single run. A range of draws
-    stacks the draws d of one seed, on the streams (key, d, c); draw d equals
-    run_simulation(schedule, seed, draws=range(d, d + 1)). A list of seeds takes no draws.
+    schedule.used stores. A range of draws stacks the draws d of the seed in a single pass, on
+    the streams (key, d, c), with a leading draw axis on every array; draw d equals
+    run_simulation(schedule, seed, draws=range(d, d + 1)), and draw 0 the single run.
     """
-    count = 3 if noise_enabled else 2
     if draws is not None and not len(draws):
         raise ValueError(f"draws must hold at least one draw, got {draws!r}")
-    if np.ndim(seed):  # one draw per seed, stacked on axis 1 after the stream axis
-        if not len(seed):
-            raise ValueError(f"seed must list at least one seed, got {seed!r}")
-        if draws is not None:
-            raise ValueError(f"pass a list of seeds or draws, not both: seed={seed!r} draws={draws!r}")
-        streams = np.stack([run_streams(s, count) for s in seed], axis=1)
-    else:
-        streams = run_streams(seed, count, draws=draws)
-    ch_seed, msg_seed, *noise_seed = streams
+    ch_seed, msg_seed, *noise_seed = run_streams(seed, 3 if noise_enabled else 2, draws=draws)
     channels = generate_channels(schedule, ch_seed)
     messages = generate_messages(schedule, msg_seed)
     noise = generate_noise(schedule, *noise_seed) if noise_enabled else None
-    plan = build_transmit_plan(schedule, channels, schedule.csit, normalize=normalize)
+    plan = build_transmit_plan(channels, schedule.csit, normalize=normalize)
     log = observe_all(plan, messages, noise)
     systems = assemble_system(log)
     return SimulationResult(messages=messages, log=log, systems=systems, decoding=decode(systems))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization, read_only
-from .schedule import CsitTable, Schedule
+from .schedule import CsitTable
 
 __all__ = [
     "CsitAccessError",
@@ -48,7 +48,7 @@ def audit_csit_trace(reads, table: CsitTable) -> np.ndarray:
     return read_only(reads[~granted])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TransmitPlan:
     """Precoding coefficients for all T slots, the channel draw they were computed from, and
     the audit trail that built them.
@@ -59,15 +59,16 @@ class TransmitPlan:
     already folded into slot t's coefficients (1.0 unless normalization is
     on), which receivers also apply to stored observations when subtracting.
     channels is the draw build_transmit_plan gathered from, the one the plan's
-    signals travel through and receivers replay. The audit trail is read from
-    the schedule, since a plan is built only when no read is denied. The plan
-    holds no messages: signal_matrix applies it to the messages it is given.
+    signals travel through and receivers replay; the schedule is the draw's own. The
+    audit trail is read from the schedule, since a plan is built only when no read is
+    denied. The plan holds no messages: signal_matrix applies it to the messages it is given.
     """
 
-    schedule: Schedule
     channels: ChannelRealization
     coefficients: np.ndarray
     slot_scale: np.ndarray
+
+    schedule = property(lambda self: self.channels.schedule, doc="The schedule the channels were drawn for.")
 
     @property
     def csit_reads(self) -> np.ndarray:
@@ -84,12 +85,12 @@ class TransmitPlan:
 
 
 def build_transmit_plan(
-    schedule: Schedule,
     channels: ChannelRealization,
     csit: CsitTable,
     normalize: bool = False,
 ) -> TransmitPlan:
-    """Compute every slot's coefficients under CSIT access control.
+    """Compute every slot's coefficients for the schedule the channels were drawn for
+    (channels.schedule), under CSIT access control.
 
     Member (a, ca) paired with (b, cb) at slot t gets coefficient
     h[b,j,t]^-1 * h[b,j,t_a] on w[a,j,ca]: through receiver b's current
@@ -102,9 +103,10 @@ def build_transmit_plan(
     1 / max_j ||coefficients of transmitter j||, so every transmitter meets a
     unit power budget with unit-power messages. A common factor (rather than
     per-transmitter ones) keeps the stored-observation subtraction exact.
-    Channels with draw axes (drawn from a list of seeds or a range of draws) give a
-    plan with those axes, whose one CSIT audit covers every draw's gather.
+    Channels with draw axes (a range of draws) give a plan with those axes, whose one
+    CSIT audit covers every draw's gather.
     """
+    schedule = channels.schedule
     reads = schedule.pair_reads
     denied = audit_csit_trace(reads, csit)
     if len(denied):
@@ -121,9 +123,4 @@ def build_transmit_plan(
         norms = np.sqrt(np.abs(pair[..., 0, :]) ** 2 + np.abs(pair[..., 1, :]) ** 2)
         scale[..., first:] = 1.0 / norms.max(axis=-1)
         pair *= scale[..., first:, None, None]
-    return TransmitPlan(
-        schedule=schedule,
-        channels=channels,
-        coefficients=read_only(coefficients),
-        slot_scale=read_only(scale),
-    )
+    return TransmitPlan(channels=channels, coefficients=read_only(coefficients), slot_scale=read_only(scale))

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xchannel.analysis import ORACLE_TOL, dof_report, dof_slope, oracle_verify_3user, sweep_rates
+from xchannel.analysis import ORACLE_TOL, DofReport, dof_slope, oracle_verify_3user, sweep_rates
 from xchannel.channel import generate_channels, generate_messages, generate_noise
 from xchannel.receive import CONDITION_LIMIT, assemble_system, observe_all
 from xchannel.schedule import (
@@ -24,7 +24,7 @@ from xchannel.schedule import (
 from xchannel.simulate import run_simulation
 from xchannel.transmit import audit_csit_trace, build_transmit_plan
 
-from helpers import full_store, stream
+from helpers import full_store, realization, stored_noise, stream
 
 GRID = [(M, N) for M in range(1, 9) for N in range(2, 9)]
 
@@ -37,14 +37,14 @@ def _report(capsys, name, passed, detail):
 
 
 def test_criterion_1_hand_oracle_ten_seeds(capsys):
-    # full (3, 3) pipeline vs independent hand formulas, 10 seeds, 1e-12, < 1 s; the
-    # oracle's tolerance is a module constant, held here to at most the criterion's 1e-12
+    # full (3, 3) pipeline vs independent hand formulas, 10 draws of seed 0, 1e-12, < 1 s;
+    # the oracle's tolerance is a module constant, held here to at most the criterion's 1e-12
     start = time.perf_counter()
     failures = []
-    for seed in range(10):
-        (report,) = oracle_verify_3user([seed])
+    for draw in range(10):
+        (report,) = oracle_verify_3user(range(draw, draw + 1))
         if not report.passed:
-            failures.append((seed, next(c.name for c in report.checks if not c.passed)))
+            failures.append((draw, next(c.name for c in report.checks if not c.passed)))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 1.0 and ORACLE_TOL <= 1e-12
     _report(capsys, "criterion-1 oracle-10-seeds", ok,
@@ -56,7 +56,7 @@ def test_criterion_2_rational_dof_grid(capsys):
     start = time.perf_counter()
     bad = []
     for M, N in GRID:
-        rep = dof_report(build_schedule(M, N))
+        rep = DofReport(build_schedule(M, N))
         if not (rep.equal and rep.achieved == Fraction(2 * M, M + 1)):
             bad.append((M, N, str(rep.achieved)))
     elapsed = time.perf_counter() - start
@@ -117,8 +117,8 @@ def test_criterion_4_csit_contract(capsys):
                     "N": s.T - s.k * (M - 1) - s.k * (N - 1)}
             if c != want:
                 count_bad.append((M, N, i, c))
-        ch = generate_channels(full_store(M, N, s.T), stream(0))
-        plan = build_transmit_plan(s, ch, t)
+        h = generate_channels(full_store(M, N, s.T), stream(0)).h
+        plan = build_transmit_plan(realization(s, h), t)
         if len(plan.csit_violations) or len(audit_csit_trace(plan.csit_reads, t)):
             read_bad.append((M, N))
     sims = 0
@@ -193,12 +193,12 @@ def test_criterion_7_noise_covariance_empirical(capsys):
     # correspondence crosschecked through the literal pipeline
     s = build_schedule(3, 3)
     table = build_csit_table(s)
-    store = full_store(3, 3, s.T)
-    ch = generate_channels(store, stream(0))
+    store = full_store(3, 3, s.T)  # channels and noise drawn on all T slots, the used ones stored
+    ch = realization(s, generate_channels(store, stream(0)).h)
     ms = generate_messages(s, stream(1))
-    plan = build_transmit_plan(s, ch, table)
+    plan = build_transmit_plan(ch, table)
     clean = observe_all(plan, ms)
-    noisy0 = observe_all(plan, ms, generate_noise(store, stream(2)))
+    noisy0 = observe_all(plan, ms, stored_noise(s, generate_noise(store, stream(2))))
     systems = assemble_system(noisy0)
     clean_sys = assemble_system(clean)
 
@@ -207,7 +207,7 @@ def test_criterion_7_noise_covariance_empirical(capsys):
     cross_bad = []
     for seed in range(100):
         grid = generate_noise(store, stream(1000 + seed))
-        noisy = assemble_system(observe_all(plan, ms, grid))
+        noisy = assemble_system(observe_all(plan, ms, stored_noise(s, grid)))
         for i in range(3):
             want = noisy.noise_map[i] @ grid[i]
             if np.max(np.abs((noisy.y[i] - clean_sys.y[i]) - want)) > 1e-12:

@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from xchannel.analysis import (
+    DofReport,
     RatePoint,
-    dof_report,
     dof_slope,
     oracle_verify_3user,
     sum_rate,
@@ -36,10 +36,10 @@ def tamper_member(monkeypatch, draw=(0,)):
 
     original = simulate.build_transmit_plan
 
-    def tampering(schedule, channels, table, **kwargs):
-        plan = original(schedule, channels, table, **kwargs)
+    def tampering(channels, table, **kwargs):
+        plan = original(channels, table, **kwargs)
         coefficients = plan.coefficients.copy()
-        coefficients[(*draw, 3, 0, 0)] = channels.h[(*draw, 1, 0, 0)]
+        coefficients[(*draw, 3, 0, 0)] = channels.rows(1, 0)[(*draw, 0)]  # h[1, 0, 0]
         return dataclasses.replace(plan, coefficients=coefficients)
 
     monkeypatch.setattr(simulate, "build_transmit_plan", tampering)
@@ -58,23 +58,23 @@ class TestDofReport:
         ],
     )
     def test_golden_values(self, M, N, want):
-        rep = dof_report(build_schedule(M, N))
+        rep = DofReport(build_schedule(M, N))
         assert rep.achieved == want
         assert rep.closed_form == want
         assert rep.equal
 
     def test_exact_rational_arithmetic(self):
-        rep = dof_report(build_schedule(4, 3))
+        rep = DofReport(build_schedule(4, 3))
         assert rep.achieved == Fraction(24, 15)
         assert isinstance(rep.achieved, Fraction)
 
     def test_grid_always_equal(self):
         for M in range(1, 9):
             for N in range(2, 9):
-                assert dof_report(build_schedule(M, N)).equal
+                assert DofReport(build_schedule(M, N)).equal
 
     def test_to_dict(self):
-        d = dof_report(build_schedule(3, 3)).to_dict()
+        d = DofReport(build_schedule(3, 3)).to_dict()
         assert d["achieved"] == "3/2"
         assert d["closed_form"] == "3/2"
         assert d["equal"] is True
@@ -144,7 +144,7 @@ class TestSumRate:
     def test_equals_a_fresh_cholesky_per_snr(self):
         # a stacked noisy, normalized 8x8 run, against a reference that factors a
         # freshly built Sigma + P_s G G^H at every SNR: bit for bit, inputs untouched
-        sim = run_simulation(build_schedule(8, 8), seed=[3, 4, 5], noise_enabled=True, normalize=True)
+        sim = run_simulation(build_schedule(8, 8), seed=3, draws=range(3), noise_enabled=True, normalize=True)
         systems = sim.systems
         G, sigma = systems.G.tobytes(), systems.sigma.tobytes()
         snrs = [-20.0, 0.0, 40.0, 60.0, 80.0]
@@ -216,12 +216,12 @@ class TestSweepAndSlope:
 class TestOracle:
     @pytest.mark.parametrize("seed", range(10))
     def test_passes_many_seeds(self, seed):
-        (report,) = oracle_verify_3user([seed])
+        (report,) = oracle_verify_3user(range(seed, seed + 1))
         assert report.passed, first_failure(report)
         assert first_failure(report) is None
 
     def test_check_inventory(self):
-        (report,) = oracle_verify_3user([0])
+        (report,) = oracle_verify_3user(range(1))
         names = [c.name for c in report.checks]
         for t in range(1, 7):
             assert f"transmit-slot-{t}" in names
@@ -233,34 +233,35 @@ class TestOracle:
     def test_tampered_plan_caught(self, monkeypatch):
         # drop the inverse from one precoding coefficient of the run the oracle
         # checks: the slot-4 transmit check must be the first to diverge
-        assert oracle_verify_3user([0])[0].passed
+        assert oracle_verify_3user(range(1))[0].passed
         tamper_member(monkeypatch)
-        (report,) = oracle_verify_3user([0])
+        (report,) = oracle_verify_3user(range(1))
         assert not report.passed
         assert first_failure(report) == "transmit-slot-4"
 
-    def test_report_records_seed(self):
-        assert [r.seed for r in oracle_verify_3user([7, 3])] == [7, 3]
+    def test_report_records_draw(self):
+        assert [r.draw for r in oracle_verify_3user(range(7, 9))] == [7, 8]
 
-    def test_seed_sequence_matches_single_calls(self):
+    def test_draw_range_matches_single_draw_calls(self):
+        # one report per draw of seed 0, in order, each equal check by check to that draw's own call
         reports = oracle_verify_3user(range(10))
-        assert isinstance(reports, tuple) and len(reports) == 10
-        for seed, report in enumerate(reports):
-            (single,) = oracle_verify_3user([seed])
-            assert report.seed == single.seed == seed
+        assert isinstance(reports, tuple) and [r.draw for r in reports] == list(range(10))
+        for d, report in enumerate(reports):
+            (single,) = oracle_verify_3user(range(d, d + 1))
+            assert report.draw == single.draw == d
             assert report.passed and single.passed
             assert [(c.name, c.passed, c.detail) for c in report.checks] == [
                 (c.name, c.passed, c.detail) for c in single.checks
             ]
 
     def test_empty_seed_sequence_gives_no_reports(self):
-        assert oracle_verify_3user(()) == ()
+        assert oracle_verify_3user(range(0)) == ()
 
     def test_stacked_plan_tampered_in_one_draw(self, monkeypatch):
-        seeds = (0, 1, 2)
-        assert all(r.passed for r in oracle_verify_3user(seeds))
+        draws = range(3)
+        assert all(r.passed for r in oracle_verify_3user(draws))
         tamper_member(monkeypatch, draw=(1,))
-        reports = oracle_verify_3user(seeds)
+        reports = oracle_verify_3user(draws)
         assert [r.passed for r in reports] == [True, False, True]
         assert first_failure(reports[1]) == "transmit-slot-4"
 

@@ -20,11 +20,11 @@ from xchannel.channel import (
     slot_tables,
 )
 from xchannel.receive import ObservationKind, observe_all
-from xchannel.schedule import Schedule, SchemeCase, SchemeConstructionError, build_csit_table, build_schedule
+from xchannel.schedule import Schedule, SchemeConstructionError, build_csit_table, build_schedule
 from xchannel.simulate import run_simulation
 from xchannel.transmit import build_transmit_plan
 
-from helpers import full_store, stream
+from helpers import full_store, realization, stored_noise, stream
 
 
 def reference_rng(seed) -> np.random.Generator:
@@ -177,7 +177,7 @@ class TestGenerateChannels:
                    (-1, 2, 4): "expected -2"}[M, N, T]
         members = np.array([[[t % max(N, 1), 0]] * 2 for t in range(T)], dtype=np.intp).reshape(-1, 2, 2)
         with pytest.raises(SchemeConstructionError, match=message):
-            Schedule(M=M, N=N, case=SchemeCase.M_GE_N_GENERAL, k=1, members=members)
+            Schedule(M=M, N=N, k=1, members=members)
 
     def test_unit_variance_statistics(self):
         # 1e6 draws: E|h|^2 -> 1, Re/Im variance -> 1/2
@@ -224,7 +224,7 @@ class TestNoiseModel:
 
     def test_noiseless_run_observes_no_noise(self):
         # every stored cell of a noiseless stack is exactly its channel row times the slot's signal
-        sim = run_simulation(build_schedule(3, 5), seed=[4, 5])
+        sim = run_simulation(build_schedule(3, 5), seed=4, draws=range(2))
         ch = sim.channels
         X = sim.plan.signal_matrix(sim.messages)
         clean = np.einsum("...iju,...jiu->...iu", ch.h, X[..., :, ch.slots])
@@ -253,38 +253,45 @@ class TestNoiseModel:
 class TestReceivedSignal:
     """Observations y[i, t] = sum_j h[i, j, t] x[j, t] + n[i, t], as observe_all forms them."""
 
+    USED = build_schedule(3, 3).used  # the cells observed; the others are NaN
+
     def _setup(self, M=3, N=3, seed=0, w=None, noise=None):
+        # h holds the channels of all T slots, h[i, :, t] receiver i's row in slot t; the run
+        # stores and observes the used cells of h and of a full (N, T) noise grid
         s = build_schedule(M, N)
-        ch = generate_channels(full_store(M, N, s.T), stream(seed))
+        h = generate_channels(full_store(M, N, s.T), stream(seed)).h
         if w is None:
             w = generate_messages(s, stream(seed + 100))
-        plan = build_transmit_plan(s, ch, build_csit_table(s))
-        log = observe_all(plan, w, noise)
-        return ch, plan.signal_matrix(w), log.values
+        plan = build_transmit_plan(realization(s, h), build_csit_table(s))
+        log = observe_all(plan, w, None if noise is None else stored_noise(s, noise))
+        assert np.array_equal(np.isnan(log.values), ~s.used)
+        return h, plan.signal_matrix(w), log.values
 
     def test_matches_plain_dot(self):
-        ch, x, y = self._setup()
-        for t in range(ch.T):
-            for i in range(ch.N):
-                expect = sum(ch.h[i, j, t] * x[j, t] for j in range(ch.M))
-                assert abs(y[i, t] - expect) <= 1e-12 * max(1.0, abs(expect))
+        h, x, y = self._setup()
+        N, M, T = h.shape
+        for t in range(T):
+            for i in range(N):
+                if self.USED[i, t]:
+                    expect = sum(h[i, j, t] * x[j, t] for j in range(M))
+                    assert abs(y[i, t] - expect) <= 1e-12 * max(1.0, abs(expect))
 
     def test_zero_input(self):
         _, _, y = self._setup(w=np.zeros((3, 3, 1), dtype=complex))
-        assert np.all(y == 0)
+        assert np.all(y[self.USED] == 0)
 
     def test_single_transmitter_recovers_coefficient(self):
         # only transmitter 2 has a nonzero symbol, for receiver 0, broadcast in slot 0
         w = np.zeros((3, 3, 1), dtype=complex)
         w[0, 2, 0] = 1.0
-        ch, _, y = self._setup(w=w)
-        assert np.all(y[:, 0] == ch.h[:, 2, 0])
+        h, _, y = self._setup(w=w)
+        assert np.all(y[:, 0] == h[:, 2, 0])
 
     def test_noise_added(self):
-        ch, _, clean = self._setup()
-        sample = generate_noise(full_store(ch.M, ch.N, ch.T), stream(11))
+        h, _, clean = self._setup()
+        sample = generate_noise(full_store(3, 3, h.shape[-1]), stream(11))
         _, _, noisy = self._setup(noise=sample)
-        assert np.all(np.abs((noisy - clean) - sample) <= 1e-12)
+        assert np.all(np.abs((noisy - clean) - sample)[self.USED] <= 1e-12)
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -301,7 +308,7 @@ class TestReceivedSignal:
         _, _, lhs = self._setup(seed=seed % 89, w=a * u + b * v)
         _, _, yu = self._setup(seed=seed % 89, w=u)
         _, _, yv = self._setup(seed=seed % 89, w=v)
-        rhs = a * yu + b * yv
+        lhs, rhs = lhs[self.USED], a * yu[self.USED] + b * yv[self.USED]
         assert np.all(np.abs(lhs - rhs) <= 1e-9 * np.maximum(1.0, np.abs(rhs)))
 
 
@@ -416,6 +423,17 @@ def test_threads_draw_their_streams_undisturbed():
     assert got == want
 
 
+@pytest.mark.parametrize("draws", [range(-1, 1), [0, 2**64], range(2**64 - 1, 2**64 + 1)])
+def test_draws_outside_the_counter_word_rejected(draws):
+    # a draw is one 64-bit counter word: numpy's bare OverflowError once reported the -1
+    # without naming draws
+    with pytest.raises(ValueError, match=r"^draws must lie in 0\.\.2\*\*64 - 1, got "):
+        run_streams(0, 2, draws=draws)
+    with pytest.raises(ValueError, match="draws must lie"):
+        run_simulation(build_schedule(3, 3), 0, draws=draws)
+    assert run_streams(0, 1, draws=range(2**64 - 2, 2**64))[0, :, 2].tolist() == [2**64 - 2, 2**64 - 1]
+
+
 def test_stream_rejects_what_seed_sequence_rejects():
     with pytest.raises(ValueError, match="non-negative"):
         run_streams(-1)
@@ -474,9 +492,9 @@ def test_noiseless_run_derives_and_samples_no_noise():
     # the same channels and messages as the noisy run, with no noise stream and no grid sampled
     with (mock.patch.object(simulate, "generate_noise", side_effect=AssertionError("sampled")),
           mock.patch.object(simulate, "run_streams", wraps=run_streams) as streams):
-        quiet = run_simulation(build_schedule(4, 6), seed=[1, 2])
-    assert [c.args for c in streams.call_args_list] == [(1, 2), (2, 2)]  # channels and messages only
-    noisy = run_simulation(build_schedule(4, 6), seed=[1, 2], noise_enabled=True)
+        quiet = run_simulation(build_schedule(4, 6), seed=1, draws=range(2))
+    assert [(c.args, c.kwargs) for c in streams.call_args_list] == [((1, 2), {"draws": range(2)})]  # no noise
+    noisy = run_simulation(build_schedule(4, 6), seed=1, draws=range(2), noise_enabled=True)
     assert quiet.channels.h.tobytes() == noisy.channels.h.tobytes()
     assert quiet.messages.tobytes() == noisy.messages.tobytes()
     assert quiet.log.noise is None

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from xchannel.analysis import sum_rate
-from xchannel.channel import ChannelRealization, generate_channels, generate_messages, generate_noise
+from xchannel.channel import generate_channels, generate_messages, generate_noise
 from xchannel.receive import (
     CONDITION_LIMIT,
     LinearSystem,
@@ -25,21 +25,22 @@ from xchannel.schedule import SchemeConstructionError, build_csit_table, build_s
 from xchannel.simulate import SimulationResult, run_simulation
 from xchannel.transmit import build_transmit_plan
 
-from helpers import full_store, stream
+from helpers import full_store, realization, stored_noise, stream
 
 K = ObservationKind
 
 
 def make_log(M, N, seed=0, noise_enabled=False, normalize=False):
-    # channels and noise on all T slots, so ch.h[i, :, t] is receiver i's row in slot t
+    # channels and noise drawn on all T slots, so h[i, :, t] is receiver i's row in slot t;
+    # the run stores and observes the cells of both that the schedule uses
     s = build_schedule(M, N)
     table = build_csit_table(s)
     store = full_store(M, N, s.T)
-    ch = generate_channels(store, stream(seed))
+    h = generate_channels(store, stream(seed)).h
     ms = generate_messages(s, stream(seed + 1))
-    plan = build_transmit_plan(s, ch, table, normalize=normalize)
-    noise = generate_noise(store, stream(seed + 2)) if noise_enabled else None
-    return s, ch, ms, plan, observe_all(plan, ms, noise)
+    plan = build_transmit_plan(realization(s, h), table, normalize=normalize)
+    noise = stored_noise(s, generate_noise(store, stream(seed + 2))) if noise_enabled else None
+    return s, h, ms, plan, observe_all(plan, ms, noise)
 
 
 def loop_rows(schedule, receiver) -> np.ndarray:
@@ -96,7 +97,7 @@ class TestObservationKinds:
 
     def test_entries_are_the_schedules_read_only_table(self):
         s = build_schedule(4, 3)
-        a, b = (run_simulation(s, seed=seed) for seed in (0, [1, 2]))
+        a, b = run_simulation(s, seed=0), run_simulation(s, seed=1, draws=range(2))
         assert a.log.entries is b.log.entries is s.entries
         assert s.entries.shape == (3, s.T) and s.entries.dtype == np.int8
         with pytest.raises(ValueError):
@@ -123,24 +124,26 @@ class TestObservationKinds:
         assert K is xchannel.ObservationKind is xchannel.schedule.ObservationKind
 
     def test_values_match_plain_recompute(self):
-        s, ch, ms, plan, log = make_log(3, 3, seed=4)
+        s, h, ms, plan, log = make_log(3, 3, seed=4)
         X = plan.signal_matrix(ms)
         for i in range(s.N):
             for t in range(s.T):
-                want = sum(ch.h[i, j, t] * X[j, t] for j in range(s.M))
-                assert abs(log.values[i, t] - want) <= 1e-12 * max(1.0, abs(want))
+                want = sum(h[i, j, t] * X[j, t] for j in range(s.M)) if s.used[i, t] else np.nan
+                assert abs(log.values[i, t] - want) <= 1e-12 * max(1.0, abs(want)) or np.isnan(want)
+        assert np.array_equal(np.isnan(log.values), ~s.used)
 
     def test_noise_enters_observations(self):
-        _, _, _, _, clean = make_log(3, 3, seed=4)
+        s, _, _, _, clean = make_log(3, 3, seed=4)
         _, _, _, _, noisy = make_log(3, 3, seed=4, noise_enabled=True)
         grid = generate_noise(full_store(3, 3, 6), stream(6))
-        np.testing.assert_allclose(noisy.values - clean.values, grid, atol=1e-12)
-        assert noisy.noise.tobytes() == grid.tobytes()
+        used = s.used
+        np.testing.assert_allclose((noisy.values - clean.values)[used], grid[used], atol=1e-12)
+        assert noisy.noise.tobytes() == stored_noise(s, grid).tobytes()
         assert clean.noise is None
 
     def test_noise_must_match_the_stored_cells(self):
         # one draw's (N, U) grid on a two-draw stack would broadcast onto both draws
-        sim = run_simulation(build_schedule(3, 4), seed=[1, 2])
+        sim = run_simulation(build_schedule(3, 4), seed=1, draws=range(2))
         U = sim.channels.h.shape[-1]
         for shape in ((4, U), (2, 4, U + 1)):
             noise = np.zeros(shape, dtype=complex)
@@ -157,7 +160,7 @@ class TestObservationKinds:
             want = r"^messages must have the plan's shape \(3, 3, 1\), got %s$" % re.escape(str(shape))
             with pytest.raises(ValueError, match=want):
                 observe_all(sim.plan, messages)
-        stacked = run_simulation(build_schedule(3, 3), seed=[0, 1])
+        stacked = run_simulation(build_schedule(3, 3), seed=0, draws=range(2))
         with pytest.raises(ValueError, match=r"plan's shape \(2, 3, 3, 1\), got \(3, 3, 1\)"):
             observe_all(stacked.plan, sim.messages)
 
@@ -184,8 +187,7 @@ class TestCancelInterference:
             assert np.all(np.abs(values[i] - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
 
     def test_row_coefficients_3x3_hand_formula(self):
-        s, ch, _, _, log = make_log(3, 3, seed=2)
-        h = ch.h
+        s, h, _, _, log = make_log(3, 3, seed=2)
         rows = cancel_interference(log)[0][0]
         # receiver 0 broadcast at slot 0; partners 1 and 2 broadcast at 1 and 2
         np.testing.assert_allclose(rows[0], h[0, :, 3] * h[1, :, 0] / h[1, :, 3], rtol=1e-12)
@@ -196,9 +198,8 @@ class TestCancelInterference:
         table = build_csit_table(s)
         h = np.ones((3, 3, s.T), dtype=complex)
         h.setflags(write=False)
-        ch = ChannelRealization(full_store(3, 3, s.T), h)
         ms = generate_messages(s, stream(1))
-        plan = build_transmit_plan(s, ch, table)
+        plan = build_transmit_plan(realization(s, h), table)
         log = observe_all(plan, ms)
         rows, values = cancel_interference(log)
         np.testing.assert_allclose(rows, np.ones((3, 2, 3)), rtol=1e-14)
@@ -239,12 +240,12 @@ class TestAssembleSystem:
     def test_row_ordering_direct_then_subtractions(self):
         # per copy, G's first row is the channel row at the copy's phase-1 slot t_c, and the
         # next M-1 rows are its pair rows in slot order, each h_0(t) h_b(t_c) / h_b(t) for partner b
-        s, ch, _, _, log = make_log(4, 3)
+        s, h, _, _, log = make_log(4, 3)
         rows = loop_rows(s, 0)
         kinds = ["direct" if partner < 0 else "subtraction" for partner in rows[:, 2]]
         assert kinds == ["direct", "subtraction", "subtraction", "subtraction"] * 2
         assert rows[:, 0].tolist() == [0] * 4 + [1] * 4
-        G, h = assemble_system(log).G[0], ch.h
+        G = assemble_system(log).G[0]
         for r, (copy, slot, partner, _) in enumerate(rows.tolist()):
             own = rows[4 * copy, 1]
             want = h[0, :, slot] if partner < 0 else h[0, :, slot] * h[partner, :, own] / h[partner, :, slot]
@@ -261,9 +262,9 @@ class TestAssembleSystem:
             assert np.count_nonzero(full) == np.count_nonzero(block)
 
     def test_direct_row_is_channel_row(self):
-        s, ch, _, _, log = make_log(3, 3, seed=8)
+        s, h, _, _, log = make_log(3, 3, seed=8)
         G = assemble_system(log).G
-        np.testing.assert_allclose(G[:, 0], ch.h[[0, 1, 2], :, [0, 1, 2]], rtol=1e-14)
+        np.testing.assert_allclose(G[:, 0], h[[0, 1, 2], :, [0, 1, 2]], rtol=1e-14)
 
     def test_system_consistent_with_truth(self):
         _, _, ms, _, log = make_log(5, 4, seed=3)
@@ -485,28 +486,24 @@ class TestStackedDecode:
         assert np.isnan(stacked.estimates[1]).all()
 
     def test_run_decodes_its_stack_in_one_call(self):
-        res = run_simulation(build_schedule(3, 3), seed=[4, 5])
+        res = run_simulation(build_schedule(3, 3), seed=4, draws=range(2))
         assert res.decoding.estimates.shape == (2, 3, 3) and res.decoding.success is True
         for name in ("decoded", "rank", "condition"):
             assert getattr(res.decoding, name).shape == (2, 3)
 
-    def test_empty_seed_list_rejected(self):
-        # a run needs a draw: an empty list names itself instead of failing to unpack
-        with pytest.raises(ValueError, match=r"^seed must list at least one seed, got \[\]$"):
-            run_simulation(build_schedule(3, 3), seed=[])
-
     def test_empty_draw_range_rejected(self):
+        # a run needs a draw: an empty range names itself instead of failing to unpack
         with pytest.raises(ValueError, match=r"^draws must hold at least one draw, got range\(4, 4\)$"):
             run_simulation(build_schedule(3, 3), seed=7, draws=range(4, 4))
 
-    def test_seed_list_with_draws_rejected(self):
-        # a list of seeds is one draw per seed; draws on top would stack a second draw axis
-        with pytest.raises(ValueError, match=r"^pass a list of seeds or draws, not both: "
-                                             r"seed=\[1, 2\] draws=range\(0, 2\)$"):
-            run_simulation(build_schedule(3, 3), seed=[1, 2], draws=range(2))
+    def test_seed_is_one_int(self):
+        # a stack of draws is named only as a seed and a range of its draws, never as a list of seeds
+        for seed in ([1, 2], (1,), np.array([3])):
+            with pytest.raises(TypeError):
+                run_simulation(build_schedule(3, 3), seed=seed)
 
     def test_truth_follows_the_flat_decode_order(self):
-        res = run_simulation(build_schedule(3, 2), seed=[1, 2])
+        res = run_simulation(build_schedule(3, 2), seed=1, draws=range(2))
         assert res.truths.shape == (4, 3)
         estimates = res.decoding.estimates.reshape(4, 3)
         for i, truth in enumerate(res.truths):
@@ -517,7 +514,7 @@ class TestStackedDecode:
     def test_relative_errors_computed_once(self):
         # one stacked norm pass over every system: two dot products (real and imaginary
         # parts), whatever the number of systems, and no per-row norm
-        res = run_simulation(build_schedule(3, 3), seed=[2, 3])
+        res = run_simulation(build_schedule(3, 3), seed=2, draws=range(2))
         with mock.patch.object(np, "vecdot", wraps=np.vecdot) as vecdot, \
                 mock.patch.object(np.linalg, "norm", wraps=np.linalg.norm) as norm:
             errors = res.relative_errors()
@@ -525,9 +522,11 @@ class TestStackedDecode:
             assert res.relative_errors() == errors
         assert vecdot.call_count == 2 and norm.call_count == 0
 
-    @pytest.mark.parametrize("M,N,seeds", [(3, 3, [2]), (4, 3, [0, 1]), (8, 8, [5]), (16, 16, [1]), (2, 4, [7, 8])])
+    @pytest.mark.parametrize("M,N,seeds", [(3, 3, range(2, 3)), (4, 3, range(2)), (8, 8, range(5, 6)),
+                                           (16, 16, range(1, 2)), (2, 4, range(7, 9))])
     def test_relative_errors_equal_per_row_norms_bit_for_bit(self, M, N, seeds):
-        res = run_simulation(build_schedule(M, N), seed=seeds, noise_enabled=True)
+        # seeds: the draws of seed 0 the stacked run takes
+        res = run_simulation(build_schedule(M, N), seed=0, draws=seeds, noise_enabled=True)
         estimates = res.decoding.estimates.reshape(res.truths.shape)
         want = [float(np.linalg.norm(e - t) / np.linalg.norm(t)) for e, t in zip(estimates, res.truths)]
         assert res.relative_errors() == want
@@ -595,12 +594,25 @@ class TestOneOwnerPerRunFact:
     def test_log_and_result_read_the_rest_through_the_plan(self):
         assert [f.name for f in dataclasses.fields(ObservationLog)] == ["plan", "values", "noise"]
         assert [f.name for f in dataclasses.fields(SimulationResult)] == ["messages", "log", "systems", "decoding"]
-        sim = run_simulation(build_schedule(4, 3), seed=[0, 1], noise_enabled=True, normalize=True)
+        sim = run_simulation(build_schedule(4, 3), seed=0, draws=range(2), noise_enabled=True, normalize=True)
         assert sim.plan is sim.log.plan
         assert sim.channels is sim.plan.channels and sim.schedule is sim.plan.schedule
         for name in ("plan", "channels", "schedule"):
             with pytest.raises(AttributeError):
                 setattr(sim, name, None)
+
+    def test_plan_and_result_are_frozen(self):
+        # reassigning a plan's draw would pair its coefficients with another draw again
+        sim, other = (run_simulation(build_schedule(3, 3), seed=seed) for seed in (0, 1))
+        for obj, name, value in ((sim.plan, "channels", other.channels),
+                                 (sim.plan, "coefficients", other.plan.coefficients),
+                                 (sim, "log", other.log), (sim, "messages", other.messages)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, value)
+        plan = dataclasses.replace(sim.plan, coefficients=other.plan.coefficients)
+        assert plan.channels is sim.channels and plan.coefficients is other.plan.coefficients
+        result = dataclasses.replace(sim, messages=other.messages)
+        assert result.log is sim.log and result.messages is other.messages
 
 
 RUN_TABLES = {
@@ -621,7 +633,7 @@ class TestReadOnlyTables:
     @pytest.mark.parametrize("name", RUN_TABLES)
     @pytest.mark.parametrize("kwargs", [
         {"seed": 0},
-        {"seed": [0, 1], "noise_enabled": True, "normalize": True},
+        {"seed": 0, "draws": range(2), "noise_enabled": True, "normalize": True},
     ], ids=["noiseless", "noisy-stack"])
     def test_cannot_be_made_writable(self, name, kwargs):
         # numpy refuses write=True on a view of a read-only owner, so no caller can

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xchannel.analysis import dof_report
+from xchannel.analysis import DofReport
 from xchannel.schedule import (
     ObservationKind as K,
     Schedule,
@@ -92,7 +92,7 @@ class TestGoldenSchedules:
     def test_4x3_alternates_copies(self):
         s = build_schedule(4, 3)
         assert (s.k, s.T) == (2, 15)
-        assert dof_report(s).message_count == 24
+        assert DofReport(s).message_count == 24
         assert s.phase1_len == 6
         assert s.members[6:].tolist() == [  # slots 6-14
             [[0, 0], [1, 0]],
@@ -215,7 +215,7 @@ class TestBalanceInvariants:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda s, members: Schedule(M=s.M, N=s.N, case=s.case, k=s.k, members=members),
+            lambda s, members: Schedule(M=s.M, N=s.N, k=s.k, members=members),
             lambda s, members: dataclasses.replace(s, members=members),
         ],
         ids=["Schedule", "replace"],
@@ -240,7 +240,7 @@ class TestBalanceInvariants:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda s, members: Schedule(M=s.M, N=s.N, case=s.case, k=s.k, members=members),
+            lambda s, members: Schedule(M=s.M, N=s.N, k=s.k, members=members),
             lambda s, members: dataclasses.replace(s, members=members),
         ],
         ids=["Schedule", "replace"],
@@ -524,6 +524,33 @@ class TestSharedSchedule:
         assert np.array_equal(t.members, s.members)
 
 
+class TestDerivedCase:
+    @pytest.mark.parametrize("M,N", [(3, 3), (4, 3), (2, 4), (2, 3), (5, 4), (1, 2)])
+    def test_case_is_the_classified_regime(self, M, N):
+        # canonical, permuted and hand-made tables: the case is classify_case(M, N), read
+        # by the schedule's JSON and its DoF report alike
+        base = build_schedule(M, N)
+        rng = np.random.default_rng(M * N)
+        permuted = permute_schedule(base, rng.permutation(base.phase1_len),
+                                    rng.permutation(base.T - base.phase1_len))
+        hand = Schedule(M=M, N=N, k=base.k, members=base.members.copy())
+        for s in (base, permuted, hand):
+            assert s.case is classify_case(M, N)
+            assert DofReport(s).to_dict()["case"] == s.to_dict()["case"] == classify_case(M, N).value
+
+    def test_case_cannot_be_given(self):
+        # a 3x3 table once carried N_GE_M_ODD_N, which DofReport.to_dict printed
+        members = build_schedule(3, 3).members
+        with pytest.raises(TypeError):
+            Schedule(M=3, N=3, case=SchemeCase.N_GE_M_ODD_N, k=1, members=members)
+        hand = Schedule(M=3, N=3, k=1, members=members)
+        assert hand.case is SchemeCase.M_GE_N_GENERAL
+        assert DofReport(hand).to_dict()["case"] == "M_GE_N_GENERAL"
+        assert [f.name for f in dataclasses.fields(Schedule)] == ["M", "N", "k", "members"]
+        with pytest.raises(AttributeError):
+            hand.case = SchemeCase.N_GE_M_ODD_N
+
+
 class TestPermutations:
     def test_identity(self):
         s = build_schedule(3, 3)
@@ -629,7 +656,8 @@ class TestSerialization:
 
     def test_format_csit_table_golden_rows(self):
         s = build_schedule(3, 3)
-        text = format_csit_table(build_csit_table(s), s.phase1_len)
+        text = format_csit_table(s)
+        assert text.splitlines()[0] == "M=3 N=3 case=M_GE_N_GENERAL k=1 T=6"
         lines = [ln for ln in text.splitlines() if ln.lstrip().startswith("R")]
         joined = ["".join(ch for ch in ln if ch in "PDN") for ln in lines]
         assert joined == ["NDDPPN", "DNDPNP", "DDNNPP"]

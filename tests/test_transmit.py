@@ -1,29 +1,32 @@
 """Tests for CSIT access control and the two-phase precoder."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
-from xchannel.channel import ChannelRealization, generate_channels, generate_messages
-from xchannel.schedule import CsitTable, build_csit_table, build_schedule
+from xchannel.channel import ChannelRealization, generate_channels, generate_messages, run_streams
+from xchannel.schedule import CsitTable, build_csit_table, build_schedule, permute_schedule
 from xchannel.transmit import (
     CsitAccessError,
     audit_csit_trace,
     build_transmit_plan,
 )
 
-from helpers import full_store, stream
+from helpers import full_store, realization, stream
 
 
 def make_instance(M, N, seed=0, normalize=False):
-    # channels on all T slots from stream 0 of seed's key, messages from stream 0 of seed + 1's
+    # h: channels on all T slots from stream 0 of seed's key, so h[i, :, t] is receiver i's
+    # row in slot t; the plan's draw stores the cells of h the schedule uses. Messages come
+    # from stream 0 of seed + 1's key.
     s = build_schedule(M, N)
     table = build_csit_table(s)
-    ch = generate_channels(full_store(M, N, s.T), stream(seed))
+    h = generate_channels(full_store(M, N, s.T), stream(seed)).h
     ms = generate_messages(s, stream(seed + 1))
-    plan = build_transmit_plan(s, ch, table, normalize=normalize)
-    return s, table, ch, ms, plan
+    plan = build_transmit_plan(realization(s, h), table, normalize=normalize)
+    return s, table, h, ms, plan
 
 
 class TestPhase1:
@@ -43,8 +46,7 @@ class TestPhase1:
 class TestPhase2Coefficients:
     def test_3x3_hand_formula(self):
         # pair ((0,0),(1,0)) at slot 3: member 0 broadcast at slot 0, member 1 at 1
-        s, _, ch, ms, plan = make_instance(3, 3)
-        h = ch.h
+        s, _, h, ms, plan = make_instance(3, 3)
         assert s.members[3].tolist() == [[0, 0], [1, 0]]
         for j in range(3):
             assert abs(plan.coefficients[3, 0, j] - h[1, j, 0] / h[1, j, 3]) < 1e-14
@@ -54,8 +56,7 @@ class TestPhase2Coefficients:
     def test_general_formula(self, M, N):
         # coefficient on member (a, ca) is h[b,j,t_a] / h[b,j,t], recomputed
         # here straight from the channel tensor
-        s, _, ch, ms, plan = make_instance(M, N, seed=3)
-        h = ch.h
+        s, _, h, ms, plan = make_instance(M, N, seed=3)
         for t, ((a, ca), (b, cb)) in enumerate(s.members[s.phase1_len :].tolist(), s.phase1_len):
             t_a = s.phase1_slots[a, ca]
             t_b = s.phase1_slots[b, cb]
@@ -70,9 +71,8 @@ class TestPhase2Coefficients:
         table = build_csit_table(s)
         h = np.ones((3, 3, s.T), dtype=complex)
         h.setflags(write=False)
-        ch = ChannelRealization(full_store(3, 3, s.T), h)
         ms = generate_messages(s, stream(1))
-        plan = build_transmit_plan(s, ch, table)
+        plan = build_transmit_plan(realization(s, h), table)
         X = plan.signal_matrix(ms)
         for t, ((a, ca), (b, cb)) in enumerate(s.members[s.phase1_len :].tolist(), s.phase1_len):
             np.testing.assert_allclose(X[:, t], ms[a, :, ca] + ms[b, :, cb], rtol=1e-14)
@@ -80,8 +80,7 @@ class TestPhase2Coefficients:
     def test_matrix_matches_slot_functions(self):
         # every column of the signal matrix equals its slot's transmit vector,
         # summed here term by term in plain loops
-        s, _, ch, ms, plan = make_instance(4, 3, seed=7)
-        h = ch.h
+        s, _, h, ms, plan = make_instance(4, 3, seed=7)
         X = plan.signal_matrix(ms)
         first, members = s.phase1_len, s.members.tolist()
         for t, ((i, c), _) in enumerate(members[:first]):
@@ -128,57 +127,57 @@ class TestCsitAccessControl:
         return CsitTable(grid)
 
     def test_no_csit_state_denied(self):
-        s, table, ch, ms, _ = make_instance(3, 3)
+        s, table, _, _, plan = make_instance(3, 3)
         assert table.states[2][3] == "N"  # row 3 of receiver 3 is hidden in slot 4
         assert audit_csit_trace([(2, 3, 3)], table).tolist() == [[2, 3, 3]]
         with pytest.raises(CsitAccessError) as exc:  # the plan's h_b(t) read of slot 4
-            build_transmit_plan(s, ch, self.tampered(table, [(1, 3)], "N"))
+            build_transmit_plan(plan.channels, self.tampered(table, [(1, 3)], "N"))
         assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (1, 3, 3, "N")
 
     def test_denied_read_message_names_the_cell_and_its_state(self):
-        s, table, ch, ms, _ = make_instance(3, 3)
+        s, table, _, _, plan = make_instance(3, 3)
         with pytest.raises(CsitAccessError) as exc:
-            build_transmit_plan(s, ch, self.tampered(table, [(1, 3)], "N"))
+            build_transmit_plan(plan.channels, self.tampered(table, [(1, 3)], "N"))
         assert str(exc.value) == "illegal CSIT read of receiver 1 slot 3 at slot 3 (state 'N')"
 
     def test_delayed_state_denied_at_its_own_slot(self):
-        s, table, ch, ms, _ = make_instance(3, 3)
+        s, table, _, _, plan = make_instance(3, 3)
         # delayed rows only become readable later
         assert audit_csit_trace([(1, 0, 0)], table).tolist() == [[1, 0, 0]]
         with pytest.raises(CsitAccessError) as exc:
-            build_transmit_plan(s, ch, self.tampered(table, [(1, 3)], "D"))
+            build_transmit_plan(plan.channels, self.tampered(table, [(1, 3)], "D"))
         assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (1, 3, 3, "D")
 
     def test_perfect_state_denied_after_its_slot(self):
-        s, table, ch, ms, _ = make_instance(3, 3)
+        s, table, _, _, plan = make_instance(3, 3)
         # perfect knowledge does not persist
         assert audit_csit_trace([(0, 3, 4)], table).tolist() == [[0, 3, 4]]
         with pytest.raises(CsitAccessError) as exc:  # slot 4's h_b(t_a) read, made perfect
-            build_transmit_plan(s, ch, self.tampered(table, [(1, 0)], "P"))
+            build_transmit_plan(plan.channels, self.tampered(table, [(1, 0)], "P"))
         assert (exc.value.receiver, exc.value.slot, exc.value.at_slot, exc.value.state) == (1, 0, 3, "P")
 
     def test_delayed_read_granted_later(self):
-        _, table, ch, _, plan = make_instance(3, 3)
+        _, table, h, _, plan = make_instance(3, 3)
         assert audit_csit_trace([(1, 0, 4), (0, 4, 4)], table).shape == (0, 3)
         reads = plan.csit_reads.tolist()
         assert [1, 0, 3] in reads and table.states[1][0] == "D"  # slot 4 reads h_2(1) delayed
-        rows = ch.rows(plan.csit_reads[:, 0], plan.csit_reads[:, 1])
-        np.testing.assert_array_equal(rows[reads.index([1, 0, 3])], ch.h[1, :, 0])
+        rows = plan.channels.rows(plan.csit_reads[:, 0], plan.csit_reads[:, 1])
+        np.testing.assert_array_equal(rows[reads.index([1, 0, 3])], h[1, :, 0])
 
     def test_denied_read_stops_the_gather(self, monkeypatch):
         # the audit runs before any channel row is gathered
-        s, table, ch, ms, _ = make_instance(3, 3)
+        s, table, _, _, plan = make_instance(3, 3)
         assert audit_csit_trace([(1, 0, 4), (0, 3, 4), (0, 4, 4)], table).tolist() == [[0, 3, 4]]
         gathered = []
         monkeypatch.setattr(ChannelRealization, "rows", lambda *args: gathered.append(args))
         with pytest.raises(CsitAccessError):
-            build_transmit_plan(s, ch, self.tampered(table, [(0, 3)], "N"))
+            build_transmit_plan(plan.channels, self.tampered(table, [(0, 3)], "N"))
         assert gathered == []
 
     def test_plan_raises_at_first_denied_pair_read(self):
         # flip one pair-slot "P" cell to "N", and a later one too: the plan must
         # raise for the first denied read
-        s, table, ch, ms, _ = make_instance(4, 3)
+        s, table, _, _, plan = make_instance(4, 3)
         reads = s.pair_reads.tolist()
         at = 4 * (len(reads) // 8) + 1  # h_a(t) of a middle pair slot
         receiver, slot, at_slot = reads[at]
@@ -187,7 +186,7 @@ class TestCsitAccessControl:
         assert later[1] > slot and table.states[later[0]][later[1]] == "P"
         broken = self.tampered(table, [(receiver, slot), later], "N")
         with pytest.raises(CsitAccessError) as exc:
-            build_transmit_plan(s, ch, broken)
+            build_transmit_plan(plan.channels, broken)
         assert (exc.value.receiver, exc.value.slot, exc.value.at_slot) == (receiver, slot, at_slot)
         assert exc.value.state == "N"
         assert audit_csit_trace(s.pair_reads, broken)[0].tolist() == [receiver, slot, at_slot]
@@ -226,8 +225,7 @@ class TestAlignment:
     def test_interference_replays_stored_observation(self, M, N):
         # at pair slot t the partner's contribution seen by member b equals
         # the slot-scale times what b overheard when the partner broadcast
-        s, _, ch, ms, plan = make_instance(M, N, seed=11, normalize=True)
-        h = ch.h
+        s, _, h, ms, plan = make_instance(M, N, seed=11, normalize=True)
         for t, pair in enumerate(s.members[s.phase1_len :].tolist(), s.phase1_len):
             g = plan.slot_scale[t]
             for m, ((a, ca), (b, cb)) in enumerate((pair, pair[::-1])):
@@ -267,16 +265,36 @@ class TestPlanSerialization:
         # a plan depends on the channels alone: signal_matrix applies it to the messages it is given
         _, _, _, ms, plan = make_instance(4, 3)
         fields = [f.name for f in dataclasses.fields(plan)]
-        assert fields == ["schedule", "channels", "coefficients", "slot_scale"]
+        assert fields == ["channels", "coefficients", "slot_scale"]
         np.testing.assert_allclose(plan.signal_matrix(2 * ms), 2 * plan.signal_matrix(ms), rtol=1e-15)
 
     def test_plan_holds_its_draw_and_reads_through_the_schedule(self):
-        # the draw the coefficients were gathered from is the plan's own; the audited reads are
-        # the schedule's table, not a copy a caller could replace
-        s, _, ch, _, plan = make_instance(4, 3)
-        assert plan.channels is ch and plan.csit_reads is s.pair_reads
-        with pytest.raises(AttributeError):
-            plan.csit_reads = s.pair_reads[:1]
+        # the draw the coefficients were gathered from is the plan's own, and so is its schedule;
+        # the audited reads are the schedule's table, not a copy a caller could replace
+        s, table, h, _, _ = make_instance(4, 3)
+        ch = realization(s, h)
+        plan = build_transmit_plan(ch, table)
+        assert plan.channels is ch and plan.schedule is s and plan.csit_reads is s.pair_reads
+        for name, value in (("csit_reads", s.pair_reads[:1]), ("channels", realization(s, h)),
+                            ("schedule", s)):
+            with pytest.raises(AttributeError):
+                setattr(plan, name, value)
+        assert list(inspect.signature(build_transmit_plan).parameters) == ["channels", "csit", "normalize"]
+
+    @pytest.mark.parametrize("M,N", [(3, 3), (4, 3), (2, 5)])
+    @pytest.mark.parametrize("draws", [None, range(3)], ids=["single", "stack"])
+    def test_plan_schedule_is_its_channels_schedule(self, M, N, draws):
+        # a plan cannot pair one schedule's coefficients with another schedule's draw: it
+        # reads its schedule from the draw, canonical or permuted, with or without draw axes
+        base = build_schedule(M, N)
+        rng = np.random.default_rng(M * N)
+        permuted = permute_schedule(base, rng.permutation(base.phase1_len),
+                                    rng.permutation(base.T - base.phase1_len))
+        for s in (base, permuted):
+            ch = generate_channels(s, run_streams(5, 1, draws=draws)[0])
+            plan = build_transmit_plan(ch, s.csit)
+            assert plan.schedule is plan.channels.schedule is s
+            assert plan.coefficients.shape == ch.h.shape[:-3] + (s.T, 2, M)
 
     def test_term_counts(self):
         s, _, _, _, plan = make_instance(4, 3)
