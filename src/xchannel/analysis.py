@@ -98,8 +98,10 @@ def sum_rate(systems: LinearSystem, snr_dbs) -> list[RatePoint]:
     exact value's bound), and the relative error grows with cond(G)^2 where an
     SVD of L^-1 G grows with cond(G): up to a few 1e-12 over 0-120 dB. A
     numerically rank-deficient G fails a per-SNR Cholesky far above 100 dB,
-    which raises a RuntimeError naming the SNR.
+    which raises a RuntimeError naming the SNR. An empty snr_dbs raises ValueError.
     """
+    if not len(snr_dbs):
+        raise ValueError(f"snr_dbs must hold at least one SNR, got {snr_dbs!r}")
     try:
         sigma_diag = np.linalg.cholesky(systems.sigma).diagonal(axis1=-2, axis2=-1)
     except np.linalg.LinAlgError as exc:
@@ -133,28 +135,22 @@ def sum_rate(systems: LinearSystem, snr_dbs) -> list[RatePoint]:
 DRAW_CHUNK_ELEMENTS = 1 << 16  # budget on D*N*M*T; a sweep chunk's (D, N, kM, T) noise maps hold k times it
 
 
-def sweep_rates(
-    M: int,
-    N: int,
-    snr_dbs,
-    draws: int = 200,
-    seed: int = 0,
-    normalize: bool = True,
-) -> list[RatePoint]:
-    """Ergodic rate curve: average sum_rate over `draws` channel realizations.
+def sweep_rates(schedule: Schedule, snr_dbs, draws: int = 200, seed: int = 0,
+                normalize: bool = True) -> list[RatePoint]:
+    """Ergodic rate curve of the schedule: average sum_rate over `draws` channel realizations.
 
-    The same realizations are reused at every SNR point, which keeps the
-    fitted slope estimate stable. Draw d runs on the Philox streams (key, d, c) of the seed's key
-    (run_streams), so draw d is run_simulation(build_schedule(M, N), seed, draws=range(d, d + 1))
-    whatever the chunking; each chunk of draws within DRAW_CHUNK_ELEMENTS (at least one) is one
-    stacked run and one sum_rate.
+    The same realizations are reused at every SNR point, which keeps the fitted slope estimate
+    stable. Draw d runs on the Philox streams (key, d, c) of the seed's key (run_streams), so draw
+    d is run_simulation(schedule, seed, draws=range(d, d + 1)) whatever the chunking; each chunk
+    of draws within DRAW_CHUNK_ELEMENTS (at least one) is one stacked run and one sum_rate.
+    draws < 1 or an empty snr_dbs raises ValueError before any draw.
     """
     if draws < 1:
         raise ValueError(f"need at least one draw, got {draws}")
-    snr_dbs = list(snr_dbs)
-    schedule = build_schedule(M, N)
-    chunk = max(1, DRAW_CHUNK_ELEMENTS // (N * M * schedule.T))
-    per = np.zeros((len(snr_dbs), N))
+    if not (snr_dbs := list(snr_dbs)):
+        raise ValueError("snr_dbs must hold at least one SNR, got []")
+    chunk = max(1, DRAW_CHUNK_ELEMENTS // (schedule.N * schedule.M * schedule.T))
+    per = np.zeros((len(snr_dbs), schedule.N))
     for start in range(0, draws, chunk):
         batch = range(start, min(start + chunk, draws))
         sim = run_simulation(schedule, seed, draws=batch, noise_enabled=True, normalize=normalize)
@@ -372,6 +368,8 @@ def verify_suite(grid: int = 8, oracle_seeds: int = 5) -> list[CheckResult]:
     process, so a later call constructs and checks only its PERM_TRIALS permuted
     schedules per shape, which are never cached. Runs and permutations draw from seed 0.
     """
+    if oracle_seeds < 1:  # an oracle over no draw checks nothing
+        raise ValueError(f"oracle_seeds must be at least 1, got {oracle_seeds}")
     checks: list[CheckResult] = []
 
     table = build_schedule(3, 3).csit
@@ -417,7 +415,7 @@ def verify_suite(grid: int = 8, oracle_seeds: int = 5) -> list[CheckResult]:
     checks.append(_check("noiseless-decode", decode_bad,
                          f"failures at {decode_bad}", "exact recovery"))
 
-    variants = count_csit_variants(3, 3)
+    variants = count_csit_variants(build_schedule(3, 3))
     checks.append(CheckResult(name="variant-count-3x3", passed=variants == 36, detail=str(variants)))
 
     rng = np.random.default_rng(0)

@@ -40,18 +40,22 @@ def read_only(table: np.ndarray) -> np.ndarray:
     return owner.view()
 
 
-def run_streams(seed: int, count: int = 3, draws=None) -> np.ndarray:
+def run_streams(seed: int, count: int = 3, draws: range | None = None) -> np.ndarray:
     """The first count of the channel, message and noise streams of the run with this seed, as a
     read-only uint64 (count, 4) array of rows (key0, key1, draw, stream): Philox4x64 with the key
     (key0, key1) and the counter (0, 0, draw, stream) (Salmon et al., "Parallel Random Numbers: As
     Easy as 1, 2, 3", SC 2011). The key is the seed's two 64-bit words, low first; a seed of
     2**128 or more is hashed once, to SeedSequence(seed).generate_state(2, uint64). A single run
-    is draw 0; with draws, a (count, D, 4) array over the D draws. A stream would have to draw
-    2**128 blocks before its counter reached another stream's, so no two streams of a key share
-    a random number."""
+    is draw 0; with draws, a range, a (count, D, 4) array over its D draws. A stream would have
+    to draw 2**128 blocks before its counter reached another stream's, so no two streams of a
+    key share a random number."""
+    if isinstance(seed, bool):  # an int subclass, but True is no seed
+        raise TypeError(f"seed must be an integer, not the bool {seed}")
     if (seed := operator.index(seed)) < 0:  # TypeError for a float or a SeedSequence
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    if draws is not None and len(draws) and (min(draws) < 0 or max(draws) >> 64):
+    if not isinstance(draws, range | None):  # a range never repeats a draw
+        raise TypeError(f"draws must be a range, got {draws!r}")
+    if draws and (min(draws) < 0 or max(draws) >> 64):
         raise ValueError(f"draws must lie in 0..2**64 - 1, got {draws!r}")
     if seed >> 128:
         key = np.random.SeedSequence(seed).generate_state(2, np.uint64)

@@ -257,7 +257,7 @@ def _mode_sweep(cfg: dict, out: _Output) -> int:
     draws = cfg.get("draws", 200)
     seed = cfg.get("seed", 0)
     normalize = _flag(cfg, "normalize", True)
-    points = sweep_rates(M, N, snrs, draws=draws, seed=seed, normalize=normalize)
+    points = sweep_rates(build_schedule(M, N), snrs, draws=draws, seed=seed, normalize=normalize)
     fit = dof_slope(points)
     target = 2 * M / (M + 1)
     fmt = cfg.get("format", "csv")

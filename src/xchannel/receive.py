@@ -81,16 +81,17 @@ class LinearSystem:
 class DecodeResult:
     """Decode of a stack of systems.
 
-    decoded, rank and condition have the stack's shape (..., N), so receiver i is
-    at position i of the last axis; estimates adds a trailing kM axis, a NaN row
-    for a failed system. success is read from decoded as a plain bool: every system decoded.
+    rank and condition have the stack's shape (..., N), so receiver i is at
+    position i of the last axis; estimates adds a trailing kM axis, a NaN row for
+    a failed system. decoded, of the same shape, is read from condition (within
+    CONDITION_LIMIT), and success from decoded as a plain bool: every system decoded.
     """
 
     estimates: np.ndarray
     rank: np.ndarray
     condition: np.ndarray
-    decoded: np.ndarray
 
+    decoded = property(lambda self: np.asarray(self.condition <= CONDITION_LIMIT))
     success = property(lambda self: bool(self.decoded.all()))
 
 
@@ -221,4 +222,4 @@ def decode(system: LinearSystem) -> DecodeResult:
         failed = sv[~decoded]  # np.linalg.matrix_rank's default rule, on these singular values
         tol = failed[:, :1] * (G.shape[-1] * np.finfo(sv.dtype).eps)
         rank[~decoded] = np.count_nonzero(failed > tol, axis=-1)
-    return DecodeResult(estimates, rank, condition, decoded)
+    return DecodeResult(estimates, rank, condition)

@@ -77,34 +77,49 @@ class ObservationKind(IntEnum):
 class Schedule:
     """Complete slot plan for one run: kN phase-1 slots then the pair slots.
 
-    `members` is the one stored form: a read-only (T, 2, 2) index table of the
-    two (receiver, copy) members each slot serves, a phase-1 slot listing its
-    single group twice. Slot indices are 0-based and global: phase 1 occupies
-    0..k*N-1 (copy-major in the canonical schedule), phase 2 the remainder.
-    Every other table, the CSIT table included, is a view derived from it;
-    compare schedules by their `members`. Construction checks the phase-1
-    broadcasts (_check_phase1) and the phase-2 balance (_check_balance), so
-    every schedule, built, permuted or made by hand, is checked once and its
-    derived tables need no checks of their own. They also fix the shapes a run reads from it:
-    N >= 1, k in (1, 2), M >= 1 (by balance) and T >= kN. Every table is a read-only view
-    of a read-only owner, so build_schedule can share one per (M, N).
+    `members` is the one field: a read-only (T, 2, 2) index table of the two (receiver, copy)
+    members each slot serves, a phase-1 slot listing its single group twice. Slot indices are
+    0-based and global: phase 1 occupies 0..k*N-1 (copy-major in the canonical schedule), phase 2
+    the remainder. The table fixes the dimensions, which construction derives once: k and N are
+    one more than the largest copy and receiver, and M is 1 + 2P/(kN) for the P slots after
+    phase 1. Every other table, the CSIT table included, is a view derived from it; compare
+    schedules by their `members`. Construction checks the indices, the phase-1 broadcasts
+    (_check_phase1) and the phase-2 balance (_check_balance), so every schedule, built, permuted
+    or made by hand, is checked once and its derived tables need no checks of their own. They
+    also fix the shapes a run reads from it: N >= 1, k in (1, 2), M >= 1 and T >= kN. Every
+    table is a read-only view of a read-only owner, so build_schedule can share one per (M, N).
     """
 
-    M: int
-    N: int
-    k: int
     members: np.ndarray
 
     case = property(lambda self: classify_case(self.M, self.N), doc="classify_case(M, N), built on read.")
 
     def __post_init__(self):
-        object.__setattr__(self, "members", read_only(self.members))
-        if self.N < 1 or self.k not in (1, 2):
-            raise SchemeConstructionError(f"a schedule needs N >= 1 and k in (1, 2): N={self.N} k={self.k}")
-        first = self.phase1_len
-        keys = _member_keys(self.N, self.k, self.members)
-        _check_phase1(self.N, self.k, keys[:first])
-        _check_balance(self.M, self.N, self.k, self.members[first:, :, 0], keys[first:])
+        if (given := self.members).dtype.kind not in "iu" or given.shape[1:] != (2, 2) or not len(given):
+            raise SchemeConstructionError(
+                f"members must be a non-empty (T, 2, 2) integer table, got {given.dtype} {given.shape}"
+            )
+        # intp: the keys c*N + i and the derived index tables would wrap in a smaller integer type
+        object.__setattr__(self, "members", members := read_only(given.astype(np.intp, copy=False)))
+        top = members.max(axis=(0, 1))  # the largest receiver and copy
+        if members.min() < 0 or top[1] > 1:
+            bad = (members < 0) | (members > [top[0], 1])  # argmax: the first offender
+            t, m, field = np.unravel_index(bad.argmax(), bad.shape)
+            raise SchemeConstructionError(
+                f"slot {t} holds {('receiver', 'copy')[field]} {members[t, m, field]}, "
+                f"expected {('0 or more', '0 or 1')[field]}"
+            )
+        N, k = (v + 1 for v in top.tolist())  # in Python: top + 1 wraps for a receiver of 2**63 - 1
+        first, pair_slots = k * N, len(members) - k * N
+        if pair_slots < 0:  # before any table of kN counts is allocated
+            raise SchemeConstructionError(f"{len(members)} slots, fewer than the kN = {first} of phase 1")
+        keys = members[..., 1] * N + members[..., 0]  # copy-major keys c*N + i
+        _check_phase1(N, k, keys[:first])
+        rounds, rem = divmod(2 * pair_slots, first)  # M - 1
+        if rem:
+            raise SchemeConstructionError(f"phase 2 has {pair_slots} slots, kN(M-1)/2 for no M (kN = {first})")
+        self.__dict__.update(M=rounds + 1, N=N, k=k)  # past the frozen __setattr__, as cached_property
+        _check_balance(rounds + 1, N, k, members[first:, :, 0], keys[first:])
 
     @cached_property
     def T(self) -> int:
@@ -341,17 +356,6 @@ def _phase2_pairs(M: int, N: int, case: SchemeCase, k: int):
     return base * (M - 1)
 
 
-def _member_keys(N: int, k: int, members: np.ndarray) -> np.ndarray:
-    """(T, 2) copy-major keys c*N + i of a (T, 2, 2) member table, each member
-    checked to be a receiver i below N and a copy c below k."""
-    try:
-        return np.ravel_multi_index((members[..., 1], members[..., 0]), (k, N))
-    except ValueError:
-        raise SchemeConstructionError(
-            f"members must hold receivers 0..{N - 1} and copies 0..{k - 1}"
-        ) from None
-
-
 def _check_phase1(N: int, k: int, keys: np.ndarray) -> None:
     """Check the (kN, 2) member keys of phase 1: each slot lists one group twice,
     and the slots broadcast every (receiver, copy) exactly once."""
@@ -368,17 +372,8 @@ def _check_phase1(N: int, k: int, keys: np.ndarray) -> None:
 
 
 def _check_balance(M: int, N: int, k: int, receivers: np.ndarray, keys: np.ndarray) -> None:
-    """Check the (P, 2) receivers and member keys of the pair slots: P = kN(M-1)/2,
-    two receivers per slot, and every (receiver, copy) in exactly M-1 pair slots."""
-    expected_slots, rem = divmod(k * N * (M - 1), 2)
-    if rem:
-        raise SchemeConstructionError(
-            f"phase-2 slot count k*N*(M-1)/2 is fractional for M={M} N={N} k={k}"
-        )
-    if len(keys) != expected_slots:
-        raise SchemeConstructionError(
-            f"phase 2 has {len(keys)} slots, expected {expected_slots}"
-        )
+    """Check the (P, 2) receivers and member keys of the pair slots: two receivers per slot,
+    and every (receiver, copy) in exactly M-1 pair slots."""
     if (reused := receivers[:, 0] == receivers[:, 1]).any():
         raise SchemeConstructionError(f"pair slot reuses receiver {receivers[reused.argmax(), 0]}")
     counts = np.bincount(keys.ravel(), minlength=k * N)
@@ -416,7 +411,7 @@ def _canonical_schedule(M: int, N: int) -> Schedule:
     copy, receiver = np.divmod(np.arange(k * N), N)
     groups = np.stack([receiver, copy], axis=-1)[:, None, :]
     members = np.concatenate([np.repeat(groups, 2, axis=1), pairs])
-    return Schedule(M=M, N=N, k=k, members=members)
+    return Schedule(members)
 
 
 build_schedule.cache_clear = _canonical_schedule.cache_clear
@@ -451,17 +446,17 @@ def permute_schedule(schedule: Schedule, phase1_perm, phase2_perm) -> Schedule:
     p1 = _check_permutation(phase1_perm, first, "phase-1 permutation")
     p2 = _check_permutation(phase2_perm, schedule.T - first, "phase-2 permutation")
     members = schedule.members[np.concatenate([p1, p2 + first])]
-    return Schedule(M=schedule.M, N=schedule.N, k=schedule.k, members=members)
+    return Schedule(members)
 
 
-def count_csit_variants(M: int, N: int) -> int:
-    """Number of schedules reachable by permuting slots within each phase.
+def count_csit_variants(schedule: Schedule) -> int:
+    """Number of schedules reachable from schedule by permuting slots within each phase.
 
     Equals (kN)! * (kN(M-1)/2)! because any phase-1 order and any phase-2
     order yields a working schedule with identical slot budgets.
     """
-    s = build_schedule(M, N)
-    return math.factorial(s.phase1_len) * math.factorial(s.T - s.phase1_len)
+    first = schedule.phase1_len
+    return math.factorial(first) * math.factorial(schedule.T - first)
 
 
 def _phase_split_table(name_cells: list[str], body: list[list[str]], split: int) -> str:

@@ -66,16 +66,17 @@ def run_simulation(
     """Run one seeded end-to-end transmission of the schedule: build_schedule(M, N), or a
     permuted or hand-made one. Every stage reads the run's shapes from it.
 
-    The seed, a non-negative int, keys the run's Philox streams (run_streams): streams 0, 1
-    and 2 of draw 0 for channels, messages and noise, with no noise stream for a noiseless run,
-    so no two seeds share a random number. Channels and noise are drawn only at the cells
+    The seed, a non-negative int (no bool), keys the run's Philox streams (run_streams): streams
+    0, 1 and 2 of draw 0 for channels, messages and noise, with no noise stream for a noiseless
+    run, so no two seeds share a random number. Channels and noise are drawn only at the cells
     schedule.used stores. A range of draws stacks the draws d of the seed in a single pass, on
     the streams (key, d, c), with a leading draw axis on every array; draw d equals
     run_simulation(schedule, seed, draws=range(d, d + 1)), and draw 0 the single run.
     """
-    if draws is not None and not len(draws):
-        raise ValueError(f"draws must hold at least one draw, got {draws!r}")
+    # run_streams first: it rejects a bool seed and draws other than a range by name
     ch_seed, msg_seed, *noise_seed = run_streams(seed, 3 if noise_enabled else 2, draws=draws)
+    if draws is not None and not draws:
+        raise ValueError(f"draws must hold at least one draw, got {draws!r}")
     channels = generate_channels(schedule, ch_seed)
     messages = generate_messages(schedule, msg_seed)
     noise = generate_noise(schedule, *noise_seed) if noise_enabled else None

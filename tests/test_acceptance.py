@@ -140,7 +140,7 @@ def test_criterion_4_csit_contract(capsys):
 def test_criterion_5_schedule_permutations(capsys):
     # ordering freedom: 36 variants at (3, 3); 20 random permutations at each
     # of (3,3), (4,4), (2,4) decode to the same messages
-    variants_ok = count_csit_variants(3, 3) == 36
+    variants_ok = count_csit_variants(build_schedule(3, 3)) == 36
     rng = np.random.default_rng(0)
     bad = []
     for M, N in [(3, 3), (4, 4), (2, 4)]:
@@ -162,7 +162,7 @@ def test_criterion_5_schedule_permutations(capsys):
                     bad.append((M, N, trial, i))
     ok = variants_ok and not bad
     _report(capsys, "criterion-5 permutation-invariance", ok,
-            f"variants_3x3={count_csit_variants(3, 3)} mismatches={bad[:3]} "
+            f"variants_3x3={count_csit_variants(build_schedule(3, 3))} mismatches={bad[:3]} "
             f"trials={3 * 20}")
 
 
@@ -174,7 +174,7 @@ def test_criterion_6_rate_slope_matches_dof(capsys):
     results = []
     bad = []
     for M, N in [(2, 2), (3, 3), (2, 4), (4, 3)]:
-        points = sweep_rates(M, N, snrs, draws=200, seed=0, normalize=True)
+        points = sweep_rates(build_schedule(M, N), snrs, draws=200, seed=0, normalize=True)
         fit = dof_slope(points)
         target = 2.0 * M / (M + 1)
         rel = abs(fit.slope - target) / target

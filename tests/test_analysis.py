@@ -5,6 +5,7 @@ import math
 import sys
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -165,18 +166,32 @@ class TestSumRate:
 
 class TestSweepAndSlope:
     def test_sweep_deterministic(self):
-        a = sweep_rates(2, 2, [40.0, 60.0], draws=5, seed=3)
-        b = sweep_rates(2, 2, [40.0, 60.0], draws=5, seed=3)
+        a = sweep_rates(build_schedule(2, 2), [40.0, 60.0], draws=5, seed=3)
+        b = sweep_rates(build_schedule(2, 2), [40.0, 60.0], draws=5, seed=3)
         assert [(p.snr_db, p.sum_rate) for p in a] == [(p.snr_db, p.sum_rate) for p in b]
 
     def test_sweep_shape(self):
-        pts = sweep_rates(2, 3, [40.0, 50.0, 60.0], draws=3, seed=0)
+        pts = sweep_rates(build_schedule(2, 3), [40.0, 50.0, 60.0], draws=3, seed=0)
         assert [p.snr_db for p in pts] == [40.0, 50.0, 60.0]
         assert all(len(p.per_receiver) == 3 for p in pts)
 
     def test_sweep_needs_draws(self):
         with pytest.raises(ValueError):
-            sweep_rates(2, 2, [40.0, 60.0, 80.0], draws=0)
+            sweep_rates(build_schedule(2, 2), [40.0, 60.0, 80.0], draws=0)
+
+    @pytest.mark.parametrize("snrs", [[], (), np.array([])], ids=["list", "tuple", "array"])
+    def test_empty_snr_list_rejected_before_any_draw(self, monkeypatch, snrs):
+        # no draw starts: an empty list once drew and decoded a whole chunk, then failed to reshape
+        import xchannel.simulate as simulate
+
+        monkeypatch.setattr(simulate, "generate_channels", mock.Mock(side_effect=AssertionError("drawn")))
+        with pytest.raises(ValueError, match=r"^snr_dbs must hold at least one SNR"):
+            sweep_rates(build_schedule(3, 3), snrs, draws=2)
+        monkeypatch.undo()
+        systems = run_simulation(build_schedule(3, 3), 0, noise_enabled=True).systems
+        with mock.patch.object(np.linalg, "cholesky", side_effect=AssertionError("factorized")):
+            with pytest.raises(ValueError, match=r"^snr_dbs must hold at least one SNR"):
+                sum_rate(systems, snrs)
 
     def test_slope_recovers_synthetic_line(self):
         pts = [
@@ -208,7 +223,7 @@ class TestSweepAndSlope:
                 dof_slope(pts)
 
     def test_small_sweep_slope_near_dof(self):
-        pts = sweep_rates(2, 2, [40.0, 60.0, 80.0], draws=40, seed=0)
+        pts = sweep_rates(build_schedule(2, 2), [40.0, 60.0, 80.0], draws=40, seed=0)
         fit = dof_slope(pts)
         assert fit.slope == pytest.approx(4.0 / 3.0, rel=0.05)
 
@@ -291,6 +306,12 @@ class TestVerifySuite:
             "permutation-decode",
         } <= names
 
+    def test_oracle_seeds_must_check_a_draw(self):
+        # an oracle over no draw checks nothing, so it cannot pass
+        for seeds in (0, -1):
+            with pytest.raises(ValueError, match=r"^oracle_seeds must be at least 1, got %d$" % seeds):
+                verify_suite(grid=2, oracle_seeds=seeds)
+
     @pytest.fixture
     def built(self, monkeypatch):
         """The shapes verify_suite builds canonical schedules for, in call order: the
@@ -318,7 +339,7 @@ class TestVerifySuite:
         made = {"schedules": [], "tables": []}
         check = schedule.Schedule.__post_init__
         monkeypatch.setattr(schedule.Schedule, "__post_init__",
-                            lambda s: made["schedules"].append((s.M, s.N)) or check(s))
+                            lambda s: check(s) or made["schedules"].append((s.M, s.N)))  # M, N derived by check
         original = schedule.build_csit_table
         for name, module in list(sys.modules.items()):  # wherever the name was imported
             if name.startswith("xchannel") and getattr(module, "build_csit_table", None) is original:

@@ -168,17 +168,6 @@ class TestGenerateChannels:
         with pytest.raises(ValueError):
             ch.h[0, 0, 0] = 1.0
 
-    @pytest.mark.parametrize("M,N,T", [(0, 3, 6), (3, 0, 6), (3, 3, 0), (-1, 2, 4)])
-    def test_invalid_dims(self, M, N, T):
-        # the draw reads M, N and T from its schedule, and no schedule of these dimensions
-        # can be constructed: it needs N >= 1, the kN phase-1 broadcasts, and M - 1 >= 0
-        # pair slots per group to balance
-        message = {(0, 3, 6): "fractional", (3, 0, 6): "N >= 1", (3, 3, 0): "in 0 phase-1 slots",
-                   (-1, 2, 4): "expected -2"}[M, N, T]
-        members = np.array([[[t % max(N, 1), 0]] * 2 for t in range(T)], dtype=np.intp).reshape(-1, 2, 2)
-        with pytest.raises(SchemeConstructionError, match=message):
-            Schedule(M=M, N=N, k=1, members=members)
-
     def test_unit_variance_statistics(self):
         # 1e6 draws: E|h|^2 -> 1, Re/Im variance -> 1/2
         ch = generate_channels(full_store(200, 50, 100), stream(7))
@@ -210,9 +199,12 @@ class TestGenerateMessages:
 
     @pytest.mark.parametrize("k", [0, 3, -1])
     def test_invalid_k(self, k):
-        # the draw reads k from its schedule, whose construction allows 1 or 2 copies only
-        with pytest.raises(SchemeConstructionError, match=r"k in \(1, 2\): N=3 k=%d$" % k):
-            dataclasses.replace(build_schedule(3, 3), k=k)
+        # the draw reads k from its schedule, one more than the largest copy of its table, and
+        # construction allows copies 0 and 1 only: a table of k copies lists copy k - 1
+        members = build_schedule(3, 3).members.copy()
+        members[0, :, 1] = k - 1
+        with pytest.raises(SchemeConstructionError, match=r"^slot 0 holds copy %d, expected 0 or 1$" % (k - 1)):
+            Schedule(members)
 
     def test_unit_power(self):
         ms = generate_messages(full_store(100, 100, 1, 2), stream(3))
@@ -345,7 +337,7 @@ def test_run_streams_key_and_counter():
 def test_distinct_streams_have_distinct_keys_and_counters(triples):
     # a hashed key could meet a direct one only by a 128-bit hash collision
     def key_counter(seed, draw, stream):
-        (words,) = run_streams(seed, stream + 1, draws=[draw])[stream].tolist()
+        (words,) = run_streams(seed, stream + 1, draws=range(draw, draw + 1))[stream].tolist()
         assert all(0 <= w < 2**64 for w in words)
         return tuple(words[:2]), (0, 0) + tuple(words[2:])
 
@@ -423,7 +415,7 @@ def test_threads_draw_their_streams_undisturbed():
     assert got == want
 
 
-@pytest.mark.parametrize("draws", [range(-1, 1), [0, 2**64], range(2**64 - 1, 2**64 + 1)])
+@pytest.mark.parametrize("draws", [range(-1, 1), range(0, 2**64 + 1, 2**64), range(2**64 - 1, 2**64 + 1)])
 def test_draws_outside_the_counter_word_rejected(draws):
     # a draw is one 64-bit counter word: numpy's bare OverflowError once reported the -1
     # without naming draws
@@ -432,6 +424,28 @@ def test_draws_outside_the_counter_word_rejected(draws):
     with pytest.raises(ValueError, match="draws must lie"):
         run_simulation(build_schedule(3, 3), 0, draws=draws)
     assert run_streams(0, 1, draws=range(2**64 - 2, 2**64))[0, :, 2].tolist() == [2**64 - 2, 2**64 - 1]
+
+
+@pytest.mark.parametrize("draws", [[0, 0], (0, 1), np.arange(2), 1.5, [1.5]],
+                         ids=["list", "tuple", "array", "float", "float-list"])
+def test_draws_are_a_range(draws):
+    # a range never repeats a draw: draws=[0, 0] once stacked draw 0 twice, which a rate
+    # average counted twice, and [1.5] failed in numpy without naming draws
+    with pytest.raises(TypeError, match=r"^draws must be a range, got "):
+        run_streams(0, 2, draws=draws)
+    with pytest.raises(TypeError, match="draws must be a range"):
+        run_simulation(build_schedule(3, 3), 0, draws=draws)
+
+
+def test_bool_seed_rejected():
+    # bool is an int subclass, but True is no seed, as the command line says too
+    for seed in (True, False):
+        with pytest.raises(TypeError, match=r"^seed must be an integer, not the bool "):
+            run_streams(seed)
+        with pytest.raises(TypeError, match="seed"):
+            run_simulation(build_schedule(3, 3), seed)
+    one = run_simulation(build_schedule(3, 3), np.int64(1))  # numpy integers are seeds
+    assert one.channels.h.tobytes() == run_simulation(build_schedule(3, 3), 1).channels.h.tobytes()
 
 
 def test_stream_rejects_what_seed_sequence_rejects():
@@ -455,7 +469,7 @@ def test_sweep_builds_no_numpy_seed_sequence(monkeypatch):
             raise AssertionError("numpy SeedSequence constructed")
 
     monkeypatch.setattr(np.random, "SeedSequence", Forbidden)
-    sweep_rates(3, 4, [10.0, 30.0], draws=5, seed=2**128 - 1)
+    sweep_rates(build_schedule(3, 4), [10.0, 30.0], draws=5, seed=2**128 - 1)
     s = build_schedule(3, 4)
     sim = run_simulation(s, seed=7, draws=range(2), noise_enabled=True)
     channels, messages, noise = (stream([(7, 0, d, c) for d in range(2)]) for c in range(3))
@@ -473,7 +487,7 @@ def test_large_seed_is_hashed_once(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(np.random, "SeedSequence", Counted)
-    sweep_rates(3, 4, [10.0, 30.0], draws=5, seed=2**130)
+    sweep_rates(build_schedule(3, 4), [10.0, 30.0], draws=5, seed=2**130)
     assert made == [(2**130,)]
 
 

@@ -191,9 +191,9 @@ def test_sweep_is_mean_of_draws_in_any_chunking(case, normalize):
                                 noise_enabled=True, normalize=normalize).systems, snrs)
         for d in range(D)
     ]
-    whole = sweep_rates(M, N, snrs, draws=D, seed=seed, normalize=normalize)
+    whole = sweep_rates(build_schedule(M, N), snrs, draws=D, seed=seed, normalize=normalize)
     with mock.patch.object(analysis, "DRAW_CHUNK_ELEMENTS", 1):  # one draw per chunk
-        split = sweep_rates(M, N, snrs, draws=D, seed=seed, normalize=normalize)
+        split = sweep_rates(build_schedule(M, N), snrs, draws=D, seed=seed, normalize=normalize)
     for k, (a, b) in enumerate(zip(whole, split)):
         want = np.mean([points[k].per_receiver for points in per_draw], axis=0)
         for point in (a, b):
@@ -343,7 +343,7 @@ def test_no_two_runs_or_draws_share_a_normal(M, N):
         grid = sim.log.noise
         sources.update({("run", seed, "channels"): sim.channels.h,
                         ("run", seed, "messages"): sim.messages, ("run", seed, "noise"): grid})
-    # the draws of sweep_rates(M, N, ..., draws=4, seed=0), as it runs them; a single run is
+    # the draws of sweep_rates(build_schedule(M, N), ..., draws=4, seed=0), as it runs them; a single run is
     # draw 0, so that draw is run 0 itself and the others share nothing with any run
     stack = run_simulation(build_schedule(M, N), 0, draws=range(4), noise_enabled=True)
     grids = stack.log.noise

@@ -13,6 +13,7 @@ from xchannel.analysis import sum_rate
 from xchannel.channel import generate_channels, generate_messages, generate_noise
 from xchannel.receive import (
     CONDITION_LIMIT,
+    DecodeResult,
     LinearSystem,
     ObservationKind,
     ObservationLog,
@@ -484,6 +485,16 @@ class TestStackedDecode:
             assert single.estimates.shape == (5,)
             assert np.array_equal(single.estimates, stacked.estimates[i], equal_nan=True)
         assert np.isnan(stacked.estimates[1]).all()
+
+    def test_decoded_is_read_from_condition(self):
+        # a decode stores what it cannot derive: whether a system decoded is its condition
+        # within CONDITION_LIMIT, read on demand, 0-d for one system
+        assert [f.name for f in dataclasses.fields(DecodeResult)] == ["estimates", "rank", "condition"]
+        condition = np.array([[1.0, CONDITION_LIMIT], [np.nextafter(CONDITION_LIMIT, np.inf), np.inf]])
+        res = DecodeResult(np.zeros((2, 2, 1), dtype=complex), np.ones((2, 2), dtype=int), condition)
+        assert res.decoded.tolist() == [[True, True], [False, False]] and res.success is False
+        single = DecodeResult(np.zeros(1, dtype=complex), np.array(1), np.array(2.0))
+        assert type(single.decoded) is np.ndarray and single.decoded.shape == () and single.success is True
 
     def test_run_decodes_its_stack_in_one_call(self):
         res = run_simulation(build_schedule(3, 3), seed=4, draws=range(2))

@@ -17,8 +17,6 @@ from xchannel.schedule import (
     SchemeCase,
     SchemeConstructionError,
     UnsupportedConfigurationError,
-    _check_balance,
-    _member_keys,
     build_csit_table,
     build_schedule,
     classify_case,
@@ -198,24 +196,24 @@ class TestBalanceInvariants:
     @pytest.mark.parametrize(
         "M,N,pairs,message",
         [
-            (2, 3, [], "phase-2 slot count k*N*(M-1)/2 is fractional for M=2 N=3 k=1"),
-            (3, 3, [[0, 1], [0, 2]], "phase 2 has 2 slots, expected 3"),
+            # 2x3 doubles its messages, so its 6 phase-1 slots need 3(M - 1) pair slots
+            (2, 3, [[0, 1]], "phase 2 has 1 slots, kN(M-1)/2 for no M (kN = 6)"),
+            (3, 3, [[0, 1], [0, 2]], "phase 2 has 2 slots, kN(M-1)/2 for no M (kN = 3)"),
             (3, 3, [[0, 0], [1, 2], [1, 2]], "pair slot reuses receiver 0"),
             (3, 3, [[0, 1], [0, 1], [1, 2]],
              "receiver 1 copy 0 appears in 3 pair slots, expected 2"),
         ],
     )
     def test_broken_pair_table_rejected(self, M, N, pairs, message):
-        table = np.zeros((len(pairs), 2, 2), dtype=np.intp)  # copy 0 throughout
-        table[..., 0] = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        # the phase 1 of build_schedule(M, N), then the given pair slots of copy 0
         with pytest.raises(SchemeConstructionError) as exc:
-            _check_balance(M, N, 1, table[..., 0], _member_keys(N, 1, table))
+            Schedule(_table([[[a, 0], [b, 0]] for a, b in pairs], (M, N)))
         assert str(exc.value) == message
 
     @pytest.mark.parametrize(
         "make",
         [
-            lambda s, members: Schedule(M=s.M, N=s.N, k=s.k, members=members),
+            lambda s, members: Schedule(members),
             lambda s, members: dataclasses.replace(s, members=members),
         ],
         ids=["Schedule", "replace"],
@@ -225,7 +223,7 @@ class TestBalanceInvariants:
         [
             ([[0, 0], [1, 2], [1, 2]], "pair slot reuses receiver 0"),  # self-paired, yet balanced
             ([[0, 1], [0, 1], [1, 2]], "receiver 1 copy 0 appears in 3 pair slots, expected 2"),
-            ([[0, 1], [0, 2]], "phase 2 has 2 slots, expected 3"),  # a pair slot missing
+            ([[0, 1], [0, 2]], "phase 2 has 2 slots, kN(M-1)/2 for no M (kN = 3)"),  # a pair slot missing
         ],
         ids=["self-paired", "unbalanced", "missing-pair-slot"],
     )
@@ -240,7 +238,7 @@ class TestBalanceInvariants:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda s, members: Schedule(M=s.M, N=s.N, k=s.k, members=members),
+            lambda s, members: Schedule(members),
             lambda s, members: dataclasses.replace(s, members=members),
         ],
         ids=["Schedule", "replace"],
@@ -253,12 +251,14 @@ class TestBalanceInvariants:
             (3, 3, 0, [[0, 0], [1, 0]], "phase-1 slot 0 lists two groups, expected one group twice"),
             (4, 3, 5, [[2, 0], [2, 0]], "receiver 2 copy 0 is broadcast in 2 phase-1 slots, expected 1"),
             (4, 3, 1, [[1, 1], [1, 0]], "phase-1 slot 1 lists two groups, expected one group twice"),
-            (3, 3, 1, [[3, 0], [3, 0]], "members must hold receivers 0..2 and copies 0..0"),
-            (3, 3, 1, [[-1, 0], [-1, 0]], "members must hold receivers 0..2 and copies 0..0"),
-            # (3, 0) would alias group (0, 1) in a key c*N + i
-            (4, 3, 3, [[3, 0], [3, 0]], "members must hold receivers 0..2 and copies 0..1"),
-            (4, 3, 0, [[0, 2], [0, 2]], "members must hold receivers 0..2 and copies 0..1"),
-            (3, 3, 4, [[1, 0], [0, 1]], "members must hold receivers 0..2 and copies 0..0"),  # a pair slot
+            # a receiver 3 makes the table one of N = 4, whose phase 1 runs into the pair slots
+            (3, 3, 1, [[3, 0], [3, 0]], "phase-1 slot 3 lists two groups, expected one group twice"),
+            (3, 3, 1, [[-1, 0], [-1, 0]], "slot 1 holds receiver -1, expected 0 or more"),
+            # at N = 3, (3, 0) would alias group (0, 1) in a key c*N + i; the table has N = 4
+            (4, 3, 3, [[3, 0], [3, 0]], "phase-1 slot 6 lists two groups, expected one group twice"),
+            (4, 3, 0, [[0, 2], [0, 2]], "slot 0 holds copy 2, expected 0 or 1"),
+            # a copy 1 makes the 3x3 table one of k = 2, whose phase 1 runs into the pair slots
+            (3, 3, 4, [[1, 0], [0, 1]], "phase-1 slot 3 lists two groups, expected one group twice"),
         ],
         ids=["repeated-group", "two-groups", "repeated-copy", "two-copies", "receiver-too-large",
              "negative-receiver", "aliasing-receiver", "copy-too-large", "pair-copy-too-large"],
@@ -533,22 +533,89 @@ class TestDerivedCase:
         rng = np.random.default_rng(M * N)
         permuted = permute_schedule(base, rng.permutation(base.phase1_len),
                                     rng.permutation(base.T - base.phase1_len))
-        hand = Schedule(M=M, N=N, k=base.k, members=base.members.copy())
+        hand = Schedule(base.members.copy())
         for s in (base, permuted, hand):
             assert s.case is classify_case(M, N)
             assert DofReport(s).to_dict()["case"] == s.to_dict()["case"] == classify_case(M, N).value
 
     def test_case_cannot_be_given(self):
-        # a 3x3 table once carried N_GE_M_ODD_N, which DofReport.to_dict printed
+        # a 3x3 table once carried N_GE_M_ODD_N, which DofReport.to_dict printed; nor can
+        # the dimensions be given, which the table fixes
         members = build_schedule(3, 3).members
-        with pytest.raises(TypeError):
-            Schedule(M=3, N=3, case=SchemeCase.N_GE_M_ODD_N, k=1, members=members)
-        hand = Schedule(M=3, N=3, k=1, members=members)
+        for given_too in ({"case": SchemeCase.N_GE_M_ODD_N}, {"M": 3}, {"N": 3}, {"k": 1}):
+            with pytest.raises(TypeError):
+                Schedule(members, **given_too)
+        hand = Schedule(members)
         assert hand.case is SchemeCase.M_GE_N_GENERAL
         assert DofReport(hand).to_dict()["case"] == "M_GE_N_GENERAL"
-        assert [f.name for f in dataclasses.fields(Schedule)] == ["M", "N", "k", "members"]
-        with pytest.raises(AttributeError):
-            hand.case = SchemeCase.N_GE_M_ODD_N
+        assert [f.name for f in dataclasses.fields(Schedule)] == ["members"]
+        for name in ("case", "M", "N", "k"):
+            with pytest.raises(AttributeError):
+                setattr(hand, name, 2)
+
+
+def _table(phase2, base=(3, 3)):
+    """Members of the canonical schedule of shape base up to phase 1, then the given pair slots."""
+    s = build_schedule(*base)
+    return np.concatenate([s.members[: s.phase1_len], np.array(phase2, dtype=np.intp).reshape(-1, 2, 2)])
+
+
+class TestMembersTable:
+    """A schedule is its members table: construction derives M, N and k from it."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(st.integers(1, 16), st.integers(2, 16), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_table_fixes_the_schedule(self, M, N, permuted, seed):
+        # canonical and randomly permuted tables: the table alone gives back the dimensions,
+        # the case, T, and every derived table
+        s = build_schedule(M, N)
+        if permuted:
+            rng = np.random.default_rng(seed)
+            s = permute_schedule(s, rng.permutation(s.phase1_len), rng.permutation(s.T - s.phase1_len))
+        t = Schedule(s.members.copy())
+        assert (t.M, t.N, t.k) == (M, N, replication_factor(classify_case(M, N)))
+        assert (t.M, t.N, t.k, t.case, t.T) == (s.M, s.N, s.k, s.case, s.T)
+        for name, table in TABLES.items():
+            assert np.array_equal(table(t), table(s)), name
+
+    @pytest.mark.parametrize("members,message", [
+        (np.zeros((0, 2, 2), dtype=np.intp), r"^members must be a non-empty \(T, 2, 2\) integer table, got "),
+        (build_schedule(3, 3).members.astype(float), r"^members must be a non-empty \(T, 2, 2\) integer table"),
+        (np.zeros((4, 2), dtype=np.intp), r"^members must be a non-empty \(T, 2, 2\) integer table"),
+        (_table([[[0, 0], [1, -1]], [[0, 0], [2, 0]], [[1, 0], [2, 0]]]),
+         r"^slot 3 holds copy -1, expected 0 or 1$"),
+        # no table of kN counts is allocated for a receiver of 2**40
+        (np.array([[[2**40, 0], [2**40, 0]]]), r"^1 slots, fewer than the kN = 1099511627777 of phase 1$"),
+        (np.array([[[2**63 - 1, 0]] * 2]), r"^1 slots, fewer than the kN = 9223372036854775808 of phase 1$"),
+        (_table([], (4, 3))[:5], r"^5 slots, fewer than the kN = 6 of phase 1$"),
+        (_table([[[0, 0], [1, 0]]]), r"^phase 2 has 1 slots, kN\(M-1\)/2 for no M \(kN = 3\)$"),
+        (_table([[[0, 1], [1, 0]], [[1, 1], [2, 0]]], (4, 3)),
+         r"^phase 2 has 2 slots, kN\(M-1\)/2 for no M \(kN = 6\)$"),
+    ], ids=["empty", "float", "flat", "negative-copy", "huge-receiver", "largest-receiver", "short-phase-1",
+            "no-whole-M", "no-whole-M-doubled"])
+    def test_malformed_table_rejected(self, members, message):
+        with pytest.raises(SchemeConstructionError, match=message):
+            Schedule(members)
+
+    def test_small_integer_table_is_read_as_intp(self):
+        # 129 receivers of two copies: a key c*N + i, or i*k + c, passes 255, so a uint8 table
+        # once gave wrapped pair_rows, and wrapped phase-1 keys rejected the valid table
+        s = build_schedule(3, 129)
+        t = Schedule(s.members.astype(np.uint8))
+        assert t.members.dtype == np.intp and (t.M, t.N, t.k) == (3, 129, 2)
+        for name, table in TABLES.items():
+            assert np.array_equal(table(t), table(s)), name
+
+    @pytest.mark.parametrize("members,dims", [
+        ([[[0, 0], [0, 0]]], (1, 1, 1, 1)),  # one receiver served once
+        (_table([]), (1, 3, 1, 3)),  # the 3x3 phase 1 alone: M = 1
+        (_table([], (4, 3)), (1, 3, 2, 6)),  # two copies, no pair slot
+        (_table([[[0, 0], [1, 0]]] * 2, (2, 2)), (3, 2, 1, 4)),  # a repeated pair: M = 3
+    ], ids=["one-slot", "phase-1-only", "doubled-phase-1-only", "repeated-pair"])
+    def test_hand_made_table_dimensions(self, members, dims):
+        s = Schedule(np.array(members, dtype=np.intp))
+        assert (s.M, s.N, s.k, s.T) == dims
+        assert DofReport(s).to_dict()["M"] == s.M and s.to_dict()["N"] == s.N
 
 
 class TestPermutations:
@@ -603,13 +670,13 @@ class TestPermutations:
         [(3, 3, 36), (2, 2, 2), (1, 2, 2), (4, 3, factorial(6) * factorial(9))],
     )
     def test_variant_count(self, M, N, count):
-        assert count_csit_variants(M, N) == count
+        assert count_csit_variants(build_schedule(M, N)) == count
 
     def test_variant_count_matches_phase_lengths(self):
         for M, N in [(3, 3), (4, 3), (2, 4), (5, 4)]:
             s = build_schedule(M, N)
             want = factorial(s.phase1_len) * factorial(s.T - s.phase1_len)
-            assert count_csit_variants(M, N) == want
+            assert count_csit_variants(s) == want
 
 
 GOLDEN_3X3 = {
