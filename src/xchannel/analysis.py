@@ -132,7 +132,7 @@ def sum_rate(systems: LinearSystem, snr_dbs) -> list[RatePoint]:
     ]
 
 
-DRAW_CHUNK_ELEMENTS = 1 << 16  # budget on D*N*M*T; a sweep chunk's (D, N, kM, T) noise maps hold k times it
+DRAW_CHUNK_ELEMENTS = 1 << 16  # caps D*N*M*T, so a chunk's (D, N, M, U) channel store (U <= T) too
 
 
 def sweep_rates(schedule: Schedule, snr_dbs, draws: int = 200, seed: int = 0,
@@ -143,8 +143,10 @@ def sweep_rates(schedule: Schedule, snr_dbs, draws: int = 200, seed: int = 0,
     stable. Draw d runs on the Philox streams (key, d, c) of the seed's key (run_streams), so draw
     d is run_simulation(schedule, seed, draws=range(d, d + 1)) whatever the chunking; each chunk
     of draws within DRAW_CHUNK_ELEMENTS (at least one) is one stacked run and one sum_rate.
-    draws < 1 or an empty snr_dbs raises ValueError before any draw.
+    draws < 1 or an empty snr_dbs raises ValueError, a bool or float draws TypeError, before any draw.
     """
+    if isinstance(draws, bool) or not hasattr(type(draws), "__index__"):  # True is no draw count
+        raise TypeError(f"draws must be an integer, not the {type(draws).__name__} {draws!r}")
     if draws < 1:
         raise ValueError(f"need at least one draw, got {draws}")
     if not (snr_dbs := list(snr_dbs)):

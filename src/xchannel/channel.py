@@ -49,9 +49,9 @@ def run_streams(seed: int, count: int = 3, draws: range | None = None) -> np.nda
     is draw 0; with draws, a range, a (count, D, 4) array over its D draws. A stream would have
     to draw 2**128 blocks before its counter reached another stream's, so no two streams of a
     key share a random number."""
-    if isinstance(seed, bool):  # an int subclass, but True is no seed
-        raise TypeError(f"seed must be an integer, not the bool {seed}")
-    if (seed := operator.index(seed)) < 0:  # TypeError for a float or a SeedSequence
+    if isinstance(seed, bool) or not hasattr(type(seed), "__index__"):  # True is no seed, nor 1.0
+        raise TypeError(f"seed must be an integer, not the {type(seed).__name__} {seed!r}")
+    if (seed := operator.index(seed)) < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     if not isinstance(draws, range | None):  # a range never repeats a draw
         raise TypeError(f"draws must be a range, got {draws!r}")

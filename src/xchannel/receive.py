@@ -61,15 +61,13 @@ class LinearSystem:
 
     Unknowns are ordered copy-major: index c*M + j holds message w[i, j, c].
     Rows run copy by copy: the phase1_slots row, then the pair_rows. sigma is the covariance of
-    y's unit-variance noise (all zero for noiseless runs); noise_map is the
-    (kM, T) matrix B with y_noise = B @ n, where n is receiver i's (U,) noise placed on its
-    channels.slots[i] columns of T, zero elsewhere, so sigma = B B^T. len() counts the systems.
+    y's unit-variance noise, n(slot) - g n(linked) on a pair row with g the plan's slot_scale at
+    its slot (all zero for noiseless runs). len() counts the systems.
     """
 
     G: np.ndarray
     y: np.ndarray
     sigma: np.ndarray
-    noise_map: np.ndarray
     T: int
     M: int
 
@@ -156,8 +154,10 @@ def assemble_system(log: ObservationLog) -> LinearSystem:
     Each copy's M rows involve only its own M unknowns, so G is block
     diagonal; its rows are written into G copy by copy. The other arrays are
     built per copy, as (k, M, ...), then flattened. The N receivers form one
-    stack after the log's draw axes, receiver i at position i. Every array is
-    read-only; a noiseless sigma is a broadcast zero.
+    stack after the log's draw axes, receiver i at position i. Rows share noise
+    only through a linked slot (a pair slot enters one row), so a noisy sigma is
+    I + [g_r g_s (linked_r == linked_s >= 0)], from pair_rows and the slot scale;
+    a noiseless one is a broadcast zero. Every array is read-only.
     """
     plan = log.plan
     s = plan.schedule
@@ -166,28 +166,26 @@ def assemble_system(log: ObservationLog) -> LinearSystem:
     receivers = np.arange(N)[:, None]
     slot, _, linked, _ = s.pair_rows.reshape(4, N, k, M - 1)
     rows, values = cancel_interference(log)
-    draws = log.values.shape[:-2]
-    lead = draws + (N,)
+    lead = log.values.shape[:-1]  # the draw axes, then N
     G = np.zeros(lead + (k * M, k * M), dtype=complex)
     diagonal = np.einsum("...cicj->...cij", G.reshape(lead + (k, M, k, M)))  # a view of the k blocks
     diagonal[..., 0, :] = plan.channels.rows(receivers, own)  # direct rows are channel rows
     diagonal[..., 1:, :] = rows.reshape(lead + (k, M - 1, M))
-    del diagonal, rows  # freed before the noise map is allocated
+    del diagonal, rows  # freed before y and sigma are built
     y = np.empty(lead + (k, M), dtype=complex)
     y[..., 0] = log.values[..., receivers, own]
     y[..., 1:] = values.reshape(lead + (k, M - 1))
-    # B: +1 at each row's own slot, minus the slot scale at the replayed slot; flat
-    # index (row * T + slot) into each draw's rows
-    B = np.zeros(lead + (k, M, T))
-    flat, start = B.reshape(draws + (-1,)), np.arange(0, own.size * M * T, T).reshape(own.shape + (M,))
-    flat[..., (start + np.concatenate([own[..., None], slot], axis=-1)).ravel()] = 1.0
-    flat[..., (start[..., 1:] + linked).ravel()] = -plan.slot_scale[..., slot].reshape(draws + (-1,))
-    B, y = read_only(B).reshape(lead + (k * M, T)), read_only(y).reshape(lead + (k * M,))
-    if log.noise is not None:
-        sigma = read_only(B @ np.swapaxes(B, -1, -2))
-    else:  # noiseless: sigma is 0 * B B^T, so skip the product
+    if log.noise is not None:  # g = 0 on the direct rows, so linked = -1 there needs no mask
+        gain = np.zeros(lead + (k, M))
+        gain[..., 1:] = plan.slot_scale[..., slot]
+        link = np.concatenate([np.full((N, k, 1), -1), linked], axis=-1).reshape(N, k * M)
+        sigma = gain.reshape(lead + (k * M, 1)) * gain.reshape(lead + (1, k * M))
+        sigma *= link[:, :, None] == link[:, None, :]
+        np.einsum("...ii->...i", sigma)[...] += 1.0
+        sigma = read_only(sigma)
+    else:  # noiseless: sigma is zero
         sigma = np.broadcast_to(read_only(np.zeros(())), lead + (k * M, k * M))
-    return LinearSystem(G=read_only(G), y=y, sigma=sigma, noise_map=B, T=T, M=M)
+    return LinearSystem(G=read_only(G), y=read_only(y).reshape(lead + (k * M,)), sigma=sigma, T=T, M=M)
 
 
 def decode(system: LinearSystem) -> DecodeResult:

@@ -32,3 +32,43 @@ def realization(schedule, h: np.ndarray) -> ChannelRealization:
     at the cells schedule stores; gathering any other cell raises IndexError."""
     rows = h.swapaxes(-1, -2)[..., np.arange(schedule.N)[:, None], schedule.stored[0], :]
     return ChannelRealization(schedule, read_only(rows.swapaxes(-1, -2)))
+
+
+def noise_map(schedule, slot_scale: np.ndarray) -> np.ndarray:
+    """Every receiver's (kM, T) noise map B, stacked as (..., N, kM, T) over the draw axes of
+    slot_scale: y's noise is B @ n for the receiver's noise n on all T slots, zero where it
+    stores no channel. Built by plain loops from schedule.members alone: per copy c, row c*M
+    has +1 at the slot that broadcast (i, c), and each pair slot t of (i, c) in slot order
+    adds a row with +1 at t and -slot_scale[..., t] at the slot that broadcast the partner."""
+    M, N, k, T = schedule.M, schedule.N, schedule.k, schedule.T
+    members = [[tuple(m) for m in slot] for slot in schedule.members.tolist()]
+    broadcast = {members[t][0]: t for t in range(k * N)}
+    B = np.zeros(slot_scale.shape[:-1] + (N, k * M, T))
+    for i in range(N):
+        for c in range(k):
+            row = c * M
+            B[..., i, row, broadcast[(i, c)]] = 1.0
+            for t in range(k * N, T):
+                for me, partner in (members[t], members[t][::-1]):
+                    if me == (i, c):
+                        row += 1
+                        B[..., i, row, t] = 1.0
+                        B[..., i, row, broadcast[partner]] = -slot_scale[..., t]
+            assert row == c * M + M - 1, (i, c, row)
+    return B
+
+
+def incidence_product(B: np.ndarray) -> np.ndarray:
+    """B @ B^T over the last two axes, each entry summed in plain Python floats over the slots
+    where both rows are nonzero, in slot order."""
+    flat = B.reshape(-1, *B.shape[-2:])
+    out = np.zeros(flat.shape[:-1] + (flat.shape[-2],))
+    for n, rows in enumerate(flat.tolist()):
+        support = [{t: v for t, v in enumerate(row) if v} for row in rows]
+        for r, a in enumerate(support):
+            for s, b in enumerate(support):
+                total = 0.0
+                for t in sorted(a.keys() & b.keys()):
+                    total += a[t] * b[t]
+                out[n, r, s] = total
+    return out.reshape(B.shape[:-1] + (B.shape[-2],))

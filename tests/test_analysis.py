@@ -86,10 +86,7 @@ def toy_system(G, sigma, T=1):
     """A stack of one receiver's system, shaped as assemble_system's stack of N = 1 receivers."""
     G = np.asarray(G, dtype=complex)[None]
     m = G.shape[-1]
-    return LinearSystem(
-        G=G, y=G @ np.ones(m), sigma=np.asarray(sigma, dtype=float)[None],
-        noise_map=np.zeros((1, m, T)), T=T, M=m,
-    )
+    return LinearSystem(G=G, y=G @ np.ones(m), sigma=np.asarray(sigma, dtype=float)[None], T=T, M=m)
 
 
 class TestSumRate:
@@ -178,6 +175,18 @@ class TestSweepAndSlope:
     def test_sweep_needs_draws(self):
         with pytest.raises(ValueError):
             sweep_rates(build_schedule(2, 2), [40.0, 60.0, 80.0], draws=0)
+
+    @pytest.mark.parametrize("draws", [True, False, 2.5, 2.0, "2", None], ids=repr)
+    def test_sweep_draws_must_be_an_integer(self, monkeypatch, draws):
+        # draws=True once ran one draw, and 2.5 failed in numpy without naming draws
+        import xchannel.simulate as simulate
+
+        monkeypatch.setattr(simulate, "generate_channels", mock.Mock(side_effect=AssertionError("drawn")))
+        with pytest.raises(TypeError, match=r"^draws must be an integer, not the "):
+            sweep_rates(build_schedule(2, 2), [40.0], draws=draws)
+        monkeypatch.undo()
+        want = sweep_rates(build_schedule(2, 2), [40.0], draws=2)
+        assert sweep_rates(build_schedule(2, 2), [40.0], draws=np.int64(2)) == want
 
     @pytest.mark.parametrize("snrs", [[], (), np.array([])], ids=["list", "tuple", "array"])
     def test_empty_snr_list_rejected_before_any_draw(self, monkeypatch, snrs):

@@ -448,6 +448,15 @@ def test_bool_seed_rejected():
     assert one.channels.h.tobytes() == run_simulation(build_schedule(3, 3), 1).channels.h.tobytes()
 
 
+@pytest.mark.parametrize("seed", [1.0, 1.5, "1", np.random.SeedSequence(1)], ids=["1.0", "1.5", "str", "seedseq"])
+def test_non_integer_seed_is_named(seed):
+    # a float seed once failed with operator.index's bare message, which names no argument
+    with pytest.raises(TypeError, match=r"^seed must be an integer, not the "):
+        run_streams(seed)
+    with pytest.raises(TypeError, match=r"^seed must be an integer, not the "):
+        run_simulation(build_schedule(3, 3), seed)
+
+
 def test_stream_rejects_what_seed_sequence_rejects():
     with pytest.raises(ValueError, match="non-negative"):
         run_streams(-1)

@@ -18,7 +18,7 @@ from xchannel.schedule import CsitTable, build_csit_table, build_schedule, permu
 from xchannel.simulate import run_simulation
 from xchannel.transmit import CsitAccessError, audit_csit_trace, build_transmit_plan
 
-from helpers import full_store, realization, stored_noise, stream
+from helpers import full_store, incidence_product, noise_map, realization, stored_noise, stream
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 dims = st.tuples(
@@ -68,8 +68,7 @@ def test_run_invariants(case, normalize):
 
     noisy = run_simulation(s, seed=seed, noise_enabled=True, normalize=normalize)
     noise = noisy.log.values - sim.log.values
-    for i in range(N):
-        B = noisy.systems.noise_map[i]
+    for i, B in enumerate(noise_map(s, noisy.plan.slot_scale)):
         used = np.any(B != 0, axis=0)
         # B maps the receiver's noise onto the right-hand side of its system; the
         # observations of cells whose channel was never drawn are NaN, and B is zero there
@@ -175,10 +174,30 @@ def test_draw_stack_equals_single_runs(case, normalize):
     runs = [(0, run_simulation(s, seed, **options), ())]  # the single run, with no draw axis
     runs += [(d, run_simulation(s, seed, draws=range(d, d + 1), **options), 0) for d in range(D)]
     for d, run, at in runs:
-        for name in ("G", "y", "sigma", "noise_map"):
+        for name in ("G", "y", "sigma"):
             assert np.array_equal(getattr(stack.systems, name)[d], getattr(run.systems, name)[at])
+        assert np.array_equal(noise_map(s, stack.plan.slot_scale)[d], noise_map(s, run.plan.slot_scale)[at])
         for name in ("estimates", "decoded", "rank", "condition"):
             assert np.array_equal(getattr(stack.decoding, name)[d], getattr(run.decoding, name)[at])
+
+
+@PROPERTY
+@given(
+    st.tuples(
+        st.integers(min_value=1, max_value=10),
+        st.integers(min_value=2, max_value=10),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    ),
+    st.booleans(),
+)
+def test_sigma_is_the_loop_built_incidence_product_exactly(case, normalize):
+    # sigma, built from the pair_rows table, equals B B^T for the B that plain loops build from
+    # members and the slot scale, each entry summed in plain floats: bit for bit, every draw
+    M, N, D, seed = case
+    s = build_schedule(M, N)
+    sim = run_simulation(s, seed, draws=range(D), noise_enabled=True, normalize=normalize)
+    assert np.array_equal(sim.systems.sigma, incidence_product(noise_map(s, sim.plan.slot_scale)))
 
 
 @PROPERTY
@@ -260,8 +279,9 @@ def test_discarded_cells_are_never_read(case, normalize):
     rates = sum_rate(systems, [40.0, 80.0])
     assert np.isfinite(plan.signal_matrix(messages)).all()
     assert np.array_equal(np.isnan(log.values), discarded)
-    for name in ("G", "y", "sigma", "noise_map"):
+    for name in ("G", "y", "sigma"):
         assert np.isfinite(getattr(systems, name)).all()
+    assert np.isfinite(noise_map(s, plan.slot_scale)).all()
     assert all(math.isfinite(r) for point in rates for r in point.per_receiver)
 
 
@@ -404,8 +424,7 @@ def test_stacked_decode_equals_per_system_reference(m, lead, seed, data):
     for n, kind in enumerate(kinds):
         if kind != "ok":
             flat[n] = _degenerate(kind, flat[n], rng)
-    system = LinearSystem(G=G, y=y, sigma=np.zeros(shape + (m,)), noise_map=np.zeros(shape + (m,)),
-                          T=m, M=m)
+    system = LinearSystem(G=G, y=y, sigma=np.zeros(shape + (m,)), T=m, M=m)
 
     res = decode(system)
     refs = [_reference_decode(g, b) for g, b in zip(flat, y.reshape(size, m))]
